@@ -18,7 +18,7 @@ from .linalg import SparseRationalMatrix
 from .nondegen import NondegeneracyReport, is_nondegenerate
 from .derham import (ComplexSlice, GradedSlice, betti_numbers,
                      build_filtration_level, build_graded_level, exact_rank,
-                     filtration_image_dim)
+                     filtration_image_dim, top_image_profile)
 from .spectrum import (AnalysisReport, HodgeSpectrum, analyze,
                        check_degeneration, check_symmetry, jump_candidates,
                        spectrum_euler, spectrum_rank)
@@ -42,7 +42,8 @@ __all__ = [
     "SparseRationalMatrix",
     "NondegeneracyReport", "is_nondegenerate",
     "ComplexSlice", "GradedSlice", "build_filtration_level",
-    "build_graded_level", "betti_numbers", "filtration_image_dim", "exact_rank",
+    "build_graded_level", "betti_numbers", "filtration_image_dim",
+    "top_image_profile", "exact_rank",
     "HodgeSpectrum", "AnalysisReport", "jump_candidates", "spectrum_euler",
     "spectrum_rank", "check_degeneration", "check_symmetry", "analyze",
     "PointDivisor", "TwoTermComplex", "CechModel", "CurveFiltrationReport",

@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=("euler", "rank", "both"), default="both")
     common.add_argument("--truncation", type=int, default=None,
                         help="override the cover truncation bound")
-    common.add_argument("--threads", type=int, default=1, help="parallelism degree")
     common.add_argument("--plot", default=None, metavar="FILE",
                         help="write an SVG (polytope for n<=2 plus spectrum bars)")
 
@@ -71,22 +70,17 @@ def _parse_input(args) -> LaurentPolynomial:
     return parse_laurent(args.poly, names)
 
 
-def _spectrum_json(f, mode, threads):
+def _spectrum_json(f, mode):
     out = {}
     if mode in ("euler", "both"):
         out["euler"] = spectrum_euler(f).to_json()
     if mode in ("rank", "both"):
-        out["rank"] = spectrum_rank(f, threads=threads).to_json()
+        out["rank"] = spectrum_rank(f).to_json()
     return out
 
 
 def _fmt_spec(entries) -> str:
     return "{" + ", ".join(f"({e['lambda']}, {e['mult']})" for e in entries) + "}"
-
-
-def _emit(payload: dict, args, out) -> None:
-    if args.json:
-        out.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _guard_degenerate(report, args):
@@ -101,8 +95,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         f = _parse_input(args)
         if args.command == "analyze":
             report = analyze(f, mode=args.mode, certify=args.certify, seed=seed,
-                             primes=args.primes, threads=args.threads,
-                             truncation=args.truncation)
+                             primes=args.primes, truncation=args.truncation)
             _guard_degenerate(report.nondegeneracy, args)
             if args.plot:
                 _write_svg(args.plot, report)
@@ -112,13 +105,13 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
                 _print_analysis(report, out)
         elif args.command == "spectrum":
             report = is_nondegenerate(f, primes=args.primes, seed=seed,
-                                      certify=args.certify, threads=args.threads)
+                                      certify=args.certify)
             _guard_degenerate(report, args)
             mode = args.mode
             if report.is_degenerate and mode != "rank":
                 mode = "rank"
                 err.write("note: degenerate input, combinatorial route suppressed\n")
-            spec = _spectrum_json(f, mode, args.threads)
+            spec = _spectrum_json(f, mode)
             if args.json:
                 out.write(json.dumps({"input": _input_json(f), "spectrum": spec}, indent=2) + "\n")
             else:
@@ -126,7 +119,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
                     out.write(f"{route}: {_fmt_spec(entries)}\n")
         elif args.command == "nondegen":
             report = is_nondegenerate(f, primes=args.primes, seed=seed,
-                                      certify=args.certify, threads=args.threads)
+                                      certify=args.certify)
             _guard_degenerate(report, args)
             if args.json:
                 out.write(json.dumps({"input": _input_json(f),

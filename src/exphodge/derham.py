@@ -26,7 +26,8 @@ from math import ceil
 
 from .errors import NotFullDimensionalError
 from .laurent import LaurentPolynomial, Monomial
-from .linalg import SparseRationalMatrix, exact_rank, image_dim_over, nullspace_basis
+from .linalg import (Echelon, SparseRationalMatrix, exact_rank, image_dim_over,
+                     nullspace_basis)
 from .polytope import NewtonPolytope, newton_polytope
 
 # a basis form (alpha, I): the log-form x^alpha dlog x_I, I ascending 0-based
@@ -210,7 +211,46 @@ def filtration_image_dim(f: LaurentPolynomial, lam, i: int) -> int:
     return image_dim_over(kernel, boundaries)
 
 
+def top_image_profile(f: LaurentPolynomial, levels) -> list[int]:
+    """filtration_image_dim(f, lam, n) for every lam in levels, in one pass.
+
+    In top degree n every level-lam form is a cocycle, so with B the level-0
+    d_{n-1} (one row per top form) and S_lam the top forms of weight at most
+    n - lam,
+
+        dim im(H^n(level lam) -> H^n(level 0))
+            = |S_lam| + rank(rows of B outside S_lam) - rank(B).
+
+    The sets S_lam shrink as lam grows, so one incremental echelon over the
+    rows of B, taken in descending weight, yields every rank on the way.
+    """
+    n = f.nvars
+    poly, _ = _check_level(f, 0)
+    levels = [Fraction(lam) for lam in levels]
+    for lam in levels:
+        if not 0 <= lam <= n:
+            raise ValueError(f"level {lam} outside [0, {n}]")
+    slice0 = build_filtration_level(f, Fraction(0))
+    rows = slice0.mats[n - 1].rows()
+    weights = [poly.weight(alpha) for alpha, _ in slice0.bases[n]]
+    order = sorted(range(len(rows)), key=weights.__getitem__, reverse=True)
+    echelon = Echelon()
+    added = 0
+    outside: dict[Fraction, tuple[int, int]] = {}  # lam -> (|rows outside|, rank)
+    for lam in sorted(set(levels)):
+        while added < len(order) and weights[order[added]] > n - lam:
+            echelon.add(rows[order[added]])
+            added += 1
+        outside[lam] = (added, echelon.rank)
+    for r in order[added:]:
+        echelon.add(rows[r])
+    rank_b = echelon.rank
+    return [len(rows) - k + rank_k - rank_b
+            for k, rank_k in (outside[lam] for lam in levels)]
+
+
 __all__ = [
     "BasisForm", "ComplexSlice", "GradedSlice", "build_filtration_level",
-    "build_graded_level", "betti_numbers", "filtration_image_dim", "exact_rank",
+    "build_graded_level", "betti_numbers", "filtration_image_dim",
+    "top_image_profile", "exact_rank",
 ]

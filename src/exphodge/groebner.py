@@ -75,13 +75,6 @@ def grevlex_key(e: Exponent):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
-def lex_key(e: Exponent):
-    return e
-
-
-_ORDERS = {"grevlex": grevlex_key, "lex": lex_key}
-
-
 def leading_monomial(p: Poly, key) -> Exponent:
     return max(p, key=key)
 
@@ -137,13 +130,13 @@ def _make_monic(p: Poly, key, F) -> Poly:
 
 
 def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
-                   order: str = "grevlex", max_pairs: int = 20000) -> list[Poly]:
+                   max_pairs: int = 20000) -> list[Poly]:
     """Reduced Groebner basis, deterministic for fixed inputs.
 
     Raises BudgetExceededError once more than max_pairs S-pairs have been
     reduced; callers surface that as a distinct outcome, not a verdict.
     """
-    key = _ORDERS[order]
+    key = grevlex_key
     F = field
     basis: list[Poly] = []
     for g in generators:

@@ -1,23 +1,23 @@
 """Exact sparse rational matrices and rank computations.
 
-The default rank path is fraction-free (Bareiss) integer elimination with
-sparsity-aware pivoting: every intermediate entry is a minor of the scaled
-input, so divisions are exact and no rounding can occur.  An opt-in
-accelerated path ranks the matrix modulo random wordsize primes and certifies
-the answer by exact elimination on the modular pivot submatrix, falling back
-to the exact path when certification fails.
+Two exact engines, both over arbitrary precision numbers, so no rounding can
+occur anywhere:
+
+* fraction-free (Bareiss) integer elimination with sparsity-aware pivoting
+  ranks whole matrices and spans (``exact_rank``, ``span_rank``,
+  ``image_dim_over``): every intermediate entry is a minor of the scaled
+  input, so each division is exact;
+* ``Echelon``, an incremental sparse row echelon form over ``Fraction``,
+  takes one vector at a time and reports whether it raised the rank.  It is
+  the forward phase of ``nullspace_basis`` and serves rank profiles of nested
+  row sets, which need the rank after every prefix of the rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import IO, Iterable, Mapping, Optional
-
-import numpy as np
-
-from . import _kernels
-from ._primes import random_primes
+from typing import IO, Iterable, Mapping
 
 Vector = Mapping[int, Fraction]
 
@@ -176,30 +176,57 @@ def span_rank(vectors: Iterable[Vector]) -> int:
     return _bareiss_rank(_integer_rows([dict(v) for v in vectors]))
 
 
+# ---------------------------------------------------------------------------
+# Incremental echelon
+# ---------------------------------------------------------------------------
+
+class Echelon:
+    """Incremental sparse row echelon form over the rationals.
+
+    Each stored row is normalized to 1 at its pivot, the smallest column it
+    occupies, and holds no column below its pivot.  A new vector is reduced
+    at its smallest column, repeatedly, until it is zero (dependent) or its
+    smallest column is free (a new pivot).
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, vec: Vector) -> bool:
+        """Reduce vec against the stored rows; keep it and return True when it
+        is independent of them, return False otherwise."""
+        pivots = self.pivots
+        row = {c: v for c, v in vec.items() if v}
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = 1 / Fraction(row[c])
+                pivots[c] = {cc: vv * inv for cc, vv in row.items()}
+                return True
+            f = row[c]
+            for cc, vv in prow.items():
+                s = row.get(cc, 0) - f * vv
+                if s == 0:
+                    row.pop(cc, None)
+                else:
+                    row[cc] = s
+        return False
+
+
 def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
     """Basis of the right nullspace {v : M v = 0}, one sparse dict per vector.
 
     A matrix with no rows has the full coordinate space as nullspace.
     """
-    rows = [r for r in M.rows() if r]
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                f = row[c]
-                prow = pivots[c]
-                for cc, vv in prow.items():
-                    s = row.get(cc, Fraction(0)) - f * vv
-                    if s == 0:
-                        row.pop(cc, None)
-                    else:
-                        row[cc] = s
-            else:
-                inv = 1 / row[c]
-                pivots[c] = {cc: vv * inv for cc, vv in row.items()}
-                break
+    echelon = Echelon()
+    for row in M.rows():
+        echelon.add(row)
+    pivots = echelon.pivots
     # back substitution to reduced form
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
@@ -228,73 +255,10 @@ def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
 # Rank entry points
 # ---------------------------------------------------------------------------
 
-def _dense_mod_p(M: SparseRationalMatrix, p: int) -> Optional[np.ndarray]:
-    """Reduction mod p, or None when a denominator vanishes."""
-    a = np.zeros((M.nrows, M.ncols), dtype=np.int64)
-    for (r, c), v in M.entries.items():
-        if v.denominator % p == 0:
-            return None
-        a[r, c] = (v.numerator * pow(v.denominator, -1, p)) % p
-    return a
-
-
-def _modular_rank_certified(M: SparseRationalMatrix, seed: int, nprimes: int,
-                            threads: int = 1) -> Optional[int]:
-    def probe(p):
-        a = _dense_mod_p(M, p)
-        if a is None:
-            return None
-        return _kernels.rank_pivots_mod_p(a, p)
-
-    primes = random_primes(nprimes, seed)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(probe, primes))
-    else:
-        results = [probe(p) for p in primes]
-    best = None
-    for res in results:
-        if res is None:
-            continue
-        r, rows, cols = res
-        if best is None or r > best[0]:
-            best = (r, rows, cols)
-    if best is None:
-        return None
-    r, rows, cols = best
-    if r == 0:
-        return 0 if M.is_zero() else None
-    sub = {}
-    rowmap = {int(ri): i for i, ri in enumerate(rows)}
-    colmap = {int(cj): j for j, cj in enumerate(cols)}
-    for (i, j), v in M.entries.items():
-        if i in rowmap and j in colmap:
-            sub[(rowmap[i], colmap[j])] = v
-    pivot_minor = SparseRationalMatrix(r, r, sub)
-    if _bareiss_rank(_integer_rows(pivot_minor.rows())) == r:
-        return r
-    return None
-
-
-def exact_rank(M: SparseRationalMatrix, method: str = "fraction-free",
-               seed: int = 0, nprimes: int = 3, threads: int = 1) -> int:
-    """Rank over the rationals.
-
-    method="fraction-free" (default): exact sparse Bareiss elimination.
-    method="modular": max rank over random primes (probed in parallel when
-    threads > 1), certified exactly on the pivot submatrix; silently falls
-    back to the exact path when the certificate does not close.
-    """
+def exact_rank(M: SparseRationalMatrix) -> int:
+    """Rank over the rationals, by exact sparse Bareiss elimination."""
     if M.is_zero():
         return 0
-    if method == "modular":
-        r = _modular_rank_certified(M, seed, nprimes, threads)
-        if r is not None:
-            return r
-    elif method != "fraction-free":
-        raise ValueError(f"unknown rank method {method!r}")
     return _bareiss_rank(_integer_rows(M.rows()))
 
 

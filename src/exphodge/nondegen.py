@@ -12,7 +12,6 @@ non-unit Groebner basis.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -119,7 +118,7 @@ def check_face(f: LaurentPolynomial, face: Face, p: int, seed: int = 0,
     system = build_face_system(f, face)
     gens = _saturated_generators(system, f.nvars)
     try:
-        basis = groebner_basis(gens, PrimeField(p), "grevlex", max_pairs)
+        basis = groebner_basis(gens, PrimeField(p), max_pairs=max_pairs)
     except BudgetExceededError:
         return FaceCheck(face, "budget exceeded", (p,))
     return FaceCheck(face, "empty" if is_unit_ideal(basis) else "nonempty", (p,))
@@ -129,7 +128,7 @@ def _check_face_exact(f: LaurentPolynomial, face: Face, max_pairs: int = 60000) 
     system = build_face_system(f, face)
     gens = _saturated_generators(system, f.nvars)
     try:
-        basis = groebner_basis(gens, RationalField(), "grevlex", max_pairs)
+        basis = groebner_basis(gens, RationalField(), max_pairs=max_pairs)
     except BudgetExceededError:
         return "budget exceeded"
     return "empty" if is_unit_ideal(basis) else "nonempty"
@@ -194,7 +193,7 @@ def find_witness(f: LaurentPolynomial, face: Face):
 # ---------------------------------------------------------------------------
 
 def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_SEED,
-                     certify: bool = False, threads: int = 1) -> NondegeneracyReport:
+                     certify: bool = False) -> NondegeneracyReport:
     """Decide nondegeneracy of f with respect to its Newton polytope.
 
     "degenerate" is always backed by a certificate; "nondegenerate" is
@@ -227,11 +226,7 @@ def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_
             return FaceCheck(face, "budget exceeded", prime_list)
         return FaceCheck(face, "empty", prime_list)
 
-    if threads > 1 and len(faces) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            checks = list(pool.map(check_one, faces))
-    else:
-        checks = [check_one(face) for face in faces]
+    checks = [check_one(face) for face in faces]
 
     witness = witness_field = witness_face = None
     final_checks: list[FaceCheck] = []

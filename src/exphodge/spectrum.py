@@ -7,22 +7,29 @@ Euler characteristic
     h^lam = (-1)^n * sum_p (-1)^p * C(n, p) * N(p - lam),
 
 with N(c) the number of lattice points of exact weight c.  Route two (rank):
-h^lam is the drop of the filtration image dimension between consecutive
-jumps, computed from exact kernels and images.  Agreement of the two routes
-is the numerical shadow of the degeneration of the spectral sequence at its
-first page; the analysis report never hides a disagreement.
+h^lam is the drop of the filtration image dimension
+
+    dim im(H^n(level lam) -> H^n(level 0))
+        = |S_lam| + rank(rows of B outside S_lam) - rank(B)
+
+between consecutive jumps, where B is the level-0 differential into top
+degree and S_lam the top forms of weight at most n - lam.  The sets S_lam are
+nested, so one incremental exact echelon over the rows of B, in descending
+weight, gives the dimension at every jump: an exact rank computation, never a
+count.  Agreement of the two routes is the numerical shadow of the
+degeneration of the spectral sequence at its first page; the analysis report
+never hides a disagreement.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .derham import betti_numbers, build_graded_level, filtration_image_dim, exact_rank
+from .derham import betti_numbers, build_graded_level, exact_rank, top_image_profile
 from .errors import IntegrityError, NotFullDimensionalError
 from .laurent import LaurentPolynomial, format_laurent
 from .nondegen import DEFAULT_SEED, NondegeneracyReport, is_nondegenerate
@@ -100,20 +107,12 @@ def spectrum_euler(f: LaurentPolynomial) -> HodgeSpectrum:
     return HodgeSpectrum(n, tuple(entries))
 
 
-def spectrum_rank(f: LaurentPolynomial, threads: int = 1) -> HodgeSpectrum:
+def spectrum_rank(f: LaurentPolynomial) -> HodgeSpectrum:
     """Top-degree spectrum from exact filtration image dimensions; completely
     independent of the Euler route."""
     n = f.nvars
     jumps = jump_candidates(f)
-
-    def img(lam) -> int:
-        return filtration_image_dim(f, lam, n)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            dims = list(pool.map(img, jumps))
-    else:
-        dims = [img(lam) for lam in jumps]
+    dims = top_image_profile(f, jumps)
     dims.append(0)  # above the top jump the level is empty
     entries = []
     for k, lam in enumerate(jumps):
@@ -138,11 +137,11 @@ class CheckResult:
         return {"status": self.status, **{k: v for k, v in self.detail.items()}}
 
 
-def check_degeneration(f: LaurentPolynomial, threads: int = 1) -> CheckResult:
+def check_degeneration(f: LaurentPolynomial) -> CheckResult:
     """Spectra agree entrywise AND every graded slice has cohomology only in
     top degree."""
     eu = spectrum_euler(f)
-    rk = spectrum_rank(f, threads=threads)
+    rk = spectrum_rank(f)
     detail = {"euler": eu.to_json(), "rank": rk.to_json()}
     agree = eu.entries == rk.entries
     n = f.nvars
@@ -217,7 +216,7 @@ class AnalysisReport:
 
 
 def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
-            seed: int = DEFAULT_SEED, primes: int = 3, threads: int = 1,
+            seed: int = DEFAULT_SEED, primes: int = 3,
             curve_checks: Optional[bool] = None,
             truncation: Optional[int] = None) -> AnalysisReport:
     """Full pipeline: polytope, nondegeneracy, Betti numbers, spectra, and
@@ -227,7 +226,7 @@ def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
     if poly.dim != f.nvars:
         raise NotFullDimensionalError(poly.dim, f.nvars)
     warnings: list[str] = []
-    report = is_nondegenerate(f, primes=primes, seed=seed, certify=certify, threads=threads)
+    report = is_nondegenerate(f, primes=primes, seed=seed, certify=certify)
     betti = betti_numbers(f)
     nvol = poly.normalized_volume()
     spectra: dict[str, HodgeSpectrum] = {}
@@ -238,14 +237,14 @@ def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
             "input is degenerate: the spectrum below is the raw filtration "
             "rank output, unsupported by the degeneration theorem")
     if mode in ("rank", "both"):
-        spectra["rank"] = spectrum_rank(f, threads=threads)
+        spectra["rank"] = spectrum_rank(f)
     if mode in ("euler", "both"):
         if degenerate:
             warnings.append("combinatorial route suppressed for degenerate input")
         else:
             spectra["euler"] = spectrum_euler(f)
     if not degenerate:
-        checks["degeneration"] = check_degeneration(f, threads=threads)
+        checks["degeneration"] = check_degeneration(f)
         checks["symmetry"] = check_symmetry(f)
         if f.nvars == 1 and (curve_checks is None or curve_checks):
             from . import curve

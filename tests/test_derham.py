@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from exphodge.derham import (betti_numbers, build_filtration_level,
-                             build_graded_level, filtration_image_dim)
+                             build_graded_level, filtration_image_dim,
+                             top_image_profile)
 from exphodge.errors import NotFullDimensionalError
 from exphodge.laurent import parse_laurent
 from exphodge.polytope import newton_polytope
@@ -123,3 +124,35 @@ def test_image_dim_below_top_degree_vanishes(suite_poly):
     n = suite_poly.nvars
     for i in range(n):
         assert filtration_image_dim(suite_poly, 0, i) == 0
+
+
+# the suite, two degenerate inputs, an n = 3 simplex and the n = 4 Kloosterman
+# input; the one-pass profile must equal the per-level reference exactly
+PROFILE_INPUTS = ["x", "x + x^-1", "x^2 + x^-1", "x + y", "x + y + x^-1*y^-1",
+                  "x^2 + 2*x*y + y^2 + x^-1*y^-1",
+                  "x^4 - 4*x^2*y^2 + 4*y^4 + x^-1*y^-1",
+                  "x^3 + y^3 + z^3 + x^-2*y^-2*z^-2",
+                  "x + y + z + w + x^-1*y^-1*z^-1*w^-1"]
+
+
+@pytest.mark.parametrize("text", PROFILE_INPUTS, ids=lambda t: t.replace(" ", ""))
+def test_top_image_profile_matches_reference(text):
+    f = parse_laurent(text)
+    jumps = jump_candidates(f)
+    expected = [filtration_image_dim(f, lam, f.nvars) for lam in jumps]
+    assert top_image_profile(f, jumps) == expected
+
+
+def test_top_image_profile_any_level_order():
+    f = parse_laurent("x^2 + x^-1")
+    levels = [1, Fraction(1, 2), 0, 1]
+    assert top_image_profile(f, levels) == [filtration_image_dim(f, lam, 1) for lam in levels]
+    assert top_image_profile(f, []) == []
+
+
+def test_top_image_profile_rejects_levels_outside_range():
+    f = parse_laurent("x + x^-1")
+    with pytest.raises(ValueError):
+        top_image_profile(f, [2])
+    with pytest.raises(ValueError):
+        top_image_profile(f, [Fraction(-1, 2)])

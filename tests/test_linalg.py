@@ -2,10 +2,8 @@ import io
 import random
 from fractions import Fraction
 
-import pytest
-
-from exphodge.linalg import (SparseRationalMatrix, exact_rank, image_dim_over,
-                             nullspace_basis, span_rank)
+from exphodge.linalg import (Echelon, SparseRationalMatrix, exact_rank,
+                             image_dim_over, nullspace_basis, span_rank)
 
 
 def test_rank_trivial_cases():
@@ -53,16 +51,30 @@ def test_rank_against_gauss_oracle():
         assert exact_rank(m) == _rank_fraction_gauss(m)
 
 
-def test_modular_rank_matches_exact():
-    rng = random.Random(17)
-    for k in range(25):
-        m = _random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
-        assert exact_rank(m, method="modular", seed=k) == exact_rank(m)
+def test_echelon_against_gauss_oracle():
+    # rank after every prefix of the rows, and add() says whether it grew
+    rng = random.Random(29)
+    for _ in range(40):
+        m = _random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
+        rows = m.to_dense()
+        echelon = Echelon()
+        for k, row in enumerate(rows, 1):
+            before = echelon.rank
+            grew = echelon.add({c: v for c, v in enumerate(row) if v})
+            prefix = SparseRationalMatrix.from_dense(rows[:k])
+            assert echelon.rank == _rank_fraction_gauss(prefix)
+            assert grew == (echelon.rank == before + 1)
+        assert echelon.rank == exact_rank(m)
 
 
-def test_rank_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        exact_rank(SparseRationalMatrix(1, 1, {(0, 0): 1}), method="float")
+def test_echelon_rejects_zero_and_repeats():
+    echelon = Echelon()
+    assert not echelon.add({})
+    assert not echelon.add({3: Fraction(0)})
+    assert echelon.add({1: 2, 4: Fraction(1, 3)})
+    assert not echelon.add({1: Fraction(-6), 4: -1})
+    assert echelon.add({4: 5})
+    assert echelon.rank == 2
 
 
 def test_nullspace_is_kernel():
@@ -109,10 +121,3 @@ def test_dump_load_roundtrip():
     assert again.entries == m.entries
     buf.seek(0)
     assert buf.readline().strip() == "3 4"
-
-
-def test_modular_rank_threads_parity():
-    rng = random.Random(41)
-    for _ in range(10):
-        m = _random_matrix(rng, 10, 10)
-        assert exact_rank(m, method="modular", seed=1, threads=3) == exact_rank(m)

@@ -81,11 +81,6 @@ def test_determinism_under_seed():
     assert c.primes != a.primes
 
 
-def test_threads_do_not_change_result():
-    f = parse_laurent("x^2 + 2*x*y + y^2", ("x", "y"))
-    assert is_nondegenerate(f, threads=4) == is_nondegenerate(f)
-
-
 def test_rejects_low_dimensional_input():
     with pytest.raises(NotFullDimensionalError):
         is_nondegenerate(parse_laurent("x*y"))

@@ -103,9 +103,33 @@ def test_analyze_rejects_subtorus():
     assert "1" in str(exc.value) and "2" in str(exc.value)
 
 
-def test_threads_do_not_change_spectra(suite_poly):
-    assert spectrum_rank(suite_poly, threads=3).entries == \
-        spectrum_rank(suite_poly).entries
+# f and g in disjoint variables: the spectrum of f + g is the convolution of
+# the two spectra, jumps adding and multiplicities multiplying
+THOM_SEBASTIANI = [
+    ("x^3 + x^-2", "y^2 + y^-3"),
+    ("x^2 + x^-1", "y^2 + z^2 + y^-1*z^-1"),
+    ("x^3 + x^-2", "y^2 + z^2 + y^-1*z^-1"),
+    ("x + x^-1", "y + z + y^-1*z^-1"),
+    ("x^2 + y^2 + x^-1*y^-1", "z^3 + z^-1"),
+]
+
+
+def _convolve(a: HodgeSpectrum, b: HodgeSpectrum) -> tuple:
+    out = {}
+    for la, ma in a.entries:
+        for lb, mb in b.entries:
+            out[la + lb] = out.get(la + lb, 0) + ma * mb
+    return tuple(sorted(out.items()))
+
+
+@pytest.mark.parametrize("left,right", THOM_SEBASTIANI,
+                         ids=lambda t: t.replace(" ", ""))
+def test_thom_sebastiani_convolution(left, right):
+    f, g = parse_laurent(left), parse_laurent(right)
+    h = parse_laurent(f"{left} + {right}")
+    assert h.nvars == f.nvars + g.nvars
+    assert spectrum_rank(h).entries == _convolve(spectrum_rank(f), spectrum_rank(g))
+    assert spectrum_euler(h).entries == _convolve(spectrum_euler(f), spectrum_euler(g))
 
 
 def test_routes_agree_beyond_the_suite():
