@@ -35,6 +35,12 @@ def bench_enumerate():
     return timeit(lambda: _kernels.enumerate_box_filtered(lo, hi, normals, bounds))
 
 
+def bench_rank():
+    rng = np.random.default_rng(0)
+    mat = rng.integers(-1000, 1000, size=(400, 400))
+    return timeit(lambda: _kernels.rank_mod_p(mat, 2147483647))
+
+
 def bench_torus_scan():
     rng = np.random.default_rng(1)
     exps = rng.integers(0, 5, size=(12, 3))
@@ -47,6 +53,7 @@ def bench_torus_scan():
 def main():
     print(f"backend: {_kernels.BACKEND}")
     for name, fn in [("lattice box scan", bench_enumerate),
+                     ("rank mod p (400x400)", bench_rank),
                      ("torus zero scan (GF(101)^3)", bench_torus_scan)]:
         best = fn()
         print(f"{name:30s} {best * 1000:10.2f} ms")

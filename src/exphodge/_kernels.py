@@ -1,4 +1,4 @@
-"""Integer hot loops: lattice-box scans and finite-field torus zero scans.
+"""Integer hot loops: lattice-box scans, mod-p elimination, torus zero scans.
 
 Two interchangeable backends compute identical results:
 
@@ -53,6 +53,54 @@ def _enumerate_box_filtered_numpy(lo, hi, normals, bounds):
         return pts.reshape(0, len(lo))
     keep = np.all(pts @ normals.T >= bounds[None, :], axis=1)
     return pts[keep]
+
+
+def _rank_mod_p_numpy(mat, p):
+    a = np.mod(mat, p)
+    m, n = a.shape
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + nz[0]
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        rows = a[r + 1:, c].nonzero()[0] + r + 1
+        if rows.size:
+            fac = (a[rows, c] * inv) % p
+            a[rows, c:] = (a[rows, c:] - fac[:, None] * a[r, c:]) % p
+        r += 1
+    return r
+
+
+def _rank_pivots_mod_p_numpy(mat, p):
+    a = np.mod(mat, p)
+    m, n = a.shape
+    order = np.arange(m)
+    pivot_cols = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + nz[0]
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+            order[[r, piv]] = order[[piv, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        rows = a[r + 1:, c].nonzero()[0] + r + 1
+        if rows.size:
+            fac = (a[rows, c] * inv) % p
+            a[rows, c:] = (a[rows, c:] - fac[:, None] * a[r, c:]) % p
+        pivot_cols.append(c)
+        r += 1
+    return r, order[:r].copy(), np.array(pivot_cols, dtype=np.int64)
 
 
 def _torus_common_zero_numpy(exps, coeffs, offsets, nvars, p):
@@ -148,6 +196,70 @@ if _HAVE_NUMBA:
         return out[:count]
 
     @njit(cache=True)
+    def _rank_mod_p_numba(mat, p):
+        a = np.mod(mat, p)
+        m, n = a.shape
+        r = 0
+        for c in range(n):
+            if r == m:
+                break
+            piv = -1
+            for i in range(r, m):
+                if a[i, c] != 0:
+                    piv = i
+                    break
+            if piv < 0:
+                continue
+            if piv != r:
+                for j in range(n):
+                    tmp = a[r, j]
+                    a[r, j] = a[piv, j]
+                    a[piv, j] = tmp
+            inv = _pow_mod(a[r, c], p - 2, p)
+            for i in range(r + 1, m):
+                if a[i, c] != 0:
+                    fac = (a[i, c] * inv) % p
+                    for j in range(c, n):
+                        a[i, j] = (a[i, j] - fac * a[r, j]) % p
+            r += 1
+        return r
+
+    @njit(cache=True)
+    def _rank_pivots_mod_p_numba(mat, p):
+        a = np.mod(mat, p)
+        m, n = a.shape
+        order = np.arange(m)
+        pivot_cols = np.empty(min(m, n), dtype=np.int64)
+        r = 0
+        for c in range(n):
+            if r == m:
+                break
+            piv = -1
+            for i in range(r, m):
+                if a[i, c] != 0:
+                    piv = i
+                    break
+            if piv < 0:
+                continue
+            if piv != r:
+                for j in range(n):
+                    tmp = a[r, j]
+                    a[r, j] = a[piv, j]
+                    a[piv, j] = tmp
+                tmp2 = order[r]
+                order[r] = order[piv]
+                order[piv] = tmp2
+            inv = _pow_mod(a[r, c], p - 2, p)
+            for i in range(r + 1, m):
+                if a[i, c] != 0:
+                    fac = (a[i, c] * inv) % p
+                    for j in range(c, n):
+                        a[i, j] = (a[i, j] - fac * a[r, j]) % p
+            pivot_cols[r] = c
+            r += 1
+        return r, order[:r].copy(), pivot_cols[:r].copy()
+
+    @njit(cache=True)
     def _torus_common_zero_numba(exps, coeffs, offsets, nvars, p):
         cur = np.ones(nvars, dtype=np.int64)
         total = (p - 1) ** nvars
@@ -194,6 +306,28 @@ def enumerate_box_filtered(lo, hi, normals, bounds) -> np.ndarray:
     if _HAVE_NUMBA:
         return _enumerate_box_filtered_numba(lo, hi, normals, bounds)
     return _enumerate_box_filtered_numpy(lo, hi, normals, bounds)
+
+
+def rank_mod_p(mat, p: int) -> int:
+    """Rank of an integer matrix over GF(p); the input is not modified."""
+    a = np.asarray(mat, dtype=np.int64)
+    if a.size == 0:
+        return 0
+    if _HAVE_NUMBA:
+        return int(_rank_mod_p_numba(a, p))
+    return int(_rank_mod_p_numpy(a, p))
+
+
+def rank_pivots_mod_p(mat, p: int):
+    """(rank, pivot row indices, pivot column indices) over GF(p)."""
+    a = np.asarray(mat, dtype=np.int64)
+    if a.size == 0:
+        return 0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if _HAVE_NUMBA:
+        r, rows, cols = _rank_pivots_mod_p_numba(a, p)
+    else:
+        r, rows, cols = _rank_pivots_mod_p_numpy(a, p)
+    return int(r), rows, cols
 
 
 def torus_common_zero(exps, coeffs, offsets, nvars: int, p: int):

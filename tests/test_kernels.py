@@ -28,6 +28,23 @@ def test_enumerate_empty_box():
     assert out.shape == (0, 1)
 
 
+def test_rank_mod_p_parity():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        m = rng.integers(-50, 50, size=(12, 9))
+        p = 10007
+        assert _kernels.rank_mod_p(m, p) == _kernels._rank_mod_p_numpy(m, p)
+
+
+def test_rank_pivots_certify_shape():
+    m = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
+    r, rows, cols = _kernels.rank_pivots_mod_p(m, 101)
+    assert r == 2
+    assert len(rows) == 2 and len(cols) == 2
+    sub = m[np.ix_(sorted(rows), sorted(cols))]
+    assert _kernels.rank_mod_p(sub, 101) == 2
+
+
 def test_torus_common_zero_parity():
     # generators x + y, x - y over GF(5): common zero needs x = y and 2x = 0
     exps = [(1, 0), (0, 1), (1, 0), (0, 1)]
