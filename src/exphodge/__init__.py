@@ -16,9 +16,9 @@ from .laurent import (LaurentPolynomial, face_restriction, format_laurent,
 from .polytope import Face, Facet, NewtonPolytope, newton_polytope
 from .linalg import SparseRationalMatrix
 from .nondegen import NondegeneracyReport, is_nondegenerate
-from .derham import (ComplexSlice, GradedSlice, betti_numbers,
-                     build_filtration_level, build_graded_level, exact_rank,
-                     filtration_image_dim, top_image_profile)
+from .derham import (ComplexSlice, betti_numbers, build_filtration_level,
+                     build_graded_level, exact_rank, filtration_image_dim,
+                     top_image_profile)
 from .spectrum import (AnalysisReport, HodgeSpectrum, analyze,
                        check_degeneration, check_symmetry, jump_candidates,
                        spectrum_euler, spectrum_rank)
@@ -41,7 +41,7 @@ __all__ = [
     "NewtonPolytope", "Face", "Facet", "newton_polytope",
     "SparseRationalMatrix",
     "NondegeneracyReport", "is_nondegenerate",
-    "ComplexSlice", "GradedSlice", "build_filtration_level",
+    "ComplexSlice", "build_filtration_level",
     "build_graded_level", "betti_numbers", "filtration_image_dim",
     "top_image_profile", "exact_rank",
     "HodgeSpectrum", "AnalysisReport", "jump_candidates", "spectrum_euler",

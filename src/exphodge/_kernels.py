@@ -1,134 +1,16 @@
-"""Integer hot loops: lattice-box scans, mod-p elimination, torus zero scans.
+"""Integer scans: lattice points of a box under facet inequalities, and
+common zeros of generator systems on a finite torus.
 
-Two interchangeable backends compute identical results:
-
-* ``numba`` — ``@njit``-compiled loops (default whenever numba imports);
-* ``numpy`` — vectorized fallback, always available.
-
-Set ``EXPHODGE_KERNELS=numpy`` to force the fallback (``numba`` to insist on
-JIT; import fails loudly if numba is missing then).  Exact rational
-elimination and Groebner arithmetic live elsewhere: those run on arbitrary
-precision numbers and are not JIT material.  Everything here is int64; the
-call sites keep values far below overflow.
+Both are vectorized numpy over int64; the call sites keep values far below
+overflow.  Exact rational elimination and Groebner arithmetic live elsewhere:
+those run on arbitrary precision numbers.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_choice = os.environ.get("EXPHODGE_KERNELS", "").strip().lower()
-if _choice not in ("", "numba", "numpy"):
-    raise ValueError(f"EXPHODGE_KERNELS must be 'numba' or 'numpy', got {_choice!r}")
-
-if _choice == "numpy":
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise
-        _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def _box_points_numpy(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=1)
-
-
-def _enumerate_box_filtered_numpy(lo, hi, normals, bounds):
-    pts = _box_points_numpy(lo, hi)
-    if pts.shape[0] == 0:
-        return pts.reshape(0, len(lo))
-    keep = np.all(pts @ normals.T >= bounds[None, :], axis=1)
-    return pts[keep]
-
-
-def _rank_mod_p_numpy(mat, p):
-    a = np.mod(mat, p)
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + nz[0]
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        rows = a[r + 1:, c].nonzero()[0] + r + 1
-        if rows.size:
-            fac = (a[rows, c] * inv) % p
-            a[rows, c:] = (a[rows, c:] - fac[:, None] * a[r, c:]) % p
-        r += 1
-    return r
-
-
-def _rank_pivots_mod_p_numpy(mat, p):
-    a = np.mod(mat, p)
-    m, n = a.shape
-    order = np.arange(m)
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + nz[0]
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-            order[[r, piv]] = order[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        rows = a[r + 1:, c].nonzero()[0] + r + 1
-        if rows.size:
-            fac = (a[rows, c] * inv) % p
-            a[rows, c:] = (a[rows, c:] - fac[:, None] * a[r, c:]) % p
-        pivot_cols.append(c)
-        r += 1
-    return r, order[:r].copy(), np.array(pivot_cols, dtype=np.int64)
-
-
-def _torus_common_zero_numpy(exps, coeffs, offsets, nvars, p):
-    n_pts = (p - 1) ** nvars
-    coords = np.empty((n_pts, nvars), dtype=np.int64)
-    vals = np.arange(1, p, dtype=np.int64)
-    for i in range(nvars):
-        reps = (p - 1) ** (nvars - 1 - i)
-        tiles = (p - 1) ** i
-        coords[:, i] = np.tile(np.repeat(vals, reps), tiles)
-    alive = np.ones(n_pts, dtype=bool)
-    for g in range(len(offsets) - 1):
-        lo, hi = offsets[g], offsets[g + 1]
-        acc = np.zeros(n_pts, dtype=np.int64)
-        for t in range(lo, hi):
-            term = np.full(n_pts, coeffs[t] % p, dtype=np.int64)
-            for i in range(nvars):
-                e = int(exps[t, i])
-                if e:
-                    term = (term * _pow_mod_array(coords[:, i], e, p)) % p
-            acc = (acc + term) % p
-        alive &= acc == 0
-        if not alive.any():
-            return np.empty(0, dtype=np.int64)
-    idx = np.nonzero(alive)[0]
-    if idx.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return coords[idx[0]].copy()
+BACKEND = "numpy"
 
 
 def _pow_mod_array(base, e, p):
@@ -142,158 +24,6 @@ def _pow_mod_array(base, e, p):
     return out
 
 
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pow_mod(b, e, p):
-        r = 1
-        b %= p
-        while e > 0:
-            if e & 1:
-                r = (r * b) % p
-            b = (b * b) % p
-            e >>= 1
-        return r
-
-    @njit(cache=True)
-    def _enumerate_box_filtered_numba(lo, hi, normals, bounds):
-        n = lo.shape[0]
-        nf = normals.shape[0]
-        total = 1
-        for i in range(n):
-            w = hi[i] - lo[i] + 1
-            if w <= 0:
-                return np.empty((0, n), dtype=np.int64)
-            total *= w
-        out = np.empty((total, n), dtype=np.int64)
-        cur = lo.copy()
-        count = 0
-        for _ in range(total):
-            ok = True
-            for j in range(nf):
-                s = 0
-                for i in range(n):
-                    s += normals[j, i] * cur[i]
-                if s < bounds[j]:
-                    ok = False
-                    break
-            if ok:
-                for i in range(n):
-                    out[count, i] = cur[i]
-                count += 1
-            # odometer increment, last coordinate fastest (lex order)
-            k = n - 1
-            while k >= 0:
-                cur[k] += 1
-                if cur[k] <= hi[k]:
-                    break
-                cur[k] = lo[k]
-                k -= 1
-        return out[:count]
-
-    @njit(cache=True)
-    def _rank_mod_p_numba(mat, p):
-        a = np.mod(mat, p)
-        m, n = a.shape
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            piv = -1
-            for i in range(r, m):
-                if a[i, c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for j in range(n):
-                    tmp = a[r, j]
-                    a[r, j] = a[piv, j]
-                    a[piv, j] = tmp
-            inv = _pow_mod(a[r, c], p - 2, p)
-            for i in range(r + 1, m):
-                if a[i, c] != 0:
-                    fac = (a[i, c] * inv) % p
-                    for j in range(c, n):
-                        a[i, j] = (a[i, j] - fac * a[r, j]) % p
-            r += 1
-        return r
-
-    @njit(cache=True)
-    def _rank_pivots_mod_p_numba(mat, p):
-        a = np.mod(mat, p)
-        m, n = a.shape
-        order = np.arange(m)
-        pivot_cols = np.empty(min(m, n), dtype=np.int64)
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            piv = -1
-            for i in range(r, m):
-                if a[i, c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for j in range(n):
-                    tmp = a[r, j]
-                    a[r, j] = a[piv, j]
-                    a[piv, j] = tmp
-                tmp2 = order[r]
-                order[r] = order[piv]
-                order[piv] = tmp2
-            inv = _pow_mod(a[r, c], p - 2, p)
-            for i in range(r + 1, m):
-                if a[i, c] != 0:
-                    fac = (a[i, c] * inv) % p
-                    for j in range(c, n):
-                        a[i, j] = (a[i, j] - fac * a[r, j]) % p
-            pivot_cols[r] = c
-            r += 1
-        return r, order[:r].copy(), pivot_cols[:r].copy()
-
-    @njit(cache=True)
-    def _torus_common_zero_numba(exps, coeffs, offsets, nvars, p):
-        cur = np.ones(nvars, dtype=np.int64)
-        total = (p - 1) ** nvars
-        ngens = offsets.shape[0] - 1
-        for _ in range(total):
-            all_zero = True
-            for g in range(ngens):
-                acc = 0
-                for t in range(offsets[g], offsets[g + 1]):
-                    v = coeffs[t] % p
-                    for i in range(nvars):
-                        e = exps[t, i]
-                        if e != 0:
-                            v = (v * _pow_mod(cur[i], e, p)) % p
-                    acc = (acc + v) % p
-                if acc != 0:
-                    all_zero = False
-                    break
-            if all_zero:
-                return cur.copy()
-            k = nvars - 1
-            while k >= 0:
-                cur[k] += 1
-                if cur[k] <= p - 1:
-                    break
-                cur[k] = 1
-                k -= 1
-        return np.empty(0, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Public dispatchers
-# ---------------------------------------------------------------------------
-
 def enumerate_box_filtered(lo, hi, normals, bounds) -> np.ndarray:
     """All integer points a with lo <= a <= hi (componentwise) satisfying
     normals @ a >= bounds, in ascending lex order."""
@@ -303,31 +33,11 @@ def enumerate_box_filtered(lo, hi, normals, bounds) -> np.ndarray:
     bounds = np.asarray(bounds, dtype=np.int64)
     if np.any(hi < lo):
         return np.empty((0, lo.shape[0]), dtype=np.int64)
-    if _HAVE_NUMBA:
-        return _enumerate_box_filtered_numba(lo, hi, normals, bounds)
-    return _enumerate_box_filtered_numpy(lo, hi, normals, bounds)
-
-
-def rank_mod_p(mat, p: int) -> int:
-    """Rank of an integer matrix over GF(p); the input is not modified."""
-    a = np.asarray(mat, dtype=np.int64)
-    if a.size == 0:
-        return 0
-    if _HAVE_NUMBA:
-        return int(_rank_mod_p_numba(a, p))
-    return int(_rank_mod_p_numpy(a, p))
-
-
-def rank_pivots_mod_p(mat, p: int):
-    """(rank, pivot row indices, pivot column indices) over GF(p)."""
-    a = np.asarray(mat, dtype=np.int64)
-    if a.size == 0:
-        return 0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if _HAVE_NUMBA:
-        r, rows, cols = _rank_pivots_mod_p_numba(a, p)
-    else:
-        r, rows, cols = _rank_pivots_mod_p_numpy(a, p)
-    return int(r), rows, cols
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grid], axis=1)
+    keep = np.all(pts @ normals.T >= bounds[None, :], axis=1)
+    return pts[keep]
 
 
 def torus_common_zero(exps, coeffs, offsets, nvars: int, p: int):
@@ -339,9 +49,24 @@ def torus_common_zero(exps, coeffs, offsets, nvars: int, p: int):
     """
     exps = np.asarray(exps, dtype=np.int64).reshape(-1, nvars)
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if _HAVE_NUMBA:
-        hit = _torus_common_zero_numba(exps, coeffs, offsets, nvars, p)
-    else:
-        hit = _torus_common_zero_numpy(exps, coeffs, offsets, nvars, p)
-    return tuple(int(v) for v in hit) if hit.size else None
+    n_pts = (p - 1) ** nvars
+    coords = np.empty((n_pts, nvars), dtype=np.int64)
+    vals = np.arange(1, p, dtype=np.int64)
+    for i in range(nvars):
+        reps = (p - 1) ** (nvars - 1 - i)
+        tiles = (p - 1) ** i
+        coords[:, i] = np.tile(np.repeat(vals, reps), tiles)
+    alive = np.ones(n_pts, dtype=bool)
+    for g in range(len(offsets) - 1):
+        acc = np.zeros(n_pts, dtype=np.int64)
+        for t in range(offsets[g], offsets[g + 1]):
+            term = np.full(n_pts, coeffs[t] % p, dtype=np.int64)
+            for i in range(nvars):
+                e = int(exps[t, i])
+                if e:
+                    term = (term * _pow_mod_array(coords[:, i], e, p)) % p
+            acc = (acc + term) % p
+        alive &= acc == 0
+        if not alive.any():
+            return None
+    return tuple(int(v) for v in coords[np.argmax(alive)])

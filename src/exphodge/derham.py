@@ -46,27 +46,13 @@ def _insertion_sign(i: int, index_set: tuple[int, ...]):
 
 @dataclass(frozen=True)
 class ComplexSlice:
-    """One filtration level: bases and differentials, degree by degree."""
+    """One filtration level or graded piece: bases and differentials, degree
+    by degree."""
 
     f: LaurentPolynomial
     level: Fraction
     bases: tuple[tuple[BasisForm, ...], ...]      # index p in 0..n
     mats: tuple[SparseRationalMatrix, ...]        # mats[p]: degree p -> p+1
-
-    @property
-    def nvars(self) -> int:
-        return self.f.nvars
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.bases)
-
-
-@dataclass(frozen=True)
-class GradedSlice:
-    f: LaurentPolynomial
-    level: Fraction
-    bases: tuple[tuple[BasisForm, ...], ...]
-    mats: tuple[SparseRationalMatrix, ...]
 
     @property
     def nvars(self) -> int:
@@ -154,14 +140,14 @@ def build_filtration_level(f: LaurentPolynomial, lam) -> ComplexSlice:
 
 
 @lru_cache(maxsize=256)
-def build_graded_level(f: LaurentPolynomial, lam) -> GradedSlice:
+def build_graded_level(f: LaurentPolynomial, lam) -> ComplexSlice:
     """The graded piece at level lam: exact-weight forms, weight-raising part
     of the connection only."""
     poly, lam = _check_level(f, lam)
     n = f.nvars
     bases = _level_bases(poly, lam, n, exact_weight=True)
     mats = tuple(_differential(f, poly, lam, bases, p, graded=True) for p in range(n))
-    return GradedSlice(f, lam, bases, mats)
+    return ComplexSlice(f, lam, bases, mats)
 
 
 def betti_numbers(f: LaurentPolynomial) -> list[int]:
@@ -250,7 +236,7 @@ def top_image_profile(f: LaurentPolynomial, levels) -> list[int]:
 
 
 __all__ = [
-    "BasisForm", "ComplexSlice", "GradedSlice", "build_filtration_level",
+    "BasisForm", "ComplexSlice", "build_filtration_level",
     "build_graded_level", "betti_numbers", "filtration_image_dim",
     "top_image_profile", "exact_rank",
 ]

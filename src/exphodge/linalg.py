@@ -1,22 +1,24 @@
 """Exact sparse rational matrices and rank computations.
 
-Two exact engines, both over arbitrary precision numbers, so no rounding can
-occur anywhere:
+One exact engine, over arbitrary precision rationals, so no rounding can occur
+anywhere: ``Echelon``, an incremental sparse row echelon form over
+``Fraction``, takes one vector at a time and reports whether it raised the
+rank.  Every rank (``exact_rank``, ``span_rank``), quotient image
+(``image_dim_over``) and kernel (``nullspace_basis``) runs on it, and so do
+rank profiles of nested row sets, which need the rank after every prefix of
+the rows.
 
-* fraction-free (Bareiss) integer elimination with sparsity-aware pivoting
-  ranks whole matrices and spans (``exact_rank``, ``span_rank``,
-  ``image_dim_over``): every intermediate entry is a minor of the scaled
-  input, so each division is exact;
-* ``Echelon``, an incremental sparse row echelon form over ``Fraction``,
-  takes one vector at a time and reports whether it raised the rank.  It is
-  the forward phase of ``nullspace_basis`` and serves rank profiles of nested
-  row sets, which need the rank after every prefix of the rows.
+``Echelon`` pivots on the smallest column of a vector.  The entry points
+first relabel the columns of their whole input rarest first, by occurrence
+count and then by column (Markowitz's static rule), so the smallest label is
+the column the fewest rows share: a column held by one row becomes a pivot
+with no fill-in.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import gcd
 from typing import IO, Iterable, Mapping
 
 Vector = Mapping[int, Fraction]
@@ -109,74 +111,6 @@ class SparseRationalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free elimination
-# ---------------------------------------------------------------------------
-
-def _integer_rows(rows: list[Mapping[int, Fraction]]) -> list[dict[int, int]]:
-    """Scale each row to integers (rank preserving)."""
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        lcm = 1
-        for v in row.values():
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        scaled = {c: int(v * lcm) for c, v in row.items()}
-        g = 0
-        for v in scaled.values():
-            g = gcd(g, abs(v))
-        out.append({c: v // g for c, v in scaled.items()})
-    return out
-
-
-def _bareiss_rank(int_rows: list[dict[int, int]]) -> int:
-    """Rank by fraction-free elimination on sparse integer rows."""
-    active = [dict(r) for r in int_rows if r]
-    rank = 0
-    prev = 1
-    while active:
-        occupancy: dict[int, int] = {}
-        for r in active:
-            for c in r:
-                occupancy[c] = occupancy.get(c, 0) + 1
-        # pivot row: fewest entries; pivot column in it: rarest, then smallest
-        pividx = min(range(len(active)), key=lambda i: (len(active[i]), min(active[i])))
-        prow = active.pop(pividx)
-        pcol = min(prow, key=lambda c: (occupancy[c], abs(prow[c]).bit_length(), c))
-        pval = prow[pcol]
-        rank += 1
-        nxt = []
-        for r in active:
-            rv = r.get(pcol, 0)
-            new: dict[int, int] = {}
-            if rv == 0:
-                for c, v in r.items():
-                    q, rem = divmod(pval * v, prev)
-                    assert rem == 0, "fraction-free division failed"
-                    new[c] = q
-            else:
-                for c in r.keys() | prow.keys():
-                    if c == pcol:
-                        continue
-                    val = pval * r.get(c, 0) - rv * prow.get(c, 0)
-                    if val == 0:
-                        continue
-                    q, rem = divmod(val, prev)
-                    assert rem == 0, "fraction-free division failed"
-                    new[c] = q
-            if new:
-                nxt.append(new)
-        prev = pval
-        active = nxt
-    return rank
-
-
-def span_rank(vectors: Iterable[Vector]) -> int:
-    """Rank of the span of sparse rational vectors."""
-    return _bareiss_rank(_integer_rows([dict(v) for v in vectors]))
-
-
-# ---------------------------------------------------------------------------
 # Incremental echelon
 # ---------------------------------------------------------------------------
 
@@ -218,16 +152,29 @@ class Echelon:
         return False
 
 
+def _rarest_first(rows: list[Vector]) -> tuple[list[dict[int, Fraction]], list]:
+    """The rows with their columns relabelled 0, 1, ... rarest first, by
+    (occurrence count over all rows, column), and the columns in label
+    order, so that ``columns[label]`` maps a label back."""
+    count = Counter(c for row in rows for c, v in row.items() if v)
+    columns = sorted(count, key=lambda c: (count[c], c))
+    label = {c: k for k, c in enumerate(columns)}
+    relabelled = [{label[c]: v for c, v in row.items() if v} for row in rows]
+    return relabelled, columns
+
+
 def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
     """Basis of the right nullspace {v : M v = 0}, one sparse dict per vector.
 
     A matrix with no rows has the full coordinate space as nullspace.
     """
+    rows, columns = _rarest_first(M.rows())
     echelon = Echelon()
-    for row in M.rows():
+    for row in rows:
         echelon.add(row)
     pivots = echelon.pivots
-    # back substitution to reduced form
+    # back substitution to reduced form, in descending label order: each row
+    # holds no label below its pivot
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
         for c2 in [k for k in row if k != c and k in pivots]:
@@ -238,7 +185,8 @@ def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
                     row.pop(cc, None)
                 else:
                     row[cc] = s
-        pivots[c] = row
+    pivots = {columns[c]: {columns[cc]: v for cc, v in row.items()}
+              for c, row in pivots.items()}
     free_cols = [c for c in range(M.ncols) if c not in pivots]
     basis = []
     for fc in free_cols:
@@ -256,15 +204,28 @@ def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
 # ---------------------------------------------------------------------------
 
 def exact_rank(M: SparseRationalMatrix) -> int:
-    """Rank over the rationals, by exact sparse Bareiss elimination."""
-    if M.is_zero():
-        return 0
-    return _bareiss_rank(_integer_rows(M.rows()))
+    """Rank over the rationals."""
+    echelon = Echelon()
+    for row in _rarest_first(M.rows())[0]:
+        echelon.add(row)
+    return echelon.rank
+
+
+def span_rank(vectors: Iterable[Vector]) -> int:
+    """Rank of the span of sparse rational vectors."""
+    echelon = Echelon()
+    for row in _rarest_first(list(vectors))[0]:
+        echelon.add(row)
+    return echelon.rank
 
 
 def image_dim_over(span_new: Iterable[Vector], span_base: Iterable[Vector]) -> int:
     """dim of the image of span_new in the quotient by span_base:
-    rank(new + base) - rank(base)."""
-    base = [dict(v) for v in span_base]
-    new = [dict(v) for v in span_new]
-    return span_rank(base + new) - span_rank(base)
+    rank(new + base) - rank(base).  The base is eliminated once; each new
+    vector then counts when it raises the rank."""
+    base = list(span_base)
+    rows, _ = _rarest_first(base + list(span_new))
+    echelon = Echelon()
+    for row in rows[:len(base)]:
+        echelon.add(row)
+    return sum(echelon.add(row) for row in rows[len(base):])

@@ -4,10 +4,12 @@ For every proper face not through the origin we ask whether the face
 polynomial and its logarithmic derivatives share a torus zero.  Vertex faces
 pass outright (a monomial never vanishes on the torus).  The remaining
 systems are decided modulo random wordsize primes (fast, probabilistic) with
-an optional exact certification over the rationals.  Claimed degeneracies
-always come with a checkable certificate: a rational witness verified by
-substitution, a finite-field witness verified modulo its prime, or an exact
-non-unit Groebner basis.
+an optional exact certification over the rationals.  A degeneracy claim
+comes with a witness or an exact basis, but only two of them prove it: a
+rational witness verified by substitution, or an exact non-unit Groebner
+basis.  A finite-field witness shows a zero modulo its prime alone, so the
+claim it backs is not certified; under certification every such face is
+settled by the exact check.
 """
 
 from __future__ import annotations
@@ -196,9 +198,11 @@ def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_
                      certify: bool = False) -> NondegeneracyReport:
     """Decide nondegeneracy of f with respect to its Newton polytope.
 
-    "degenerate" is always backed by a certificate; "nondegenerate" is
-    claimed only after exact rational Groebner checks (certify=True),
-    otherwise the positive outcome is "likely-nondegenerate".
+    "degenerate" is certified when a rational witness or an exact non-unit
+    basis proves it; certify=True settles every face whose witness is not
+    rational exactly.  "nondegenerate" is claimed only after exact rational
+    Groebner checks (certify=True), otherwise the positive outcome is
+    "likely-nondegenerate".
     """
     poly = newton_polytope(f)
     if poly.dim != f.nvars:
@@ -230,35 +234,38 @@ def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_
 
     witness = witness_field = witness_face = None
     final_checks: list[FaceCheck] = []
-    degenerate = False
+    degenerate = proven = False
     all_exact = True
     for chk in checks:
         if chk.verdict == "nonempty":
             point, fieldname = find_witness(f, chk.face)
-            if point is not None:
-                degenerate = True
-                if witness is None or (witness_field != "QQ" and fieldname == "QQ"):
-                    witness, witness_field, witness_face = point, fieldname, chk.face
-                final_checks.append(FaceCheck(chk.face, "nonempty", chk.primes,
-                                              f"witness over {fieldname}"))
-                continue
-            # no small-field witness: settle the face exactly
-            exact = _check_face_exact(f, chk.face)
-            if exact == "nonempty":
-                degenerate = True
-                final_checks.append(FaceCheck(chk.face, "nonempty", chk.primes,
-                                              "exact basis is not the unit ideal"))
-            elif exact == "empty":
+            # without a rational witness the face is settled exactly: always
+            # when no witness turned up, under certify also for one over GF(q)
+            exact = None
+            if fieldname != "QQ" and (certify or point is None):
+                exact = _check_face_exact(f, chk.face)
+            if exact == "empty":
                 final_checks.append(FaceCheck(chk.face, "empty", chk.primes,
                                               "modular check was a false alarm"))
-            else:
+                continue
+            if point is None and exact == "budget exceeded":
                 all_exact = False
                 final_checks.append(FaceCheck(chk.face, "budget exceeded", chk.primes))
+                continue
+            degenerate = True
+            proven = proven or fieldname == "QQ" or exact == "nonempty"
+            if point is None:
+                note = "exact basis is not the unit ideal"
+            else:
+                note = f"witness over {fieldname}"
+                if witness is None or (witness_field != "QQ" and fieldname == "QQ"):
+                    witness, witness_field, witness_face = point, fieldname, chk.face
+            final_checks.append(FaceCheck(chk.face, "nonempty", chk.primes, note))
             continue
         if chk.verdict == "empty" and not chk.face.is_vertex and certify:
             exact = _check_face_exact(f, chk.face)
             if exact == "nonempty":
-                degenerate = True
+                degenerate = proven = True
                 final_checks.append(FaceCheck(chk.face, "nonempty", chk.primes,
                                               "exact basis is not the unit ideal"))
                 continue
@@ -273,8 +280,7 @@ def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_
         final_checks.append(chk)
 
     if degenerate:
-        verdict = "degenerate"
-        certified = witness_field == "QQ" or witness is None
+        verdict, certified = "degenerate", proven
     elif certify and all_exact:
         verdict, certified = "nondegenerate", True
     else:

@@ -241,6 +241,11 @@ def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
     if mode in ("euler", "both"):
         if degenerate:
             warnings.append("combinatorial route suppressed for degenerate input")
+            if not report.certified:
+                warnings.append(
+                    f"the degeneracy verdict is not certified (witness over "
+                    f"{report.witness_field} only), so the combinatorial route "
+                    "was suppressed on an unproven claim")
         else:
             spectra["euler"] = spectrum_euler(f)
     if not degenerate:

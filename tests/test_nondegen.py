@@ -4,8 +4,8 @@ import pytest
 
 from exphodge.errors import NotFullDimensionalError
 from exphodge.laurent import parse_laurent
-from exphodge.nondegen import (build_face_system, check_face, find_witness,
-                               is_nondegenerate)
+from exphodge.nondegen import (_eval_mod, build_face_system, check_face,
+                               find_witness, is_nondegenerate)
 from exphodge.polytope import newton_polytope
 
 
@@ -136,3 +136,26 @@ def test_degenerate_proper_case_squared_edge():
     assert rep.witness == (Fraction(1), Fraction(1))
     system = build_face_system(f, rep.witness_face)
     assert all(g.evaluate(rep.witness) == 0 for g in system.laurent_generators)
+
+
+# degenerate inputs whose witness scans find a zero over a finite field only:
+# the edge zeros x = ±sqrt(2)*y are irrational, and the GF(3) hit on the edge
+# of (2x + y)^2 does not lift to a rational zero
+FINITE_FIELD_WITNESS = [("x^4 - 4*x^2*y^2 + 4*y^4 + x^-1*y^-1", "GF(7)"),
+                        ("4*x^2 + 4*x*y + y^2 + x^-1*y^-1", "GF(3)")]
+
+
+@pytest.mark.parametrize("certify", [False, True])
+@pytest.mark.parametrize("text,field", FINITE_FIELD_WITNESS,
+                         ids=[t.replace(" ", "") for t, _ in FINITE_FIELD_WITNESS])
+def test_certify_settles_finite_field_witness(text, field, certify):
+    f = parse_laurent(text)
+    rep = is_nondegenerate(f, certify=certify)
+    assert rep.verdict == "degenerate"
+    assert rep.witness_field == field
+    q = int(field[3:-1])
+    system = build_face_system(f, rep.witness_face)
+    assert all(_eval_mod(g, [int(w) for w in rep.witness], q) == 0
+               for g in system.laurent_generators)
+    # a zero mod q proves nothing over QQ; certify settles the face exactly
+    assert rep.certified == certify

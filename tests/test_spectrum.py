@@ -2,8 +2,11 @@ from fractions import Fraction as Q
 
 import pytest
 
+from exphodge.derham import betti_numbers
 from exphodge.errors import NotFullDimensionalError
-from exphodge.laurent import parse_laurent
+from exphodge.laurent import make_laurent, parse_laurent
+from exphodge.nondegen import is_nondegenerate
+from exphodge.polytope import newton_polytope
 from exphodge.spectrum import (HodgeSpectrum, analyze, check_degeneration,
                                check_symmetry, jump_candidates, spectrum_euler,
                                spectrum_rank)
@@ -94,7 +97,20 @@ def test_analyze_degenerate_is_flagged():
     assert "euler" not in rep.spectra
     assert "rank" in rep.spectra
     assert any("unsupported" in w for w in rep.warnings)
+    assert not any("not certified" in w for w in rep.warnings)  # witness over QQ
     assert "degeneration" not in rep.checks
+
+
+def test_analyze_warns_on_uncertified_degeneracy():
+    # the only witness is over GF(7); certify settles the face exactly
+    f = parse_laurent("x^4 - 4*x^2*y^2 + 4*y^4 + x^-1*y^-1")
+    rep = analyze(f)
+    assert not rep.nondegeneracy.certified
+    assert "euler" not in rep.spectra
+    assert any("not certified" in w and "GF(7)" in w for w in rep.warnings)
+    rep = analyze(f, certify=True)
+    assert rep.nondegeneracy.certified
+    assert not any("not certified" in w for w in rep.warnings)
 
 
 def test_analyze_rejects_subtorus():
@@ -155,3 +171,29 @@ def test_degenerate_rank_route_still_sums_to_volume():
     f = parse_laurent("x^2 - 2*x*y + y^2 + x^-1*y^-1")
     spec = spectrum_rank(f)
     assert spec.total == newton_polytope(f).normalized_volume() == 8
+
+
+# (input, unimodular A): the exponent change alpha -> A alpha is a torus
+# automorphism, so the volume, the verdict, the Betti numbers and both
+# spectra must not move; off-axis images test the hull and the census
+GL_N_Z = [
+    ("x^4 + y^4 + x^-2*y^-2", ((1, 1), (0, 1))),
+    ("x^3 + y^4 + x^-2*y^-1", ((2, 1), (1, 1))),
+    ("x^2 + y^2 + z^2 + x^-1*y^-1*z^-1", ((1, 0, 1), (0, 1, 0), (0, 0, 1))),
+    ("x^2 + 2*x*y + y^2 + x^-1*y^-1", ((1, -1), (0, 1))),
+    ("x + y + z + x^-1*y^-1*z^-1", ((0, 1, 0), (1, 0, 0), (1, 1, 1))),
+]
+
+
+def _invariants(f):
+    return (newton_polytope(f).normalized_volume(), is_nondegenerate(f).verdict,
+            betti_numbers(f), spectrum_euler(f).entries, spectrum_rank(f).entries)
+
+
+@pytest.mark.parametrize("text,A", GL_N_Z, ids=[t.replace(" ", "") for t, _ in GL_N_Z])
+def test_gl_n_z_invariance(text, A):
+    f = parse_laurent(text)
+    g = make_laurent(f.nvars, {tuple(sum(r * a for r, a in zip(row, alpha)) for row in A): c
+                               for alpha, c in f.terms.items()}, f.var_names)
+    assert g.terms.keys() != f.terms.keys()
+    assert _invariants(g) == _invariants(f)
