@@ -42,9 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--vars", default="", help="comma-separated variable names")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=None, help="seed for all randomness")
-    common.add_argument("--primes", type=int, default=3, help="modular check count")
+    common.add_argument("--primes", type=int, default=3,
+                        help="primes per face for the modular check; under --certify "
+                             "used only when the exact check exceeds its budget")
     common.add_argument("--certify", action="store_true",
-                        help="exact rational certification of nondegeneracy")
+                        help="decide each face by an exact rational Groebner basis")
     common.add_argument("--require-nondegenerate", action="store_true",
                         help="exit 3 when the input is degenerate")
     common.add_argument("--mode", choices=("euler", "rank", "both"), default="both")

@@ -536,16 +536,15 @@ def divisor_shift_invariance(f: LaurentPolynomial, D: PointDivisor, E: PointDivi
 # Check adapters for the analysis report
 # ---------------------------------------------------------------------------
 
-def comparison_check(f: LaurentPolynomial, truncation: Optional[int] = None) -> CheckResult:
-    rep = compare_filtrations(f, truncation)
+def comparison_check(rep: CurveFiltrationReport) -> CheckResult:
     ok = rep.dims_agree and rep.subspaces_agree and rep.deligne_injective
     return CheckResult("pass" if ok else "fail", {"report": rep.to_json()})
 
 
-def duality_summary(f: LaurentPolynomial, truncation: Optional[int] = None) -> CheckResult:
-    ok, pairs = duality_check_curve(f, truncation)
-    detail = {"pairs": [{"lambda": str(l), "h": a, "h_c_dual": b} for l, a, b in pairs]}
-    return CheckResult("pass" if ok else "fail", detail)
+def duality_summary(rep: CurveFiltrationReport) -> CheckResult:
+    detail = {"pairs": [{"lambda": str(l), "h": a, "h_c_dual": b}
+                        for l, a, b in rep.duality_pairs]}
+    return CheckResult("pass" if rep.duality_ok else "fail", detail)
 
 
 def untwisted_fixture() -> TwoTermComplex:

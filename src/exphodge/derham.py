@@ -81,8 +81,8 @@ def _level_bases(poly: NewtonPolytope, lam: Fraction, n: int,
     return tuple(bases)
 
 
-def _differential(f: LaurentPolynomial, poly: NewtonPolytope, lam: Fraction,
-                  bases, p: int, graded: bool) -> SparseRationalMatrix:
+def _differential(f: LaurentPolynomial, bases, p: int,
+                  graded: bool) -> SparseRationalMatrix:
     n = f.nvars
     source = bases[p]
     target = bases[p + 1] if p + 1 <= n else ()
@@ -135,7 +135,7 @@ def build_filtration_level(f: LaurentPolynomial, lam) -> ComplexSlice:
     poly, lam = _check_level(f, lam)
     n = f.nvars
     bases = _level_bases(poly, lam, n, exact_weight=False)
-    mats = tuple(_differential(f, poly, lam, bases, p, graded=False) for p in range(n))
+    mats = tuple(_differential(f, bases, p, graded=False) for p in range(n))
     return ComplexSlice(f, lam, bases, mats)
 
 
@@ -146,7 +146,7 @@ def build_graded_level(f: LaurentPolynomial, lam) -> ComplexSlice:
     poly, lam = _check_level(f, lam)
     n = f.nvars
     bases = _level_bases(poly, lam, n, exact_weight=True)
-    mats = tuple(_differential(f, poly, lam, bases, p, graded=True) for p in range(n))
+    mats = tuple(_differential(f, bases, p, graded=True) for p in range(n))
     return ComplexSlice(f, lam, bases, mats)
 
 
@@ -165,8 +165,8 @@ def betti_numbers(f: LaurentPolynomial) -> list[int]:
     return out
 
 
-def _kernel_in_level0_coords(f: LaurentPolynomial, lam: Fraction, i: int,
-                             slice_lam: ComplexSlice, slice0: ComplexSlice):
+def _kernel_in_level0_coords(f: LaurentPolynomial, i: int, slice_lam: ComplexSlice,
+                             slice0: ComplexSlice):
     """Cocycles of the level-lam slice at degree i, written in the level-0
     degree-i coordinates (the basis inclusion)."""
     n = f.nvars
@@ -189,7 +189,7 @@ def filtration_image_dim(f: LaurentPolynomial, lam, i: int) -> int:
     lam = Fraction(lam)
     slice0 = build_filtration_level(f, Fraction(0))
     slice_lam = build_filtration_level(f, lam)
-    kernel = _kernel_in_level0_coords(f, lam, i, slice_lam, slice0)
+    kernel = _kernel_in_level0_coords(f, i, slice_lam, slice0)
     if not kernel:
         return 0
     boundaries = slice0.mats[i - 1].columns() if i > 0 else []

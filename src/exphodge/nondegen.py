@@ -2,14 +2,15 @@
 
 For every proper face not through the origin we ask whether the face
 polynomial and its logarithmic derivatives share a torus zero.  Vertex faces
-pass outright (a monomial never vanishes on the torus).  The remaining
-systems are decided modulo random wordsize primes (fast, probabilistic) with
-an optional exact certification over the rationals.  A degeneracy claim
+pass outright (a monomial never vanishes on the torus).  Every other face is
+decided by one check: an exact Groebner basis over the rationals under
+certification, otherwise a basis modulo each of a few seeded wordsize primes
+(fast, probabilistic).  Under certification the primes serve only as the
+fallback for a face whose exact check exceeds its budget.  A degeneracy claim
 comes with a witness or an exact basis, but only two of them prove it: a
 rational witness verified by substitution, or an exact non-unit Groebner
 basis.  A finite-field witness shows a zero modulo its prime alone, so the
-claim it backs is not certified; under certification every such face is
-settled by the exact check.
+claim it backs is not certified by itself.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _saturated_generators(system: FaceSystem, nvars: int):
     return gens
 
 
-def check_face(f: LaurentPolynomial, face: Face, p: int, seed: int = 0,
+def check_face(f: LaurentPolynomial, face: Face, p: int,
                max_pairs: int = 20000) -> FaceCheck:
     """Is the saturated face ideal the unit ideal over GF(p)?
 
@@ -194,90 +195,81 @@ def find_witness(f: LaurentPolynomial, face: Face):
 # Top-level verdict
 # ---------------------------------------------------------------------------
 
+def _modular_verdict(f: LaurentPolynomial, face: Face, prime_list) -> str:
+    """check_face over the sampled primes: one "nonempty" decides, then
+    "budget exceeded"; a prime dividing a denominator is skipped."""
+    usable = []
+    for p in prime_list:
+        try:
+            usable.append(check_face(f, face, p).verdict)
+        except BadPrimeError:
+            pass
+    if not usable:
+        raise ExpHodgeError(
+            f"prime exhaustion: every sampled prime divides a coefficient "
+            f"denominator on face {face}")
+    for verdict in ("nonempty", "budget exceeded"):
+        if verdict in usable:
+            return verdict
+    return "empty"
+
+
 def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_SEED,
                      certify: bool = False) -> NondegeneracyReport:
     """Decide nondegeneracy of f with respect to its Newton polytope.
 
-    "degenerate" is certified when a rational witness or an exact non-unit
-    basis proves it; certify=True settles every face whose witness is not
-    rational exactly.  "nondegenerate" is claimed only after exact rational
-    Groebner checks (certify=True), otherwise the positive outcome is
-    "likely-nondegenerate".
+    Each non-vertex face is decided once: by the exact rational check under
+    certify=True, otherwise by the sampled primes.  Under certify the primes
+    decide a face only when its exact check runs out of budget, and the face
+    note says so.  A nonempty face gets a witness search; a modular "nonempty"
+    with no witness is settled by the exact check.  "degenerate" is certified
+    when a rational witness or an exact non-unit basis proves it.
+    "nondegenerate" is claimed only under certify with every face decided
+    exactly, otherwise the positive outcome is "likely-nondegenerate".
     """
     poly = newton_polytope(f)
     if poly.dim != f.nvars:
         raise NotFullDimensionalError(poly.dim, f.nvars)
     prime_list = tuple(random_primes(primes, seed))
-    faces = poly.proper_faces_excluding_origin()
-
-    def check_one(face: Face) -> FaceCheck:
-        if face.is_vertex:
-            return FaceCheck(face, "empty", (), "vertex face: monomial has no torus zero")
-        verdicts = []
-        for p in prime_list:
-            try:
-                verdicts.append(check_face(f, face, p, seed).verdict)
-            except BadPrimeError:
-                verdicts.append("bad prime")
-        usable = [v for v in verdicts if v != "bad prime"]
-        if not usable:
-            raise ExpHodgeError(
-                f"prime exhaustion: every sampled prime divides a coefficient "
-                f"denominator on face {face}")
-        if any(v == "nonempty" for v in usable):
-            return FaceCheck(face, "nonempty", prime_list)
-        if any(v == "budget exceeded" for v in usable):
-            return FaceCheck(face, "budget exceeded", prime_list)
-        return FaceCheck(face, "empty", prime_list)
-
-    checks = [check_one(face) for face in faces]
-
     witness = witness_field = witness_face = None
-    final_checks: list[FaceCheck] = []
+    checks: list[FaceCheck] = []
     degenerate = proven = False
     all_exact = True
-    for chk in checks:
-        if chk.verdict == "nonempty":
-            point, fieldname = find_witness(f, chk.face)
-            # without a rational witness the face is settled exactly: always
-            # when no witness turned up, under certify also for one over GF(q)
-            exact = None
-            if fieldname != "QQ" and (certify or point is None):
-                exact = _check_face_exact(f, chk.face)
-            if exact == "empty":
-                final_checks.append(FaceCheck(chk.face, "empty", chk.primes,
-                                              "modular check was a false alarm"))
-                continue
-            if point is None and exact == "budget exceeded":
-                all_exact = False
-                final_checks.append(FaceCheck(chk.face, "budget exceeded", chk.primes))
-                continue
-            degenerate = True
-            proven = proven or fieldname == "QQ" or exact == "nonempty"
-            if point is None:
-                note = "exact basis is not the unit ideal"
-            else:
-                note = f"witness over {fieldname}"
-                if witness is None or (witness_field != "QQ" and fieldname == "QQ"):
-                    witness, witness_field, witness_face = point, fieldname, chk.face
-            final_checks.append(FaceCheck(chk.face, "nonempty", chk.primes, note))
+    for face in poly.proper_faces_excluding_origin():
+        if face.is_vertex:
+            checks.append(FaceCheck(face, "empty", (), "vertex face: monomial has no torus zero"))
             continue
-        if chk.verdict == "empty" and not chk.face.is_vertex and certify:
-            exact = _check_face_exact(f, chk.face)
-            if exact == "nonempty":
-                degenerate = proven = True
-                final_checks.append(FaceCheck(chk.face, "nonempty", chk.primes,
-                                              "exact basis is not the unit ideal"))
-                continue
-            if exact == "budget exceeded":
-                all_exact = False
-                final_checks.append(FaceCheck(chk.face, "budget exceeded", chk.primes))
-                continue
-            final_checks.append(FaceCheck(chk.face, "empty", chk.primes, "exact"))
+        exact = _check_face_exact(f, face) if certify else None
+        if exact == "empty":
+            checks.append(FaceCheck(face, "empty", (), "exact"))
             continue
-        if chk.verdict == "budget exceeded":
+        used, note = (), ""
+        if exact != "nonempty":  # no certify, or the exact check ran out of budget
             all_exact = False
-        final_checks.append(chk)
+            used, modular = prime_list, _modular_verdict(f, face, prime_list)
+            if exact == "budget exceeded":
+                note = "exact check exceeded its budget"
+            if modular != "nonempty":
+                checks.append(FaceCheck(face, modular, used, note))
+                continue
+        point, fieldname = find_witness(f, face)
+        if point is None and exact is None:
+            exact = _check_face_exact(f, face)
+            if exact == "empty":
+                checks.append(FaceCheck(face, "empty", used, "modular check was a false alarm"))
+                continue
+        if point is None and exact != "nonempty":
+            checks.append(FaceCheck(face, "budget exceeded", used, note))
+            continue
+        degenerate = True
+        proven = proven or fieldname == "QQ" or exact == "nonempty"
+        if exact == "nonempty" and fieldname != "QQ":
+            note = "exact basis is not the unit ideal"
+        if point is not None:
+            note = "; ".join(filter(None, (note, f"witness over {fieldname}")))
+            if witness is None or (witness_field != "QQ" and fieldname == "QQ"):
+                witness, witness_field, witness_face = point, fieldname, face
+        checks.append(FaceCheck(face, "nonempty", used, note))
 
     if degenerate:
         verdict, certified = "degenerate", proven
@@ -285,5 +277,5 @@ def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_
         verdict, certified = "nondegenerate", True
     else:
         verdict, certified = "likely-nondegenerate", False
-    return NondegeneracyReport(verdict, certified, tuple(final_checks),
+    return NondegeneracyReport(verdict, certified, tuple(checks),
                                prime_list, witness, witness_field, witness_face)

@@ -254,7 +254,8 @@ def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
         if f.nvars == 1 and (curve_checks is None or curve_checks):
             from . import curve
 
-            checks["curve_comparison"] = curve.comparison_check(f, truncation=truncation)
-            checks["curve_duality"] = curve.duality_summary(f, truncation=truncation)
+            curve_report = curve.compare_filtrations(f, truncation)
+            checks["curve_comparison"] = curve.comparison_check(curve_report)
+            checks["curve_duality"] = curve.duality_summary(curve_report)
     elapsed = int((time.perf_counter() - t0) * 1000)
     return AnalysisReport(f, poly, nvol, report, betti, spectra, checks, warnings, elapsed)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from exphodge import nondegen
 from exphodge.errors import NotFullDimensionalError
 from exphodge.laurent import parse_laurent
 from exphodge.nondegen import (_eval_mod, build_face_system, check_face,
@@ -112,6 +113,9 @@ def test_prime_exhaustion():
     })
     with pytest.raises(ExpHodgeError, match="prime exhaustion"):
         is_nondegenerate(f, seed=77)
+    # the exact check needs no prime
+    rep = is_nondegenerate(f, seed=77, certify=True)
+    assert rep.verdict == "nondegenerate" and rep.certified
 
 
 def test_interior_edge_point_is_not_degeneracy():
@@ -159,3 +163,43 @@ def test_certify_settles_finite_field_witness(text, field, certify):
                for g in system.laurent_generators)
     # a zero mod q proves nothing over QQ; certify settles the face exactly
     assert rep.certified == certify
+    note = next(c.note for c in rep.faces if c.face == rep.witness_face)
+    if certify:
+        assert note == f"exact basis is not the unit ideal; witness over {field}"
+    else:
+        assert note == f"witness over {field}"
+
+
+ONE_PASS_INPUTS = ["x + y + x^-1*y^-1", "x^2 - 2*x*y + y^2 + x^-1*y^-1"]
+
+
+@pytest.mark.parametrize("text", ONE_PASS_INPUTS)
+def test_certify_decides_each_face_once(text, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check_face(*args, **kwargs)
+
+    monkeypatch.setattr(nondegen, "check_face", counting)
+    f = parse_laurent(text)
+    certified = is_nondegenerate(f, certify=True)
+    assert calls == []
+    assert certified.verdict in ("nondegenerate", "degenerate") and certified.certified
+    is_nondegenerate(f)
+    assert calls  # the counter sees the modular path
+
+
+@pytest.mark.parametrize("text", ONE_PASS_INPUTS + [FINITE_FIELD_WITNESS[0][0]])
+def test_certify_falls_back_to_primes_on_exact_budget(text, monkeypatch):
+    f = parse_laurent(text)
+    modular = is_nondegenerate(f)
+    monkeypatch.setattr(nondegen, "_check_face_exact", lambda *a, **k: "budget exceeded")
+    rep = is_nondegenerate(f, certify=True)
+    assert (rep.verdict, rep.certified) == (modular.verdict, modular.certified)
+    assert (rep.witness, rep.witness_field, rep.witness_face) == \
+        (modular.witness, modular.witness_field, modular.witness_face)
+    assert [c.verdict for c in rep.faces] == [c.verdict for c in modular.faces]
+    for c in rep.faces:
+        if not c.face.is_vertex:
+            assert c.note.startswith("exact check exceeded its budget")
