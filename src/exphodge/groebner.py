@@ -4,11 +4,19 @@ Polynomials are dicts mapping exponent tuples (nonnegative ints) to nonzero
 field elements.  The engine exists to decide one question: whether a face
 system together with the torus saturation t*x1*...*xn - 1 generates the unit
 ideal.  It is deterministic, reentrant, and capped by a pair budget.
+
+Each basis element's leading monomial is computed once and kept beside it.
+Pending S-pairs wait in a heap keyed (grevlex key of the lcm of the leading
+monomials, i, j): the normal strategy with ties broken by pair index, so a
+fixed input reduces the same pairs in the same order, and the budget counts
+every popped pair, coprime ones included.  Grevlex keys are memoized per call.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Mapping, Sequence
 
 from .errors import BadPrimeError, BudgetExceededError
@@ -21,6 +29,7 @@ class RationalField:
     """Arithmetic shim for Fraction coefficients."""
 
     name = "QQ"
+    zero = Fraction(0)
 
     def coerce(self, v) -> Fraction:
         return Fraction(v)
@@ -43,6 +52,8 @@ class RationalField:
 
 class PrimeField:
     """Arithmetic mod a prime, elements stored as ints in [0, p)."""
+
+    zero = 0
 
     def __init__(self, p: int):
         self.p = p
@@ -80,43 +91,47 @@ def leading_monomial(p: Poly, key) -> Exponent:
 
 
 def _mono_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
+
+def _mono_div(a: Exponent, b: Exponent) -> Exponent:
+    """a / b for a monomial b dividing a."""
+    return tuple(map(sub, a, b))
 
 
 def _mono_divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _sub_scaled(p: Poly, q: Poly, coeff, shift: Exponent, F) -> Poly:
-    """p - coeff * x^shift * q."""
-    out = dict(p)
+    """p -= coeff * x^shift * q, in place; returns p."""
     for e, c in q.items():
         key = _mono_mul(e, shift)
-        s = F.sub(out.get(key, F.coerce(0)), F.mul(coeff, c))
-        if s == F.coerce(0):
-            out.pop(key, None)
+        s = F.sub(p.get(key, F.zero), F.mul(coeff, c))
+        if s:
+            p[key] = s
         else:
-            out[key] = s
-    return out
+            p.pop(key, None)
+    return p
 
 
-def normal_form(p: Poly, basis: Sequence[Poly], key, F) -> Poly:
-    """Remainder of multivariate division by the basis (leading terms only)."""
+def _reduce(p: Poly, basis: Sequence[Poly], lms: Sequence[Exponent], key, F) -> Poly:
+    """normal_form with the basis leading monomials already known."""
     rem: Poly = {}
     work = dict(p)
-    lms = [(leading_monomial(g, key), g) for g in basis]
+    divisors = list(zip(lms, basis))
     while work:
-        lm = leading_monomial(work, key)
+        lm = max(work, key=key)
         lc = work[lm]
-        for glm, g in lms:
+        for glm, g in divisors:
             if _mono_divides(glm, lm):
-                factor = F.mul(lc, F.inv(g[glm]))
-                shift = tuple(a - b for a, b in zip(lm, glm))
-                work = _sub_scaled(work, g, factor, shift, F)
+                glc = g[glm]
+                factor = lc if glc == 1 else F.mul(lc, F.inv(glc))
+                _sub_scaled(work, g, factor, _mono_div(lm, glm), F)
                 break
         else:
             rem[lm] = lc
@@ -124,8 +139,13 @@ def normal_form(p: Poly, basis: Sequence[Poly], key, F) -> Poly:
     return rem
 
 
-def _make_monic(p: Poly, key, F) -> Poly:
-    inv = F.inv(p[leading_monomial(p, key)])
+def normal_form(p: Poly, basis: Sequence[Poly], key, F) -> Poly:
+    """Remainder of multivariate division by the basis (leading terms only)."""
+    return _reduce(p, basis, [leading_monomial(g, key) for g in basis], key, F)
+
+
+def _make_monic(p: Poly, lm: Exponent, F) -> Poly:
+    inv = F.inv(p[lm])
     return {e: F.mul(c, inv) for e, c in p.items()}
 
 
@@ -136,57 +156,70 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
     Raises BudgetExceededError once more than max_pairs S-pairs have been
     reduced; callers surface that as a distinct outcome, not a verdict.
     """
-    key = grevlex_key
     F = field
-    basis: list[Poly] = []
-    for g in generators:
-        g = {tuple(e): F.coerce(c) for e, c in g.items() if F.coerce(c) != F.coerce(0)}
-        if g:
-            basis.append(_make_monic(g, key, F))
-    basis.sort(key=lambda g: key(leading_monomial(g, key)))
+    keys: dict[Exponent, tuple] = {}
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    def key(e: Exponent):
+        k = keys.get(e)
+        if k is None:
+            k = keys[e] = grevlex_key(e)
+        return k
+
+    monic: list[tuple[Exponent, Poly]] = []
+    for g in generators:
+        g = {tuple(e): F.coerce(c) for e, c in g.items()}
+        g = {e: c for e, c in g.items() if c}
+        if g:
+            lm = leading_monomial(g, key)
+            monic.append((lm, _make_monic(g, lm, F)))
+    monic.sort(key=lambda t: key(t[0]))
+    lms = [lm for lm, _ in monic]
+    basis = [g for _, g in monic]
+
+    # normal strategy: smallest lcm of leading monomials first, ties by (i, j)
+    pairs = []
+    for j in range(len(basis)):
+        for i in range(j):
+            lcm = _mono_lcm(lms[i], lms[j])
+            pairs.append((key(lcm), i, j, lcm))
+    heapq.heapify(pairs)
     processed = 0
     while pairs:
-        # normal strategy: smallest lcm of leading monomials first
-        i, j = min(pairs, key=lambda ij: (key(_mono_lcm(
-            leading_monomial(basis[ij[0]], key), leading_monomial(basis[ij[1]], key))), ij))
-        pairs.discard((i, j))
+        _, i, j, lcm = heapq.heappop(pairs)
         processed += 1
         if processed > max_pairs:
             raise BudgetExceededError(f"Buchberger pair budget {max_pairs} exceeded")
-        gi, gj = basis[i], basis[j]
-        lmi, lmj = leading_monomial(gi, key), leading_monomial(gj, key)
-        lcm = _mono_lcm(lmi, lmj)
+        lmi, lmj = lms[i], lms[j]
         if lcm == _mono_mul(lmi, lmj):
             continue  # coprime leading terms: S-poly reduces to zero
-        s = _sub_scaled(
-            {_mono_mul(e, tuple(a - b for a, b in zip(lcm, lmi))): c for e, c in gi.items()},
-            gj, F.coerce(1), tuple(a - b for a, b in zip(lcm, lmj)), F)
-        s = normal_form(s, basis, key, F)
+        shift = _mono_div(lcm, lmi)
+        s = _sub_scaled({_mono_mul(e, shift): c for e, c in basis[i].items()},
+                        basis[j], F.coerce(1), _mono_div(lcm, lmj), F)
+        s = _reduce(s, basis, lms, key, F)
         if not s:
             continue
-        s = _make_monic(s, key, F)
-        basis.append(s)
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        lm = leading_monomial(s, key)
+        new = len(basis)
+        for k in range(new):
+            lcm = _mono_lcm(lms[k], lm)
+            heapq.heappush(pairs, (key(lcm), k, new, lcm))
+        basis.append(_make_monic(s, lm, F))
+        lms.append(lm)
 
     # minimalize: drop generators whose leading monomial is divisible by another's
-    lms = [leading_monomial(g, key) for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        if not any(j != i and _mono_divides(lms[j], lms[i])
-                   and (lms[j] != lms[i] or j < i) for j in range(len(basis))):
-            keep.append(g)
+    keep = [i for i in range(len(basis))
+            if not any(j != i and _mono_divides(lms[j], lms[i])
+                       and (lms[j] != lms[i] or j < i) for j in range(len(basis)))]
     # reduce tails against each other
     reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = normal_form(g, others, key, F) if others else g
+    for i in keep:
+        others = [k for k in keep if k != i]
+        r = _reduce(basis[i], [basis[k] for k in others], [lms[k] for k in others],
+                    key, F) if others else basis[i]
         if r:
-            reduced.append(_make_monic(r, key, F))
-    reduced.sort(key=lambda g: key(leading_monomial(g, key)))
-    return reduced
+            reduced.append((lms[i], _make_monic(r, lms[i], F)))
+    reduced.sort(key=lambda t: key(t[0]))
+    return [g for _, g in reduced]
 
 
 def is_unit_ideal(basis: Sequence[Poly]) -> bool:

@@ -34,6 +34,8 @@ class LaurentPolynomial:
     nvars: int
     terms: Mapping[Monomial, Fraction]
     var_names: tuple[str, ...] = field(default=())
+    # Newton polytope of this input, set by polytope.newton_polytope
+    _hull: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nvars < 1:
@@ -71,7 +73,9 @@ class LaurentPolynomial:
         return self.terms.get(tuple(alpha), Fraction(0))
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.nvars, {a: -c for a, c in self.terms.items()}, self.var_names)
+        neg = LaurentPolynomial(self.nvars, {a: -c for a, c in self.terms.items()}, self.var_names)
+        object.__setattr__(neg, "_hull", self._hull)  # same support, same hull
+        return neg
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.nvars != other.nvars:

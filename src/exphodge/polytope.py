@@ -456,7 +456,15 @@ def _triangulate(points: list[Monomial]) -> list[tuple[Monomial, ...]]:
 
 
 def newton_polytope(f: LaurentPolynomial) -> NewtonPolytope:
-    """Hull of {0} and the support of f."""
-    if f.is_zero:
-        raise ValueError("f must be nonzero")
-    return NewtonPolytope(f.nvars, f.support)
+    """Hull of {0} and the support of f.
+
+    The hull is built on the first call and stored on f itself, so every later
+    call on f (or on -f, which inherits it) returns the same object.  It is
+    never shared through the support: two inputs with one support and other
+    coefficients each build their own.
+    """
+    if f._hull is None:
+        if f.is_zero:
+            raise ValueError("f must be nonzero")
+        object.__setattr__(f, "_hull", NewtonPolytope(f.nvars, f.support))
+    return f._hull

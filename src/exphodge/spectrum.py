@@ -69,14 +69,16 @@ class HodgeSpectrum:
         return f"{{{body}}}"
 
 
-def jump_candidates(f: LaurentPolynomial) -> list[Fraction]:
-    """All values p - weight(alpha) in [0, n]: the only places the filtration
-    can jump."""
+def _full_dim_census(f: LaurentPolynomial) -> dict[Fraction, int]:
+    """Weight census of the hull of f up to n; the hull must be full-dimensional."""
     poly = newton_polytope(f)
     if poly.dim != f.nvars:
         raise NotFullDimensionalError(poly.dim, f.nvars)
-    n = f.nvars
-    census = poly.weight_census(Fraction(n))
+    return poly.weight_census(Fraction(f.nvars))
+
+
+def _jumps(census: dict[Fraction, int], n: int) -> list[Fraction]:
+    """All values p - w in [0, n] over the census weights w."""
     out = set()
     for w in census:
         for p in range(n + 1):
@@ -86,16 +88,19 @@ def jump_candidates(f: LaurentPolynomial) -> list[Fraction]:
     return sorted(out)
 
 
+def jump_candidates(f: LaurentPolynomial) -> list[Fraction]:
+    """All values p - weight(alpha) in [0, n]: the only places the filtration
+    can jump."""
+    return _jumps(_full_dim_census(f), f.nvars)
+
+
 def spectrum_euler(f: LaurentPolynomial) -> HodgeSpectrum:
     """Top-degree spectrum from the weight census alone."""
-    poly = newton_polytope(f)
-    if poly.dim != f.nvars:
-        raise NotFullDimensionalError(poly.dim, f.nvars)
     n = f.nvars
-    census = poly.weight_census(Fraction(n))
+    census = _full_dim_census(f)
     sign = (-1) ** n
     entries = []
-    for lam in jump_candidates(f):
+    for lam in _jumps(census, n):
         h = sign * sum((-1) ** p * comb(n, p) * census.get(Fraction(p) - lam, 0)
                        for p in range(n + 1))
         if h < 0:

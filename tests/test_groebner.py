@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -43,10 +44,12 @@ def test_degenerate_face_system_not_unit():
     assert not is_unit_ideal(basis)
 
 
+DETERMINISM_GENS = [{(2, 1): 3, (0, 0): 1}, {(1, 2): 5, (1, 0): 1}, {(0, 3): 1, (0, 1): 2}]
+
+
 def test_determinism():
     F = PrimeField(32003)
-    gens = [{(2, 1): 3, (0, 0): 1}, {(1, 2): 5, (1, 0): 1}, {(0, 3): 1, (0, 1): 2}]
-    assert groebner_basis(gens, F) == groebner_basis(gens, F)
+    assert groebner_basis(DETERMINISM_GENS, F) == groebner_basis(DETERMINISM_GENS, F)
 
 
 def test_normal_form_reduces_to_zero_in_ideal():
@@ -58,12 +61,83 @@ def test_normal_form_reduces_to_zero_in_ideal():
     assert r == {}
 
 
+BUDGET_GENS = [
+    {(3, 0, 0): 1, (0, 2, 1): 4, (0, 0, 0): 2},
+    {(0, 3, 0): 2, (1, 0, 2): 1, (1, 1, 1): 3},
+    {(0, 0, 3): 1, (2, 1, 0): 5, (0, 0, 0): 1},
+]
+
+
 def test_budget_exceeded_is_distinct():
-    F = PrimeField(101)
-    gens = [
-        {(3, 0, 0): 1, (0, 2, 1): 4, (0, 0, 0): 2},
-        {(0, 3, 0): 2, (1, 0, 2): 1, (1, 1, 1): 3},
-        {(0, 0, 3): 1, (2, 1, 0): 5, (0, 0, 0): 1},
-    ]
     with pytest.raises(BudgetExceededError):
-        groebner_basis(gens, F, max_pairs=2)
+        groebner_basis(BUDGET_GENS, PrimeField(101), max_pairs=2)
+
+
+# S-pairs with equal lcm pop in (i, j) order; this system needs 10 pairs, not
+# 15, when the ties are popped the other way round
+TIE_GENS = [{(1, 0): -2, (1, 1): 1, (2, 2): -3}, {(1, 0): -2, (2, 1): -3}, {(0, 0): 1, (0, 2): 3}]
+
+
+@pytest.mark.parametrize("gens,F,least", [
+    (BUDGET_GENS, PrimeField(101), 36),
+    (DETERMINISM_GENS, PrimeField(32003), 15),
+    (DETERMINISM_GENS, RationalField(), 15),
+    (TIE_GENS, PrimeField(101), 15),
+], ids=["budget-GF(101)", "determinism-GF(32003)", "determinism-QQ", "ties-GF(101)"])
+def test_least_sufficient_pair_budget_is_pinned(gens, F, least):
+    """The queue pops pairs in a fixed order, so the smallest budget that
+    succeeds is a property of the input; these values pin that order."""
+    assert groebner_basis(gens, F, max_pairs=least)
+    with pytest.raises(BudgetExceededError):
+        groebner_basis(gens, F, max_pairs=least - 1)
+
+
+def _lm(g):
+    return max(g, key=grevlex_key)
+
+
+def _s_poly(g, h, F):
+    lg, lh = _lm(g), _lm(h)
+    lcm = tuple(max(a, b) for a, b in zip(lg, lh))
+    out = {}
+    for p, lp, sign in ((g, lg, 1), (h, lh, -1)):
+        inv = F.inv(p[lp])
+        for e, c in p.items():
+            m = tuple(x + l - y for x, l, y in zip(e, lcm, lp))
+            v = F.mul(F.mul(c, inv), F.coerce(sign))
+            out[m] = F.add(out.get(m, F.coerce(0)), v)
+    return {m: c for m, c in out.items() if c != F.coerce(0)}
+
+
+def _random_system(rng, nvars):
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        g = {}
+        for _ in range(rng.randint(2, 3)):
+            e = tuple(rng.randint(0, 2) for _ in range(nvars))
+            g[e] = rng.choice([-3, -2, -1, 1, 2, 3])
+        gens.append(g)
+    return gens
+
+
+@pytest.mark.parametrize("F", [PrimeField(101), PrimeField(32003), RationalField()],
+                         ids=["GF(101)", "GF(32003)", "QQ"])
+def test_random_systems_give_reduced_groebner_bases(F):
+    """Monic, reduced, contains the input ideal, and Buchberger's criterion:
+    every S-pair of the output reduces to zero modulo the output."""
+    rng = random.Random(f"groebner:{F.name}")
+    for _ in range(25):
+        gens = _random_system(rng, rng.randint(2, 3))
+        basis = groebner_basis(gens, F)
+        lms = [_lm(g) for g in basis]
+        assert lms == sorted(lms, key=grevlex_key)
+        for g, lm in zip(basis, lms):
+            assert g[lm] == 1
+            others = [m for m in lms if m != lm]
+            assert not any(all(x <= y for x, y in zip(m, e)) for m in others for e in g)
+        for g in gens:
+            p = {e: F.coerce(c) for e, c in g.items() if F.coerce(c) != F.coerce(0)}
+            assert normal_form(p, basis, grevlex_key, F) == {}
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                assert normal_form(_s_poly(basis[i], basis[j], F), basis, grevlex_key, F) == {}

@@ -183,3 +183,32 @@ def test_unit_simplex_volume():
     for n, text in ((1, "x"), (2, "x + y"), (3, "x + y + z")):
         f = parse_laurent(text)
         assert newton_polytope(f).normalized_volume() == 1
+
+
+def test_one_hull_per_input(monkeypatch):
+    """The screen path builds the hull of f once; -f reuses it; another input
+    with the same support builds its own."""
+    from exphodge.nondegen import is_nondegenerate
+    from exphodge.polytope import NewtonPolytope
+    from exphodge.spectrum import spectrum_euler
+
+    built = []
+    init = NewtonPolytope.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NewtonPolytope, "__init__", counting_init)
+    f = parse_laurent("x + 2*y + 3*z + x^-1*y^-1*z^-1")
+    assert is_nondegenerate(f, certify=True).verdict == "nondegenerate"
+    P = newton_polytope(f)
+    spectrum_euler(f)
+    assert built == [P]
+    assert newton_polytope(-f) is P
+    assert len(built) == 1
+    g = make_laurent(3, {alpha: 5 * c for alpha, c in f.terms.items()})
+    assert g.support == f.support and g != f
+    assert newton_polytope(g) is not P
+    assert newton_polytope(g) == P
+    assert len(built) == 2

@@ -163,6 +163,17 @@ def test_fractional_jump_regression():
         ("0", 1), ("2/3", 1), ("1", 1), ("4/3", 1), ("2", 1)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kloosterman_closed_form(n):
+    # x1 + ... + xn + 1/(x1...xn): jumps 0..n, each of multiplicity 1
+    terms = {tuple(int(i == k) for i in range(n)): 1 for k in range(n)}
+    terms[(-1,) * n] = 1
+    f = make_laurent(n, terms)
+    expected = tuple((Q(k), 1) for k in range(n + 1))
+    assert spectrum_euler(f).entries == expected
+    assert spectrum_rank(f).entries == expected
+
+
 def test_degenerate_rank_route_still_sums_to_volume():
     # no theorem backs the spectrum here, but the raw image dims are defined
     # and the level-0 dimension still equals the volume
