@@ -18,14 +18,28 @@ Three filtrations are realized on H^1 and compared inside one ambient model:
 * the compactly supported variant, twisting everything by -T where
   T = S - red(P).
 
-Image dimensions in the ambient H^1 are exact ranks; injectivity of the
-classical levels into H^1 (the page-one collapse on curves) is checked
-directly.
+Each quantity is computed once per input.  ``compare_filtrations`` fixes
+one truncation B that covers the ambient and every level of the three
+families (and of -f, which has the same pole divisor), so each complex
+yields one model and one B+5 probe, cached by ``_build_model``; complexes
+that differ only in their label share both.  Each model eliminates its
+boundaries (the columns of d0) once, into an echelon whose column order puts
+the rarest T^1 coordinate first, and reads the rank of d0 from it.  Its
+cocycles are computed once, and so is an H^1 basis: the cocycles that raise
+the rank of a copy of that echelon.
+
+Image dimensions in the ambient H^1 are exact ranks, taken by reducing
+vectors on a copy of the ambient's boundary echelon.  A level whose labels
+nest in the ambient's has its boundaries among the ambient's, so the image of
+its cocycles is the image of its H^1 basis, and only the basis is mapped.
+Injectivity of the classical levels into H^1 (the page-one collapse on
+curves) is checked directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
@@ -33,7 +47,7 @@ from typing import Optional
 
 from .errors import IntegrityError
 from .laurent import LaurentPolynomial, log_derivative, make_laurent
-from .linalg import SparseRationalMatrix, exact_rank, image_dim_over, nullspace_basis
+from .linalg import Echelon, SparseRationalMatrix, exact_rank, nullspace_basis
 from .spectrum import CheckResult, spectrum_rank
 
 
@@ -90,7 +104,7 @@ class TwoTermComplex:
     d0: Optional[PointDivisor]
     d1: PointDivisor
     f: LaurentPolynomial
-    label: str = ""
+    label: str = field(default="", compare=False)
 
 
 def _theta_terms(f: LaurentPolynomial) -> dict[int, Fraction]:
@@ -196,7 +210,20 @@ class CechModel:
                     d1_entries[(idx2[("r", j)], col)] = -c
         self.d1 = SparseRationalMatrix(len(self.labels2), len(self.labels1), d1_entries)
 
-        rank_d0 = exact_rank(self.d0)
+        # the boundaries, eliminated once; every T^1 label gets a column,
+        # rarest in the boundaries first, so any T^1 vector can reduce on it
+        boundaries = [col for col in self.d0.columns() if col]
+        count = Counter(j for col in boundaries for j in col)
+        order = sorted(range(len(self.labels1)), key=lambda j: (count[j], j))
+        self._column = {self.labels1[j]: k for k, j in enumerate(order)}
+        self._boundary_echelon = Echelon()
+        for col in boundaries:
+            self._boundary_echelon.add({self._column[self.labels1[j]]: v
+                                        for j, v in col.items()})
+        self._cocycles: Optional[list[dict]] = None
+        self._h1_basis: Optional[list[dict]] = None
+
+        rank_d0 = self._boundary_echelon.rank
         rank_d1 = exact_rank(self.d1)
         self.h0 = len(self.labels0) - rank_d0
         self.h1 = (len(self.labels1) - rank_d1) - rank_d0
@@ -220,11 +247,35 @@ class CechModel:
         return (self.h0, self.h1, self.h2)
 
     def cocycles(self) -> list[dict]:
-        """Basis of ker d1, as label-keyed sparse vectors."""
-        out = []
-        for vec in nullspace_basis(self.d1):
-            out.append({self.labels1[j]: v for j, v in vec.items()})
-        return out
+        """Basis of ker d1, as label-keyed sparse vectors (computed once)."""
+        if self._cocycles is None:
+            self._cocycles = [{self.labels1[j]: v for j, v in vec.items()}
+                              for vec in nullspace_basis(self.d1)]
+        return self._cocycles
+
+    def h1_basis(self) -> list[dict]:
+        """Cocycles whose classes form a basis of H^1 (computed once)."""
+        if self._h1_basis is None:
+            echelon = self.boundary_echelon()
+            basis = [z for z in self.cocycles() if self.quotient_rank([z], echelon)]
+            if len(basis) != self.h1:
+                raise IntegrityError(
+                    f"H^1 basis has {len(basis)} classes, the ranks give {self.h1}")
+            self._h1_basis = basis
+        return self._h1_basis
+
+    def boundary_echelon(self) -> Echelon:
+        """A copy of the echelon of im d0, for reductions modulo boundaries."""
+        return self._boundary_echelon.copy()
+
+    def quotient_rank(self, vecs, echelon: Optional[Echelon] = None) -> int:
+        """Dimension of the span of label-keyed T^1 vectors modulo im d0.
+        Given an echelon from ``boundary_echelon``, reduce on it and keep
+        there the vectors that raise its rank."""
+        if echelon is None:
+            echelon = self.boundary_echelon()
+        column = self._column
+        return sum(echelon.add({column[lab]: v for lab, v in vec.items()}) for vec in vecs)
 
     def boundaries(self) -> list[dict]:
         """Generators of im d0, label-keyed."""
@@ -250,13 +301,22 @@ def cech_hypercohomology(K: TwoTermComplex, B: Optional[int] = None) -> CechMode
     return model
 
 
-def h1_image_dim(sub: CechModel, ambient: CechModel) -> int:
-    """Dimension of the image of H^1(sub) in H^1(ambient), via the
-    componentwise inclusion (label spaces must nest)."""
+def _image_generators(sub: CechModel, ambient: CechModel) -> list[dict]:
+    """Cocycles of sub that span its image in H^1(ambient) under the
+    componentwise inclusion (label spaces must nest).  When the T^0 labels
+    nest too, im d0(sub) lies in im d0(ambient) and the H^1 basis suffices."""
     missing = set(sub.labels1) - set(ambient.labels1)
     if missing:
         raise ValueError(f"subcomplex labels escape the ambient model: {sorted(missing)[:3]}")
-    return image_dim_over(sub.cocycles(), ambient.boundaries())
+    if set(sub.labels0) <= set(ambient.labels0):
+        return sub.h1_basis()
+    return sub.cocycles()
+
+
+def h1_image_dim(sub: CechModel, ambient: CechModel) -> int:
+    """Dimension of the image of H^1(sub) in H^1(ambient), via the
+    componentwise inclusion (label spaces must nest)."""
+    return ambient.quotient_rank(_image_generators(sub, ambient))
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +422,9 @@ def _deligne_stable_M(f: LaurentPolynomial, truncation: Optional[int]) -> int:
     raise IntegrityError("stabilization failure: ambient H^1 keeps moving up to M=32")
 
 
-def _deligne_data(f: LaurentPolynomial, truncation: Optional[int]):
-    M = _deligne_stable_M(f, truncation)
-    ambient = deligne_ambient(f, M)
+def _deligne_data(f: LaurentPolynomial, M: int, truncation: Optional[int]):
     levels = [(lam, deligne_level(f, lam)) for lam in curve_jumps(f)]
-    dims, amb = _filtration_dims(f, levels, ambient, truncation)
+    dims, amb = _filtration_dims(f, levels, deligne_ambient(f, M), truncation)
     filt = [(lam, d) for lam, d, _ in dims]
     injective = [(lam, d == h1) for lam, d, h1 in dims]
     return filt, injective, amb
@@ -376,14 +434,14 @@ def deligne_filtration_on_H1(f: LaurentPolynomial,
                              truncation: Optional[int] = None) -> list[tuple[Fraction, int]]:
     """Induced filtration dims on H^1 from the classical curve levels, using
     a stabilized exhaustive ambient."""
-    filt, _, _ = _deligne_data(f, truncation)
+    filt, _, _ = _deligne_data(f, _deligne_stable_M(f, truncation), truncation)
     return filt
 
 
 def deligne_injectivity(f: LaurentPolynomial,
                         truncation: Optional[int] = None) -> list[tuple[Fraction, bool]]:
     """Page-one collapse on curves: every level maps injectively into H^1."""
-    _, injective, _ = _deligne_data(f, truncation)
+    _, injective, _ = _deligne_data(f, _deligne_stable_M(f, truncation), truncation)
     return injective
 
 
@@ -472,43 +530,44 @@ def compare_filtrations(f: LaurentPolynomial,
     if f.nvars != 1:
         raise ValueError("curve comparison needs one variable")
     jumps = curve_jumps(f)
-    filt_d, injective, amb = _deligne_data(f, truncation)
-    B = amb.B
-    boundaries = amb.boundaries()
-
-    def image_rank(vecs: list[dict]) -> int:
-        return image_dim_over(vecs, boundaries)
-
-    twist_dims = []
+    M = _deligne_stable_M(f, truncation)
+    twist = [divisor_twist_level(f, lam) for lam in jumps]
+    deligne = [deligne_level(f, lam) for lam in jumps]
+    compact_levels = [compact_level(f, lam) for lam in jumps]
+    # one truncation for every model of f, and of -f, whose pole divisor and
+    # exponents are those of f
+    B = _shared_truncation(f, [deligne_ambient(f, M)] + twist + deligne + compact_levels,
+                           truncation)
+    filt_d, injective, amb = _deligne_data(f, M, B)
     deligne_dims = [d for _, d in filt_d]
-    compact = compact_filtration_on_H1(f, truncation)
+    compact = compact_filtration_on_H1(f, B)
     rank_spec = spectrum_rank(f)
+    twist_dims = []
     toric_dims = []
     subspace_ok = True
     ambient_labels = set(amb.labels1)
-    for lam in jumps:
-        sub_p = cech_hypercohomology(divisor_twist_level(f, lam), B)
-        Zp = [{lab: v for lab, v in z.items()} for z in sub_p.cocycles()]
-        dp = image_rank(Zp)
-        twist_dims.append(dp)
+    for lam, Kp, Kd in zip(jumps, twist, deligne):
+        Zp = _image_generators(cech_hypercohomology(Kp, B), amb)
+        Zd = _image_generators(cech_hypercohomology(Kd, B), amb)
         Zt = _toric_generators(f, lam)
         for vec in Zt:
             stray = set(vec) - ambient_labels
             if stray:
                 raise IntegrityError(f"toric generator escapes the ambient model: {stray}")
-        dt = image_rank(Zt)
+        joint = amb.boundary_echelon()
+        dp = amb.quotient_rank(Zp, joint)
+        dd = amb.quotient_rank(Zd)
+        dt = amb.quotient_rank(Zt)
+        twist_dims.append(dp)
         toric_dims.append(dt)
-        sub_d = cech_hypercohomology(deligne_level(f, lam), B)
-        Zd = sub_d.cocycles()
-        dd = image_rank(Zd)
-        joint = image_rank(Zp + Zd + Zt)
-        if not (dp == dd == dt == joint):
+        # the joint rank continues from the echelon that took Zp
+        if not (dp == dd == dt == dp + amb.quotient_rank(Zd + Zt, joint)):
             subspace_ok = False
     partial = []
     for lam in jumps:
         partial.append(sum(m for l, m in rank_spec.entries if l >= lam))
     dims_agree = (twist_dims == deligne_dims == toric_dims == partial)
-    dual_ok, pairs = duality_check_curve(f, truncation)
+    dual_ok, pairs = duality_check_curve(f, B)
     return CurveFiltrationReport(
         tuple(jumps), tuple(twist_dims), tuple(deligne_dims),
         tuple(d for _, d in compact), tuple(toric_dims),

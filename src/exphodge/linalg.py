@@ -130,6 +130,12 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def copy(self) -> "Echelon":
+        """An echelon of the same rows, shared: ``add`` never mutates a stored row."""
+        clone = Echelon()
+        clone.pivots = dict(self.pivots)
+        return clone
+
     def add(self, vec: Vector) -> bool:
         """Reduce vec against the stored rows; keep it and return True when it
         is independent of them, return False otherwise."""

@@ -62,6 +62,9 @@ class NondegeneracyReport:
     witness: Optional[tuple[Fraction, ...]] = None
     witness_field: Optional[str] = None
     witness_face: Optional[Face] = None
+    # what proves a certified verdict: "rational witness" or "exact basis"
+    # for "degenerate", "exact bases" for "nondegenerate"; None uncertified
+    certificate: Optional[str] = None
 
     @property
     def is_degenerate(self) -> bool:
@@ -71,6 +74,7 @@ class NondegeneracyReport:
         out = {
             "verdict": self.verdict,
             "certified": self.certified,
+            "certificate": self.certificate,
             "primes": list(self.primes),
             "faces": [
                 {"face": str(c.face), "verdict": c.verdict, "note": c.note}
@@ -233,7 +237,8 @@ def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_
     prime_list = tuple(random_primes(primes, seed))
     witness = witness_field = witness_face = None
     checks: list[FaceCheck] = []
-    degenerate = proven = False
+    degenerate = False
+    certificate = None
     all_exact = True
     for face in poly.proper_faces_excluding_origin():
         if face.is_vertex:
@@ -262,7 +267,10 @@ def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_
             checks.append(FaceCheck(face, "budget exceeded", used, note))
             continue
         degenerate = True
-        proven = proven or fieldname == "QQ" or exact == "nonempty"
+        if fieldname == "QQ":
+            certificate = "rational witness"
+        elif exact == "nonempty" and certificate is None:
+            certificate = "exact basis"
         if exact == "nonempty" and fieldname != "QQ":
             note = "exact basis is not the unit ideal"
         if point is not None:
@@ -272,10 +280,11 @@ def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_
         checks.append(FaceCheck(face, "nonempty", used, note))
 
     if degenerate:
-        verdict, certified = "degenerate", proven
+        verdict = "degenerate"
     elif certify and all_exact:
-        verdict, certified = "nondegenerate", True
+        verdict, certificate = "nondegenerate", "exact bases"
     else:
-        verdict, certified = "likely-nondegenerate", False
-    return NondegeneracyReport(verdict, certified, tuple(checks),
-                               prime_list, witness, witness_field, witness_face)
+        verdict = "likely-nondegenerate"
+    return NondegeneracyReport(verdict, certificate is not None, tuple(checks),
+                               prime_list, witness, witness_field, witness_face,
+                               certificate)

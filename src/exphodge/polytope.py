@@ -45,26 +45,24 @@ def _rat_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _int_det(rows: Sequence[Sequence[int]]):
-    """Exact determinant of a square integer matrix (Fraction elimination)."""
-    n = len(rows)
-    mat = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    assert det.denominator == 1
-    return det.numerator
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss
+    elimination: every division is exact)."""
+    mat = [list(r) for r in rows]
+    n = len(mat)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
+            if piv is None:
+                return 0
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
+        prev = mat[k][k]
+    return sign * mat[-1][-1] if n else 1
 
 
 def _row_lattice_basis(vectors: Sequence[Monomial]) -> list[list[int]]:
@@ -126,38 +124,13 @@ def _primitive(u: Sequence[int]) -> tuple[int, ...]:
 
 def _hyperplane_normal(points: Sequence[Monomial]) -> Optional[tuple[int, ...]]:
     """Primitive normal of the hyperplane through d points of Z^d (None when
-    they do not affinely span one)."""
-    d = len(points[0])
-    if d == 1:
-        return (1,)
-    rows = [[Fraction(a - b) for a, b in zip(p, points[0])] for p in points[1:]]
-    # Gauss, tracking pivot columns; nullspace must be 1-dimensional.
-    pivots = []
-    r = 0
-    for c in range(d):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if r != d - 1:
+    they do not affinely span one): the signed (d-1)-minors of the difference
+    rows, which is the cross product in d = 3."""
+    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    u = [(-1) ** i * _int_det([r[:i] + r[i + 1:] for r in rows]) for i in range(len(points[0]))]
+    if not any(u):
         return None
-    free = next(c for c in range(d) if c not in pivots)
-    sol = [Fraction(0)] * d
-    sol[free] = Fraction(1)
-    for row, c in zip(rows[:r], pivots):
-        sol[c] = -row[free]
-    lcm = 1
-    for x in sol:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    return _primitive([int(x * lcm) for x in sol])
+    return _primitive(u)
 
 
 # ---------------------------------------------------------------------------

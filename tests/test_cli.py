@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from exphodge.cli import run
 
 
@@ -105,3 +107,25 @@ def test_plot_writes_svg(tmp_path):
 def test_vars_flag():
     code, out, _ = call(["betti", "y", "--vars", "x,y"])
     assert code == 4  # y alone spans a subtorus in two variables
+
+
+CERTIFICATES = [
+    # (input, --certify, witness field, certified, certificate): the edge zero
+    # (1, -1) of (x + y)^2 is rational; (x^2 - 2y^2)^2 has its edge zeros over
+    # GF(7) only, so only the exact basis under --certify proves its claim
+    ("x^2+2*x*y+y^2+x^-1*y^-1", False, "QQ", True, "rational witness"),
+    ("x^2+2*x*y+y^2+x^-1*y^-1", True, "QQ", True, "rational witness"),
+    ("x^4-4*x^2*y^2+4*y^4+x^-1*y^-1", False, "GF(7)", False, None),
+    ("x^4-4*x^2*y^2+4*y^4+x^-1*y^-1", True, "GF(7)", True, "exact basis"),
+    ("x+y+x^-1*y^-1", False, None, False, None),
+    ("x+y+x^-1*y^-1", True, None, True, "exact bases"),
+]
+
+
+@pytest.mark.parametrize("text,certify,field,certified,certificate", CERTIFICATES)
+def test_nondegen_json_names_the_certificate(text, certify, field, certified, certificate):
+    code, out, _ = call(["nondegen", text, "--json"] + (["--certify"] if certify else []))
+    assert code == 0
+    doc = json.loads(out)["nondegeneracy"]
+    assert (doc.get("witness_field"), doc["certified"], doc["certificate"]) == \
+        (field, certified, certificate)

@@ -3,7 +3,9 @@ from fractions import Fraction as Q
 import pytest
 
 from exphodge import curve
+from exphodge.errors import IntegrityError
 from exphodge.laurent import parse_laurent
+from exphodge.linalg import image_dim_over
 from exphodge.spectrum import spectrum_rank
 
 
@@ -147,3 +149,128 @@ def test_mixed_pole_orders_regression():
     assert rep.twist_dims == (5, 4, 3, 2, 1)
     assert rep.dims_agree and rep.subspaces_agree
     assert rep.deligne_injective and rep.duality_ok
+
+
+# ---------------------------------------------------------------------------
+# The engine: one truncation per input, bases of H^1, images through them
+# ---------------------------------------------------------------------------
+
+ENGINE_INPUTS = ["x^2 + x^-1", "x^3 + x^-2", "2*x - 3*x^-2"]
+
+
+def _families(f):
+    """(ambient, levels) of the three filtrations, at the one truncation that
+    compare_filtrations uses."""
+    jumps = curve.curve_jumps(f)
+    M = curve._deligne_stable_M(f, None)
+    families = [
+        (curve.divisor_twist_level(f, 0), [curve.divisor_twist_level(f, l) for l in jumps]),
+        (curve.deligne_ambient(f, M), [curve.deligne_level(f, l) for l in jumps]),
+        (curve.compact_level(f, 0), [curve.compact_level(f, l) for l in jumps]),
+    ]
+    B = curve._shared_truncation(f, [K for amb, levels in families for K in [amb] + levels],
+                                 None)
+    return families, B
+
+
+@pytest.mark.parametrize("text", ENGINE_INPUTS)
+def test_h1_basis_and_images_match_quotient_ranks(text):
+    f = parse_laurent(text)
+    families, B = _families(f)
+    for ambient, levels in families:
+        amb = curve.cech_hypercohomology(ambient, B)
+        for K in [ambient] + levels:
+            sub = curve.cech_hypercohomology(K, B)
+            basis = sub.h1_basis()
+            assert len(basis) == sub.h1
+            assert all(z in sub.cocycles() for z in basis)
+            assert image_dim_over(sub.cocycles(), sub.boundaries()) == sub.h1
+            assert image_dim_over(basis, sub.boundaries()) == sub.h1
+            assert curve.h1_image_dim(sub, amb) == \
+                image_dim_over(sub.cocycles(), amb.boundaries())
+
+
+def test_h1_image_dim_maps_every_cocycle_when_boundaries_do_not_nest():
+    # the degree-0 term of the ambient starts above the sub's: a boundary of
+    # the sub need not bound in the ambient, so its H^1 basis is not enough
+    f = parse_laurent("x^2 + x^-1")
+    P = curve.pole_divisor(f)
+    amb_K = curve.TwoTermComplex(curve.PointDivisor(-1, -1), P, f)
+    sub_K = curve.TwoTermComplex(curve.ZERO_DIVISOR, P, f)
+    B = curve._shared_truncation(f, [amb_K, sub_K], None)
+    amb = curve.cech_hypercohomology(amb_K, B)
+    sub = curve.cech_hypercohomology(sub_K, B)
+    assert amb.quotient_rank(sub.h1_basis()) == 3
+    assert curve.h1_image_dim(sub, amb) == \
+        image_dim_over(sub.cocycles(), amb.boundaries()) == 5
+
+
+def test_h1_basis_size_is_checked():
+    model = curve.CechModel(curve.divisor_twist_level(parse_laurent("x + x^-1"), 0), 20)
+    model.h1 += 1
+    with pytest.raises(IntegrityError, match="H\\^1 basis"):
+        model.h1_basis()
+
+
+def test_levels_differing_only_in_label_share_one_model():
+    f = parse_laurent("x^2 + x^-1")
+    twist, classical = curve.divisor_twist_level(f, Q(1, 2)), curve.deligne_level(f, Q(1, 2))
+    assert twist.label != classical.label and twist == classical
+    assert curve.cech_hypercohomology(twist, 30) is curve.cech_hypercohomology(classical, 30)
+
+
+def test_analyze_builds_each_model_once(monkeypatch):
+    from exphodge.spectrum import analyze
+
+    built = []
+    init = curve.CechModel.__init__
+
+    def recording_init(self, K, B):
+        built.append((K.d0, K.d1, K.f, B))  # the label is not part of the model
+        init(self, K, B)
+
+    monkeypatch.setattr(curve.CechModel, "__init__", recording_init)
+    curve._build_model.cache_clear()
+    analyze(parse_laurent("x^2 + x^-1"))
+    assert built
+    assert len(set(built)) == len(built)
+    # every model of f and -f but the stabilization ambients sits at one B
+    f = parse_laurent("x^2 + x^-1")
+    _, B = _families(f)
+    M = curve._deligne_stable_M(f, None)
+    stabilization = {curve.deligne_ambient(f, m).d0 for m in (2, 4, 8, 16, 32) if m < M}
+    assert {b for d0, _, _, b in built if d0 not in stabilization} == {B, B + 5}
+
+
+@pytest.mark.parametrize("text", ENGINE_INPUTS)
+def test_compare_filtrations_does_not_move_with_truncation(text):
+    f = parse_laurent(text)
+    _, B = _families(f)
+    assert curve.compare_filtrations(f) == curve.compare_filtrations(f, truncation=B + 10)
+
+
+def _shifted_toric_generators(f, lam):
+    """x^(k+1) dlog x in place of each toric generator x^k dlog x."""
+    from exphodge.polytope import newton_polytope
+
+    return [{("p", a[0] + 1): Q(1), ("q", a[0] + 1): Q(1)}
+            for a in newton_polytope(f).lattice_points_in_dilate(1 - lam)]
+
+
+_DELIGNE_LEVEL = curve.deligne_level
+
+
+def _shifted_deligne_level(f, lam):
+    """At lam = 1, x dlog x in place of dlog x: the same dimension, another line."""
+    if lam == 1:
+        return curve.TwoTermComplex(None, curve.PointDivisor(-1, 1), f)
+    return _DELIGNE_LEVEL(f, lam)
+
+
+@pytest.mark.parametrize("name,fake", [("_toric_generators", _shifted_toric_generators),
+                                       ("deligne_level", _shifted_deligne_level)])
+def test_subspace_check_sees_equal_dims_on_other_lines(monkeypatch, name, fake):
+    monkeypatch.setattr(curve, name, fake)
+    rep = curve.compare_filtrations(parse_laurent("x + x^-1"))
+    assert rep.dims_agree
+    assert not rep.subspaces_agree

@@ -212,3 +212,95 @@ def test_one_hull_per_input(monkeypatch):
     assert newton_polytope(g) is not P
     assert newton_polytope(g) == P
     assert len(built) == 2
+
+
+def _gauss_normal(points):
+    """The former Fraction Gauss-elimination hyperplane normal, kept as the
+    oracle of the integer cofactor normal."""
+    d = len(points[0])
+    if d == 1:
+        return (1,)
+    rows = [[Fraction(a - b) for a, b in zip(p, points[0])] for p in points[1:]]
+    pivots = []
+    r = 0
+    for c in range(d):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if r != d - 1:
+        return None
+    free = next(c for c in range(d) if c not in pivots)
+    sol = [Fraction(0)] * d
+    sol[free] = Fraction(1)
+    for row, c in zip(rows[:r], pivots):
+        sol[c] = -row[free]
+    lcm = 1
+    for x in sol:
+        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    ints = [int(x * lcm) for x in sol]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, abs(x))
+    return tuple(x // g for x in ints)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integer_normal_matches_gauss_oracle(monkeypatch, n):
+    from exphodge import polytope
+
+    rng = random.Random(700 + n)
+    for _ in range(200):
+        pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+        ours, oracle = polytope._hyperplane_normal(pts), _gauss_normal(pts)
+        assert ours == oracle or (ours is not None and oracle is not None
+                                  and ours == tuple(-x for x in oracle))
+    supports = []
+    for size in range(n + 1, n + 9):
+        supports.append([tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(size)])
+    built = [polytope.NewtonPolytope(n, pts) for pts in supports]
+    monkeypatch.setattr(polytope, "_hyperplane_normal", _gauss_normal)
+    for pts, P in zip(supports, built):
+        Q = polytope.NewtonPolytope(n, pts)
+        assert (P.dim, P.vertices, P.facets) == (Q.dim, Q.vertices, Q.facets)
+        assert P._hull_facets == Q._hull_facets
+        if P.dim == n:
+            assert P.normalized_volume() == Q.normalized_volume()
+
+
+def _fraction_det(rows):
+    """Determinant by Fraction Gauss elimination: the oracle of _int_det."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(mat)):
+        piv = next((i for i in range(c, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
+
+
+def test_int_det_matches_fraction_oracle():
+    from exphodge.polytope import _int_det
+
+    rng = random.Random(31)
+    assert _int_det([]) == 1
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        # small entries with many zeros, so pivots vanish and matrices are singular
+        rows = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 5]) for _ in range(n)] for _ in range(n)]
+        assert _int_det(rows) == _fraction_det(rows)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -208,3 +209,27 @@ def test_gl_n_z_invariance(text, A):
                                for alpha, c in f.terms.items()}, f.var_names)
     assert g.terms.keys() != f.terms.keys()
     assert _invariants(g) == _invariants(f)
+
+
+def _random_support_poly(seed: int):
+    """8 terms in [-3, 3]^2 with the origin interior, random integer
+    coefficients: a generic support, unlike the simplices above."""
+    rng = random.Random(seed)
+    points = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+    while True:
+        support = rng.sample(points, 8)
+        f = make_laurent(2, {a: rng.choice([-1, 1]) * rng.randint(1, 9) for a in support})
+        if newton_polytope(f).contains_origin_interior():
+            return f
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_generic_supports_both_routes(seed):
+    f = _random_support_poly(seed)
+    rep = analyze(f, certify=True)
+    assert rep.nondegeneracy.verdict == "nondegenerate" and rep.nondegeneracy.certified
+    euler, rank = rep.spectra["euler"], rep.spectra["rank"]
+    assert euler.entries == rank.entries
+    assert rank.total == rep.nvol == newton_polytope(f).normalized_volume()
+    assert all(rank.multiplicity(2 - lam) == m for lam, m in rank.entries)
+    assert all(check.status == "pass" for check in rep.checks.values())
