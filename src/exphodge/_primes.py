@@ -6,6 +6,8 @@ import random
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3,215,031,751.
 _WITNESSES = (2, 3, 5, 7)
+# random_primes samples [PRIME_LO, PRIME_HI), which must stay below that bound
+PRIME_LO, PRIME_HI = 2 ** 30, 2 ** 31
 
 
 def is_prime(n: int) -> bool:
@@ -31,15 +33,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def random_primes(count: int, seed: int, lo: int = 2 ** 30, hi: int = 2 ** 31) -> list[int]:
-    """Distinct primes in [lo, hi), reproducible from the seed."""
+def random_primes(count: int, seed: int) -> list[int]:
+    """Distinct primes in [PRIME_LO, PRIME_HI), reproducible from the seed."""
     rng = random.Random(seed)
     found: list[int] = []
     while len(found) < count:
-        n = rng.randrange(lo, hi) | 1
+        n = rng.randrange(PRIME_LO, PRIME_HI) | 1
         while not is_prime(n):
             n += 2
-        if n < hi and n not in found:
+        if n < PRIME_HI and n not in found:
             found.append(n)
     return found
 

@@ -546,7 +546,7 @@ def compare_filtrations(f: LaurentPolynomial,
     toric_dims = []
     subspace_ok = True
     ambient_labels = set(amb.labels1)
-    for lam, Kp, Kd in zip(jumps, twist, deligne):
+    for lam, Kp, Kd, dd in zip(jumps, twist, deligne, deligne_dims):
         Zp = _image_generators(cech_hypercohomology(Kp, B), amb)
         Zd = _image_generators(cech_hypercohomology(Kd, B), amb)
         Zt = _toric_generators(f, lam)
@@ -556,7 +556,6 @@ def compare_filtrations(f: LaurentPolynomial,
                 raise IntegrityError(f"toric generator escapes the ambient model: {stray}")
         joint = amb.boundary_echelon()
         dp = amb.quotient_rank(Zp, joint)
-        dd = amb.quotient_rank(Zd)
         dt = amb.quotient_rank(Zt)
         twist_dims.append(dp)
         toric_dims.append(dt)

@@ -61,6 +61,12 @@ class ComplexSlice:
     def dims(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.bases)
 
+    def cohomology(self) -> list[int]:
+        """Cohomology dimensions, degrees 0..n, by exact ranks of the
+        differentials."""
+        ranks = [0] + [exact_rank(m) for m in self.mats] + [0]
+        return [d - ranks[p] - ranks[p + 1] for p, d in enumerate(self.dims())]
+
 
 def _level_bases(poly: NewtonPolytope, lam: Fraction, n: int,
                  exact_weight: bool) -> tuple[tuple[BasisForm, ...], ...]:
@@ -139,7 +145,6 @@ def build_filtration_level(f: LaurentPolynomial, lam) -> ComplexSlice:
     return ComplexSlice(f, lam, bases, mats)
 
 
-@lru_cache(maxsize=256)
 def build_graded_level(f: LaurentPolynomial, lam) -> ComplexSlice:
     """The graded piece at level lam: exact-weight forms, weight-raising part
     of the connection only."""
@@ -153,16 +158,7 @@ def build_graded_level(f: LaurentPolynomial, lam) -> ComplexSlice:
 def betti_numbers(f: LaurentPolynomial) -> list[int]:
     """Dimensions of the twisted de Rham cohomology, degrees 0..n, from the
     level-0 slice by exact ranks."""
-    sl = build_filtration_level(f, Fraction(0))
-    n = f.nvars
-    ranks = [exact_rank(m) for m in sl.mats]
-    dims = sl.dims()
-    out = []
-    for i in range(n + 1):
-        r_out = ranks[i] if i < n else 0
-        r_in = ranks[i - 1] if i > 0 else 0
-        out.append(dims[i] - r_out - r_in)
-    return out
+    return build_filtration_level(f, Fraction(0)).cohomology()
 
 
 def _kernel_in_level0_coords(f: LaurentPolynomial, i: int, slice_lam: ComplexSlice,

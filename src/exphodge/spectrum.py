@@ -19,6 +19,11 @@ weight, gives the dimension at every jump: an exact rank computation, never a
 count.  Agreement of the two routes is the numerical shadow of the
 degeneration of the spectral sequence at its first page; the analysis report
 never hides a disagreement.
+
+``analyze`` computes each spectrum of f once and hands it to the checks:
+``check_degeneration(f, euler, rank)`` compares the two and adds the graded
+vanishing below top degree, and ``check_symmetry(f, rank)`` tests the given
+spectrum for h^lam = h^(n-lam), ranking only the second input -f itself.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .derham import betti_numbers, build_graded_level, exact_rank, top_image_profile
+from .derham import betti_numbers, build_graded_level, top_image_profile
 from .errors import IntegrityError, NotFullDimensionalError
 from .laurent import LaurentPolynomial, format_laurent
 from .nondegen import DEFAULT_SEED, NondegeneracyReport, is_nondegenerate
@@ -142,35 +147,23 @@ class CheckResult:
         return {"status": self.status, **{k: v for k, v in self.detail.items()}}
 
 
-def check_degeneration(f: LaurentPolynomial) -> CheckResult:
-    """Spectra agree entrywise AND every graded slice has cohomology only in
-    top degree."""
-    eu = spectrum_euler(f)
-    rk = spectrum_rank(f)
-    detail = {"euler": eu.to_json(), "rank": rk.to_json()}
-    agree = eu.entries == rk.entries
+def check_degeneration(f: LaurentPolynomial, euler: HodgeSpectrum,
+                       rank: HodgeSpectrum) -> CheckResult:
+    """The given Euler and rank spectra of f agree entrywise AND every graded
+    slice has cohomology only in top degree."""
+    detail = {"euler": euler.to_json(), "rank": rank.to_json()}
     n = f.nvars
-    vanishing = True
-    graded_dims = {}
-    for lam in jump_candidates(f):
-        g = build_graded_level(f, lam)
-        dims = g.dims()
-        ranks = [exact_rank(m) for m in g.mats]
-        below = []
-        for i in range(n):
-            r_out = ranks[i]
-            r_in = ranks[i - 1] if i > 0 else 0
-            below.append(dims[i] - r_out - r_in)
-        graded_dims[str(lam)] = below
-        if any(b != 0 for b in below):
-            vanishing = False
+    graded_dims = {str(lam): build_graded_level(f, lam).cohomology()[:n]
+                   for lam in jump_candidates(f)}
     detail["graded_cohomology_below_top"] = graded_dims
-    status = "pass" if (agree and vanishing) else "fail"
+    vanishing = all(b == 0 for below in graded_dims.values() for b in below)
+    status = "pass" if (euler.entries == rank.entries and vanishing) else "fail"
     return CheckResult(status, detail)
 
 
-def check_symmetry(f: LaurentPolynomial) -> CheckResult:
-    """h^lam = h^(n-lam) in the proper case (origin interior to the
+def check_symmetry(f: LaurentPolynomial, rank: HodgeSpectrum) -> CheckResult:
+    """h^lam = h^(n-lam) for the given rank spectrum of f, and the rank
+    spectrum of -f equals it, in the proper case (origin interior to the
     polytope); skipped otherwise."""
     poly = newton_polytope(f)
     if not poly.contains_origin_interior():
@@ -178,11 +171,10 @@ def check_symmetry(f: LaurentPolynomial) -> CheckResult:
                           "cohomology and compactly supported cohomology differ"}
         return CheckResult("not applicable", note)
     n = f.nvars
-    rk = spectrum_rank(f)
     rk_neg = spectrum_rank(-f)
-    detail = {"rank": rk.to_json(), "rank_negated": rk_neg.to_json()}
-    sign_invariant = rk.entries == rk_neg.entries
-    symmetric = all(rk.multiplicity(Fraction(n) - lam) == m for lam, m in rk.entries)
+    detail = {"rank": rank.to_json(), "rank_negated": rk_neg.to_json()}
+    sign_invariant = rank.entries == rk_neg.entries
+    symmetric = all(rank.multiplicity(Fraction(n) - lam) == m for lam, m in rank.entries)
     detail["sign_invariance"] = sign_invariant
     detail["symmetric"] = symmetric
     return CheckResult("pass" if (sign_invariant and symmetric) else "fail", detail)
@@ -222,10 +214,10 @@ class AnalysisReport:
 
 def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
             seed: int = DEFAULT_SEED, primes: int = 3,
-            curve_checks: Optional[bool] = None,
             truncation: Optional[int] = None) -> AnalysisReport:
     """Full pipeline: polytope, nondegeneracy, Betti numbers, spectra, and
-    consequence checks.  Failed checks are reported, never dropped."""
+    consequence checks.  Each spectrum is computed once and handed to the
+    checks.  Failed checks are reported, never dropped."""
     t0 = time.perf_counter()
     poly = newton_polytope(f)
     if poly.dim != f.nvars:
@@ -237,12 +229,15 @@ def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
     spectra: dict[str, HodgeSpectrum] = {}
     checks: dict[str, CheckResult] = {}
     degenerate = report.is_degenerate
+    # the checks of a nondegenerate input need both spectra, whatever the mode
+    rank = None if degenerate and mode == "euler" else spectrum_rank(f)
+    euler = None if degenerate else spectrum_euler(f)
     if degenerate:
         warnings.append(
             "input is degenerate: the spectrum below is the raw filtration "
             "rank output, unsupported by the degeneration theorem")
     if mode in ("rank", "both"):
-        spectra["rank"] = spectrum_rank(f)
+        spectra["rank"] = rank
     if mode in ("euler", "both"):
         if degenerate:
             warnings.append("combinatorial route suppressed for degenerate input")
@@ -252,11 +247,11 @@ def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
                     f"{report.witness_field} only), so the combinatorial route "
                     "was suppressed on an unproven claim")
         else:
-            spectra["euler"] = spectrum_euler(f)
+            spectra["euler"] = euler
     if not degenerate:
-        checks["degeneration"] = check_degeneration(f)
-        checks["symmetry"] = check_symmetry(f)
-        if f.nvars == 1 and (curve_checks is None or curve_checks):
+        checks["degeneration"] = check_degeneration(f, euler, rank)
+        checks["symmetry"] = check_symmetry(f, rank)
+        if f.nvars == 1:
             from . import curve
 
             curve_report = curve.compare_filtrations(f, truncation)

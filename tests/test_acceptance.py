@@ -65,16 +65,17 @@ def test_criterion_3_page_one_degeneration():
 def test_criterion_4_duality_symmetry():
     for text in SUITE:
         f = parse_laurent(text)
-        res = check_symmetry(f)
+        spec = spectrum_rank(f)
+        res = check_symmetry(f, spec)
         proper = newton_polytope(f).contains_origin_interior()
         if proper:
             assert res.status == "pass", (text, res.detail)
-            spec = spectrum_rank(f)
             n = f.nvars
             assert all(spec.multiplicity(Q(n) - lam) == m for lam, m in spec.entries)
         else:
             assert res.status == "not applicable", text
-    assert check_symmetry(parse_laurent("x")).status == "not applicable"
+    x = parse_laurent("x")
+    assert check_symmetry(x, spectrum_rank(x)).status == "not applicable"
     _report(4, "spectrum symmetry in the proper case")
 
 

@@ -99,6 +99,20 @@ def test_face_system_shifts_record_units():
         assert back == dict(g.terms)
 
 
+def test_random_primes_stay_where_is_prime_is_exact():
+    import inspect
+
+    from exphodge import _primes
+
+    # the fixed witnesses 2, 3, 5, 7 pass the composite 3,215,031,751
+    assert 3_215_031_751 == 151 * 751 * 28351 and _primes.is_prime(3_215_031_751)
+    assert _primes.PRIME_LO < _primes.PRIME_HI < 3_215_031_751
+    assert list(inspect.signature(_primes.random_primes).parameters) == ["count", "seed"]
+    primes = _primes.random_primes(20, seed=5)
+    assert len(set(primes)) == 20
+    assert all(_primes.PRIME_LO <= p < _primes.PRIME_HI for p in primes)
+
+
 def test_prime_exhaustion():
     from exphodge._primes import random_primes
     from exphodge.errors import ExpHodgeError

@@ -55,19 +55,43 @@ def test_sign_invariance(suite_poly):
 
 
 def test_check_degeneration(suite_poly):
-    res = check_degeneration(suite_poly)
+    res = check_degeneration(suite_poly, spectrum_euler(suite_poly), spectrum_rank(suite_poly))
     assert res.ok, res.detail
 
 
+def _check_symmetry(text):
+    f = parse_laurent(text)
+    return check_symmetry(f, spectrum_rank(f))
+
+
 def test_check_symmetry_statuses():
-    assert check_symmetry(parse_laurent("x + x^-1")).status == "pass"
-    assert check_symmetry(parse_laurent("x^2 + x^-1")).status == "pass"
-    assert check_symmetry(parse_laurent("x + y + x^-1*y^-1")).status == "pass"
-    res = check_symmetry(parse_laurent("x"))
+    assert _check_symmetry("x + x^-1").status == "pass"
+    assert _check_symmetry("x^2 + x^-1").status == "pass"
+    assert _check_symmetry("x + y + x^-1*y^-1").status == "pass"
+    res = _check_symmetry("x")
     assert res.status == "not applicable"
     # informative negative control: the spectrum itself is asymmetric
     spec = spectrum_rank(parse_laurent("x"))
     assert spec.multiplicity(1) != spec.multiplicity(0)
+
+
+def test_check_degeneration_fails_on_perturbed_rank_spectrum():
+    f = parse_laurent("x + y + x^-1*y^-1")
+    rank = spectrum_rank(f)
+    perturbed = HodgeSpectrum(2, tuple((lam, m + (lam == 1)) for lam, m in rank.entries))
+    res = check_degeneration(f, spectrum_euler(f), perturbed)
+    assert res.status == "fail"
+    # the graded slices still vanish below top degree: the spectra disagree
+    assert all(b == 0 for below in res.detail["graded_cohomology_below_top"].values()
+               for b in below)
+
+
+def test_check_symmetry_fails_on_asymmetric_spectrum():
+    f = parse_laurent("x + y + x^-1*y^-1")
+    asymmetric = HodgeSpectrum(2, ((Q(0), 1), (Q(1), 1), (Q(2), 2)))
+    res = check_symmetry(f, asymmetric)
+    assert res.status == "fail"
+    assert res.detail["symmetric"] is False
 
 
 def test_spectrum_entries_validate():
@@ -118,6 +142,54 @@ def test_analyze_rejects_subtorus():
     with pytest.raises(NotFullDimensionalError) as exc:
         analyze(parse_laurent("x*y"))
     assert "1" in str(exc.value) and "2" in str(exc.value)
+
+
+@pytest.mark.parametrize("text,rank_calls", [
+    ("x^3 + y^4 + x^-2*y^-1", 2),  # f, and -f in the symmetry check
+    ("x^2 + x^-1", 3),             # the curve comparison ranks f once more
+])
+def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
+    from exphodge import curve, spectrum
+
+    f = parse_laurent(text)
+    jumps = jump_candidates(f)
+    calls = dict.fromkeys(["spectrum_rank", "spectrum_euler", "build_graded_level"], 0)
+    for name in calls:
+        fn = getattr(spectrum, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in (spectrum, curve):  # curve binds spectrum_rank too
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting)
+    rep = analyze(f)
+    assert rep.checks and all(check.ok for check in rep.checks.values())
+    assert calls == {"spectrum_rank": rank_calls, "spectrum_euler": 1,
+                     "build_graded_level": len(jumps)}
+
+
+DEGENERATE_WARNING = ("input is degenerate: the spectrum below is the raw filtration "
+                      "rank output, unsupported by the degeneration theorem")
+SUPPRESSED_WARNING = "combinatorial route suppressed for degenerate input"
+
+
+@pytest.mark.parametrize("text,mode,spectra,checks,warnings", [
+    ("x + y + x^-1*y^-1", "euler", ["euler"], ["degeneration", "symmetry"], []),
+    ("x + y + x^-1*y^-1", "rank", ["rank"], ["degeneration", "symmetry"], []),
+    ("x + y + x^-1*y^-1", "both", ["rank", "euler"], ["degeneration", "symmetry"], []),
+    ("x^2 + 2*x*y + y^2 + x^-1*y^-1", "euler", [], [],
+     [DEGENERATE_WARNING, SUPPRESSED_WARNING]),
+    ("x^2 + 2*x*y + y^2 + x^-1*y^-1", "rank", ["rank"], [], [DEGENERATE_WARNING]),
+    ("x^2 + 2*x*y + y^2 + x^-1*y^-1", "both", ["rank"], [],
+     [DEGENERATE_WARNING, SUPPRESSED_WARNING]),
+])
+def test_analyze_modes(text, mode, spectra, checks, warnings):
+    rep = analyze(parse_laurent(text), mode=mode)
+    assert list(rep.spectra) == spectra
+    assert list(rep.checks) == checks
+    assert rep.warnings == warnings
+    assert all(check.ok for check in rep.checks.values())
 
 
 # f and g in disjoint variables: the spectrum of f + g is the convolution of
