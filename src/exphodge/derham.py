@@ -1,9 +1,8 @@
 """Twisted de Rham complexes on the torus, filtered by the Newton polytope.
 
-A filtration level lam is materialized degree by degree: the degree-p term is
-spanned by the monomial log-forms x^alpha dlog x_I with |I| = p and
-weight(alpha) <= p - lam, and the whole complex is truncated below degree
-ceil(lam).  The connection acts by
+The complex is built once per input, at level 0: the degree-p term is spanned
+by the monomial log-forms x^alpha dlog x_I with |I| = p and weight(alpha) <= p,
+and the connection acts by
 
     x^alpha dlog x_I  |->  sum_i alpha_i x^alpha dlog x_i ^ dlog x_I
                          + sum_beta c(beta) sum_i beta_i x^(alpha+beta)
@@ -12,8 +11,13 @@ ceil(lam).  The connection acts by
 expanded in the wedge basis with dlog x_I sorted ascending and the sign of an
 insertion given by its position parity.  All entries are exact rationals.
 
-The graded piece at level lam keeps only the forms of exact weight p - lam
-and the weight-raising part of the connection.
+Every other slice is a weight block of the level-0 slice.  Filtration level
+lam keeps the degree-p forms of weight <= p - lam (none below degree lam) and
+the blocks of the differentials between them; the graded piece at level lam
+keeps those of weight exactly p - lam, and its blocks are the weight-raising
+part of the connection.  The first term preserves weight and each beta term
+raises it by at most one, so no kept column may reach a dropped row of weight
+above p + 1 - lam: the block check that d maps level lam into itself.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import ceil
+from operator import eq, le
 
 from .errors import NotFullDimensionalError
 from .laurent import LaurentPolynomial, Monomial
@@ -46,13 +50,14 @@ def _insertion_sign(i: int, index_set: tuple[int, ...]):
 
 @dataclass(frozen=True)
 class ComplexSlice:
-    """One filtration level or graded piece: bases and differentials, degree
-    by degree."""
+    """One filtration level or graded piece: bases, differentials and basis
+    weights, degree by degree."""
 
     f: LaurentPolynomial
     level: Fraction
     bases: tuple[tuple[BasisForm, ...], ...]      # index p in 0..n
     mats: tuple[SparseRationalMatrix, ...]        # mats[p]: degree p -> p+1
+    weights: tuple[tuple[Fraction, ...], ...]     # weights[p][i]: of bases[p][i]
 
     @property
     def nvars(self) -> int:
@@ -68,41 +73,17 @@ class ComplexSlice:
         return [d - ranks[p] - ranks[p + 1] for p, d in enumerate(self.dims())]
 
 
-def _level_bases(poly: NewtonPolytope, lam: Fraction, n: int,
-                 exact_weight: bool) -> tuple[tuple[BasisForm, ...], ...]:
-    bases: list[tuple[BasisForm, ...]] = []
-    for p in range(n + 1):
-        if p < ceil(lam):
-            bases.append(())
-            continue
-        cap = Fraction(p) - lam
-        if cap < 0:
-            bases.append(())
-            continue
-        points = poly.lattice_points_in_dilate(cap)
-        if exact_weight:
-            points = [a for a in points if poly.weight(a) == cap]
-        index_sets = list(combinations(range(n), p))
-        bases.append(tuple((a, I) for a in points for I in index_sets))
-    return tuple(bases)
-
-
-def _differential(f: LaurentPolynomial, bases, p: int,
-                  graded: bool) -> SparseRationalMatrix:
+def _differential(f: LaurentPolynomial, bases, p: int) -> SparseRationalMatrix:
     n = f.nvars
-    source = bases[p]
-    target = bases[p + 1] if p + 1 <= n else ()
+    source, target = bases[p], bases[p + 1]
     index = {form: i for i, form in enumerate(target)}
     entries: dict[tuple[int, int], Fraction] = {}
 
     def add(row_form: BasisForm, col: int, value: Fraction):
         row = index.get(row_form)
         if row is None:
-            # weight bound guarantees membership in the full slice; graded
-            # slices drop the off-step part here
-            if not graded and value != 0:
-                raise AssertionError(f"image form {row_form} missing from basis")
-            return
+            # weight(alpha + beta) <= weight(alpha) + 1, so level 0 holds every image
+            raise AssertionError(f"image form {row_form} missing from basis")
         key = (row, col)
         s = entries.get(key, Fraction(0)) + value
         if s == 0:
@@ -115,7 +96,7 @@ def _differential(f: LaurentPolynomial, bases, p: int,
             sign, merged = _insertion_sign(i, I)
             if sign == 0:
                 continue
-            if not graded and alpha[i] != 0:
+            if alpha[i] != 0:
                 add((alpha, merged), col, Fraction(sign * alpha[i]))
             for beta, c in f.terms.items():
                 if beta[i] == 0:
@@ -125,34 +106,65 @@ def _differential(f: LaurentPolynomial, bases, p: int,
     return SparseRationalMatrix(len(target), len(source), entries)
 
 
+def _weight_block(slice0: ComplexSlice, lam: Fraction, keep) -> ComplexSlice:
+    """The degree-p forms of slice0 whose weight w has keep(w, p - lam), and
+    the blocks of slice0's differentials between them.  An entry of a kept
+    column in a dropped row of weight above p + 1 - lam would mean d leaves
+    level lam, and raises."""
+    kept = [[i for i, w in enumerate(ws) if keep(w, p - lam)]
+            for p, ws in enumerate(slice0.weights)]
+    mats = []
+    for p, m in enumerate(slice0.mats):
+        cols = {c: j for j, c in enumerate(kept[p])}
+        rows = {r: k for k, r in enumerate(kept[p + 1])}
+        entries = {}
+        for (r, c), v in m.entries.items():
+            if c not in cols:
+                continue
+            if r in rows:
+                entries[(rows[r], cols[c])] = v
+            elif slice0.weights[p + 1][r] > p + 1 - lam:
+                raise AssertionError(f"d maps level {lam} to {slice0.bases[p + 1][r]}")
+        mats.append(SparseRationalMatrix(len(rows), len(cols), entries))
+    bases = tuple(tuple(slice0.bases[p][i] for i in ix) for p, ix in enumerate(kept))
+    weights = tuple(tuple(slice0.weights[p][i] for i in ix) for p, ix in enumerate(kept))
+    return ComplexSlice(slice0.f, lam, bases, tuple(mats), weights)
+
+
 def _check_level(f: LaurentPolynomial, lam) -> tuple[NewtonPolytope, Fraction]:
     lam = Fraction(lam)
     poly = newton_polytope(f)
     if poly.dim != f.nvars:
         raise NotFullDimensionalError(poly.dim, f.nvars)
-    if lam > f.nvars:
-        raise ValueError(f"level {lam} above top degree {f.nvars}")
+    if not 0 <= lam <= f.nvars:
+        raise ValueError(f"level {lam} outside [0, top degree {f.nvars}]")
     return poly, lam
 
 
 @lru_cache(maxsize=256)
 def build_filtration_level(f: LaurentPolynomial, lam) -> ComplexSlice:
-    """The level-lam subcomplex of the twisted de Rham complex."""
+    """The level-lam subcomplex of the twisted de Rham complex: built at
+    level 0, a weight block of the level-0 slice above it."""
     poly, lam = _check_level(f, lam)
+    if lam > 0:
+        return _weight_block(build_filtration_level(f, Fraction(0)), lam, le)
     n = f.nvars
-    bases = _level_bases(poly, lam, n, exact_weight=False)
-    mats = tuple(_differential(f, bases, p, graded=False) for p in range(n))
-    return ComplexSlice(f, lam, bases, mats)
+    points = poly.lattice_points_in_dilate(n)
+    weight = {a: poly.weight(a) for a in points}
+    bases, weights = [], []
+    for p in range(n + 1):
+        index_sets = list(combinations(range(n), p))
+        bases.append(tuple((a, I) for a in points if weight[a] <= p for I in index_sets))
+        weights.append(tuple(weight[a] for a, _ in bases[p]))
+    mats = tuple(_differential(f, bases, p) for p in range(n))
+    return ComplexSlice(f, lam, tuple(bases), mats, tuple(weights))
 
 
 def build_graded_level(f: LaurentPolynomial, lam) -> ComplexSlice:
-    """The graded piece at level lam: exact-weight forms, weight-raising part
-    of the connection only."""
-    poly, lam = _check_level(f, lam)
-    n = f.nvars
-    bases = _level_bases(poly, lam, n, exact_weight=True)
-    mats = tuple(_differential(f, bases, p, graded=True) for p in range(n))
-    return ComplexSlice(f, lam, bases, mats)
+    """The graded piece at level lam: the exact-weight block of the level-0
+    slice, whose differentials are the weight-raising part of d."""
+    _, lam = _check_level(f, lam)
+    return _weight_block(build_filtration_level(f, Fraction(0)), lam, eq)
 
 
 def betti_numbers(f: LaurentPolynomial) -> list[int]:
@@ -161,35 +173,25 @@ def betti_numbers(f: LaurentPolynomial) -> list[int]:
     return build_filtration_level(f, Fraction(0)).cohomology()
 
 
-def _kernel_in_level0_coords(f: LaurentPolynomial, i: int, slice_lam: ComplexSlice,
-                             slice0: ComplexSlice):
+def _kernel_in_level0_coords(i: int, slice_lam: ComplexSlice, slice0: ComplexSlice):
     """Cocycles of the level-lam slice at degree i, written in the level-0
     degree-i coordinates (the basis inclusion)."""
-    n = f.nvars
     src_basis = slice_lam.bases[i]
-    if not src_basis:
-        return []
-    if i == n:
+    if i == slice0.nvars:
         kernel = [{j: Fraction(1)} for j in range(len(src_basis))]
     else:
         kernel = nullspace_basis(slice_lam.mats[i])
     index0 = {form: j for j, form in enumerate(slice0.bases[i])}
-    embedded = []
-    for vec in kernel:
-        embedded.append({index0[src_basis[j]]: v for j, v in vec.items()})
-    return embedded
+    return [{index0[src_basis[j]]: v for j, v in vec.items()} for vec in kernel]
 
 
 def filtration_image_dim(f: LaurentPolynomial, lam, i: int) -> int:
     """Dimension of the image of H^i(level lam) inside H^i(level 0)."""
-    lam = Fraction(lam)
     slice0 = build_filtration_level(f, Fraction(0))
-    slice_lam = build_filtration_level(f, lam)
-    kernel = _kernel_in_level0_coords(f, i, slice_lam, slice0)
+    kernel = _kernel_in_level0_coords(i, build_filtration_level(f, Fraction(lam)), slice0)
     if not kernel:
         return 0
-    boundaries = slice0.mats[i - 1].columns() if i > 0 else []
-    boundaries = [b for b in boundaries if b]
+    boundaries = [b for b in slice0.mats[i - 1].columns() if b] if i > 0 else []
     return image_dim_over(kernel, boundaries)
 
 
@@ -207,14 +209,10 @@ def top_image_profile(f: LaurentPolynomial, levels) -> list[int]:
     rows of B, taken in descending weight, yields every rank on the way.
     """
     n = f.nvars
-    poly, _ = _check_level(f, 0)
-    levels = [Fraction(lam) for lam in levels]
-    for lam in levels:
-        if not 0 <= lam <= n:
-            raise ValueError(f"level {lam} outside [0, {n}]")
     slice0 = build_filtration_level(f, Fraction(0))
+    levels = [_check_level(f, lam)[1] for lam in levels]
     rows = slice0.mats[n - 1].rows()
-    weights = [poly.weight(alpha) for alpha, _ in slice0.bases[n]]
+    weights = slice0.weights[n]
     order = sorted(range(len(rows)), key=weights.__getitem__, reverse=True)
     echelon = Echelon()
     added = 0

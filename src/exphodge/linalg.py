@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
 Vector = Mapping[int, Fraction]
 
@@ -87,27 +87,6 @@ class SparseRationalMatrix:
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
-
-    # -- triplet text format -------------------------------------------------
-
-    def dump(self, fh: IO[str]) -> None:
-        """Header "rows cols", then one line "row col num/den" per entry."""
-        fh.write(f"{self.nrows} {self.ncols}\n")
-        for (r, c) in sorted(self.entries):
-            v = self.entries[(r, c)]
-            fh.write(f"{r} {c} {v.numerator}/{v.denominator}\n")
-
-    @classmethod
-    def load(cls, fh: IO[str]) -> "SparseRationalMatrix":
-        header = fh.readline().split()
-        nrows, ncols = int(header[0]), int(header[1])
-        entries = {}
-        for line in fh:
-            if not line.strip():
-                continue
-            r, c, frac = line.split()
-            entries[(int(r), int(c))] = Fraction(frac)
-        return cls(nrows, ncols, entries)
 
 
 # ---------------------------------------------------------------------------

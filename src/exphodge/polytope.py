@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from . import _kernels
 from .errors import NotFullDimensionalError
 from .laurent import LaurentPolynomial, Monomial
+from .linalg import span_rank
 
 INFINITE_WEIGHT = math.inf
 
@@ -26,24 +27,6 @@ INFINITE_WEIGHT = math.inf
 # ---------------------------------------------------------------------------
 # Small exact integer linear algebra
 # ---------------------------------------------------------------------------
-
-def _rat_rank(rows: Sequence[Sequence[int]]) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][c]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss
@@ -159,7 +142,7 @@ def _full_dim_hull(points: list[Monomial]):
     vertex_idx = []
     for i, p in enumerate(points):
         active = [u for (u, b) in facet_list if _dot(u, p) == b]
-        if active and _rat_rank(active) == d:
+        if span_rank(dict(enumerate(u)) for u in active) == d:
             vertex_idx.append(i)
     return vertex_idx, facet_list
 
@@ -316,7 +299,7 @@ class NewtonPolytope:
         for vset in _face_vertex_sets(vertex_coords, self._hull_facets):
             vtuple = tuple(sorted(vset))
             pts = [vertex_coords[i] for i in vtuple]
-            fdim = _rat_rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) if len(pts) > 1 else 0
+            fdim = span_rank(dict(enumerate(a - b for a, b in zip(p, pts[0]))) for p in pts[1:])
             active = tuple(j for j, fs in enumerate(facet_sets) if vset <= fs)
             if self.dim == self.nvars:
                 origin_on = all(self.facets[j].level == 0 for j in active)

@@ -1,13 +1,19 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
+from math import ceil
+from operator import eq, le
 
 import pytest
+from test_spectrum import _random_support_poly
 
-from exphodge.derham import (betti_numbers, build_filtration_level,
-                             build_graded_level, filtration_image_dim,
-                             top_image_profile)
+from exphodge.derham import (_insertion_sign, _weight_block, betti_numbers,
+                             build_filtration_level, build_graded_level,
+                             filtration_image_dim, top_image_profile)
 from exphodge.errors import NotFullDimensionalError
 from exphodge.laurent import parse_laurent
-from exphodge.polytope import newton_polytope
+from exphodge.linalg import SparseRationalMatrix
+from exphodge.polytope import NewtonPolytope, newton_polytope
 from exphodge.spectrum import jump_candidates
 
 
@@ -47,6 +53,13 @@ def test_graded_level_examples():
 def test_level_rejects_above_top_degree():
     with pytest.raises(ValueError, match="top degree"):
         build_filtration_level(parse_laurent("x"), 2)
+
+
+def test_level_rejects_negative_levels():
+    f = parse_laurent("x + x^-1")
+    for build in (build_filtration_level, build_graded_level):
+        with pytest.raises(ValueError, match="outside"):
+            build(f, Fraction(-1, 2))
 
 
 def test_level_rejects_low_dimensional():
@@ -156,3 +169,109 @@ def test_top_image_profile_rejects_levels_outside_range():
         top_image_profile(f, [2])
     with pytest.raises(ValueError):
         top_image_profile(f, [Fraction(-1, 2)])
+
+
+# The per-level construction that the weight blocks replaced, kept as their
+# oracle: every level enumerates its own dilate, filtered to exact weight for
+# a graded piece, and assembles its own differential, keeping only the
+# weight-raising part for a graded piece.
+
+def _oracle_bases(poly, lam, n, exact_weight):
+    bases = []
+    for p in range(n + 1):
+        cap = Fraction(p) - lam
+        if p < ceil(lam) or cap < 0:
+            bases.append(())
+            continue
+        points = poly.lattice_points_in_dilate(cap)
+        if exact_weight:
+            points = [a for a in points if poly.weight(a) == cap]
+        index_sets = list(combinations(range(n), p))
+        bases.append(tuple((a, I) for a in points for I in index_sets))
+    return tuple(bases)
+
+
+def _oracle_differential(f, bases, p, graded):
+    n = f.nvars
+    index = {form: i for i, form in enumerate(bases[p + 1])}
+    entries = {}
+
+    def add(row_form, col, value):
+        row = index.get(row_form)
+        if row is None:
+            assert graded or value == 0, f"image form {row_form} missing from basis"
+            return
+        s = entries.get((row, col), Fraction(0)) + value
+        if s == 0:
+            entries.pop((row, col), None)
+        else:
+            entries[(row, col)] = s
+
+    for col, (alpha, I) in enumerate(bases[p]):
+        for i in range(n):
+            sign, merged = _insertion_sign(i, I)
+            if sign == 0:
+                continue
+            if not graded and alpha[i] != 0:
+                add((alpha, merged), col, Fraction(sign * alpha[i]))
+            for beta, c in f.terms.items():
+                if beta[i] != 0:
+                    add((tuple(a + b for a, b in zip(alpha, beta)), merged), col,
+                        sign * beta[i] * c)
+    return SparseRationalMatrix(len(bases[p + 1]), len(bases[p]), entries)
+
+
+def _assert_blocks_match_oracle(f):
+    poly, n = newton_polytope(f), f.nvars
+    for lam in jump_candidates(f):
+        for block, graded in ((build_filtration_level(f, lam), False),
+                              (build_graded_level(f, lam), True)):
+            bases = _oracle_bases(poly, lam, n, exact_weight=graded)
+            mats = [_oracle_differential(f, bases, p, graded) for p in range(n)]
+            assert block.level == lam
+            assert block.bases == bases, (lam, graded)
+            assert block.weights == tuple(tuple(poly.weight(a) for a, _ in b) for b in bases)
+            assert [(m.nrows, m.ncols) for m in block.mats] == [(m.nrows, m.ncols) for m in mats]
+            assert [m.entries for m in block.mats] == [m.entries for m in mats], (lam, graded)
+
+
+def test_blocks_match_per_level_construction(suite_poly):
+    _assert_blocks_match_oracle(suite_poly)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_laurent("x^3 + y^3 + z^3 + x^-2*y^-2*z^-2"),
+    lambda: _random_support_poly(1),
+    lambda: _random_support_poly(2),
+    lambda: _random_support_poly(3),
+], ids=["n3-simplex", "generic-1", "generic-2", "generic-3"])
+def test_blocks_match_per_level_construction_off_suite(make):
+    _assert_blocks_match_oracle(make())
+
+
+def test_blocks_enumerate_no_lattice_points(monkeypatch):
+    f = parse_laurent("x^3 + y^3 + x^-2*y^-1 + 2*x^-1*y^-2")
+    jumps = jump_candidates(f)
+    build_filtration_level(f, 0)
+    calls = []
+    enumerate_dilate = NewtonPolytope.lattice_points_in_dilate
+    monkeypatch.setattr(NewtonPolytope, "lattice_points_in_dilate",
+                        lambda poly, c: calls.append(c) or enumerate_dilate(poly, c))
+    for lam in jumps:
+        build_filtration_level(f, lam)
+        build_graded_level(f, lam)
+    top_image_profile(f, jumps)
+    betti_numbers(f)
+    assert calls == []
+
+
+def test_block_check_catches_d_leaving_the_level():
+    # give the image x dlog x of the degree-0 form weight 2: d then leaves
+    # level 0 (weight above 0 + 1) in the level block and the graded block
+    slice0 = build_filtration_level(parse_laurent("x + x^-1"), 0)
+    assert slice0.bases[1][2] == ((1,), (0,)) and slice0.mats[0].entries[(2, 0)] == 1
+    bad = replace(slice0, weights=(slice0.weights[0], (Fraction(1), Fraction(0), Fraction(2))))
+    for keep in (le, eq):
+        with pytest.raises(AssertionError, match="maps level"):
+            _weight_block(bad, Fraction(0), keep)
+    assert _weight_block(slice0, Fraction(0), eq).bases[1] == (((-1,), (0,)), ((1,), (0,)))

@@ -1,4 +1,3 @@
-import io
 import random
 from fractions import Fraction
 
@@ -109,18 +108,6 @@ def test_image_dim_over():
     new = [{0: Fraction(2)}, {1: Fraction(1)}]
     assert image_dim_over(new, base) == 1
     assert image_dim_over([], base) == 0
-
-
-def test_dump_load_roundtrip():
-    m = SparseRationalMatrix(3, 4, {(0, 1): Fraction(3, 2), (2, 0): -2})
-    buf = io.StringIO()
-    m.dump(buf)
-    buf.seek(0)
-    again = SparseRationalMatrix.load(buf)
-    assert again.nrows == 3 and again.ncols == 4
-    assert again.entries == m.entries
-    buf.seek(0)
-    assert buf.readline().strip() == "3 4"
 
 
 # Structured inputs for the rarest-first pivot rule: in the Cech d1 every
