@@ -22,11 +22,12 @@ Each quantity is computed once per input.  ``compare_filtrations`` fixes
 one truncation B that covers the ambient and every level of the three
 families (and of -f, which has the same pole divisor), so each complex
 yields one model and one B+5 probe, cached by ``_build_model``; complexes
-that differ only in their label share both.  Each model eliminates its
-boundaries (the columns of d0) once, into an echelon whose column order puts
-the rarest T^1 coordinate first, and reads the rank of d0 from it.  Its
-cocycles are computed once, and so is an H^1 basis: the cocycles that raise
-the rank of a copy of that echelon.
+that differ only in their label share both.  A model keeps no matrix (``d0``
+and ``d1`` are assembled again on demand, integral entries as ``int``) and
+eliminates each once: the boundaries (the columns of d0) into an echelon
+whose column order puts the rarest T^1 coordinate first, and d1 into one
+echelon that gives rank d1 and later the cocycles.  An H^1 basis is the
+cocycles that raise the rank of a copy of the boundary echelon.
 
 Image dimensions in the ambient H^1 are exact ranks, taken by reducing
 vectors on a copy of the ambient's boundary echelon.  A level whose labels
@@ -47,7 +48,8 @@ from typing import Optional
 
 from .errors import IntegrityError
 from .laurent import LaurentPolynomial, log_derivative, make_laurent
-from .linalg import Echelon, SparseRationalMatrix, exact_rank, nullspace_basis
+from .linalg import (Echelon, SparseRationalMatrix, kernel_from_echelon,
+                     rarest_first_echelon)
 from .spectrum import CheckResult, spectrum_rank
 
 
@@ -108,9 +110,9 @@ class TwoTermComplex:
 
 
 def _theta_terms(f: LaurentPolynomial) -> dict[int, Fraction]:
-    """x f'(x) as exponent -> coefficient."""
+    """x f'(x) as exponent -> coefficient, an int where it is integral."""
     th = log_derivative(f, 1)
-    return {a[0]: c for a, c in th.terms.items()}
+    return {a[0]: c.numerator if c.denominator == 1 else c for a, c in th.terms.items()}
 
 
 def required_truncation(K: TwoTermComplex) -> int:
@@ -165,71 +167,74 @@ class CechModel:
         self.labels1 = ([("c", k) for k in c_rng] + [("p", k) for k in p_rng]
                         + [("q", k) for k in q_rng])
         self.labels2 = [("r", k) for k in r_rng]
-        idx0 = {lab: i for i, lab in enumerate(self.labels0)}
+        d0_columns, d1_rows = self._assemble()
+
+        # the boundaries, eliminated once; every T^1 label gets a column,
+        # rarest in the boundaries first, so any T^1 vector can reduce on it
+        count = Counter(j for col in d0_columns for j in col)
+        order = sorted(range(len(self.labels1)), key=lambda j: (count[j], j))
+        self._column = {self.labels1[j]: k for k, j in enumerate(order)}
+        position = [self._column[lab] for lab in self.labels1]
+        self._boundary_echelon = Echelon()
+        for col in d0_columns:
+            self._boundary_echelon.add({position[j]: v for j, v in col.items()})
+        # d1, eliminated once: its rank now, its kernel when cocycles() asks
+        self._d1_echelon: Optional[tuple] = rarest_first_echelon(d1_rows)
+        self._cocycles: Optional[list[dict]] = None
+        self._h1_basis: Optional[list[dict]] = None
+
+        rank_d0 = self._boundary_echelon.rank
+        rank_d1 = self._d1_echelon[0].rank
+        self.h0 = len(self.labels0) - rank_d0
+        self.h1 = (len(self.labels1) - rank_d1) - rank_d0
+        self.h2 = len(self.labels2) - rank_d1
+        if self.h0 < 0 or self.h1 < 0 or self.h2 < 0:
+            raise IntegrityError("negative cohomology dimension in the cover model")
+
+    def _assemble(self) -> tuple[list[dict], list[dict]]:
+        """Columns of d0 and rows of d1, index-keyed, integral entries as int."""
+        th = _theta_terms(self.complex.f)
+        assert 0 not in th, "x f' has a constant term"  # so nabla's parts never collide
         idx1 = {lab: i for i, lab in enumerate(self.labels1)}
         idx2 = {lab: i for i, lab in enumerate(self.labels2)}
 
-        def nabla(k) -> dict[int, Fraction]:
-            out: dict[int, Fraction] = {}
-            if k != 0:
-                out[k] = Fraction(k)
-            for e, c in th.items():
-                j = k + e
-                s = out.get(j, Fraction(0)) + c
-                if s == 0:
-                    out.pop(j, None)
-                else:
-                    out[j] = s
+        def nabla(k) -> dict[int, object]:
+            out = {k + e: c for e, c in th.items()}
+            if k:
+                out[k] = k
             return out
 
-        d0_entries: dict[tuple[int, int], Fraction] = {}
-        for lab in self.labels0:
-            side, k = lab
-            col = idx0[lab]
-            sign = Fraction(-1) if side == "a" else Fraction(1)
-            d0_entries[(idx1[("c", k)], col)] = sign
+        d0_columns = []
+        for side, k in self.labels0:
+            col = {idx1[("c", k)]: -1 if side == "a" else 1}
             out_side = "p" if side == "a" else "q"
             for j, c in nabla(k).items():
                 row = idx1.get((out_side, j))
                 if row is None:
                     raise IntegrityError(
                         f"connection image x^{j} escapes the {out_side}-range")
-                d0_entries[(row, col)] = c
-        self.d0 = SparseRationalMatrix(len(self.labels1), len(self.labels0), d0_entries)
-
-        d1_entries: dict[tuple[int, int], Fraction] = {}
-        for lab in self.labels1:
-            side, k = lab
-            col = idx1[lab]
-            if side == "p":
-                d1_entries[(idx2[("r", k)], col)] = Fraction(-1)
-            elif side == "q":
-                d1_entries[(idx2[("r", k)], col)] = Fraction(1)
-            else:
+                col[row] = c
+            d0_columns.append(col)
+        d1_rows: list[dict] = [{} for _ in self.labels2]
+        for col, (side, k) in enumerate(self.labels1):
+            if side == "c":
                 for j, c in nabla(k).items():
-                    d1_entries[(idx2[("r", j)], col)] = -c
-        self.d1 = SparseRationalMatrix(len(self.labels2), len(self.labels1), d1_entries)
+                    d1_rows[idx2[("r", j)]][col] = -c
+            else:
+                d1_rows[idx2[("r", k)]][col] = -1 if side == "p" else 1
+        return d0_columns, d1_rows
 
-        # the boundaries, eliminated once; every T^1 label gets a column,
-        # rarest in the boundaries first, so any T^1 vector can reduce on it
-        boundaries = [col for col in self.d0.columns() if col]
-        count = Counter(j for col in boundaries for j in col)
-        order = sorted(range(len(self.labels1)), key=lambda j: (count[j], j))
-        self._column = {self.labels1[j]: k for k, j in enumerate(order)}
-        self._boundary_echelon = Echelon()
-        for col in boundaries:
-            self._boundary_echelon.add({self._column[self.labels1[j]]: v
-                                        for j, v in col.items()})
-        self._cocycles: Optional[list[dict]] = None
-        self._h1_basis: Optional[list[dict]] = None
+    @property
+    def d0(self) -> SparseRationalMatrix:
+        """d0 as a matrix, assembled again on every call."""
+        return SparseRationalMatrix(len(self.labels1), len(self.labels0), {
+            (r, c): v for c, col in enumerate(self._assemble()[0]) for r, v in col.items()})
 
-        rank_d0 = self._boundary_echelon.rank
-        rank_d1 = exact_rank(self.d1)
-        self.h0 = len(self.labels0) - rank_d0
-        self.h1 = (len(self.labels1) - rank_d1) - rank_d0
-        self.h2 = len(self.labels2) - rank_d1
-        if self.h0 < 0 or self.h1 < 0 or self.h2 < 0:
-            raise IntegrityError("negative cohomology dimension in the cover model")
+    @property
+    def d1(self) -> SparseRationalMatrix:
+        """d1 as a matrix, assembled again on every call."""
+        return SparseRationalMatrix(len(self.labels2), len(self.labels1), {
+            (r, c): v for r, row in enumerate(self._assemble()[1]) for c, v in row.items()})
 
     @staticmethod
     def _check_maps(K: TwoTermComplex, th: dict[int, Fraction]):
@@ -249,8 +254,10 @@ class CechModel:
     def cocycles(self) -> list[dict]:
         """Basis of ker d1, as label-keyed sparse vectors (computed once)."""
         if self._cocycles is None:
-            self._cocycles = [{self.labels1[j]: v for j, v in vec.items()}
-                              for vec in nullspace_basis(self.d1)]
+            echelon, columns = self._d1_echelon
+            self._d1_echelon = None
+            self._cocycles = [{self.labels1[j]: v for j, v in vec.items()} for vec
+                              in kernel_from_echelon(echelon, columns, len(self.labels1))]
         return self._cocycles
 
     def h1_basis(self) -> list[dict]:
@@ -279,8 +286,7 @@ class CechModel:
 
     def boundaries(self) -> list[dict]:
         """Generators of im d0, label-keyed."""
-        cols = self.d0.columns()
-        return [{self.labels1[j]: v for j, v in col.items()} for col in cols if col]
+        return [{self.labels1[j]: v for j, v in col.items()} for col in self._assemble()[0]]
 
 
 @lru_cache(maxsize=512)
@@ -465,7 +471,7 @@ def _toric_generators(f: LaurentPolynomial, lam: Fraction) -> list[dict]:
     gens = []
     for alpha in poly.lattice_points_in_dilate(Fraction(1) - lam):
         k = alpha[0]
-        gens.append({("p", k): Fraction(1), ("q", k): Fraction(1)})
+        gens.append({("p", k): 1, ("q", k): 1})
     return gens
 
 

@@ -1,18 +1,19 @@
 """Exact sparse rational matrices and rank computations.
 
-One exact engine, over arbitrary precision rationals, so no rounding can occur
-anywhere: ``Echelon``, an incremental sparse row echelon form over
-``Fraction``, takes one vector at a time and reports whether it raised the
-rank.  Every rank (``exact_rank``, ``span_rank``), quotient image
-(``image_dim_over``) and kernel (``nullspace_basis``) runs on it, and so do
-rank profiles of nested row sets, which need the rank after every prefix of
-the rows.
+One exact engine over Q, so no rounding can occur anywhere: ``Echelon``, an
+incremental sparse row echelon form whose integral entries stay ``int`` and
+whose unit pivots never divide, takes one vector at a time and reports
+whether it raised the rank.  Every rank (``exact_rank``, ``span_rank``),
+quotient image (``image_dim_over``) and kernel (``nullspace_basis``) runs on
+it, and so do rank profiles of nested row sets, which need the rank after
+every prefix of the rows.
 
 ``Echelon`` pivots on the smallest column of a vector.  The entry points
 first relabel the columns of their whole input rarest first, by occurrence
 count and then by column (Markowitz's static rule), so the smallest label is
 the column the fewest rows share: a column held by one row becomes a pivot
-with no fill-in.
+with no fill-in.  ``kernel_from_echelon`` reads a kernel off a
+``rarest_first_echelon``, so a rank now and a kernel later cost one elimination.
 """
 
 from __future__ import annotations
@@ -94,12 +95,13 @@ class SparseRationalMatrix:
 # ---------------------------------------------------------------------------
 
 class Echelon:
-    """Incremental sparse row echelon form over the rationals.
+    """Incremental sparse row echelon form over Q: integral entries stay
+    ``int``, unit pivots never divide.
 
-    Each stored row is normalized to 1 at its pivot, the smallest column it
-    occupies, and holds no column below its pivot.  A new vector is reduced
-    at its smallest column, repeatedly, until it is zero (dependent) or its
-    smallest column is free (a new pivot).
+    Each stored row is 1 at its pivot, the smallest column it occupies, and
+    holds no column below its pivot (a pivot entry -1 is negated, any other
+    but 1 divided out).  A new vector is reduced at its smallest column,
+    repeatedly, until it is zero (dependent) or its smallest column is free.
     """
 
     def __init__(self):
@@ -124,8 +126,13 @@ class Echelon:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
-                inv = 1 / Fraction(row[c])
-                pivots[c] = {cc: vv * inv for cc, vv in row.items()}
+                lead = row[c]
+                if lead == -1:
+                    row = {cc: -vv for cc, vv in row.items()}
+                elif lead != 1:
+                    inv = 1 / Fraction(lead)
+                    row = {cc: vv * inv for cc, vv in row.items()}
+                pivots[c] = row
                 return True
             f = row[c]
             for cc, vv in prow.items():
@@ -148,40 +155,48 @@ def _rarest_first(rows: list[Vector]) -> tuple[list[dict[int, Fraction]], list]:
     return relabelled, columns
 
 
+def rarest_first_echelon(rows: list[Vector]) -> tuple[Echelon, list]:
+    """The echelon of the rows with their columns relabelled rarest first,
+    and the column map of ``_rarest_first``."""
+    relabelled, columns = _rarest_first(rows)
+    echelon = Echelon()
+    for row in relabelled:
+        echelon.add(row)
+    return echelon, columns
+
+
+def kernel_from_echelon(echelon: Echelon, columns: list, ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the vectors of length ncols that every row of a
+    ``rarest_first_echelon`` annihilates, one sparse dict per vector.  Reads
+    the echelon's rows and never mutates them."""
+    # back substitution to reduced form, in descending label order: each row
+    # holds no label below its pivot
+    reduced: dict[int, dict] = {}
+    for c in sorted(echelon.pivots, reverse=True):
+        row = dict(echelon.pivots[c])
+        for c2 in [k for k in row if k != c and k in reduced]:
+            f = row[c2]
+            for cc, vv in reduced[c2].items():
+                s = row.get(cc, 0) - f * vv
+                if s == 0:
+                    row.pop(cc, None)
+                else:
+                    row[cc] = s
+        reduced[c] = row
+    pivots = {columns[c]: {columns[cc]: v for cc, v in row.items()}
+              for c, row in reduced.items()}
+    # one vector per free column: 1 there, minus that column of each row
+    return [{fc: 1, **{pc: -row[fc] for pc, row in pivots.items() if row.get(fc)}}
+            for fc in range(ncols) if fc not in pivots]
+
+
 def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
     """Basis of the right nullspace {v : M v = 0}, one sparse dict per vector.
 
     A matrix with no rows has the full coordinate space as nullspace.
     """
-    rows, columns = _rarest_first(M.rows())
-    echelon = Echelon()
-    for row in rows:
-        echelon.add(row)
-    pivots = echelon.pivots
-    # back substitution to reduced form, in descending label order: each row
-    # holds no label below its pivot
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for c2 in [k for k in row if k != c and k in pivots]:
-            f = row[c2]
-            for cc, vv in pivots[c2].items():
-                s = row.get(cc, Fraction(0)) - f * vv
-                if s == 0:
-                    row.pop(cc, None)
-                else:
-                    row[cc] = s
-    pivots = {columns[c]: {columns[cc]: v for cc, v in row.items()}
-              for c, row in pivots.items()}
-    free_cols = [c for c in range(M.ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        v: dict[int, Fraction] = {fc: Fraction(1)}
-        for pc, row in pivots.items():
-            coeff = row.get(fc)
-            if coeff:
-                v[pc] = -coeff
-        basis.append(v)
-    return basis
+    echelon, columns = rarest_first_echelon(M.rows())
+    return kernel_from_echelon(echelon, columns, M.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +205,12 @@ def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
 
 def exact_rank(M: SparseRationalMatrix) -> int:
     """Rank over the rationals."""
-    echelon = Echelon()
-    for row in _rarest_first(M.rows())[0]:
-        echelon.add(row)
-    return echelon.rank
+    return rarest_first_echelon(M.rows())[0].rank
 
 
 def span_rank(vectors: Iterable[Vector]) -> int:
     """Rank of the span of sparse rational vectors."""
-    echelon = Echelon()
-    for row in _rarest_first(list(vectors))[0]:
-        echelon.add(row)
-    return echelon.rank
+    return rarest_first_echelon(list(vectors))[0].rank
 
 
 def image_dim_over(span_new: Iterable[Vector], span_base: Iterable[Vector]) -> int:

@@ -274,3 +274,87 @@ def test_subspace_check_sees_equal_dims_on_other_lines(monkeypatch, name, fake):
     rep = curve.compare_filtrations(parse_laurent("x + x^-1"))
     assert rep.dims_agree
     assert not rep.subspaces_agree
+
+
+# ---------------------------------------------------------------------------
+# Exact integers: one d1 echelon per model, matrices assembled on demand
+# ---------------------------------------------------------------------------
+
+INTEGER_INPUTS = ["x^2 + x^-1", "x^5 + x^-3", "3*x + 5*x^-1"]
+RATIONAL_INPUT = "2/3*x^2 - 5/7*x^-1"
+
+
+def _all_models(f):
+    """Every distinct model compare_filtrations builds for f at its one
+    truncation."""
+    families, B = _families(f)
+    models = [curve.cech_hypercohomology(K, B)
+              for ambient, levels in families for K in [ambient] + levels]
+    return list({id(m): m for m in models}.values())
+
+
+# x^5 + x^-3 is left to the cheaper checks below: the dense oracle on its
+# d1 matrices takes seconds
+@pytest.mark.parametrize("text", ["x^2 + x^-1", "3*x + 5*x^-1", RATIONAL_INPUT])
+def test_cocycles_span_ker_d1(text):
+    from test_linalg import _rank_fraction_gauss
+
+    for model in _all_models(parse_laurent(text)):
+        d1 = model.d1
+        columns = d1.columns()
+        index = {lab: j for j, lab in enumerate(model.labels1)}
+        cocycles = model.cocycles()
+        for z in cocycles:
+            image = {}
+            for lab, v in z.items():
+                for r, w in columns[index[lab]].items():
+                    image[r] = image.get(r, 0) + w * v
+            assert not any(image.values())
+        assert len(cocycles) == len(model.labels1) - _rank_fraction_gauss(d1)
+
+
+@pytest.mark.parametrize("text", INTEGER_INPUTS)
+def test_h1_basis_has_h1_classes_on_every_level(text):
+    f = parse_laurent(text)
+    M = curve._deligne_stable_M(f, None)
+    _, B = _families(f)
+    ambient = curve.cech_hypercohomology(curve.deligne_ambient(f, M), B)
+    for model in [ambient] + _all_models(f):
+        assert len(model.h1_basis()) == model.h1
+
+
+def test_models_keep_no_matrix():
+    from exphodge.linalg import SparseRationalMatrix
+
+    for model in _all_models(parse_laurent("x^2 + x^-1")):
+        model.h1_basis()
+        assert not any(isinstance(v, SparseRationalMatrix) for v in vars(model).values())
+        assert isinstance(model.d0, SparseRationalMatrix)
+        assert (model.d1 @ model.d0).is_zero()
+
+
+def test_integer_input_eliminates_d1_in_integers():
+    # every d1 pivot is a chart column with entry +-1, so nothing divides
+    for text in INTEGER_INPUTS:
+        model = curve.CechModel(curve.deligne_ambient(parse_laurent(text), 4), 40)
+        echelon, _ = model._d1_echelon
+        entries = [v for row in echelon.pivots.values() for v in row.values()]
+        entries += [v for z in model.cocycles() for v in z.values()]
+        assert entries and all(type(v) is int for v in entries), text
+        assert model._d1_echelon is None  # dropped once the cocycles are read
+
+
+def test_rational_coefficients_pass_every_check():
+    from exphodge.spectrum import analyze, spectrum_euler
+
+    f = parse_laurent(RATIONAL_INPUT)
+    report = analyze(f).to_json()
+    assert {name: check["status"] for name, check in report["checks"].items()} == {
+        "degeneration": "pass", "symmetry": "pass",
+        "curve_comparison": "pass", "curve_duality": "pass"}
+    assert spectrum_rank(f).entries == spectrum_euler(f).entries
+    rep = curve.compare_filtrations(f)
+    assert rep.twist_dims == (3, 2, 1)
+    # x f' has non-integral coefficients: the rows mix int and Fraction
+    d1 = curve.cech_hypercohomology(curve.divisor_twist_level(f, 0)).d1
+    assert {v.denominator for v in d1.entries.values()} > {1}

@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 from exphodge.linalg import (Echelon, SparseRationalMatrix, exact_rank,
-                             image_dim_over, nullspace_basis, span_rank)
+                             image_dim_over, kernel_from_echelon, nullspace_basis,
+                             rarest_first_echelon, span_rank)
 
 
 def test_rank_trivial_cases():
@@ -171,3 +172,81 @@ def test_image_dim_over_against_oracle_ranks():
     # base add nothing
     assert image_dim_over(boundaries, []) == oracle(boundaries)
     assert image_dim_over(boundaries[:5], boundaries) == 0
+
+
+# The exact-integer fast path: integral entries stay int, unit pivots never
+# divide, and Fraction entries mix in.
+
+def _mixed_matrix(rng, nrows, ncols):
+    """Integer rows whose leading entries are mostly +-1, one column of
+    Fractions, and some all-zero rows."""
+    frac_col = rng.randrange(ncols)
+    entries = {}
+    for i in range(nrows):
+        if rng.random() < 0.2:
+            continue
+        for j in range(ncols):
+            if rng.random() < 0.45:
+                v = rng.choice([1, -1, 1, -1, 2, -3, 5])
+                entries[(i, j)] = Fraction(v, rng.randint(1, 5)) if j == frac_col else v
+    return SparseRationalMatrix(nrows, ncols, entries)
+
+
+def test_mixed_int_fraction_matrices_against_gauss_oracle():
+    rng = random.Random(41)
+    for _ in range(200):
+        m = _mixed_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
+        # SparseRationalMatrix stores Fractions; the echelon sees the same
+        # rows with their integral entries as int
+        rows = [{c: v.numerator if v.denominator == 1 else v for c, v in row.items()}
+                for row in m.rows()]
+        rank = _rank_fraction_gauss(m)
+        assert exact_rank(m) == span_rank(rows) == rank
+        echelon = Echelon()
+        assert sum(echelon.add(row) for row in rows) == rank
+        basis = nullspace_basis(m)
+        assert len(basis) == m.ncols - rank
+        for v in basis:
+            for row in rows:
+                assert sum(row.get(c, 0) * x for c, x in v.items()) == 0
+        half = len(rows) // 2
+        base = SparseRationalMatrix.from_dense(m.to_dense()[:half]) if half else None
+        base_rank = _rank_fraction_gauss(base) if base else 0
+        assert image_dim_over(rows[half:], rows[:half]) == rank - base_rank
+
+
+def test_int_rows_with_unit_pivots_stay_int():
+    rng = random.Random(47)
+    echelon = Echelon()
+    # rows led by +-1 in a fresh column each: new pivots, negated when -1
+    for c in range(40):
+        row = {c: rng.choice([1, -1])}
+        row.update({j: rng.randint(-9, 9) for j in rng.sample(range(c + 1, 60), 4)})
+        assert echelon.add(row)
+    # rows that reduce by integer multiples of stored rows to a +-1 lead
+    for k in range(20):
+        a, c = rng.choice([-3, -1, 2, 5]), rng.randrange(40)
+        tail = {60 + k: rng.choice([1, -1])}
+        tail.update({j: rng.randint(-9, 9) for j in rng.sample(range(61 + k, 90), 3)})
+        row = {j: a * v for j, v in echelon.pivots[c].items()}
+        for j, v in tail.items():
+            row[j] = row.get(j, 0) + v
+        assert echelon.add(row)
+    assert echelon.rank == 60
+    assert all(row[c] == 1 for c, row in echelon.pivots.items())
+    assert all(type(v) is int for row in echelon.pivots.values() for v in row.values())
+    # a non-unit pivot is divided out, into Fractions
+    assert echelon.add({95: 2, 96: 1})
+    assert echelon.pivots[95] == {95: 1, 96: Fraction(1, 2)}
+
+
+def test_kernel_from_echelon_leaves_shared_rows_alone():
+    rng = random.Random(53)
+    for _ in range(30):
+        m = _mixed_matrix(rng, rng.randint(2, 10), rng.randint(2, 10))
+        echelon, columns = rarest_first_echelon(m.rows())
+        clone = echelon.copy()
+        before = {c: dict(row) for c, row in echelon.pivots.items()}
+        kernel = kernel_from_echelon(clone, columns, m.ncols)
+        assert {c: dict(row) for c, row in echelon.pivots.items()} == before
+        assert kernel == nullspace_basis(m)
