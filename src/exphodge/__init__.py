@@ -23,11 +23,8 @@ from .spectrum import (AnalysisReport, HodgeSpectrum, analyze,
                        check_degeneration, check_symmetry, jump_candidates,
                        spectrum_euler, spectrum_rank)
 from .curve import (CechModel, CurveFiltrationReport, PointDivisor,
-                    TwoTermComplex, cech_hypercohomology,
-                    compact_filtration_on_H1, compare_filtrations,
-                    deligne_filtration_on_H1, deligne_injectivity,
-                    divisor_shift_invariance, duality_check_curve,
-                    divisor_twist_filtration_on_H1, pole_divisor)
+                    TwoTermComplex, cech_hypercohomology, compare_filtrations,
+                    divisor_shift_invariance, pole_divisor)
 
 __version__ = "0.1.0"
 
@@ -47,8 +44,6 @@ __all__ = [
     "HodgeSpectrum", "AnalysisReport", "jump_candidates", "spectrum_euler",
     "spectrum_rank", "check_degeneration", "check_symmetry", "analyze",
     "PointDivisor", "TwoTermComplex", "CechModel", "CurveFiltrationReport",
-    "pole_divisor", "cech_hypercohomology", "divisor_twist_filtration_on_H1",
-    "deligne_filtration_on_H1", "deligne_injectivity",
-    "compact_filtration_on_H1", "compare_filtrations", "duality_check_curve",
+    "pole_divisor", "cech_hypercohomology", "compare_filtrations",
     "divisor_shift_invariance",
 ]

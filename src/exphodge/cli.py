@@ -50,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--require-nondegenerate", action="store_true",
                         help="exit 3 when the input is degenerate")
     common.add_argument("--mode", choices=("euler", "rank", "both"), default="both")
-    common.add_argument("--truncation", type=int, default=None,
-                        help="override the cover truncation bound")
     common.add_argument("--plot", default=None, metavar="FILE",
                         help="write an SVG (polytope for n<=2 plus spectrum bars)")
 
@@ -97,7 +95,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         f = _parse_input(args)
         if args.command == "analyze":
             report = analyze(f, mode=args.mode, certify=args.certify, seed=seed,
-                             primes=args.primes, truncation=args.truncation)
+                             primes=args.primes)
             _guard_degenerate(report.nondegeneracy, args)
             if args.plot:
                 _write_svg(args.plot, report)
@@ -149,7 +147,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         elif args.command == "curve":
             if f.nvars != 1:
                 raise ValueError("curve command needs a one-variable input")
-            rep = curve_mod.compare_filtrations(f, truncation=args.truncation)
+            rep = curve_mod.compare_filtrations(f, spectrum_rank(f))
             if args.json:
                 out.write(json.dumps({"input": _input_json(f), "curve": rep.to_json()},
                                      indent=2) + "\n")

@@ -18,9 +18,12 @@ Three filtrations are realized on H^1 and compared inside one ambient model:
 * the compactly supported variant, twisting everything by -T where
   T = S - red(P).
 
-Each quantity is computed once per input.  ``compare_filtrations`` fixes
-one truncation B that covers the ambient and every level of the three
-families (and of -f, which has the same pole divisor), so each complex
+``compare_filtrations(f, rank)`` is the one entry point: it measures each
+filtration once and checks the duality h^lam(f) = h_c^(1-lam)(-f).  The
+twist dimensions come from the classical ambient, where they are compared
+with the other families; the compactly supported side of -f is measured in
+its own models.  One truncation B covers the ambient and every level of the
+three families (and of -f, which has the same pole divisor), so each complex
 yields one model and one B+5 probe, cached by ``_build_model``; complexes
 that differ only in their label share both.  A model keeps no matrix (``d0``
 and ``d1`` are assembled again on demand, integral entries as ``int``) and
@@ -50,7 +53,7 @@ from .errors import IntegrityError
 from .laurent import LaurentPolynomial, log_derivative, make_laurent
 from .linalg import (Echelon, SparseRationalMatrix, kernel_from_echelon,
                      rarest_first_echelon)
-from .spectrum import CheckResult, spectrum_rank
+from .spectrum import CheckResult, HodgeSpectrum
 
 
 @dataclass(frozen=True)
@@ -115,10 +118,13 @@ def _theta_terms(f: LaurentPolynomial) -> dict[int, Fraction]:
     return {a[0]: c.numerator if c.denominator == 1 else c for a, c in th.terms.items()}
 
 
+def _theta_range(th: dict[int, Fraction]) -> tuple[int, int]:
+    """Lowest and highest exponent of x f', the range widened to contain 0."""
+    return min([0, *th]), max([0, *th])
+
+
 def required_truncation(K: TwoTermComplex) -> int:
-    th = _theta_terms(K.f)
-    lo = min([0] + [e for e in th]) if th else 0
-    hi = max([0] + [e for e in th]) if th else 0
+    lo, hi = _theta_range(_theta_terms(K.f))
     need = [K.d1.m0 - lo, K.d1.m_inf - hi, abs(K.d1.m0), abs(K.d1.m_inf)]
     if K.d0 is not None:
         need += [abs(K.d0.m0), abs(K.d0.m_inf)]
@@ -145,9 +151,8 @@ class CechModel:
             raise ValueError(f"truncation {B} below required {required_truncation(K)}")
         self.complex = K
         self.B = B
-        th = _theta_terms(K.f)
-        lo = min([0] + list(th)) if th else 0
-        hi = max([0] + list(th)) if th else 0
+        self._theta = _theta_terms(K.f)
+        lo, hi = _theta_range(self._theta)
 
         def rng(a, b):
             return list(range(a, b + 1)) if a <= b else []
@@ -156,7 +161,7 @@ class CechModel:
             a_rng = rng(-K.d0.m0, B)
             b_rng = rng(-B, K.d0.m_inf)
             c_rng = rng(-B, B)
-            self._check_maps(K, th)
+            self._check_maps(K, lo, hi)
         else:
             a_rng = b_rng = c_rng = []
         p_rng = rng(-K.d1.m0, B + hi)
@@ -193,7 +198,7 @@ class CechModel:
 
     def _assemble(self) -> tuple[list[dict], list[dict]]:
         """Columns of d0 and rows of d1, index-keyed, integral entries as int."""
-        th = _theta_terms(self.complex.f)
+        th = self._theta
         assert 0 not in th, "x f' has a constant term"  # so nabla's parts never collide
         idx1 = {lab: i for i, lab in enumerate(self.labels1)}
         idx2 = {lab: i for i, lab in enumerate(self.labels2)}
@@ -237,11 +242,9 @@ class CechModel:
             (r, c): v for r, row in enumerate(self._assemble()[1]) for c, v in row.items()})
 
     @staticmethod
-    def _check_maps(K: TwoTermComplex, th: dict[int, Fraction]):
+    def _check_maps(K: TwoTermComplex, lo: int, hi: int):
         # basis monomial check: nabla sends chart sections of O(d0) into the
         # chart sections of the degree-1 sheaf
-        lo = min([0] + list(th)) if th else 0
-        hi = max([0] + list(th)) if th else 0
         if -K.d0.m0 + min(0, lo) < -K.d1.m0:
             raise ValueError("connection does not map into the degree-1 sheaf at 0")
         if K.d0.m_inf + max(0, hi) > K.d1.m_inf:
@@ -298,7 +301,7 @@ def cech_hypercohomology(K: TwoTermComplex, B: Optional[int] = None) -> CechMode
     """Build the cover model at truncation B (default from the pole divisor)
     and assert the dimensions are stable under B -> B+5."""
     if B is None:
-        B = max(default_truncation(K.f), required_truncation(K) + 10)
+        B = _shared_truncation(K.f, [K])
     model = _build_model(K, B)
     probe = _build_model(K, B + 5)
     if model.dims != probe.dims:
@@ -384,79 +387,33 @@ def compact_level(f: LaurentPolynomial, lam) -> TwoTermComplex:
     return TwoTermComplex(P.scale_floor(-lam) - T, d1, f, f"cptF^{lam}")
 
 
-def _shared_truncation(f: LaurentPolynomial, complexes, override: Optional[int]) -> int:
-    B = max([default_truncation(f)] + [required_truncation(K) + 10 for K in complexes])
-    if override is not None:
-        B = max(B, override)
-    return B
+def _shared_truncation(f: LaurentPolynomial, complexes) -> int:
+    """One truncation for every given complex of f (or of -f, which has the
+    same pole divisor and exponents)."""
+    return max([default_truncation(f)] + [required_truncation(K) + 10 for K in complexes])
 
 
-def _filtration_dims(f: LaurentPolynomial, levels, ambient: TwoTermComplex,
-                     truncation: Optional[int]):
-    B = _shared_truncation(f, [ambient] + [K for _, K in levels], truncation)
+def _filtration_dims(levels, ambient: TwoTermComplex, B: int):
+    """(dim of the image in H^1(ambient), dim H^1) of each level, every model
+    at truncation B; and the ambient's model."""
     amb = cech_hypercohomology(ambient, B)
     out = []
-    for lam, K in levels:
+    for K in levels:
         sub = cech_hypercohomology(K, B)
-        out.append((lam, h1_image_dim(sub, amb), sub.h1))
+        out.append((h1_image_dim(sub, amb), sub.h1))
     return out, amb
 
 
-def divisor_twist_filtration_on_H1(f: LaurentPolynomial,
-                           truncation: Optional[int] = None) -> list[tuple[Fraction, int]]:
-    """Induced filtration dims on H^1 from the divisor-twist levels."""
-    P = pole_divisor(f)
-    if P == ZERO_DIVISOR:
-        raise ValueError("f must be nonconstant")
-    levels = [(lam, divisor_twist_level(f, lam)) for lam in curve_jumps(f)]
-    dims, _ = _filtration_dims(f, levels, divisor_twist_level(f, 0), truncation)
-    return [(lam, d) for lam, d, _ in dims]
-
-
-def _deligne_stable_M(f: LaurentPolynomial, truncation: Optional[int]) -> int:
+def _deligne_stable_M(f: LaurentPolynomial) -> int:
     """Smallest doubling level whose ambient H^1 dim repeats twice."""
     history = []
     M = 2
     while M <= 32:
-        amb = deligne_ambient(f, M)
-        B = _shared_truncation(f, [amb], truncation)
-        model = cech_hypercohomology(amb, B)
-        history.append((M, model.h1))
-        if len(history) >= 3 and history[-1][1] == history[-2][1] == history[-3][1]:
+        history.append(cech_hypercohomology(deligne_ambient(f, M)).h1)
+        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
             return M
         M *= 2
     raise IntegrityError("stabilization failure: ambient H^1 keeps moving up to M=32")
-
-
-def _deligne_data(f: LaurentPolynomial, M: int, truncation: Optional[int]):
-    levels = [(lam, deligne_level(f, lam)) for lam in curve_jumps(f)]
-    dims, amb = _filtration_dims(f, levels, deligne_ambient(f, M), truncation)
-    filt = [(lam, d) for lam, d, _ in dims]
-    injective = [(lam, d == h1) for lam, d, h1 in dims]
-    return filt, injective, amb
-
-
-def deligne_filtration_on_H1(f: LaurentPolynomial,
-                             truncation: Optional[int] = None) -> list[tuple[Fraction, int]]:
-    """Induced filtration dims on H^1 from the classical curve levels, using
-    a stabilized exhaustive ambient."""
-    filt, _, _ = _deligne_data(f, _deligne_stable_M(f, truncation), truncation)
-    return filt
-
-
-def deligne_injectivity(f: LaurentPolynomial,
-                        truncation: Optional[int] = None) -> list[tuple[Fraction, bool]]:
-    """Page-one collapse on curves: every level maps injectively into H^1."""
-    _, injective, _ = _deligne_data(f, _deligne_stable_M(f, truncation), truncation)
-    return injective
-
-
-def compact_filtration_on_H1(f: LaurentPolynomial,
-                             truncation: Optional[int] = None) -> list[tuple[Fraction, int]]:
-    """Induced filtration dims on compactly supported H^1."""
-    levels = [(lam, compact_level(f, lam)) for lam in curve_jumps(f)]
-    dims, _ = _filtration_dims(f, levels, compact_level(f, 0), truncation)
-    return [(lam, d) for lam, d, _ in dims]
 
 
 # ---------------------------------------------------------------------------
@@ -505,49 +462,29 @@ class CurveFiltrationReport:
         }
 
 
-def _gr_dims(filtration: list[tuple[Fraction, int]]) -> dict[Fraction, int]:
-    gr = {}
-    for (lam, d), (_, d_next) in zip(filtration, filtration[1:] + [(None, 0)]):
-        gr[lam] = d - d_next
-    return gr
+def _graded(dims: list[int]) -> list[int]:
+    """Graded dimensions of a filtration given by its dims at consecutive jumps."""
+    return [d - d_next for d, d_next in zip(dims, dims[1:] + [0])]
 
 
-def duality_check_curve(f: LaurentPolynomial, truncation: Optional[int] = None):
-    """h^lam(f) = h_c^(1-lam)(-f) at every jump, both sides computed by
-    independent cover models."""
-    jumps = curve_jumps(f)
-    gr = _gr_dims(divisor_twist_filtration_on_H1(f, truncation))
-    gr_c = _gr_dims(compact_filtration_on_H1(-f, truncation))
-    pairs = []
-    ok = True
-    for lam in jumps:
-        a = gr.get(lam, 0)
-        b = gr_c.get(Fraction(1) - lam, 0)
-        pairs.append((lam, a, b))
-        if a != b:
-            ok = False
-    return ok, tuple(pairs)
-
-
-def compare_filtrations(f: LaurentPolynomial,
-                        truncation: Optional[int] = None) -> CurveFiltrationReport:
+def compare_filtrations(f: LaurentPolynomial, rank: HodgeSpectrum) -> CurveFiltrationReport:
     """Three-way agreement of the filtrations on H^1, at the level of both
-    dimensions and subspaces of one ambient model, plus the duality check."""
+    dimensions and subspaces of one ambient model, against the given rank
+    spectrum of f; plus the duality h^lam(f) = h_c^(1-lam)(-f)."""
     if f.nvars != 1:
         raise ValueError("curve comparison needs one variable")
     jumps = curve_jumps(f)
-    M = _deligne_stable_M(f, truncation)
+    ambient = deligne_ambient(f, _deligne_stable_M(f))
     twist = [divisor_twist_level(f, lam) for lam in jumps]
     deligne = [deligne_level(f, lam) for lam in jumps]
-    compact_levels = [compact_level(f, lam) for lam in jumps]
+    compact = [compact_level(f, lam) for lam in jumps]
+    compact_neg = [compact_level(-f, lam) for lam in jumps]
     # one truncation for every model of f, and of -f, whose pole divisor and
     # exponents are those of f
-    B = _shared_truncation(f, [deligne_ambient(f, M)] + twist + deligne + compact_levels,
-                           truncation)
-    filt_d, injective, amb = _deligne_data(f, M, B)
-    deligne_dims = [d for _, d in filt_d]
-    compact = compact_filtration_on_H1(f, B)
-    rank_spec = spectrum_rank(f)
+    B = _shared_truncation(f, [ambient] + twist + deligne + compact + compact_neg)
+    deligne_measured, amb = _filtration_dims(deligne, ambient, B)
+    deligne_dims = [d for d, _ in deligne_measured]
+    compact_measured, _ = _filtration_dims(compact, compact_level(f, 0), B)
     twist_dims = []
     toric_dims = []
     subspace_ok = True
@@ -568,20 +505,23 @@ def compare_filtrations(f: LaurentPolynomial,
         # the joint rank continues from the echelon that took Zp
         if not (dp == dd == dt == dp + amb.quotient_rank(Zd + Zt, joint)):
             subspace_ok = False
-    partial = []
-    for lam in jumps:
-        partial.append(sum(m for l, m in rank_spec.entries if l >= lam))
+    partial = [sum(m for l, m in rank.entries if l >= lam) for lam in jumps]
     dims_agree = (twist_dims == deligne_dims == toric_dims == partial)
-    dual_ok, pairs = duality_check_curve(f, B)
+    # h^lam(f) from the twist dims just measured, h_c^(1-lam)(-f) from the
+    # models of -f; the jumps are symmetric under lam -> 1 - lam
+    neg_measured, _ = _filtration_dims(compact_neg, compact_level(-f, 0), B)
+    gr = _graded(twist_dims)
+    gr_c = dict(zip(jumps, _graded([d for d, _ in neg_measured])))
+    pairs = tuple((lam, a, gr_c.get(1 - lam, 0)) for lam, a in zip(jumps, gr))
     return CurveFiltrationReport(
         tuple(jumps), tuple(twist_dims), tuple(deligne_dims),
-        tuple(d for _, d in compact), tuple(toric_dims),
-        dims_agree, subspace_ok, all(flag for _, flag in injective),
-        dual_ok, pairs)
+        tuple(d for d, _ in compact_measured),
+        tuple(toric_dims), dims_agree, subspace_ok,
+        all(d == h1 for d, h1 in deligne_measured),
+        all(a == b for _, a, b in pairs), pairs)
 
 
-def divisor_shift_invariance(f: LaurentPolynomial, D: PointDivisor, E: PointDivisor,
-                             truncation: Optional[int] = None) -> bool:
+def divisor_shift_invariance(f: LaurentPolynomial, D: PointDivisor, E: PointDivisor) -> bool:
     """Adding an effective divisor supported on the poles leaves the
     hypercohomology dims of [O(D) -> Omega_log(D + P)] unchanged."""
     if not E.is_effective:
@@ -592,7 +532,7 @@ def divisor_shift_invariance(f: LaurentPolynomial, D: PointDivisor, E: PointDivi
         raise ValueError("E must be supported on the poles of f")
     K1 = TwoTermComplex(D, D + P, f, "shift-base")
     K2 = TwoTermComplex(D + E, D + E + P, f, "shift-up")
-    B = _shared_truncation(f, [K1, K2], truncation)
+    B = _shared_truncation(f, [K1, K2])
     return cech_hypercohomology(K1, B).dims == cech_hypercohomology(K2, B).dims
 
 

@@ -142,7 +142,8 @@ def _full_dim_hull(points: list[Monomial]):
     vertex_idx = []
     for i, p in enumerate(points):
         active = [u for (u, b) in facet_list if _dot(u, p) == b]
-        if span_rank(dict(enumerate(u)) for u in active) == d:
+        # a point on fewer than d facets cannot be a vertex
+        if len(active) >= d and span_rank(dict(enumerate(u)) for u in active) == d:
             vertex_idx.append(i)
     return vertex_idx, facet_list
 

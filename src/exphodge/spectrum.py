@@ -32,8 +32,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Optional
-
 from .derham import betti_numbers, build_graded_level, top_image_profile
 from .errors import IntegrityError, NotFullDimensionalError
 from .laurent import LaurentPolynomial, format_laurent
@@ -213,11 +211,12 @@ class AnalysisReport:
 
 
 def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
-            seed: int = DEFAULT_SEED, primes: int = 3,
-            truncation: Optional[int] = None) -> AnalysisReport:
+            seed: int = DEFAULT_SEED, primes: int = 3) -> AnalysisReport:
     """Full pipeline: polytope, nondegeneracy, Betti numbers, spectra, and
     consequence checks.  Each spectrum is computed once and handed to the
-    checks.  Failed checks are reported, never dropped."""
+    checks; for one variable the rank spectrum also goes to
+    ``curve.compare_filtrations``, which measures the three H^1 filtrations
+    and the duality in one pass.  Failed checks are reported, never dropped."""
     t0 = time.perf_counter()
     poly = newton_polytope(f)
     if poly.dim != f.nvars:
@@ -254,7 +253,7 @@ def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
         if f.nvars == 1:
             from . import curve
 
-            curve_report = curve.compare_filtrations(f, truncation)
+            curve_report = curve.compare_filtrations(f, rank)
             checks["curve_comparison"] = curve.comparison_check(curve_report)
             checks["curve_duality"] = curve.duality_summary(curve_report)
     elapsed = int((time.perf_counter() - t0) * 1000)

@@ -82,7 +82,8 @@ def test_criterion_4_duality_symmetry():
 def test_criterion_5_curve_three_way_comparison():
     t0 = time.perf_counter()
     for text in CURVE_SUITE:
-        rep = curve.compare_filtrations(parse_laurent(text))
+        f = parse_laurent(text)
+        rep = curve.compare_filtrations(f, spectrum_rank(f))
         assert rep.dims_agree, (text, rep)
         assert rep.subspaces_agree, (text, rep)
     elapsed = time.perf_counter() - t0
@@ -93,15 +94,20 @@ def test_criterion_5_curve_three_way_comparison():
 def test_criterion_6_curve_duality():
     for text in CURVE_SUITE:
         f = parse_laurent(text)
-        ok, pairs = curve.duality_check_curve(f)
-        assert ok, (text, pairs)
+        rep = curve.compare_filtrations(f, spectrum_rank(f))
+        assert rep.duality_ok, (text, rep.duality_pairs)
+        assert all(a == b for _, a, b in rep.duality_pairs), (text, rep.duality_pairs)
     _report(6, "curve duality pairing dimensions")
 
 
 def test_criterion_7_injectivity_of_classical_levels():
     for text in CURVE_SUITE:
-        flags = curve.deligne_injectivity(parse_laurent(text))
-        assert all(ok for _, ok in flags), (text, flags)
+        f = parse_laurent(text)
+        rep = curve.compare_filtrations(f, spectrum_rank(f))
+        # image dim of each level in the ambient H^1 = dim H^1 of the level
+        flags = [(lam, curve.cech_hypercohomology(curve.deligne_level(f, lam)).h1 == d)
+                 for lam, d in zip(rep.jumps, rep.deligne_dims)]
+        assert rep.deligne_injective and all(ok for _, ok in flags), (text, flags)
     _report(7, "classical curve levels inject into H^1")
 
 

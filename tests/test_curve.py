@@ -8,6 +8,8 @@ from exphodge.laurent import parse_laurent
 from exphodge.linalg import image_dim_over
 from exphodge.spectrum import spectrum_rank
 
+from conftest import CURVE_SUITE
+
 
 def test_pole_divisor():
     assert curve.pole_divisor(parse_laurent("x^2 + x^-1")) == curve.PointDivisor(1, 2)
@@ -47,63 +49,67 @@ def test_truncation_stability(curve_poly):
     assert base.dims == bumped.dims
 
 
+def _report(f):
+    return curve.compare_filtrations(f, spectrum_rank(f))
+
+
+FILTRATION_VALUES = [
+    ("x + x^-1", [(Q(0), 2), (Q(1), 1)]),
+    ("x^2 + x^-1", [(Q(0), 3), (Q(1, 2), 2), (Q(1), 1)]),
+    ("x", [(Q(0), 1), (Q(1), 1)]),
+]
+
+
 def test_divisor_twist_filtration_values():
-    assert curve.divisor_twist_filtration_on_H1(parse_laurent("x + x^-1")) == \
-        [(Q(0), 2), (Q(1), 1)]
-    assert curve.divisor_twist_filtration_on_H1(parse_laurent("x^2 + x^-1")) == \
-        [(Q(0), 3), (Q(1, 2), 2), (Q(1), 1)]
-    assert curve.divisor_twist_filtration_on_H1(parse_laurent("x")) == \
-        [(Q(0), 1), (Q(1), 1)]
+    for text, expected in FILTRATION_VALUES:
+        rep = _report(parse_laurent(text))
+        assert list(zip(rep.jumps, rep.twist_dims)) == expected, text
 
 
 def test_deligne_filtration_values():
-    assert curve.deligne_filtration_on_H1(parse_laurent("x + x^-1")) == \
-        [(Q(0), 2), (Q(1), 1)]
-    assert curve.deligne_filtration_on_H1(parse_laurent("x^2 + x^-1")) == \
-        [(Q(0), 3), (Q(1, 2), 2), (Q(1), 1)]
-    assert curve.deligne_filtration_on_H1(parse_laurent("x")) == \
-        [(Q(0), 1), (Q(1), 1)]
+    for text, expected in FILTRATION_VALUES:
+        rep = _report(parse_laurent(text))
+        assert list(zip(rep.jumps, rep.deligne_dims)) == expected, text
 
 
 def test_deligne_injectivity(curve_poly):
-    assert all(flag for _, flag in curve.deligne_injectivity(curve_poly))
+    assert _report(curve_poly).deligne_injective
 
 
 def test_compact_filtration_proper_case():
     for text in ("x + x^-1", "x^2 + x^-1"):
-        f = parse_laurent(text)
-        assert curve.compact_filtration_on_H1(f) == curve.divisor_twist_filtration_on_H1(f)
+        rep = _report(parse_laurent(text))
+        assert rep.compact_dims == rep.twist_dims
 
 
 def test_compact_filtration_non_proper():
     # T = [0]: the top level of the compactly supported filtration dies,
     # making the duality pairs h^1(x) = h_c^0(-x) come out right
-    dims = curve.compact_filtration_on_H1(parse_laurent("x"))
-    assert dims[0] == (Q(0), 1)
-    assert dims[-1] == (Q(1), 0)
+    rep = _report(parse_laurent("x"))
+    assert (rep.jumps[0], rep.compact_dims[0]) == (Q(0), 1)
+    assert (rep.jumps[-1], rep.compact_dims[-1]) == (Q(1), 0)
 
 
 def test_filtration_dims_non_increasing(curve_poly):
-    for fn in (curve.divisor_twist_filtration_on_H1, curve.deligne_filtration_on_H1,
-               curve.compact_filtration_on_H1):
-        dims = [d for _, d in fn(curve_poly)]
-        assert dims == sorted(dims, reverse=True)
+    rep = _report(curve_poly)
+    for dims in (rep.twist_dims, rep.deligne_dims, rep.compact_dims):
+        assert list(dims) == sorted(dims, reverse=True)
 
 
 def test_duality_examples(curve_poly):
-    ok, pairs = curve.duality_check_curve(curve_poly)
-    assert ok, pairs
-    assert all(a == b for _, a, b in pairs)
+    rep = _report(curve_poly)
+    assert rep.duality_ok, rep.duality_pairs
+    assert all(a == b for _, a, b in rep.duality_pairs)
 
 
 def test_compare_filtrations_three_way(curve_poly):
-    rep = curve.compare_filtrations(curve_poly)
+    spec = spectrum_rank(curve_poly)
+    rep = curve.compare_filtrations(curve_poly, spec)
     assert rep.dims_agree
     assert rep.subspaces_agree
     assert rep.deligne_injective
     assert rep.duality_ok
     # dims are the partial sums of the rank-route spectrum
-    spec = spectrum_rank(curve_poly)
     for lam, d in zip(rep.jumps, rep.twist_dims):
         assert d == sum(m for l, m in spec.entries if l >= lam)
 
@@ -144,7 +150,7 @@ def test_connection_must_map_into_degree_one_sheaf():
 def test_mixed_pole_orders_regression():
     # pole orders 2 at the origin and 3 at infinity: jumps mix thirds and halves
     f = parse_laurent("x^3 + x^-2")
-    rep = curve.compare_filtrations(f)
+    rep = _report(f)
     assert [str(j) for j in rep.jumps] == ["0", "1/3", "1/2", "2/3", "1"]
     assert rep.twist_dims == (5, 4, 3, 2, 1)
     assert rep.dims_agree and rep.subspaces_agree
@@ -162,14 +168,13 @@ def _families(f):
     """(ambient, levels) of the three filtrations, at the one truncation that
     compare_filtrations uses."""
     jumps = curve.curve_jumps(f)
-    M = curve._deligne_stable_M(f, None)
+    M = curve._deligne_stable_M(f)
     families = [
         (curve.divisor_twist_level(f, 0), [curve.divisor_twist_level(f, l) for l in jumps]),
         (curve.deligne_ambient(f, M), [curve.deligne_level(f, l) for l in jumps]),
         (curve.compact_level(f, 0), [curve.compact_level(f, l) for l in jumps]),
     ]
-    B = curve._shared_truncation(f, [K for amb, levels in families for K in [amb] + levels],
-                                 None)
+    B = curve._shared_truncation(f, [K for amb, levels in families for K in [amb] + levels])
     return families, B
 
 
@@ -197,7 +202,7 @@ def test_h1_image_dim_maps_every_cocycle_when_boundaries_do_not_nest():
     P = curve.pole_divisor(f)
     amb_K = curve.TwoTermComplex(curve.PointDivisor(-1, -1), P, f)
     sub_K = curve.TwoTermComplex(curve.ZERO_DIVISOR, P, f)
-    B = curve._shared_truncation(f, [amb_K, sub_K], None)
+    B = curve._shared_truncation(f, [amb_K, sub_K])
     amb = curve.cech_hypercohomology(amb_K, B)
     sub = curve.cech_hypercohomology(sub_K, B)
     assert amb.quotient_rank(sub.h1_basis()) == 3
@@ -237,16 +242,59 @@ def test_analyze_builds_each_model_once(monkeypatch):
     # every model of f and -f but the stabilization ambients sits at one B
     f = parse_laurent("x^2 + x^-1")
     _, B = _families(f)
-    M = curve._deligne_stable_M(f, None)
+    M = curve._deligne_stable_M(f)
     stabilization = {curve.deligne_ambient(f, m).d0 for m in (2, 4, 8, 16, 32) if m < M}
     assert {b for d0, _, _, b in built if d0 not in stabilization} == {B, B + 5}
 
 
 @pytest.mark.parametrize("text", ENGINE_INPUTS)
-def test_compare_filtrations_does_not_move_with_truncation(text):
+def test_compare_filtrations_does_not_move_with_truncation(text, monkeypatch):
     f = parse_laurent(text)
+    rep = _report(f)
+    shared, raised = curve._shared_truncation, []
+
+    def raised_truncation(*args):
+        raised.append(args)
+        return shared(*args) + 10
+
+    monkeypatch.setattr(curve, "_shared_truncation", raised_truncation)
+    assert _report(f) == rep
+    assert raised
+
+
+def _duality_oracle(f, B):
+    """The twist dims measured in their own level-0 ambient, and the duality
+    pairs they give with h_c of -f measured in its own, all at truncation B."""
+    jumps = curve.curve_jumps(f)
+
+    def dims(level, g):
+        amb = curve.cech_hypercohomology(level(g, 0), B)
+        return [curve.h1_image_dim(curve.cech_hypercohomology(level(g, lam), B), amb)
+                for lam in jumps]
+
+    def graded(d):
+        return dict(zip(jumps, [a - b for a, b in zip(d, d[1:] + [0])]))
+
+    twist = dims(curve.divisor_twist_level, f)
+    gr, gr_c = graded(twist), graded(dims(curve.compact_level, -f))
+    return tuple(twist), tuple((lam, gr[lam], gr_c[1 - lam]) for lam in jumps)
+
+
+@pytest.mark.parametrize("text", list(dict.fromkeys(
+    CURVE_SUITE + ENGINE_INPUTS + ["3*x + 5*x^-1", "2/3*x^2 - 5/7*x^-1"])))
+def test_report_matches_separately_measured_filtrations(text):
+    f = parse_laurent(text)
+    rep = _report(f)
     _, B = _families(f)
-    assert curve.compare_filtrations(f) == curve.compare_filtrations(f, truncation=B + 10)
+    assert (rep.twist_dims, rep.duality_pairs) == _duality_oracle(f, B)
+    # each classical level maps injectively: image dim = dim H^1 of the level
+    amb = curve.cech_hypercohomology(curve.deligne_ambient(f, curve._deligne_stable_M(f)), B)
+    flags = []
+    for lam, d in zip(rep.jumps, rep.deligne_dims):
+        sub = curve.cech_hypercohomology(curve.deligne_level(f, lam), B)
+        assert curve.h1_image_dim(sub, amb) == d
+        flags.append(d == sub.h1)
+    assert all(flags) and rep.deligne_injective
 
 
 def _shifted_toric_generators(f, lam):
@@ -271,7 +319,7 @@ def _shifted_deligne_level(f, lam):
                                        ("deligne_level", _shifted_deligne_level)])
 def test_subspace_check_sees_equal_dims_on_other_lines(monkeypatch, name, fake):
     monkeypatch.setattr(curve, name, fake)
-    rep = curve.compare_filtrations(parse_laurent("x + x^-1"))
+    rep = _report(parse_laurent("x + x^-1"))
     assert rep.dims_agree
     assert not rep.subspaces_agree
 
@@ -316,7 +364,7 @@ def test_cocycles_span_ker_d1(text):
 @pytest.mark.parametrize("text", INTEGER_INPUTS)
 def test_h1_basis_has_h1_classes_on_every_level(text):
     f = parse_laurent(text)
-    M = curve._deligne_stable_M(f, None)
+    M = curve._deligne_stable_M(f)
     _, B = _families(f)
     ambient = curve.cech_hypercohomology(curve.deligne_ambient(f, M), B)
     for model in [ambient] + _all_models(f):
@@ -353,7 +401,7 @@ def test_rational_coefficients_pass_every_check():
         "degeneration": "pass", "symmetry": "pass",
         "curve_comparison": "pass", "curve_duality": "pass"}
     assert spectrum_rank(f).entries == spectrum_euler(f).entries
-    rep = curve.compare_filtrations(f)
+    rep = _report(f)
     assert rep.twist_dims == (3, 2, 1)
     # x f' has non-integral coefficients: the rows mix int and Fraction
     d1 = curve.cech_hypercohomology(curve.divisor_twist_level(f, 0)).d1

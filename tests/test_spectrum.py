@@ -146,7 +146,7 @@ def test_analyze_rejects_subtorus():
 
 @pytest.mark.parametrize("text,rank_calls", [
     ("x^3 + y^4 + x^-2*y^-1", 2),  # f, and -f in the symmetry check
-    ("x^2 + x^-1", 3),             # the curve comparison ranks f once more
+    ("x^2 + x^-1", 2),             # the same: the curve comparison takes f's
 ])
 def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
     from exphodge import curve, spectrum
@@ -160,7 +160,7 @@ def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
         def counting(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        for module in (spectrum, curve):  # curve binds spectrum_rank too
+        for module in (spectrum, curve):  # counts a curve module that ranks f itself
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting)
     rep = analyze(f)
