@@ -26,9 +26,23 @@ from .derham import betti_numbers
 
 def _default_seed() -> int:
     env = os.environ.get("EXPHODGE_SEED")
-    if env is not None:
+    if env is None:
+        return DEFAULT_SEED
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError:
+        raise ValueError("EXPHODGE_SEED must be an integer") from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --primes: zero primes would decide no face."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--vars", default="", help="comma-separated variable names")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--seed", type=int, default=None, help="seed for all randomness")
-    common.add_argument("--primes", type=int, default=3,
+    common.add_argument("--primes", type=_positive_int, default=3,
                         help="primes per face for the modular check; under --certify "
                              "used only when the exact check exceeds its budget")
     common.add_argument("--certify", action="store_true",
@@ -90,8 +104,8 @@ def _guard_degenerate(report, args):
 
 def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     args = build_parser().parse_args(argv)
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
+        seed = args.seed if args.seed is not None else _default_seed()
         f = _parse_input(args)
         if args.command == "analyze":
             report = analyze(f, mode=args.mode, certify=args.certify, seed=seed,

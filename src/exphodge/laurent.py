@@ -51,7 +51,7 @@ class LaurentPolynomial:
                 raise ValueError("stored coefficient is zero")
 
     def __hash__(self):
-        return hash((self.nvars, self.var_names, self._key()))
+        return hash((self.nvars, self._key()))
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):

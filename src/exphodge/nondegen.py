@@ -231,6 +231,8 @@ def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_
     "nondegenerate" is claimed only under certify with every face decided
     exactly, otherwise the positive outcome is "likely-nondegenerate".
     """
+    if primes < 1:
+        raise ValueError(f"need at least one prime, got primes={primes}")
     poly = newton_polytope(f)
     if poly.dim != f.nvars:
         raise NotFullDimensionalError(poly.dim, f.nvars)

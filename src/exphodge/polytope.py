@@ -6,6 +6,11 @@ with level c >= 0 (the origin always satisfies them).  The weight of a lattice
 point a is the least c >= 0 with a in c*Delta; its denominators divide facet
 levels, so every weight is an exact Fraction (or +infinity outside the
 recession directions).
+
+One exact hull is the only geometric computation: vertices, faces and the
+normalized volume are all read from its facet incidence sets.  Faces,
+containment, weights and the volume need a full-dimensional polytope; a
+lower-dimensional one keeps only its dimension and vertices.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from typing import Optional, Sequence
 from . import _kernels
 from .errors import NotFullDimensionalError
 from .laurent import LaurentPolynomial, Monomial
-from .linalg import span_rank
 
 INFINITE_WEIGHT = math.inf
 
@@ -124,7 +128,8 @@ def _full_dim_hull(points: list[Monomial]):
     """(vertex index list, facet list) of conv(points) when the points
     affinely span R^d.  Facets are (primitive u, b) meaning <u, x> >= b.
 
-    Brute force over d-subsets; adequate for desk-scale supports.
+    Brute force over d-subsets; adequate for desk-scale supports.  A point is
+    a vertex when it is the only point on every facet through it.
     """
     d = len(points[0])
     facets: dict[tuple[tuple[int, ...], int], None] = {}
@@ -139,22 +144,22 @@ def _full_dim_hull(points: list[Monomial]):
         if v0 == max(vals):
             facets[(tuple(-x for x in u), -v0)] = None
     facet_list = sorted(facets)
+    incidences = [frozenset(i for i, p in enumerate(points) if _dot(u, p) == b)
+                  for (u, b) in facet_list]
     vertex_idx = []
-    for i, p in enumerate(points):
-        active = [u for (u, b) in facet_list if _dot(u, p) == b]
-        # a point on fewer than d facets cannot be a vertex
-        if len(active) >= d and span_rank(dict(enumerate(u)) for u in active) == d:
+    for i in range(len(points)):
+        common = frozenset(range(len(points)))
+        for s in incidences:
+            if i in s:
+                common &= s
+        if common == {i}:
             vertex_idx.append(i)
     return vertex_idx, facet_list
 
 
-def _face_vertex_sets(vertices: Sequence[Monomial], facet_list) -> list[frozenset[int]]:
+def _face_vertex_sets(facet_sets: Sequence[frozenset[int]]) -> list[frozenset[int]]:
     """All proper nonempty faces as vertex-index sets: intersection closure
     of the facet incidence sets."""
-    facet_sets = [
-        frozenset(i for i, v in enumerate(vertices) if _dot(u, v) == b)
-        for (u, b) in facet_list
-    ]
     closed = set(fs for fs in facet_sets if fs)
     frontier = list(closed)
     while frontier:
@@ -167,6 +172,21 @@ def _face_vertex_sets(vertices: Sequence[Monomial], facet_list) -> list[frozense
                     nxt.append(c)
         frontier = nxt
     return sorted(closed, key=lambda s: (len(s), sorted(s)))
+
+
+def _pulling_triangulation(face: frozenset[int], dims: dict[frozenset[int], int]
+                           ) -> list[tuple[int, ...]]:
+    """Simplices (vertex-index tuples) of a pulling triangulation of a face,
+    given the dimension of every face by its vertex set: a simplex as it is,
+    otherwise the least vertex coned over the triangulations of the facets
+    of the face that miss it."""
+    d = dims[face]
+    if len(face) == d + 1:
+        return [tuple(sorted(face))]
+    apex = min(face)
+    return [(apex,) + simplex
+            for sub, k in dims.items() if k == d - 1 and apex not in sub and sub < face
+            for simplex in _pulling_triangulation(sub, dims)]
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +219,9 @@ class Face:
         return self.dim == 0
 
     def contains_point(self, alpha: Monomial) -> bool:
-        return self.polytope._face_contains(self, tuple(alpha))
+        P = self.polytope
+        return P.contains_point(alpha) and all(
+            _dot(P.facets[j].normal, alpha) == -P.facets[j].level for j in self.active_facets)
 
     def __str__(self):
         return "conv{" + ", ".join(str(v) for v in self.vertices) + "}"
@@ -214,25 +236,17 @@ class NewtonPolytope:
         self._points = pts
         basis = _row_lattice_basis(pts)
         self.dim = len(basis)
-        self._basis = basis
+        self.facets: tuple[Facet, ...] = ()
         if self.dim == 0:
             self.vertices: tuple[Monomial, ...] = ((0,) * nvars,)
-            self.facets: tuple[Facet, ...] = ()
-            self._hull_facets = []
-            self._vertex_hull_coords = []
-            return
-        if self.dim == nvars:
-            coords = pts
-        else:
+        elif self.dim < nvars:
             coords = [tuple(int(c) for c in _solve_in_basis(basis, p)) for p in pts]
-        vidx, hull_facets = _full_dim_hull(coords)
-        self.vertices = tuple(pts[i] for i in vidx)
-        self._vertex_hull_coords = [coords[i] for i in vidx]
-        self._hull_facets = hull_facets
-        if self.dim == nvars:
-            self.facets = tuple(Facet(u, -b) for (u, b) in hull_facets)
+            vidx, _ = _full_dim_hull(coords)
+            self.vertices = tuple(pts[i] for i in vidx)
         else:
-            self.facets = ()
+            vidx, hull_facets = _full_dim_hull(pts)
+            self.vertices = tuple(pts[i] for i in vidx)
+            self.facets = tuple(Facet(u, -b) for (u, b) in hull_facets)
 
     def __eq__(self, other):
         if not isinstance(other, NewtonPolytope):
@@ -249,39 +263,8 @@ class NewtonPolytope:
             raise NotFullDimensionalError(self.dim, self.nvars)
 
     def contains_point(self, alpha: Monomial) -> bool:
-        alpha = tuple(alpha)
-        if self.dim == self.nvars:
-            return all(_dot(f.normal, alpha) >= -f.level for f in self.facets)
-        coords = _solve_in_basis(self._basis, alpha) if self.dim else None
-        if self.dim == 0:
-            return not any(alpha)
-        if coords is None:
-            return False
-        return all(
-            sum(Fraction(ui) * ci for ui, ci in zip(u, coords)) >= b
-            for (u, b) in self._hull_facets
-        )
-
-    def _face_contains(self, face: Face, alpha: Monomial) -> bool:
-        if not self.contains_point(alpha):
-            return False
-        if self.dim == self.nvars:
-            return all(
-                _dot(self.facets[j].normal, alpha) == -self.facets[j].level
-                for j in face.active_facets
-            )
-        if self.dim == 0:
-            return True
-        coords = _solve_in_basis(self._basis, alpha)
-        face_coord_set = [self._vertex_hull_coords[i] for i in face.vertex_indices]
-        active = [
-            (u, b) for (u, b) in self._hull_facets
-            if all(_dot(u, v) == b for v in face_coord_set)
-        ]
-        return all(
-            sum(Fraction(ui) * ci for ui, ci in zip(u, coords)) == b
-            for (u, b) in active
-        )
+        self._require_full_dim()
+        return all(_dot(f.normal, alpha) >= -f.level for f in self.facets)
 
     def whole_face(self) -> Face:
         return Face(self, tuple(range(len(self.vertices))), self.dim, True, ())
@@ -289,27 +272,19 @@ class NewtonPolytope:
     # -- faces ---------------------------------------------------------------
 
     def all_proper_faces(self) -> list[Face]:
-        if self.dim == 0:
-            return []
-        out = []
-        vertex_coords = self._vertex_hull_coords
+        self._require_full_dim()
         facet_sets = [
-            frozenset(i for i, v in enumerate(vertex_coords) if _dot(u, v) == b)
-            for (u, b) in self._hull_facets
+            frozenset(i for i, v in enumerate(self.vertices) if _dot(f.normal, v) == -f.level)
+            for f in self.facets
         ]
-        for vset in _face_vertex_sets(vertex_coords, self._hull_facets):
+        out = []
+        for vset in _face_vertex_sets(facet_sets):
             vtuple = tuple(sorted(vset))
-            pts = [vertex_coords[i] for i in vtuple]
-            fdim = span_rank(dict(enumerate(a - b for a, b in zip(p, pts[0]))) for p in pts[1:])
+            base = self.vertices[vtuple[0]]
+            fdim = len(_row_lattice_basis(
+                [tuple(a - b for a, b in zip(self.vertices[i], base)) for i in vtuple]))
             active = tuple(j for j, fs in enumerate(facet_sets) if vset <= fs)
-            if self.dim == self.nvars:
-                origin_on = all(self.facets[j].level == 0 for j in active)
-            else:
-                zero = (0,) * self.dim
-                origin_on = all(
-                    _dot(self._hull_facets[j][0], zero) == self._hull_facets[j][1]
-                    for j in active
-                )
+            origin_on = all(self.facets[j].level == 0 for j in active)
             out.append(Face(self, vtuple, fdim, origin_on, active))
         return out
 
@@ -368,11 +343,17 @@ class NewtonPolytope:
     # -- volume ---------------------------------------------------------------
 
     def normalized_volume(self) -> int:
-        """n! times the Euclidean volume, via an exact fan triangulation."""
+        """n! times the Euclidean volume, summed over a pulling triangulation
+        read off the face lattice (a simplex never builds it)."""
         self._require_full_dim()
+        whole = frozenset(range(len(self.vertices)))
+        dims = {whole: self.dim}
+        if len(whole) > self.dim + 1:
+            dims.update((frozenset(fc.vertex_indices), fc.dim) for fc in self.all_proper_faces())
         total = 0
-        for simplex in _triangulate(list(self.vertices)):
-            rows = [[a - b for a, b in zip(p, simplex[0])] for p in simplex[1:]]
+        for simplex in _pulling_triangulation(whole, dims):
+            apex = self.vertices[simplex[0]]
+            rows = [[a - b for a, b in zip(self.vertices[i], apex)] for i in simplex[1:]]
             total += abs(_int_det(rows))
         return total
 
@@ -382,34 +363,6 @@ class NewtonPolytope:
             "facets": [{"normal": list(f.normal), "level": f.level} for f in self.facets],
             "dim": self.dim,
         }
-
-
-def _triangulate(points: list[Monomial]) -> list[tuple[Monomial, ...]]:
-    """Triangulation of conv(points) into simplices on the given points,
-    recursing over facet pyramids from a fixed apex."""
-    points = sorted(set(points))
-    base = points[0]
-    diffs = [tuple(a - b for a, b in zip(p, base)) for p in points]
-    basis = _row_lattice_basis(diffs)
-    d = len(basis)
-    if d == 0:
-        return []
-    red = [tuple(int(c) for c in _solve_in_basis(basis, v)) for v in diffs]
-    back = {r: p for r, p in zip(red, points)}
-    vidx, facets = _full_dim_hull(red)
-    verts = [red[i] for i in vidx]
-    if len(verts) == d + 1:
-        return [tuple(back[v] for v in sorted(verts))]
-    apex = sorted(verts)[0]
-    simplices = []
-    for (u, b) in facets:
-        if _dot(u, apex) == b:
-            continue
-        fpoints = [v for v in verts if _dot(u, v) == b]
-        for sub in _triangulate(fpoints):
-            # sub consists of this level's reduced points; lift both levels
-            simplices.append((back[apex],) + tuple(back[v] for v in sub))
-    return simplices
 
 
 def newton_polytope(f: LaurentPolynomial) -> NewtonPolytope:

@@ -75,6 +75,24 @@ def test_env_seed_override(monkeypatch):
         json.loads(b)["nondegeneracy"]["primes"]
 
 
+def test_malformed_env_seed_is_malformed_input(monkeypatch):
+    monkeypatch.setenv("EXPHODGE_SEED", "abc")
+    code, out, err = call(["volume", "x + y"])
+    assert (code, out) == (2, "")
+    assert err == "error: EXPHODGE_SEED must be an integer\n"
+    # an explicit --seed never reads the variable
+    code, _, _ = call(["volume", "x + y", "--seed", "3"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_primes_flag_rejects_non_positive(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        call(["nondegen", "x + y + x^-1*y^-1", "--primes", value])
+    assert exc.value.code == 2
+    assert "--primes: must be an integer of at least 1" in capsys.readouterr().err
+
+
 def test_spectrum_command_modes():
     code, out, _ = call(["spectrum", "x + y", "--mode", "euler"])
     assert code == 0 and "euler" in out and "(2, 1)" in out

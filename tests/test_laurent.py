@@ -13,6 +13,15 @@ def test_parse_basic():
     assert dict(f.terms) == {(1,): 1, (-1,): 1}
 
 
+def test_equal_polynomials_hash_equal():
+    # equality ignores the variable names, so the hash must too
+    f, g = parse_laurent("x + y"), parse_laurent("a + b")
+    assert f == g and f.var_names != g.var_names
+    assert hash(f) == hash(g)
+    assert len({f, g}) == 1
+    assert parse_laurent("x + 2*y") != f and len({f, parse_laurent("x + 2*y")}) == 2
+
+
 def test_parse_rational_coefficients():
     f = parse_laurent("3/2*x^2*y^-1 - 1", ("x", "y"))
     assert dict(f.terms) == {(2, -1): Fraction(3, 2), (0, 0): -1}

@@ -132,6 +132,13 @@ def test_prime_exhaustion():
     assert rep.verdict == "nondegenerate" and rep.certified
 
 
+@pytest.mark.parametrize("certify", [False, True])
+def test_zero_primes_rejected(certify):
+    # zero primes would decide no face and report a false "prime exhaustion"
+    with pytest.raises(ValueError, match="at least one prime"):
+        is_nondegenerate(parse_laurent("x + y + x^-1*y^-1"), primes=0, certify=certify)
+
+
 def test_interior_edge_point_is_not_degeneracy():
     # the xy term sits inside the triangle conv{0,(2,1),(1,2)}; the edge
     # system x^2y + xy^2 has no common zero with its log derivatives

@@ -167,16 +167,30 @@ def test_floor_equivalence():
 
 
 def test_volume_additive_over_triangulation():
-    from exphodge.polytope import _int_det, _triangulate
+    from exphodge.polytope import _int_det, _pulling_triangulation
 
-    P = newton_polytope(parse_laurent("x + y + x^-1*y^-1"))
-    simplices = _triangulate(list(P.vertices))
-    parts = []
-    for s in simplices:
-        rows = [[a - b for a, b in zip(p, s[0])] for p in s[1:]]
-        parts.append(abs(_int_det(rows)))
-    assert sum(parts) == P.normalized_volume()
-    assert all(p > 0 for p in parts)
+    rng = random.Random(5)
+    shapes = [parse_laurent("x + y + x^-1*y^-1"), parse_laurent("x^2 + y^2 + x^-1*y^-1")]
+    for n in (2, 3, 4):
+        shapes += [make_laurent(n, {p: 1 for p in _random_points(rng, n, 2 * n + 2)})
+                   for _ in range(4)]
+    checked = 0
+    for f in shapes:
+        P = newton_polytope(f)
+        if P.dim != f.nvars:
+            continue
+        whole = frozenset(range(len(P.vertices)))
+        dims = {frozenset(fc.vertex_indices): fc.dim for fc in P.all_proper_faces()}
+        dims[whole] = P.dim
+        parts = []
+        for s in _pulling_triangulation(whole, dims):
+            assert len(s) == P.dim + 1
+            rows = [[a - b for a, b in zip(P.vertices[i], P.vertices[s[0]])] for i in s[1:]]
+            parts.append(abs(_int_det(rows)))
+        assert all(p > 0 for p in parts)
+        assert sum(parts) == P.normalized_volume()
+        checked += 1
+    assert checked >= 10
 
 
 def test_unit_simplex_volume():
@@ -271,7 +285,6 @@ def test_integer_normal_matches_gauss_oracle(monkeypatch, n):
     for pts, P in zip(supports, built):
         Q = polytope.NewtonPolytope(n, pts)
         assert (P.dim, P.vertices, P.facets) == (Q.dim, Q.vertices, Q.facets)
-        assert P._hull_facets == Q._hull_facets
         if P.dim == n:
             assert P.normalized_volume() == Q.normalized_volume()
 
@@ -304,3 +317,116 @@ def test_int_det_matches_fraction_oracle():
         # small entries with many zeros, so pivots vanish and matrices are singular
         rows = [[rng.choice([0, 0, 0, 1, -1, 2, -3, 5]) for _ in range(n)] for _ in range(n)]
         assert _int_det(rows) == _fraction_det(rows)
+
+
+def _random_points(rng, n, k, r=2):
+    return [tuple(rng.randint(-r, r) for _ in range(n)) for _ in range(k)]
+
+
+def _triangulate(points):
+    """The former recursive fan triangulation, kept as the volume oracle: it
+    builds a new hull in lattice coordinates for every facet and subface."""
+    from exphodge.polytope import _dot, _full_dim_hull, _row_lattice_basis, _solve_in_basis
+
+    points = sorted(set(points))
+    base = points[0]
+    diffs = [tuple(a - b for a, b in zip(p, base)) for p in points]
+    basis = _row_lattice_basis(diffs)
+    d = len(basis)
+    if d == 0:
+        return []
+    red = [tuple(int(c) for c in _solve_in_basis(basis, v)) for v in diffs]
+    back = dict(zip(red, points))
+    vidx, facets = _full_dim_hull(red)
+    verts = [red[i] for i in vidx]
+    if len(verts) == d + 1:
+        return [tuple(back[v] for v in sorted(verts))]
+    apex = sorted(verts)[0]
+    simplices = []
+    for (u, b) in facets:
+        if _dot(u, apex) == b:
+            continue
+        for sub in _triangulate([v for v in verts if _dot(u, v) == b]):
+            simplices.append((back[apex],) + tuple(back[v] for v in sub))
+    return simplices
+
+
+def _oracle_volume(P):
+    from exphodge.polytope import _int_det
+
+    total = 0
+    for s in _triangulate(list(P.vertices)):
+        total += abs(_int_det([[a - b for a, b in zip(p, s[0])] for p in s[1:]]))
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_volume_matches_recursive_triangulation_oracle(n):
+    rng = random.Random(800 + n)
+    sizes = [n + 1 + (i % 9) for i in range(30)]
+    if n == 4:
+        sizes += [12, 14]
+    checked = 0
+    for k in sizes:
+        P = newton_polytope(make_laurent(n, {p: 1 for p in _random_points(rng, n, k)}))
+        if P.dim != n:
+            continue
+        assert P.normalized_volume() == _oracle_volume(P)
+        checked += 1
+    assert checked >= 20
+    if n == 4:
+        assert P.dim == 4 and len(P._points) >= 12  # the last, 14-point support
+
+
+def _unimodular(rng, n):
+    """A product of elementary matrices I + c*E_ij: det 1, small entries."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def _face_census(P):
+    census = {}
+    for fc in P.all_proper_faces():
+        census[fc.dim] = census.get(fc.dim, 0) + 1
+    return census
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gl_n_z_invariance(n):
+    """nvol, the vertex count and the census of face dimensions do not move
+    under a unimodular change of coordinates."""
+    rng = random.Random(900 + n)
+    checked = 0
+    for _ in range(12):
+        pts = _random_points(rng, n, rng.randint(n + 1, n + 6))
+        P = newton_polytope(make_laurent(n, {p: 1 for p in pts}))
+        if P.dim != n:
+            continue
+        g = _unimodular(rng, n)
+        moved = [tuple(sum(g[i][j] * p[j] for j in range(n)) for i in range(n)) for p in pts]
+        Q = newton_polytope(make_laurent(n, {p: 1 for p in moved}))
+        assert Q.dim == n
+        assert Q.normalized_volume() == P.normalized_volume()
+        assert len(Q.vertices) == len(P.vertices)
+        census = _face_census(P)
+        assert _face_census(Q) == census
+        # Euler-Poincare: f_0 - f_1 + ... + (-1)^(n-1) f_(n-1) = 1 - (-1)^n
+        assert census[0] == len(P.vertices)
+        assert sum((-1) ** k * census[k] for k in range(n)) == 1 - (-1) ** n
+        checked += 1
+    assert checked >= 8
+
+
+def test_faces_and_containment_need_full_dimension():
+    P = newton_polytope(parse_laurent("x*y"))
+    assert (P.dim, P.facets) == (1, ())
+    with pytest.raises(NotFullDimensionalError):
+        P.all_proper_faces()
+    with pytest.raises(NotFullDimensionalError):
+        P.proper_faces_excluding_origin()
+    with pytest.raises(NotFullDimensionalError):
+        P.contains_point((1, 1))
