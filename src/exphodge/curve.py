@@ -53,7 +53,8 @@ from .errors import IntegrityError
 from .laurent import LaurentPolynomial, log_derivative, make_laurent
 from .linalg import (Echelon, SparseRationalMatrix, kernel_from_echelon,
                      rarest_first_echelon)
-from .spectrum import CheckResult, HodgeSpectrum
+from .polytope import newton_polytope
+from .spectrum import CheckResult, HodgeSpectrum, jump_candidates
 
 
 @dataclass(frozen=True)
@@ -332,17 +333,6 @@ def h1_image_dim(sub: CechModel, ambient: CechModel) -> int:
 # The three filtrations on H^1
 # ---------------------------------------------------------------------------
 
-def curve_jumps(f: LaurentPolynomial) -> list[Fraction]:
-    """Candidate jumps in [0, 1]: multiples of the reciprocal pole orders."""
-    P = pole_divisor(f)
-    out = {Fraction(0), Fraction(1)}
-    for e in (P.m0, P.m_inf):
-        for k in range(0, e + 1):
-            if e:
-                out.add(Fraction(k, e))
-    return sorted(out)
-
-
 def divisor_twist_level(f: LaurentPolynomial, lam) -> TwoTermComplex:
     """Level lam of the divisor-twist filtration, degree-0 term dropped for
     lam > 0."""
@@ -421,15 +411,10 @@ def _deligne_stable_M(f: LaurentPolynomial) -> int:
 # ---------------------------------------------------------------------------
 
 def _toric_generators(f: LaurentPolynomial, lam: Fraction) -> list[dict]:
-    """Global level-lam one-forms as hypercocycles (0, g, g) of the cover."""
-    from .polytope import newton_polytope
-
-    poly = newton_polytope(f)
-    gens = []
-    for alpha in poly.lattice_points_in_dilate(Fraction(1) - lam):
-        k = alpha[0]
-        gens.append({("p", k): 1, ("q", k): 1})
-    return gens
+    """Global level-lam one-forms as hypercocycles (0, g, g) of the cover:
+    x^k dlog x for every lattice point k of weight at most 1 - lam."""
+    return [{("p", k): 1, ("q", k): 1}
+            for (k,), w in newton_polytope(f).dilate_weights.items() if w <= 1 - lam]
 
 
 @dataclass(frozen=True)
@@ -473,7 +458,7 @@ def compare_filtrations(f: LaurentPolynomial, rank: HodgeSpectrum) -> CurveFiltr
     spectrum of f; plus the duality h^lam(f) = h_c^(1-lam)(-f)."""
     if f.nvars != 1:
         raise ValueError("curve comparison needs one variable")
-    jumps = curve_jumps(f)
+    jumps = jump_candidates(f)
     ambient = deligne_ambient(f, _deligne_stable_M(f))
     twist = [divisor_twist_level(f, lam) for lam in jumps]
     deligne = [deligne_level(f, lam) for lam in jumps]

@@ -10,6 +10,7 @@ and the connection acts by
 
 expanded in the wedge basis with dlog x_I sorted ascending and the sign of an
 insertion given by its position parity.  All entries are exact rationals.
+The points alpha and their weights come from the hull's weight table.
 
 Every other slice is a weight block of the level-0 slice.  Filtration level
 lam keeps the degree-p forms of weight <= p - lam (none below degree lam) and
@@ -111,8 +112,9 @@ def _weight_block(slice0: ComplexSlice, lam: Fraction, keep) -> ComplexSlice:
     the blocks of slice0's differentials between them.  An entry of a kept
     column in a dropped row of weight above p + 1 - lam would mean d leaves
     level lam, and raises."""
-    kept = [[i for i, w in enumerate(ws) if keep(w, p - lam)]
-            for p, ws in enumerate(slice0.weights)]
+    caps = [p - lam for p in range(len(slice0.weights))]
+    kept = [[i for i, w in enumerate(ws) if keep(w, cap)]
+            for ws, cap in zip(slice0.weights, caps)]
     mats = []
     for p, m in enumerate(slice0.mats):
         cols = {c: j for j, c in enumerate(kept[p])}
@@ -123,7 +125,7 @@ def _weight_block(slice0: ComplexSlice, lam: Fraction, keep) -> ComplexSlice:
                 continue
             if r in rows:
                 entries[(rows[r], cols[c])] = v
-            elif slice0.weights[p + 1][r] > p + 1 - lam:
+            elif slice0.weights[p + 1][r] > caps[p + 1]:
                 raise AssertionError(f"d maps level {lam} to {slice0.bases[p + 1][r]}")
         mats.append(SparseRationalMatrix(len(rows), len(cols), entries))
     bases = tuple(tuple(slice0.bases[p][i] for i in ix) for p, ix in enumerate(kept))
@@ -149,12 +151,11 @@ def build_filtration_level(f: LaurentPolynomial, lam) -> ComplexSlice:
     if lam > 0:
         return _weight_block(build_filtration_level(f, Fraction(0)), lam, le)
     n = f.nvars
-    points = poly.lattice_points_in_dilate(n)
-    weight = {a: poly.weight(a) for a in points}
+    weight = poly.dilate_weights
     bases, weights = [], []
     for p in range(n + 1):
         index_sets = list(combinations(range(n), p))
-        bases.append(tuple((a, I) for a in points if weight[a] <= p for I in index_sets))
+        bases.append(tuple((a, I) for a, w in weight.items() if w <= p for I in index_sets))
         weights.append(tuple(weight[a] for a, _ in bases[p]))
     mats = tuple(_differential(f, bases, p) for p in range(n))
     return ComplexSlice(f, lam, tuple(bases), mats, tuple(weights))

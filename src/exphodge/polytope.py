@@ -8,9 +8,13 @@ levels, so every weight is an exact Fraction (or +infinity outside the
 recession directions).
 
 One exact hull is the only geometric computation: vertices, faces and the
-normalized volume are all read from its facet incidence sets.  Faces,
-containment, weights and the volume need a full-dimensional polytope; a
-lower-dimensional one keeps only its dimension and vertices.
+normalized volume are all read from its facet incidence sets.  The hull keeps
+two tables, each built on first use: its face list, which the nondegeneracy
+check and the volume share, and its weight table, the weight of every lattice
+point of the n-dilate, which is the only place a weight is computed for the
+census, the jump candidates and the de Rham bases.  Faces, containment,
+weights and the volume need a full-dimensional polytope; a lower-dimensional
+one keeps only its dimension and vertices.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from . import _kernels
 from .errors import NotFullDimensionalError
@@ -273,6 +279,11 @@ class NewtonPolytope:
 
     def all_proper_faces(self) -> list[Face]:
         self._require_full_dim()
+        return list(self._faces)
+
+    @cached_property
+    def _faces(self) -> tuple[Face, ...]:
+        """The proper faces, built once per hull from the facet incidences."""
         facet_sets = [
             frozenset(i for i, v in enumerate(self.vertices) if _dot(f.normal, v) == -f.level)
             for f in self.facets
@@ -286,7 +297,7 @@ class NewtonPolytope:
             active = tuple(j for j, fs in enumerate(facet_sets) if vset <= fs)
             origin_on = all(self.facets[j].level == 0 for j in active)
             out.append(Face(self, vtuple, fdim, origin_on, active))
-        return out
+        return tuple(out)
 
     def proper_faces_excluding_origin(self) -> list[Face]:
         return [f for f in self.all_proper_faces() if not f.contains_origin]
@@ -324,16 +335,12 @@ class NewtonPolytope:
         pts = _kernels.enumerate_box_filtered(lo, hi, normals, bounds)
         return [tuple(int(x) for x in row) for row in pts]
 
-    def weight_census(self, c_max) -> dict[Fraction, int]:
-        """Counts of lattice points by exact weight value, up to c_max."""
-        self._require_full_dim()
-        c_max = Fraction(c_max)
-        census: dict[Fraction, int] = {}
-        for alpha in self.lattice_points_in_dilate(c_max):
-            w = self.weight(alpha)
-            if w <= c_max:
-                census[w] = census.get(w, 0) + 1
-        return census
+    @cached_property
+    def dilate_weights(self) -> Mapping[Monomial, Fraction]:
+        """The weight of every lattice point of the n-dilate, keys ascending
+        lex: the one weight table of the hull, built on first use."""
+        return MappingProxyType(
+            {a: self.weight(a) for a in self.lattice_points_in_dilate(self.nvars)})
 
     def contains_origin_interior(self) -> bool:
         if self.dim != self.nvars:

@@ -6,7 +6,10 @@ Euler characteristic
 
     h^lam = (-1)^n * sum_p (-1)^p * C(n, p) * N(p - lam),
 
-with N(c) the number of lattice points of exact weight c.  Route two (rank):
+with N(c) the number of lattice points of exact weight c.  The census N and
+the jump candidates p - w are both read from the hull's one weight table
+(``NewtonPolytope.dilate_weights``), which the de Rham bases read too, so no
+weight is computed twice for one support.  Route two (rank):
 h^lam is the drop of the filtration image dimension
 
     dim im(H^n(level lam) -> H^n(level 0))
@@ -29,6 +32,7 @@ spectrum for h^lam = h^(n-lam), ranking only the second input -f itself.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -72,18 +76,10 @@ class HodgeSpectrum:
         return f"{{{body}}}"
 
 
-def _full_dim_census(f: LaurentPolynomial) -> dict[Fraction, int]:
-    """Weight census of the hull of f up to n; the hull must be full-dimensional."""
-    poly = newton_polytope(f)
-    if poly.dim != f.nvars:
-        raise NotFullDimensionalError(poly.dim, f.nvars)
-    return poly.weight_census(Fraction(f.nvars))
-
-
-def _jumps(census: dict[Fraction, int], n: int) -> list[Fraction]:
-    """All values p - w in [0, n] over the census weights w."""
+def _jumps(weights, n: int) -> list[Fraction]:
+    """All values p - w in [0, n] over the given weights w."""
     out = set()
-    for w in census:
+    for w in weights:
         for p in range(n + 1):
             lam = Fraction(p) - w
             if 0 <= lam <= n:
@@ -94,18 +90,17 @@ def _jumps(census: dict[Fraction, int], n: int) -> list[Fraction]:
 def jump_candidates(f: LaurentPolynomial) -> list[Fraction]:
     """All values p - weight(alpha) in [0, n]: the only places the filtration
     can jump."""
-    return _jumps(_full_dim_census(f), f.nvars)
+    return _jumps(set(newton_polytope(f).dilate_weights.values()), f.nvars)
 
 
 def spectrum_euler(f: LaurentPolynomial) -> HodgeSpectrum:
     """Top-degree spectrum from the weight census alone."""
     n = f.nvars
-    census = _full_dim_census(f)
+    census = Counter(newton_polytope(f).dilate_weights.values())
     sign = (-1) ** n
     entries = []
     for lam in _jumps(census, n):
-        h = sign * sum((-1) ** p * comb(n, p) * census.get(Fraction(p) - lam, 0)
-                       for p in range(n + 1))
+        h = sign * sum((-1) ** p * comb(n, p) * census[p - lam] for p in range(n + 1))
         if h < 0:
             raise IntegrityError(
                 f"negative graded dimension {h} at level {lam}: "
@@ -217,6 +212,8 @@ def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
     checks; for one variable the rank spectrum also goes to
     ``curve.compare_filtrations``, which measures the three H^1 filtrations
     and the duality in one pass.  Failed checks are reported, never dropped."""
+    if mode not in ("euler", "rank", "both"):
+        raise ValueError(f"mode must be euler, rank or both, not {mode!r}")
     t0 = time.perf_counter()
     poly = newton_polytope(f)
     if poly.dim != f.nvars:

@@ -1,12 +1,13 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from exphodge import curve
 from exphodge.errors import IntegrityError
-from exphodge.laurent import parse_laurent
+from exphodge.laurent import make_laurent, parse_laurent
 from exphodge.linalg import image_dim_over
-from exphodge.spectrum import spectrum_rank
+from exphodge.spectrum import jump_candidates, spectrum_rank
 
 from conftest import CURVE_SUITE
 
@@ -134,10 +135,36 @@ def test_divisor_shift_requires_effective_support():
         curve.divisor_shift_invariance(fx, curve.ZERO_DIVISOR, curve.PointDivisor(1, 0))
 
 
+def _pole_order_jumps(f):
+    """Multiples k/m of the reciprocal pole orders m at 0 and oo, with 0 and
+    1: the candidate jumps of a one-variable input, read off its poles."""
+    P = curve.pole_divisor(f)
+    return sorted({Q(0), Q(1)} | {Q(k, e) for e in (P.m0, P.m_inf) if e for k in range(e + 1)})
+
+
 def test_curve_jumps_are_pole_order_multiples():
     f = parse_laurent("x^2 + x^-1")
-    assert curve.curve_jumps(f) == [Q(0), Q(1, 2), Q(1)]
-    assert curve.curve_jumps(parse_laurent("x")) == [Q(0), Q(1)]
+    assert jump_candidates(f) == _pole_order_jumps(f) == [Q(0), Q(1, 2), Q(1)]
+    fx = parse_laurent("x")
+    assert jump_candidates(fx) == _pole_order_jumps(fx) == [Q(0), Q(1)]
+
+
+def test_jump_candidates_match_pole_orders_on_random_supports():
+    """The weights of the lattice points of [-m0, m_inf] are k/m0 and k/m_inf,
+    so the jump candidates of n = 1 are the pole-order multiples."""
+    rng = random.Random(1313)
+    for kind in ("positive", "negative", "two-sided", "rational") * 150:
+        if kind == "positive":
+            exps = rng.sample(range(1, 13), rng.randint(1, 4))
+        elif kind == "negative":
+            exps = rng.sample(range(-12, 0), rng.randint(1, 4))
+        else:
+            exps = rng.sample(range(-12, 0), rng.randint(1, 3)) + \
+                rng.sample(range(0, 13), rng.randint(1, 3))
+        den = rng.randint(1, 5) if kind == "rational" else 1
+        f = make_laurent(1, {(e,): Q(rng.choice([-1, 1]) * rng.randint(1, 9), den)
+                             for e in exps})
+        assert jump_candidates(f) == _pole_order_jumps(f), f
 
 
 def test_connection_must_map_into_degree_one_sheaf():
@@ -167,7 +194,7 @@ ENGINE_INPUTS = ["x^2 + x^-1", "x^3 + x^-2", "2*x - 3*x^-2"]
 def _families(f):
     """(ambient, levels) of the three filtrations, at the one truncation that
     compare_filtrations uses."""
-    jumps = curve.curve_jumps(f)
+    jumps = jump_candidates(f)
     M = curve._deligne_stable_M(f)
     families = [
         (curve.divisor_twist_level(f, 0), [curve.divisor_twist_level(f, l) for l in jumps]),
@@ -265,7 +292,7 @@ def test_compare_filtrations_does_not_move_with_truncation(text, monkeypatch):
 def _duality_oracle(f, B):
     """The twist dims measured in their own level-0 ambient, and the duality
     pairs they give with h_c of -f measured in its own, all at truncation B."""
-    jumps = curve.curve_jumps(f)
+    jumps = jump_candidates(f)
 
     def dims(level, g):
         amb = curve.cech_hypercohomology(level(g, 0), B)

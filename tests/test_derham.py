@@ -5,6 +5,7 @@ from math import ceil
 from operator import eq, le
 
 import pytest
+from test_polytope import _weight_census
 from test_spectrum import _random_support_poly
 
 from exphodge.derham import (_insertion_sign, _weight_block, betti_numbers,
@@ -82,7 +83,7 @@ def test_basis_count_identity(suite_poly):
 
     poly = newton_polytope(suite_poly)
     n = suite_poly.nvars
-    census = poly.weight_census(Fraction(n))
+    census = _weight_census(poly, n)
     for lam in jump_candidates(suite_poly):
         sl = build_filtration_level(suite_poly, lam)
         for p in range(n + 1):

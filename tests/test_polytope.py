@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -100,13 +101,48 @@ def test_lattice_points_examples():
     assert len(tri.lattice_points_in_dilate(2)) == 10
 
 
+def _weight_census(P, c_max):
+    """The former per-call weight census, kept as the oracle of the weight
+    table: counts of lattice points by exact weight value, up to c_max."""
+    c_max = Fraction(c_max)
+    census = {}
+    for alpha in P.lattice_points_in_dilate(c_max):
+        w = P.weight(alpha)
+        if w <= c_max:
+            census[w] = census.get(w, 0) + 1
+    return census
+
+
 def test_weight_census_examples():
     seg = newton_polytope(parse_laurent("x + x^-1"))
-    assert seg.weight_census(2) == {Fraction(0): 1, Fraction(1): 2, Fraction(2): 2}
+    assert _weight_census(seg, 2) == {Fraction(0): 1, Fraction(1): 2, Fraction(2): 2}
     mixed = newton_polytope(parse_laurent("x^2 + x^-1"))
-    assert mixed.weight_census(1) == {Fraction(0): 1, Fraction(1, 2): 1, Fraction(1): 2}
+    assert _weight_census(mixed, 1) == {Fraction(0): 1, Fraction(1, 2): 1, Fraction(1): 2}
     tri = newton_polytope(parse_laurent("x + y + x^-1*y^-1"))
-    assert tri.weight_census(2) == {Fraction(0): 1, Fraction(1): 3, Fraction(2): 6}
+    assert _weight_census(tri, 2) == {Fraction(0): 1, Fraction(1): 3, Fraction(2): 6}
+    # at c = n the census is the weight table's, counted
+    for P in (mixed, tri):
+        assert Counter(P.dilate_weights.values()) == _weight_census(P, P.nvars)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weight_table_matches_enumeration_and_census(n):
+    """Keys are the n-dilate in enumeration order, values the weights, and
+    the counted values the census at c = n."""
+    rng = random.Random(4100 + n)
+    checked = 0
+    for _ in range(10):
+        pts = _random_points(rng, n, rng.randint(n + 1, n + 3), r=2 if n < 4 else 1)
+        P = newton_polytope(make_laurent(n, {p: 1 for p in pts}))
+        if P.dim != n:
+            continue
+        table = P.dilate_weights
+        assert list(table) == P.lattice_points_in_dilate(n)
+        assert all(w == P.weight(a) for a, w in table.items())
+        assert Counter(table.values()) == _weight_census(P, n)
+        assert P.dilate_weights is table
+        checked += 1
+    assert checked >= 5
 
 
 def test_contains_origin_interior():
@@ -226,6 +262,28 @@ def test_one_hull_per_input(monkeypatch):
     assert newton_polytope(g) is not P
     assert newton_polytope(g) == P
     assert len(built) == 2
+
+
+def test_one_face_list_per_hull(monkeypatch):
+    """The nondegeneracy check and the volume of a non-simplex share one face
+    list, and every caller gets a list of its own."""
+    from exphodge import polytope
+    from exphodge.nondegen import is_nondegenerate
+
+    calls = []
+    face_sets = polytope._face_vertex_sets
+    monkeypatch.setattr(polytope, "_face_vertex_sets",
+                        lambda sets: calls.append(sets) or face_sets(sets))
+    f = parse_laurent("x + y + 2*x^-1 + 3*y^-1 + x*y")
+    P = newton_polytope(f)
+    assert len(P.vertices) > P.dim + 1
+    assert not is_nondegenerate(f).is_degenerate
+    assert P.normalized_volume() == 5
+    assert len(calls) == 1
+    faces = P.all_proper_faces()
+    faces.clear()
+    assert P.all_proper_faces() and P.all_proper_faces() is not P.all_proper_faces()
+    assert len(calls) == 1
 
 
 def _gauss_normal(points):

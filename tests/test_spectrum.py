@@ -192,6 +192,30 @@ def test_analyze_modes(text, mode, spectra, checks, warnings):
     assert all(check.ok for check in rep.checks.values())
 
 
+@pytest.mark.parametrize("mode", ["bogus", "", "Both", None])
+def test_analyze_rejects_unknown_mode(mode):
+    with pytest.raises(ValueError, match="mode"):
+        analyze(parse_laurent("x + y + x^-1*y^-1"), mode=mode)
+
+
+@pytest.mark.parametrize("text", ["3*x^3 + 5*y^4 - 7*x^-2*y^-1", "3*x^2 - 5*x^-1"])
+def test_analyze_enumerates_the_dilate_once(text, monkeypatch):
+    """The census, the jumps, the de Rham bases and the toric generators of
+    f and -f all read the one weight table of the hull."""
+    from exphodge.derham import build_filtration_level
+    from exphodge.polytope import NewtonPolytope
+
+    calls = []
+    enumerate_dilate = NewtonPolytope.lattice_points_in_dilate
+    monkeypatch.setattr(NewtonPolytope, "lattice_points_in_dilate",
+                        lambda poly, c: calls.append(c) or enumerate_dilate(poly, c))
+    build_filtration_level.cache_clear()
+    f = parse_laurent(text)
+    rep = analyze(f)
+    assert rep.checks and all(check.ok for check in rep.checks.values())
+    assert calls == [f.nvars]
+
+
 # f and g in disjoint variables: the spectrum of f + g is the convolution of
 # the two spectra, jumps adding and multiplicities multiplying
 THOM_SEBASTIANI = [
