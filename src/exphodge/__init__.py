@@ -12,19 +12,18 @@ from .errors import (BadPrimeError, BudgetExceededError, DegenerateInputError,
                      ExpHodgeError, IntegrityError, NotFullDimensionalError,
                      ParseError)
 from .laurent import (LaurentPolynomial, face_restriction, format_laurent,
-                      log_derivative, make_laurent, parse_laurent, reduce_mod_p)
+                      log_derivative, make_laurent, parse_laurent)
 from .polytope import Face, Facet, NewtonPolytope, newton_polytope
 from .linalg import SparseRationalMatrix
 from .nondegen import NondegeneracyReport, is_nondegenerate
 from .derham import (ComplexSlice, betti_numbers, build_filtration_level,
-                     build_graded_level, exact_rank, filtration_image_dim,
-                     top_image_profile)
+                     build_graded_level, top_image_profile)
 from .spectrum import (AnalysisReport, HodgeSpectrum, analyze,
                        check_degeneration, check_symmetry, jump_candidates,
                        spectrum_euler, spectrum_rank)
 from .curve import (CechModel, CurveFiltrationReport, PointDivisor,
                     TwoTermComplex, cech_hypercohomology, compare_filtrations,
-                    divisor_shift_invariance, pole_divisor)
+                    pole_divisor)
 
 __version__ = "0.1.0"
 
@@ -34,16 +33,14 @@ __all__ = [
     "DegenerateInputError", "BadPrimeError", "BudgetExceededError",
     "IntegrityError",
     "LaurentPolynomial", "make_laurent", "parse_laurent", "format_laurent",
-    "log_derivative", "face_restriction", "reduce_mod_p",
+    "log_derivative", "face_restriction",
     "NewtonPolytope", "Face", "Facet", "newton_polytope",
     "SparseRationalMatrix",
     "NondegeneracyReport", "is_nondegenerate",
     "ComplexSlice", "build_filtration_level",
-    "build_graded_level", "betti_numbers", "filtration_image_dim",
-    "top_image_profile", "exact_rank",
+    "build_graded_level", "betti_numbers", "top_image_profile",
     "HodgeSpectrum", "AnalysisReport", "jump_candidates", "spectrum_euler",
     "spectrum_rank", "check_degeneration", "check_symmetry", "analyze",
     "PointDivisor", "TwoTermComplex", "CechModel", "CurveFiltrationReport",
     "pole_divisor", "cech_hypercohomology", "compare_filtrations",
-    "divisor_shift_invariance",
 ]

@@ -25,12 +25,12 @@ with the other families; the compactly supported side of -f is measured in
 its own models.  One truncation B covers the ambient and every level of the
 three families (and of -f, which has the same pole divisor), so each complex
 yields one model and one B+5 probe, cached by ``_build_model``; complexes
-that differ only in their label share both.  A model keeps no matrix (``d0``
-and ``d1`` are assembled again on demand, integral entries as ``int``) and
-eliminates each once: the boundaries (the columns of d0) into an echelon
-whose column order puts the rarest T^1 coordinate first, and d1 into one
-echelon that gives rank d1 and later the cocycles.  An H^1 basis is the
-cocycles that raise the rank of a copy of the boundary echelon.
+that differ only in their label share both.  A model assembles d0 and d1
+once, integral entries as ``int``, keeps neither matrix, and eliminates each
+once: the boundaries (the columns of d0) into an echelon whose column order
+puts the rarest T^1 coordinate first, and d1 into one echelon that gives
+rank d1 and later the cocycles.  An H^1 basis is the cocycles that raise the
+rank of a copy of the boundary echelon.
 
 Image dimensions in the ambient H^1 are exact ranks, taken by reducing
 vectors on a copy of the ambient's boundary echelon.  A level whose labels
@@ -50,9 +50,8 @@ from math import floor
 from typing import Optional
 
 from .errors import IntegrityError
-from .laurent import LaurentPolynomial, log_derivative, make_laurent
-from .linalg import (Echelon, SparseRationalMatrix, kernel_from_echelon,
-                     rarest_first_echelon)
+from .laurent import LaurentPolynomial, log_derivative
+from .linalg import Echelon, kernel_from_echelon, rarest_first_echelon
 from .polytope import newton_polytope
 from .spectrum import CheckResult, HodgeSpectrum, jump_candidates
 
@@ -70,19 +69,12 @@ class PointDivisor:
     def __sub__(self, other):
         return PointDivisor(self.m0 - other.m0, self.m_inf - other.m_inf)
 
-    def __neg__(self):
-        return PointDivisor(-self.m0, -self.m_inf)
-
     def scale_floor(self, t) -> "PointDivisor":
         t = Fraction(t)
         return PointDivisor(floor(t * self.m0), floor(t * self.m_inf))
 
     def times(self, k: int) -> "PointDivisor":
         return PointDivisor(k * self.m0, k * self.m_inf)
-
-    @property
-    def is_effective(self) -> bool:
-        return self.m0 >= 0 and self.m_inf >= 0
 
 
 S_DIVISOR = PointDivisor(1, 1)
@@ -230,18 +222,6 @@ class CechModel:
                 d1_rows[idx2[("r", k)]][col] = -1 if side == "p" else 1
         return d0_columns, d1_rows
 
-    @property
-    def d0(self) -> SparseRationalMatrix:
-        """d0 as a matrix, assembled again on every call."""
-        return SparseRationalMatrix(len(self.labels1), len(self.labels0), {
-            (r, c): v for c, col in enumerate(self._assemble()[0]) for r, v in col.items()})
-
-    @property
-    def d1(self) -> SparseRationalMatrix:
-        """d1 as a matrix, assembled again on every call."""
-        return SparseRationalMatrix(len(self.labels2), len(self.labels1), {
-            (r, c): v for r, row in enumerate(self._assemble()[1]) for c, v in row.items()})
-
     @staticmethod
     def _check_maps(K: TwoTermComplex, lo: int, hi: int):
         # basis monomial check: nabla sends chart sections of O(d0) into the
@@ -287,10 +267,6 @@ class CechModel:
             echelon = self.boundary_echelon()
         column = self._column
         return sum(echelon.add({column[lab]: v for lab, v in vec.items()}) for vec in vecs)
-
-    def boundaries(self) -> list[dict]:
-        """Generators of im d0, label-keyed."""
-        return [{self.labels1[j]: v for j, v in col.items()} for col in self._assemble()[0]]
 
 
 @lru_cache(maxsize=512)
@@ -506,21 +482,6 @@ def compare_filtrations(f: LaurentPolynomial, rank: HodgeSpectrum) -> CurveFiltr
         all(a == b for _, a, b in pairs), pairs)
 
 
-def divisor_shift_invariance(f: LaurentPolynomial, D: PointDivisor, E: PointDivisor) -> bool:
-    """Adding an effective divisor supported on the poles leaves the
-    hypercohomology dims of [O(D) -> Omega_log(D + P)] unchanged."""
-    if not E.is_effective:
-        raise ValueError("E must be effective")
-    P = pole_divisor(f)
-    rp = reduced(P)
-    if (E.m0 and not rp.m0) or (E.m_inf and not rp.m_inf):
-        raise ValueError("E must be supported on the poles of f")
-    K1 = TwoTermComplex(D, D + P, f, "shift-base")
-    K2 = TwoTermComplex(D + E, D + E + P, f, "shift-up")
-    B = _shared_truncation(f, [K1, K2])
-    return cech_hypercohomology(K1, B).dims == cech_hypercohomology(K2, B).dims
-
-
 # ---------------------------------------------------------------------------
 # Check adapters for the analysis report
 # ---------------------------------------------------------------------------
@@ -534,10 +495,3 @@ def duality_summary(rep: CurveFiltrationReport) -> CheckResult:
     detail = {"pairs": [{"lambda": str(l), "h": a, "h_c_dual": b}
                         for l, a, b in rep.duality_pairs]}
     return CheckResult("pass" if rep.duality_ok else "fail", detail)
-
-
-def untwisted_fixture() -> TwoTermComplex:
-    """[O -> Omega_log] with the plain differential; exercises the cover
-    plumbing against classical values (1, 1, 0)."""
-    zero = make_laurent(1, {})
-    return TwoTermComplex(ZERO_DIVISOR, ZERO_DIVISOR, zero, "untwisted")

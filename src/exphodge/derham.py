@@ -29,7 +29,6 @@ from functools import lru_cache
 from itertools import combinations
 from operator import eq, le
 
-from .errors import NotFullDimensionalError
 from .laurent import LaurentPolynomial, Monomial
 from .linalg import (Echelon, SparseRationalMatrix, exact_rank, image_dim_over,
                      nullspace_basis)
@@ -136,8 +135,7 @@ def _weight_block(slice0: ComplexSlice, lam: Fraction, keep) -> ComplexSlice:
 def _check_level(f: LaurentPolynomial, lam) -> tuple[NewtonPolytope, Fraction]:
     lam = Fraction(lam)
     poly = newton_polytope(f)
-    if poly.dim != f.nvars:
-        raise NotFullDimensionalError(poly.dim, f.nvars)
+    poly.require_full_dim()
     if not 0 <= lam <= f.nvars:
         raise ValueError(f"level {lam} outside [0, top degree {f.nvars}]")
     return poly, lam
@@ -233,5 +231,5 @@ def top_image_profile(f: LaurentPolynomial, levels) -> list[int]:
 __all__ = [
     "BasisForm", "ComplexSlice", "build_filtration_level",
     "build_graded_level", "betti_numbers", "filtration_image_dim",
-    "top_image_profile", "exact_rank",
+    "top_image_profile",
 ]

@@ -120,7 +120,8 @@ def _sub_scaled(p: Poly, q: Poly, coeff, shift: Exponent, F) -> Poly:
 
 
 def _reduce(p: Poly, basis: Sequence[Poly], lms: Sequence[Exponent], key, F) -> Poly:
-    """normal_form with the basis leading monomials already known."""
+    """Remainder of multivariate division of p by the basis, whose leading
+    monomials are given in lms (leading terms only)."""
     rem: Poly = {}
     work = dict(p)
     divisors = list(zip(lms, basis))
@@ -137,11 +138,6 @@ def _reduce(p: Poly, basis: Sequence[Poly], lms: Sequence[Exponent], key, F) -> 
             rem[lm] = lc
             del work[lm]
     return rem
-
-
-def normal_form(p: Poly, basis: Sequence[Poly], key, F) -> Poly:
-    """Remainder of multivariate division by the basis (leading terms only)."""
-    return _reduce(p, basis, [leading_monomial(g, key) for g in basis], key, F)
 
 
 def _make_monic(p: Poly, lm: Exponent, F) -> Poly:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import BadPrimeError, ParseError
+from .errors import ParseError
 
 Monomial = tuple[int, ...]
 
@@ -69,34 +69,10 @@ class LaurentPolynomial:
     def support(self) -> list[Monomial]:
         return sorted(self.terms)
 
-    def coefficient(self, alpha: Monomial) -> Fraction:
-        return self.terms.get(tuple(alpha), Fraction(0))
-
     def __neg__(self) -> "LaurentPolynomial":
         neg = LaurentPolynomial(self.nvars, {a: -c for a, c in self.terms.items()}, self.var_names)
         object.__setattr__(neg, "_hull", self._hull)  # same support, same hull
         return neg
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        if self.nvars != other.nvars:
-            raise ValueError("arity mismatch")
-        acc: dict[Monomial, Fraction] = dict(self.terms)
-        for a, c in other.terms.items():
-            s = acc.get(a, Fraction(0)) + c
-            if s == 0:
-                acc.pop(a, None)
-            else:
-                acc[a] = s
-        return LaurentPolynomial(self.nvars, acc, self.var_names)
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
-
-    def scale(self, c) -> "LaurentPolynomial":
-        c = Fraction(c)
-        if c == 0:
-            return LaurentPolynomial(self.nvars, {}, self.var_names)
-        return LaurentPolynomial(self.nvars, {a: c * v for a, v in self.terms.items()}, self.var_names)
 
     def shift(self, delta: Monomial) -> "LaurentPolynomial":
         """Multiply by the monomial x^delta (exponent translation)."""
@@ -328,7 +304,7 @@ def format_laurent(f: LaurentPolynomial) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Calculus and reductions
+# Calculus and face restriction
 # ---------------------------------------------------------------------------
 
 def log_derivative(f: LaurentPolynomial, i: int) -> LaurentPolynomial:
@@ -350,15 +326,3 @@ def face_restriction(f: LaurentPolynomial, face) -> LaurentPolynomial:
         raise ValueError("face carries no terms")
     return LaurentPolynomial(f.nvars, kept, f.var_names)
 
-
-def reduce_mod_p(f: LaurentPolynomial, p: int) -> LaurentPolynomial:
-    """Coefficient-wise reduction into the prime field, represented with
-    integer coefficients in [1, p-1]; zero residues dropped."""
-    out: dict[Monomial, Fraction] = {}
-    for a, c in f.terms.items():
-        if c.denominator % p == 0:
-            raise BadPrimeError(f"bad prime {p}: denominator {c.denominator} vanishes")
-        r = (c.numerator * pow(c.denominator, -1, p)) % p
-        if r:
-            out[a] = Fraction(r)
-    return LaurentPolynomial(f.nvars, out, f.var_names)

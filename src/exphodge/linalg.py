@@ -40,21 +40,9 @@ class SparseRationalMatrix:
                 clean[(r, c)] = v
         self.entries = clean
 
-    @classmethod
-    def from_dense(cls, rows: Iterable[Iterable[object]]) -> "SparseRationalMatrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls(nrows, ncols, {
-            (i, j): v for i, r in enumerate(rows) for j, v in enumerate(r)
-        })
-
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def rows(self) -> list[dict[int, Fraction]]:
         out: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
@@ -66,27 +54,6 @@ class SparseRationalMatrix:
         out: list[dict[int, Fraction]] = [dict() for _ in range(self.ncols)]
         for (r, c), v in self.entries.items():
             out[c][r] = v
-        return out
-
-    def __matmul__(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        by_row = other.rows()
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row[k].items():
-                key = (r, c)
-                s = acc.get(key, Fraction(0)) + v * w
-                if s == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return SparseRationalMatrix(self.nrows, other.ncols, acc)
-
-    def to_dense(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
         return out
 
 

@@ -21,8 +21,7 @@ from typing import Optional, Sequence
 
 from . import _kernels
 from ._primes import SMALL_PRIMES, random_primes
-from .errors import (BadPrimeError, BudgetExceededError, ExpHodgeError,
-                     NotFullDimensionalError)
+from .errors import BadPrimeError, BudgetExceededError, ExpHodgeError
 from .groebner import PrimeField, RationalField, groebner_basis, is_unit_ideal
 from .laurent import LaurentPolynomial, Monomial, face_restriction, log_derivative
 from .polytope import Face, newton_polytope
@@ -114,6 +113,22 @@ def _saturated_generators(system: FaceSystem, nvars: int):
     return gens
 
 
+def _vertex_check(face: Face) -> FaceCheck:
+    return FaceCheck(face, "empty", (), "vertex face: monomial has no torus zero")
+
+
+def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str:
+    """The saturated face ideal over the field: "empty" when it is the unit
+    ideal, "nonempty" when it is not, "budget exceeded" when its Groebner
+    basis needs more than max_pairs S-pairs."""
+    gens = _saturated_generators(build_face_system(f, face), f.nvars)
+    try:
+        basis = groebner_basis(gens, field, max_pairs=max_pairs)
+    except BudgetExceededError:
+        return "budget exceeded"
+    return "empty" if is_unit_ideal(basis) else "nonempty"
+
+
 def check_face(f: LaurentPolynomial, face: Face, p: int,
                max_pairs: int = 20000) -> FaceCheck:
     """Is the saturated face ideal the unit ideal over GF(p)?
@@ -121,24 +136,13 @@ def check_face(f: LaurentPolynomial, face: Face, p: int,
     Vertex faces short-circuit: their system contains a single monomial.
     """
     if face.is_vertex:
-        return FaceCheck(face, "empty", (), "vertex face: monomial has no torus zero")
-    system = build_face_system(f, face)
-    gens = _saturated_generators(system, f.nvars)
-    try:
-        basis = groebner_basis(gens, PrimeField(p), max_pairs=max_pairs)
-    except BudgetExceededError:
-        return FaceCheck(face, "budget exceeded", (p,))
-    return FaceCheck(face, "empty" if is_unit_ideal(basis) else "nonempty", (p,))
+        return _vertex_check(face)
+    return FaceCheck(face, _decide_face(f, face, PrimeField(p), max_pairs), (p,))
 
 
 def _check_face_exact(f: LaurentPolynomial, face: Face, max_pairs: int = 60000) -> str:
-    system = build_face_system(f, face)
-    gens = _saturated_generators(system, f.nvars)
-    try:
-        basis = groebner_basis(gens, RationalField(), max_pairs=max_pairs)
-    except BudgetExceededError:
-        return "budget exceeded"
-    return "empty" if is_unit_ideal(basis) else "nonempty"
+    """Is the saturated face ideal the unit ideal over the rationals?"""
+    return _decide_face(f, face, RationalField(), max_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +150,10 @@ def _check_face_exact(f: LaurentPolynomial, face: Face, max_pairs: int = 60000) 
 # ---------------------------------------------------------------------------
 
 def _eval_mod(g: LaurentPolynomial, point: Sequence[int], q: int) -> int:
+    F = PrimeField(q)
     total = 0
     for alpha, c in g.terms.items():
-        if c.denominator % q == 0:
-            raise BadPrimeError(f"bad prime {q}")
-        v = (c.numerator * pow(c.denominator, -1, q)) % q
+        v = F.coerce(c)
         for x, e in zip(point, alpha):
             v = v * pow(x % q, e % (q - 1) if e < 0 else e, q) % q
         total = (total + v) % q
@@ -234,8 +237,7 @@ def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_
     if primes < 1:
         raise ValueError(f"need at least one prime, got primes={primes}")
     poly = newton_polytope(f)
-    if poly.dim != f.nvars:
-        raise NotFullDimensionalError(poly.dim, f.nvars)
+    poly.require_full_dim()
     prime_list = tuple(random_primes(primes, seed))
     witness = witness_field = witness_face = None
     checks: list[FaceCheck] = []
@@ -244,7 +246,7 @@ def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_
     all_exact = True
     for face in poly.proper_faces_excluding_origin():
         if face.is_vertex:
-            checks.append(FaceCheck(face, "empty", (), "vertex face: monomial has no torus zero"))
+            checks.append(_vertex_check(face))
             continue
         exact = _check_face_exact(f, face) if certify else None
         if exact == "empty":

@@ -9,12 +9,13 @@ recession directions).
 
 One exact hull is the only geometric computation: vertices, faces and the
 normalized volume are all read from its facet incidence sets.  The hull keeps
-two tables, each built on first use: its face list, which the nondegeneracy
-check and the volume share, and its weight table, the weight of every lattice
+three tables, each built on first use: its face list, which the nondegeneracy
+check and the volume share; its weight table, the weight of every lattice
 point of the n-dilate, which is the only place a weight is computed for the
-census, the jump candidates and the de Rham bases.  Faces, containment,
-weights and the volume need a full-dimensional polytope; a lower-dimensional
-one keeps only its dimension and vertices.
+census and the de Rham bases; and the jump candidates p - w read off that
+table once.  Faces, containment, weights and the volume need a
+full-dimensional polytope (``require_full_dim`` is the one guard); a
+lower-dimensional one keeps only its dimension and vertices.
 """
 
 from __future__ import annotations
@@ -264,21 +265,19 @@ class NewtonPolytope:
 
     # -- basic predicates ---------------------------------------------------
 
-    def _require_full_dim(self):
+    def require_full_dim(self):
+        """Raise NotFullDimensionalError unless the polytope spans R^n."""
         if self.dim != self.nvars:
             raise NotFullDimensionalError(self.dim, self.nvars)
 
     def contains_point(self, alpha: Monomial) -> bool:
-        self._require_full_dim()
+        self.require_full_dim()
         return all(_dot(f.normal, alpha) >= -f.level for f in self.facets)
-
-    def whole_face(self) -> Face:
-        return Face(self, tuple(range(len(self.vertices))), self.dim, True, ())
 
     # -- faces ---------------------------------------------------------------
 
     def all_proper_faces(self) -> list[Face]:
-        self._require_full_dim()
+        self.require_full_dim()
         return list(self._faces)
 
     @cached_property
@@ -306,7 +305,7 @@ class NewtonPolytope:
 
     def weight(self, alpha: Monomial):
         """min{c >= 0 : alpha in c*Delta} as a Fraction, or +inf."""
-        self._require_full_dim()
+        self.require_full_dim()
         alpha = tuple(alpha)
         w = Fraction(0)
         for f in self.facets:
@@ -324,7 +323,7 @@ class NewtonPolytope:
         <u, alpha> >= -floor(c * level) facet by facet; the floor absorbs the
         rounding in the divisor twists exactly.
         """
-        self._require_full_dim()
+        self.require_full_dim()
         c = Fraction(c)
         if c < 0:
             return []
@@ -342,6 +341,14 @@ class NewtonPolytope:
         return MappingProxyType(
             {a: self.weight(a) for a in self.lattice_points_in_dilate(self.nvars)})
 
+    @cached_property
+    def jumps(self) -> tuple[Fraction, ...]:
+        """Every value p - w in [0, n] over the weights w of the table,
+        ascending: the only places the filtration can jump."""
+        n = self.nvars
+        return tuple(sorted({p - w for w in set(self.dilate_weights.values())
+                             for p in range(n + 1) if 0 <= p - w <= n}))
+
     def contains_origin_interior(self) -> bool:
         if self.dim != self.nvars:
             return False
@@ -352,7 +359,7 @@ class NewtonPolytope:
     def normalized_volume(self) -> int:
         """n! times the Euclidean volume, summed over a pulling triangulation
         read off the face lattice (a simplex never builds it)."""
-        self._require_full_dim()
+        self.require_full_dim()
         whole = frozenset(range(len(self.vertices)))
         dims = {whole: self.dim}
         if len(whole) > self.dim + 1:

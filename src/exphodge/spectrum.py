@@ -6,11 +6,12 @@ Euler characteristic
 
     h^lam = (-1)^n * sum_p (-1)^p * C(n, p) * N(p - lam),
 
-with N(c) the number of lattice points of exact weight c.  The census N and
-the jump candidates p - w are both read from the hull's one weight table
-(``NewtonPolytope.dilate_weights``), which the de Rham bases read too, so no
-weight is computed twice for one support.  Route two (rank):
-h^lam is the drop of the filtration image dimension
+with N(c) the number of lattice points of exact weight c.  The census N is
+read from the hull's one weight table (``NewtonPolytope.dilate_weights``),
+which the de Rham bases read too, so no weight is computed twice for one
+support, and the jump candidates p - w from the hull's one list of them
+(``NewtonPolytope.jumps``).  Route two (rank): h^lam is the drop of the
+filtration image dimension
 
     dim im(H^n(level lam) -> H^n(level 0))
         = |S_lam| + rank(rows of B outside S_lam) - rank(B)
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from .derham import betti_numbers, build_graded_level, top_image_profile
-from .errors import IntegrityError, NotFullDimensionalError
+from .errors import IntegrityError
 from .laurent import LaurentPolynomial, format_laurent
 from .nondegen import DEFAULT_SEED, NondegeneracyReport, is_nondegenerate
 from .polytope import NewtonPolytope, newton_polytope
@@ -76,30 +77,20 @@ class HodgeSpectrum:
         return f"{{{body}}}"
 
 
-def _jumps(weights, n: int) -> list[Fraction]:
-    """All values p - w in [0, n] over the given weights w."""
-    out = set()
-    for w in weights:
-        for p in range(n + 1):
-            lam = Fraction(p) - w
-            if 0 <= lam <= n:
-                out.add(lam)
-    return sorted(out)
-
-
 def jump_candidates(f: LaurentPolynomial) -> list[Fraction]:
     """All values p - weight(alpha) in [0, n]: the only places the filtration
-    can jump."""
-    return _jumps(set(newton_polytope(f).dilate_weights.values()), f.nvars)
+    can jump, as listed once by the hull."""
+    return list(newton_polytope(f).jumps)
 
 
 def spectrum_euler(f: LaurentPolynomial) -> HodgeSpectrum:
     """Top-degree spectrum from the weight census alone."""
     n = f.nvars
-    census = Counter(newton_polytope(f).dilate_weights.values())
+    poly = newton_polytope(f)
+    census = Counter(poly.dilate_weights.values())
     sign = (-1) ** n
     entries = []
-    for lam in _jumps(census, n):
+    for lam in poly.jumps:
         h = sign * sum((-1) ** p * comb(n, p) * census[p - lam] for p in range(n + 1))
         if h < 0:
             raise IntegrityError(
@@ -216,8 +207,7 @@ def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
         raise ValueError(f"mode must be euler, rank or both, not {mode!r}")
     t0 = time.perf_counter()
     poly = newton_polytope(f)
-    if poly.dim != f.nvars:
-        raise NotFullDimensionalError(poly.dim, f.nvars)
+    poly.require_full_dim()
     warnings: list[str] = []
     report = is_nondegenerate(f, primes=primes, seed=seed, certify=certify)
     betti = betti_numbers(f)

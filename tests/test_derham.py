@@ -5,6 +5,7 @@ from math import ceil
 from operator import eq, le
 
 import pytest
+from oracles import dense, matmul
 from test_polytope import _weight_census
 from test_spectrum import _random_support_poly
 
@@ -23,7 +24,7 @@ def test_level0_of_x_plus_xinv():
     sl = build_filtration_level(f, 0)
     assert sl.dims() == (1, 3)
     assert [a for a, _ in sl.bases[1]] == [(-1,), (0,), (1,)]
-    assert sl.mats[0].to_dense() == [[-1], [0], [1]]
+    assert dense(sl.mats[0]) == [[-1], [0], [1]]
 
 
 def test_level1_truncates_degree_zero():
@@ -36,14 +37,14 @@ def test_level1_truncates_degree_zero():
 def test_level0_of_x():
     sl = build_filtration_level(parse_laurent("x"), 0)
     assert [a for a, _ in sl.bases[1]] == [(0,), (1,)]
-    assert sl.mats[0].to_dense() == [[0], [1]]
+    assert dense(sl.mats[0]) == [[0], [1]]
 
 
 def test_graded_level_examples():
     f = parse_laurent("x + x^-1")
     g0 = build_graded_level(f, 0)
     assert g0.dims() == (1, 2)
-    assert g0.mats[0].to_dense() == [[-1], [1]]
+    assert dense(g0.mats[0]) == [[-1], [1]]
     g1 = build_graded_level(f, 1)
     assert g1.dims() == (0, 1)
     g_half = build_graded_level(parse_laurent("x^2 + x^-1"), Fraction(1, 2))
@@ -72,10 +73,10 @@ def test_differential_squares_to_zero(suite_poly):
     for lam in jump_candidates(suite_poly):
         sl = build_filtration_level(suite_poly, lam)
         for p in range(suite_poly.nvars - 1):
-            assert (sl.mats[p + 1] @ sl.mats[p]).is_zero()
+            assert not matmul(sl.mats[p + 1], sl.mats[p]).entries
         gr = build_graded_level(suite_poly, lam)
         for p in range(suite_poly.nvars - 1):
-            assert (gr.mats[p + 1] @ gr.mats[p]).is_zero()
+            assert not matmul(gr.mats[p + 1], gr.mats[p]).entries
 
 
 def test_basis_count_identity(suite_poly):
