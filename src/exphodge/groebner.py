@@ -4,12 +4,16 @@ Polynomials are dicts mapping exponent tuples (nonnegative ints) to nonzero
 field elements.  The engine exists to decide one question: whether a face
 system together with the torus saturation t*x1*...*xn - 1 generates the unit
 ideal.  It is deterministic, reentrant, and capped by a pair budget.
+A nonzero constant among the generators or as an S-pair remainder settles
+that question (weak Nullstellensatz), so the run stops there and returns [1],
+the reduced basis of the unit ideal.
 
 Each basis element's leading monomial is computed once and kept beside it.
 Pending S-pairs wait in a heap keyed (grevlex key of the lcm of the leading
 monomials, i, j): the normal strategy with ties broken by pair index, so a
 fixed input reduces the same pairs in the same order, and the budget counts
-every popped pair, coprime ones included.  Grevlex keys are memoized per call.
+every popped pair, coprime ones included, up to the first constant.  Grevlex
+keys are memoized per call.
 """
 
 from __future__ import annotations
@@ -149,8 +153,12 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
                    max_pairs: int = 20000) -> list[Poly]:
     """Reduced Groebner basis, deterministic for fixed inputs.
 
-    Raises BudgetExceededError once more than max_pairs S-pairs have been
-    reduced; callers surface that as a distinct outcome, not a verdict.
+    A nonzero constant generator, or an S-pair remainder that is a nonzero
+    constant, returns [1] at once: the constant is a combination of the
+    generators.  Raises BudgetExceededError once more than max_pairs S-pairs
+    have been popped; pairs are counted only until such a constant, so a unit
+    ideal can be decided under a budget its run to completion would exceed.
+    Callers surface the error as a distinct outcome, not a verdict.
     """
     F = field
     keys: dict[Exponent, tuple] = {}
@@ -169,6 +177,8 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
             lm = leading_monomial(g, key)
             monic.append((lm, _make_monic(g, lm, F)))
     monic.sort(key=lambda t: key(t[0]))
+    if monic and not any(monic[0][0]):  # a nonzero constant generator
+        return [{monic[0][0]: F.coerce(1)}]
     lms = [lm for lm, _ in monic]
     basis = [g for _, g in monic]
 
@@ -195,6 +205,8 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
         if not s:
             continue
         lm = leading_monomial(s, key)
+        if not any(lm):  # a nonzero constant remainder
+            return [{lm: F.coerce(1)}]
         new = len(basis)
         for k in range(new):
             lcm = _mono_lcm(lms[k], lm)

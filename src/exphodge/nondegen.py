@@ -5,12 +5,13 @@ polynomial and its logarithmic derivatives share a torus zero.  Vertex faces
 pass outright (a monomial never vanishes on the torus).  Every other face is
 decided by one check: an exact Groebner basis over the rationals under
 certification, otherwise a basis modulo each of a few seeded wordsize primes
-(fast, probabilistic).  Under certification the primes serve only as the
-fallback for a face whose exact check exceeds its budget.  A degeneracy claim
-comes with a witness or an exact basis, but only two of them prove it: a
-rational witness verified by substitution, or an exact non-unit Groebner
-basis.  A finite-field witness shows a zero modulo its prime alone, so the
-claim it backs is not certified by itself.
+(fast, probabilistic).  Each Groebner run stops at the first nonzero constant
+in the ideal, which proves the face empty.  Under certification the primes
+serve only as the fallback for a face whose exact check exceeds its budget.
+A degeneracy claim comes with a witness or an exact basis, but only two of
+them prove it: a rational witness verified by substitution, or an exact
+non-unit Groebner basis.  A finite-field witness shows a zero modulo its prime
+alone, so the claim it backs is not certified by itself.
 """
 
 from __future__ import annotations

@@ -227,8 +227,9 @@ class Face:
 
     def contains_point(self, alpha: Monomial) -> bool:
         P = self.polytope
-        return P.contains_point(alpha) and all(
-            _dot(P.facets[j].normal, alpha) == -P.facets[j].level for j in self.active_facets)
+        # the face's own equalities first: most points fail one of them
+        return all(_dot(P.facets[j].normal, alpha) == -P.facets[j].level
+                   for j in self.active_facets) and P.contains_point(alpha)
 
     def __str__(self):
         return "conv{" + ", ".join(str(v) for v in self.vertices) + "}"

@@ -1,13 +1,17 @@
 """Reference forms the tests check exphodge against, kept out of the package
 because no pipeline code needs them: the sum of Laurent polynomials, dense
 form and product of sparse matrices, the Čech differentials of a model as
-matrices, the untwisted two-term complex, the Groebner normal form, and the
-divisor-shift invariance of the Čech dimensions."""
+matrices, the untwisted two-term complex, the Groebner normal form, a
+Groebner basis run to completion, and the divisor-shift invariance of the Čech
+dimensions."""
 
+import heapq
 from fractions import Fraction
 
 from exphodge import curve
-from exphodge.groebner import _reduce, leading_monomial
+from exphodge.groebner import (_make_monic, _mono_div, _mono_divides, _mono_lcm,
+                               _mono_mul, _reduce, _sub_scaled, grevlex_key,
+                               leading_monomial)
 from exphodge.laurent import make_laurent
 from exphodge.linalg import SparseRationalMatrix
 
@@ -73,6 +77,54 @@ def untwisted_complex() -> curve.TwoTermComplex:
 def normal_form(p, basis, key, F):
     """Remainder of multivariate division by the basis (leading terms only)."""
     return _reduce(p, basis, [leading_monomial(g, key) for g in basis], key, F)
+
+
+def full_groebner_basis(generators, F):
+    """Reduced Groebner basis by Buchberger run to completion, then minimalized
+    and tail-reduced: `groebner.groebner_basis` without its exit at the first
+    nonzero constant or its pair budget, with the same pair order."""
+    key = grevlex_key
+    monic = []
+    for g in generators:
+        g = {tuple(e): F.coerce(c) for e, c in g.items()}
+        g = {e: c for e, c in g.items() if c}
+        if g:
+            lm = leading_monomial(g, key)
+            monic.append((lm, _make_monic(g, lm, F)))
+    monic.sort(key=lambda t: key(t[0]))
+    lms = [lm for lm, _ in monic]
+    basis = [g for _, g in monic]
+    pairs = [(key(_mono_lcm(lms[i], lms[j])), i, j, _mono_lcm(lms[i], lms[j]))
+             for j in range(len(basis)) for i in range(j)]
+    heapq.heapify(pairs)
+    while pairs:
+        _, i, j, lcm = heapq.heappop(pairs)
+        if lcm == _mono_mul(lms[i], lms[j]):
+            continue
+        shift = _mono_div(lcm, lms[i])
+        s = _sub_scaled({_mono_mul(e, shift): c for e, c in basis[i].items()},
+                        basis[j], F.coerce(1), _mono_div(lcm, lms[j]), F)
+        s = _reduce(s, basis, lms, key, F)
+        if not s:
+            continue
+        lm = leading_monomial(s, key)
+        for k in range(len(basis)):
+            lcm = _mono_lcm(lms[k], lm)
+            heapq.heappush(pairs, (key(lcm), k, len(basis), lcm))
+        basis.append(_make_monic(s, lm, F))
+        lms.append(lm)
+    keep = [i for i in range(len(basis))
+            if not any(j != i and _mono_divides(lms[j], lms[i])
+                       and (lms[j] != lms[i] or j < i) for j in range(len(basis)))]
+    reduced = []
+    for i in keep:
+        others = [k for k in keep if k != i]
+        r = _reduce(basis[i], [basis[k] for k in others], [lms[k] for k in others],
+                    key, F) if others else basis[i]
+        if r:
+            reduced.append((lms[i], _make_monic(r, lms[i], F)))
+    reduced.sort(key=lambda t: key(t[0]))
+    return [g for _, g in reduced]
 
 
 def divisor_shift_invariance(f, D: curve.PointDivisor, E: curve.PointDivisor) -> bool:

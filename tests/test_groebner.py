@@ -1,12 +1,20 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from oracles import normal_form
+from conftest import SUITE
+from oracles import full_groebner_basis, normal_form
 
+from exphodge._primes import random_primes
 from exphodge.errors import BudgetExceededError
 from exphodge.groebner import (PrimeField, RationalField, grevlex_key,
                                groebner_basis, is_unit_ideal)
+from exphodge.laurent import parse_laurent
+from exphodge.nondegen import _saturated_generators, build_face_system
+from exphodge.polytope import newton_polytope
 
 
 def test_grevlex_order():
@@ -81,13 +89,16 @@ TIE_GENS = [{(1, 0): -2, (1, 1): 1, (2, 2): -3}, {(1, 0): -2, (2, 1): -3}, {(0, 
 
 @pytest.mark.parametrize("gens,F,least", [
     (BUDGET_GENS, PrimeField(101), 36),
-    (DETERMINISM_GENS, PrimeField(32003), 15),
-    (DETERMINISM_GENS, RationalField(), 15),
+    (DETERMINISM_GENS, PrimeField(32003), 5),
+    (DETERMINISM_GENS, RationalField(), 5),
     (TIE_GENS, PrimeField(101), 15),
 ], ids=["budget-GF(101)", "determinism-GF(32003)", "determinism-QQ", "ties-GF(101)"])
 def test_least_sufficient_pair_budget_is_pinned(gens, F, least):
     """The queue pops pairs in a fixed order, so the smallest budget that
-    succeeds is a property of the input; these values pin that order."""
+    succeeds is a property of the input; these values pin that order.
+    DETERMINISM_GENS generates the unit ideal, so its budget counts the pairs
+    popped until the first constant remainder; the two non-unit systems pin
+    the order of a run to completion."""
     assert groebner_basis(gens, F, max_pairs=least)
     with pytest.raises(BudgetExceededError):
         groebner_basis(gens, F, max_pairs=least - 1)
@@ -142,3 +153,55 @@ def test_random_systems_give_reduced_groebner_bases(F):
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 assert normal_form(_s_poly(basis[i], basis[j], F), basis, grevlex_key, F) == {}
+
+
+@pytest.mark.parametrize("F", [RationalField(), PrimeField(101)], ids=["QQ", "GF(101)"])
+def test_constant_generator_returns_unit_basis_before_any_pair(F):
+    gens = [{(1, 1): 1, (0, 0): -1}, {(2, 0): 3, (0, 1): 1}, {(0, 0): 7}]
+    assert groebner_basis(gens, F, max_pairs=0) == [{(0, 0): 1}]
+
+
+def test_generator_constant_only_mod_p():
+    # 101*x + 1 is the constant 1 over GF(101) and a line over QQ
+    gens = [{(1, 0): 101, (0, 0): 1}, {(1, 0): 1, (0, 1): 1}]
+    assert groebner_basis(gens, PrimeField(101), max_pairs=0) == [{(0, 0): 1}]
+    over_q = groebner_basis(gens, RationalField())
+    assert not is_unit_ideal(over_q)
+    assert over_q == full_groebner_basis(gens, RationalField())
+
+
+# degenerate inputs of test_nondegen.py: each has a face whose ideal is not (1)
+DEGENERATE = ["x^2 + 2*x*y + y^2", "x^2 - 2*x*y + y^2 + x^-1*y^-1",
+              "x^4 - 4*x^2*y^2 + 4*y^4 + x^-1*y^-1", "4*x^2 + 4*x*y + y^2 + x^-1*y^-1"]
+CORPUS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+
+def _screen_draw(monkeypatch):
+    """One seeded draw of each screen support, built by the benchmark's own
+    corpus module (loaded from its file, never modified)."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS_PATH)
+    corpus = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, corpus)  # dataclasses look it up
+    spec.loader.exec_module(corpus)
+    screen = corpus.workloads(corpus.load_reference())["screen"]
+    return [inp.f for inp in corpus.build_corpus(screen, 15, 1)[0]]
+
+
+@pytest.mark.parametrize("F", [RationalField(), PrimeField(random_primes(1, 15)[0])],
+                         ids=["QQ", "GF(p)"])
+def test_exit_agrees_with_the_full_run_on_face_systems(F, monkeypatch):
+    """Stopping at the first constant gives the reduced basis the full run
+    ends with, on every non-vertex face system: running examples, degenerate
+    inputs and the screen supports."""
+    polys = [parse_laurent(t) for t, _ in SUITE] + [parse_laurent(t) for t in DEGENERATE]
+    units = nonunits = 0
+    for f in polys + _screen_draw(monkeypatch):
+        for face in newton_polytope(f).proper_faces_excluding_origin():
+            if face.is_vertex:
+                continue
+            gens = _saturated_generators(build_face_system(f, face), f.nvars)
+            basis = groebner_basis(gens, F)
+            assert basis == full_groebner_basis(gens, F), (str(f), str(face))
+            units += is_unit_ideal(basis)
+            nonunits += not is_unit_ideal(basis)
+    assert units and nonunits
