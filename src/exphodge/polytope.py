@@ -8,14 +8,17 @@ levels, so every weight is an exact Fraction (or +infinity outside the
 recession directions).
 
 One exact hull is the only geometric computation: vertices, faces and the
-normalized volume are all read from its facet incidence sets.  The hull keeps
-three tables, each built on first use: its face list, which the nondegeneracy
-check and the volume share; its weight table, the weight of every lattice
-point of the n-dilate, which is the only place a weight is computed for the
-census and the de Rham bases; and the jump candidates p - w read off that
-table once.  Faces, containment, weights and the volume need a
-full-dimensional polytope (``require_full_dim`` is the one guard); a
-lower-dimensional one keeps only its dimension and vertices.
+normalized volume are all read from its facet incidence sets.  It is built by
+beneath-beyond in integers, so its cost follows the facets, not the d-subsets
+of the support.  The hull keeps three tables, each built on first use: its
+face list, which the nondegeneracy check and the volume share; its weight
+table, the weight of every lattice point of the n-dilate, which is the only
+place a weight is computed for the census and the de Rham bases (the ratios
+are compared by integer cross-multiplication, and one Fraction serves each
+distinct ratio); and the jump candidates p - w read off that table once.
+Faces, containment, weights and the volume need a full-dimensional polytope
+(``require_full_dim`` is the one guard); a lower-dimensional one keeps only
+its dimension and vertices.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -106,7 +109,7 @@ def _solve_in_basis(basis: Sequence[Sequence[int]], v: Sequence[int]) -> Optiona
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _primitive(u: Sequence[int]) -> tuple[int, ...]:
@@ -131,28 +134,85 @@ def _hyperplane_normal(points: Sequence[Monomial]) -> Optional[tuple[int, ...]]:
 # Exact full-dimensional hulls
 # ---------------------------------------------------------------------------
 
+def _affinely_independent(points: Sequence[Monomial], indices: Sequence[int], k: int) -> list[int]:
+    """The first k indices, taken greedily in the given order, whose points
+    are affinely independent (fewer when the points do not allow k)."""
+    chosen = list(indices[:1])
+    for i in indices[1:]:
+        if len(chosen) >= k:
+            break
+        base = points[chosen[0]]
+        rows = [[a - b for a, b in zip(points[j], base)] for j in chosen[1:] + [i]]
+        if len(_row_lattice_basis(rows)) == len(rows):
+            chosen.append(i)
+    return chosen
+
+
+def _facet_through(points: Sequence[Monomial], through: Sequence[int], done: Sequence[int]):
+    """((u, b), incidence set) of the hyperplane through the given d points,
+    oriented so that every point of `done` satisfies <u, x> >= b; the
+    incidence set is the points of `done` on it."""
+    u = _hyperplane_normal([points[j] for j in through])
+    b = _dot(u, points[through[0]])
+    vals = [(j, _dot(u, points[j])) for j in done]
+    if any(v < b for _, v in vals):
+        u, b = tuple(-x for x in u), -b
+        vals = [(j, -v) for j, v in vals]
+    return (u, b), frozenset(j for j, v in vals if v == b)
+
+
 def _full_dim_hull(points: list[Monomial]):
     """(vertex index list, facet list) of conv(points) when the points
     affinely span R^d.  Facets are (primitive u, b) meaning <u, x> >= b.
 
-    Brute force over d-subsets; adequate for desk-scale supports.  A point is
-    a vertex when it is the only point on every facet through it.
+    Beneath-beyond in exact integers (Edelsbrunner, Algorithms in
+    Combinatorial Geometry, 1987, ch. 8; Seidel 1981): start from a
+    d-simplex of the points and add the others in index order.  Each facet
+    keeps the set of processed points on it.  A new point sees the facets it
+    lies strictly beneath; every ridge between a seen and an unseen facet
+    spans a new facet with it, and the seen facets go.  Two facets meet in a
+    ridge when no third facet holds all the points they share.  Facets are
+    keyed by (u, b), so a new facet coplanar with a kept one merges with it.
+    A point is a vertex when it is the only point on every facet through it.
     """
     d = len(points[0])
-    facets: dict[tuple[tuple[int, ...], int], None] = {}
-    for comb in combinations(range(len(points)), d):
-        u = _hyperplane_normal([points[i] for i in comb])
-        if u is None:
+    simplex = _affinely_independent(points, range(len(points)), d + 1)
+    done = list(simplex)
+    facets: dict[tuple[tuple[int, ...], int], frozenset[int]] = dict(
+        _facet_through(points, [k for k in simplex if k != j], done) for j in simplex)
+    in_simplex = set(simplex)
+    for i, p in enumerate(points):
+        if i in in_simplex:
             continue
-        vals = [_dot(u, p) for p in points]
-        v0 = _dot(u, points[comb[0]])
-        if v0 == min(vals):
-            facets[(u, v0)] = None
-        if v0 == max(vals):
-            facets[(tuple(-x for x in u), -v0)] = None
+        done.append(i)
+        seen, on = [], []
+        for key in facets:
+            s = _dot(key[0], p) - key[1]
+            if s < 0:
+                seen.append(key)
+            elif s == 0:
+                on.append(key)
+        for key in on:
+            facets[key] |= {i}
+        if not seen:
+            continue
+        seen_set = set(seen)
+        new = []
+        for F in seen:
+            for G, inc in facets.items():
+                if G in seen_set:
+                    continue
+                ridge = facets[F] & inc
+                if len(ridge) < d - 1 or any(
+                        ridge <= other for H, other in facets.items() if H != F and H != G):
+                    continue
+                new.append(_facet_through(
+                    points, [i] + _affinely_independent(points, sorted(ridge), d - 1), done))
+        for key in seen:
+            del facets[key]
+        facets.update(new)
     facet_list = sorted(facets)
-    incidences = [frozenset(i for i, p in enumerate(points) if _dot(u, p) == b)
-                  for (u, b) in facet_list]
+    incidences = list(facets.values())
     vertex_idx = []
     for i in range(len(points)):
         common = frozenset(range(len(points)))
@@ -304,18 +364,25 @@ class NewtonPolytope:
 
     # -- weights and lattice enumeration -------------------------------------
 
-    def weight(self, alpha: Monomial):
-        """min{c >= 0 : alpha in c*Delta} as a Fraction, or +inf."""
-        self.require_full_dim()
-        alpha = tuple(alpha)
-        w = Fraction(0)
+    def _weight_ratio(self, alpha: Monomial) -> Optional[tuple[int, int]]:
+        """(s, level) with the largest s / level over the facets whose pairing
+        s = -<u, alpha> is positive, compared by cross-multiplication; (0, 1)
+        when there is none, None when such a facet has level 0."""
+        num, den = 0, 1
         for f in self.facets:
             s = -_dot(f.normal, alpha)
             if s > 0:
                 if f.level == 0:
-                    return INFINITE_WEIGHT
-                w = max(w, Fraction(s, f.level))
-        return w
+                    return None
+                if s * den > num * f.level:
+                    num, den = s, f.level
+        return num, den
+
+    def weight(self, alpha: Monomial):
+        """min{c >= 0 : alpha in c*Delta} as a Fraction, or +inf."""
+        self.require_full_dim()
+        ratio = self._weight_ratio(tuple(alpha))
+        return INFINITE_WEIGHT if ratio is None else Fraction(*ratio)
 
     def lattice_points_in_dilate(self, c) -> list[Monomial]:
         """All alpha with weight <= c, ascending lex.
@@ -333,14 +400,23 @@ class NewtonPolytope:
         normals = [f.normal for f in self.facets]
         bounds = [-math.floor(c * f.level) for f in self.facets]
         pts = _kernels.enumerate_box_filtered(lo, hi, normals, bounds)
-        return [tuple(int(x) for x in row) for row in pts]
+        return list(map(tuple, pts.tolist()))
 
     @cached_property
     def dilate_weights(self) -> Mapping[Monomial, Fraction]:
         """The weight of every lattice point of the n-dilate, keys ascending
-        lex: the one weight table of the hull, built on first use."""
-        return MappingProxyType(
-            {a: self.weight(a) for a in self.lattice_points_in_dilate(self.nvars)})
+        lex: the one weight table of the hull, built on first use.  Every
+        point of the dilate has a finite weight, and one Fraction serves all
+        the points with the same ratio."""
+        fractions: dict[tuple[int, int], Fraction] = {}
+        table = {}
+        for a in self.lattice_points_in_dilate(self.nvars):
+            ratio = self._weight_ratio(a)
+            w = fractions.get(ratio)
+            if w is None:
+                w = fractions[ratio] = Fraction(*ratio)
+            table[a] = w
+        return MappingProxyType(table)
 
     @cached_property
     def jumps(self) -> tuple[Fraction, ...]:

@@ -2,11 +2,14 @@
 because no pipeline code needs them: the sum of Laurent polynomials, dense
 form and product of sparse matrices, the Čech differentials of a model as
 matrices, the untwisted two-term complex, the Groebner normal form, a
-Groebner basis run to completion, and the divisor-shift invariance of the Čech
-dimensions."""
+Groebner basis run to completion, the divisor-shift invariance of the Čech
+dimensions, the convex hull by brute force over d-subsets, the weight of a
+lattice point with one Fraction per facet, and seeded unimodular maps."""
 
 import heapq
+import math
 from fractions import Fraction
+from itertools import combinations
 
 from exphodge import curve
 from exphodge.groebner import (_make_monic, _mono_div, _mono_divides, _mono_lcm,
@@ -14,6 +17,7 @@ from exphodge.groebner import (_make_monic, _mono_div, _mono_divides, _mono_lcm,
                                leading_monomial)
 from exphodge.laurent import make_laurent
 from exphodge.linalg import SparseRationalMatrix
+from exphodge.polytope import _dot, _hyperplane_normal
 
 
 def laurent_sum(f, g):
@@ -135,3 +139,62 @@ def divisor_shift_invariance(f, D: curve.PointDivisor, E: curve.PointDivisor) ->
     K2 = curve.TwoTermComplex(D + E, D + E + P, f)
     B = curve._shared_truncation(f, [K1, K2])
     return curve.cech_hypercohomology(K1, B).dims == curve.cech_hypercohomology(K2, B).dims
+
+
+def brute_force_hull(points):
+    """(vertex index list, facet list) of conv(points), the points affinely
+    spanning R^d: one hyperplane per d-subset, kept as a facet (u, b), meaning
+    <u, x> >= b, when every point lies on one side.  A point is a vertex when
+    it is the only point on every facet through it."""
+    d = len(points[0])
+    facets = {}
+    for comb in combinations(range(len(points)), d):
+        u = _hyperplane_normal([points[i] for i in comb])
+        if u is None:
+            continue
+        vals = [_dot(u, p) for p in points]
+        v0 = _dot(u, points[comb[0]])
+        if v0 == min(vals):
+            facets[(u, v0)] = None
+        if v0 == max(vals):
+            facets[(tuple(-x for x in u), -v0)] = None
+    facet_list = sorted(facets)
+    incidences = [frozenset(i for i, p in enumerate(points) if _dot(u, p) == b)
+                  for (u, b) in facet_list]
+    vertex_idx = []
+    for i in range(len(points)):
+        common = frozenset(range(len(points)))
+        for s in incidences:
+            if i in s:
+                common &= s
+        if common == {i}:
+            vertex_idx.append(i)
+    return vertex_idx, facet_list
+
+
+def fraction_weight(P, alpha):
+    """min{c >= 0 : alpha in c*P} as the largest Fraction s/level over the
+    facets with a positive pairing s = -<u, alpha>, or math.inf when such a
+    facet has level 0."""
+    w = Fraction(0)
+    for f in P.facets:
+        s = -_dot(f.normal, alpha)
+        if s > 0:
+            if f.level == 0:
+                return math.inf
+            w = max(w, Fraction(s, f.level))
+    return w
+
+
+def random_unimodular(rng, n):
+    """A product of 2n elementary matrices I + c*E_ij: det 1, small entries."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def apply_matrix(m, point):
+    return tuple(sum(a * x for a, x in zip(row, point)) for row in m)

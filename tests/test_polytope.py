@@ -1,9 +1,15 @@
+import importlib.util
+import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from oracles import apply_matrix, brute_force_hull, fraction_weight, random_unimodular
 
 from exphodge.errors import NotFullDimensionalError
 from exphodge.laurent import make_laurent, parse_laurent
@@ -436,16 +442,6 @@ def test_volume_matches_recursive_triangulation_oracle(n):
         assert P.dim == 4 and len(P._points) >= 12  # the last, 14-point support
 
 
-def _unimodular(rng, n):
-    """A product of elementary matrices I + c*E_ij: det 1, small entries."""
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice([-2, -1, 1, 2])
-        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-    return m
-
-
 def _face_census(P):
     census = {}
     for fc in P.all_proper_faces():
@@ -464,8 +460,8 @@ def test_gl_n_z_invariance(n):
         P = newton_polytope(make_laurent(n, {p: 1 for p in pts}))
         if P.dim != n:
             continue
-        g = _unimodular(rng, n)
-        moved = [tuple(sum(g[i][j] * p[j] for j in range(n)) for i in range(n)) for p in pts]
+        g = random_unimodular(rng, n)
+        moved = [apply_matrix(g, p) for p in pts]
         Q = newton_polytope(make_laurent(n, {p: 1 for p in moved}))
         assert Q.dim == n
         assert Q.normalized_volume() == P.normalized_volume()
@@ -488,3 +484,170 @@ def test_faces_and_containment_need_full_dimension():
         P.proper_faces_excluding_origin()
     with pytest.raises(NotFullDimensionalError):
         P.contains_point((1, 1))
+
+
+# ---------------------------------------------------------------------------
+# The beneath-beyond hull against the brute force over d-subsets
+# ---------------------------------------------------------------------------
+
+def _affine_dim(points):
+    from exphodge.polytope import _row_lattice_basis
+
+    base = points[0]
+    return len(_row_lattice_basis([tuple(a - b for a, b in zip(p, base)) for p in points]))
+
+
+def _box(*ranges):
+    return list(itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)))
+
+
+# dense boxes: most of their points are coplanar with others or interior
+DENSE_BOXES = {
+    1: [_box((-3, 3)), _box((0, 5))],
+    2: [_box((-3, 3), (-3, 3)), _box((-1, 2), (0, 3))],
+    3: [_box((-1, 1), (-1, 1), (-1, 1)), _box((0, 2), (0, 2), (0, 1))],
+    4: [_box((0, 1), (0, 1), (0, 1), (0, 1)), _box((-1, 1), (0, 1), (0, 1), (0, 1))],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hull_matches_brute_force_oracle(n):
+    """Equal (vertex indices, facets) on seeded supports in {-r..r}^n for
+    r = 1, 2, 3, each in sorted and in shuffled order, and on dense boxes."""
+    from exphodge.polytope import _full_dim_hull
+
+    rng = random.Random(1600 + n)
+    lo, hi = {1: (2, 6), 2: (3, 14), 3: (4, 16), 4: (5, 14)}[n]
+    supports = [sorted(set(_random_points(rng, n, rng.randint(lo, hi), r)))
+                for r in (1, 2, 3) for _ in range(12)]
+    supports += DENSE_BOXES[n]
+    checked = 0
+    for pts in supports:
+        if _affine_dim(pts) != n:
+            continue
+        vidx, facets = brute_force_hull(pts)
+        assert _full_dim_hull(pts) == (vidx, facets)
+        # the hull does not depend on the order the points come in
+        shuffled = rng.sample(pts, len(pts))
+        at = {p: i for i, p in enumerate(shuffled)}
+        assert _full_dim_hull(shuffled) == (sorted(at[pts[i]] for i in vidx), facets)
+        checked += 1
+    assert checked >= 30
+
+
+def _embed(rng, k, n):
+    """A random integer n x k matrix of rank k: Z^k into a sublattice of Z^n."""
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        if _affine_dim([(0,) * n] + [tuple(row[j] for row in m) for j in range(k)]) == k:
+            return m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_newton_polytopes_match_brute_force_hull(monkeypatch, n):
+    """Full-dimensional supports and supports of lower dimension, whose hull
+    is built in reduced coordinates, give the same polytope under either hull."""
+    from exphodge import polytope
+
+    rng = random.Random(1700 + n)
+    supports = [_random_points(rng, n, rng.randint(n, n + 8)) for _ in range(8)]
+    for k in range(1, n):
+        m = _embed(rng, k, n)
+        for _ in range(4):
+            supports.append([apply_matrix(m, p) for p in _random_points(rng, k, rng.randint(k, k + 6))])
+    built = [polytope.NewtonPolytope(n, pts) for pts in supports]
+    monkeypatch.setattr(polytope, "_full_dim_hull", brute_force_hull)
+    dims = set()
+    for pts, P in zip(supports, built):
+        Q = polytope.NewtonPolytope(n, pts)
+        assert (P.dim, P.vertices, P.facets) == (Q.dim, Q.vertices, Q.facets)
+        dims.add(P.dim)
+    assert set(range(1, n + 1)) <= dims
+
+
+def _inverse_transpose(g):
+    """g^-T of a determinant-1 integer matrix: its cofactor matrix."""
+    from exphodge.polytope import _int_det
+
+    n = len(g)
+    assert _int_det(g) == 1
+    return [[(-1) ** (i + j) * _int_det([r[:j] + r[j + 1:] for k, r in enumerate(g) if k != i])
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hull_facets_move_by_the_inverse_transpose(n):
+    """Under x -> g x with g in SL_n(Z), the facet <u, x> >= b goes to
+    <g^-T u, y> >= b and the vertex indices stay."""
+    from exphodge.polytope import _full_dim_hull
+
+    rng = random.Random(1800 + n)
+    checked = 0
+    for _ in range(10):
+        pts = sorted(set(_random_points(rng, n, rng.randint(n + 2, n + 9))))
+        if _affine_dim(pts) != n:
+            continue
+        g = random_unimodular(rng, n)
+        g_inv_t = _inverse_transpose(g)
+        vidx, facets = _full_dim_hull(pts)
+        moved = _full_dim_hull([apply_matrix(g, p) for p in pts])
+        assert moved == (vidx, sorted((apply_matrix(g_inv_t, u), b) for u, b in facets))
+        checked += 1
+    assert checked >= 8
+
+
+# ---------------------------------------------------------------------------
+# The integer weight table against one Fraction per facet
+# ---------------------------------------------------------------------------
+
+CORPUS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+
+def _corpus_inputs(monkeypatch, workload):
+    """Two seeded passes of a benchmark workload, built by the benchmark's
+    own corpus module (loaded from its file, never modified)."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS_PATH)
+    corpus = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, corpus)  # dataclasses look it up
+    spec.loader.exec_module(corpus)
+    chosen = corpus.workloads(corpus.load_reference())[workload]
+    return [inp.f for batch in corpus.build_corpus(chosen, 4242, 2) for inp in batch]
+
+
+def _check_weight_table(monkeypatch, f):
+    """The weight table, the jumps and nvol against a polytope built by the
+    brute-force hull, whose n-dilate is read off its bounding box by the
+    Fraction weight oracle."""
+    from exphodge import polytope
+
+    n = f.nvars
+    P = newton_polytope(f)
+    with monkeypatch.context() as m:
+        m.setattr(polytope, "_full_dim_hull", brute_force_hull)
+        Q = polytope.NewtonPolytope(n, f.support)
+    assert (P.vertices, P.facets) == (Q.vertices, Q.facets)
+    box = [(n * min(v[i] for v in Q.vertices), n * max(v[i] for v in Q.vertices))
+           for i in range(n)]
+    oracle = {a: w for a in _box(*box) if (w := fraction_weight(Q, a)) <= n}
+    assert list(P.dilate_weights.items()) == list(oracle.items())
+    assert all(type(x) is int for a in P.dilate_weights for x in a)
+    jumps = sorted({p - w for w in oracle.values() for p in range(n + 1) if 0 <= p - w <= n})
+    assert P.jumps == tuple(jumps)
+    assert P.normalized_volume() == Q.normalized_volume()
+
+
+def test_weight_table_matches_fraction_oracle(monkeypatch, suite_poly):
+    _check_weight_table(monkeypatch, suite_poly)
+
+
+@pytest.mark.parametrize("text", ["x^5 + x^-3", "x^3 + y^4 + x^-2*y^-1",
+                                  "x^2 + y^2 + z^2 + x^-1*y^-1*z^-1",
+                                  "x + y + z + w + x^-1*y^-1*z^-1*w^-1"])
+def test_weight_table_matches_fraction_oracle_beyond_the_suite(monkeypatch, text):
+    _check_weight_table(monkeypatch, parse_laurent(text))
+
+
+@pytest.mark.parametrize("workload", ["curve_n1", "toric_rank", "screen"])
+def test_weight_table_matches_fraction_oracle_on_the_corpus(monkeypatch, workload):
+    for f in _corpus_inputs(monkeypatch, workload):
+        _check_weight_table(monkeypatch, f)

@@ -3,6 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
+from oracles import apply_matrix, random_unimodular
+
 from exphodge.derham import betti_numbers
 from exphodge.errors import NotFullDimensionalError
 from exphodge.laurent import make_laurent, parse_laurent
@@ -305,6 +307,22 @@ def test_gl_n_z_invariance(text, A):
                                for alpha, c in f.terms.items()}, f.var_names)
     assert g.terms.keys() != f.terms.keys()
     assert _invariants(g) == _invariants(f)
+
+
+@pytest.mark.parametrize("text", ["x^3 + y^4 + x^-2*y^-1", "x + y + z + x^-1*y^-1*z^-1"])
+def test_spectra_invariant_under_seeded_gl_n_z(text):
+    """Both spectra stay put under three seeded unimodular exponent maps."""
+    f = parse_laurent(text)
+    euler, rank = spectrum_euler(f).entries, spectrum_rank(f).entries
+    assert euler == rank
+    rng = random.Random(f.nvars)
+    for _ in range(3):
+        A = random_unimodular(rng, f.nvars)
+        g = make_laurent(f.nvars, {apply_matrix(A, alpha): c for alpha, c in f.terms.items()},
+                         f.var_names)
+        assert g.terms.keys() != f.terms.keys()
+        assert spectrum_euler(g).entries == euler
+        assert spectrum_rank(g).entries == rank
 
 
 def _random_support_poly(seed: int):
