@@ -1,72 +1,57 @@
 """Integer scans: lattice points of a box under facet inequalities, and
 common zeros of generator systems on a finite torus.
 
-Both are vectorized numpy over int64; the call sites keep values far below
-overflow.  Exact rational elimination and Groebner arithmetic live elsewhere:
-those run on arbitrary precision numbers.
+Both run on Python integers, so no input size can overflow them.  Exact
+rational elimination and Groebner arithmetic live elsewhere.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import product
+from math import prod
+from operator import mul
+from typing import Optional, Sequence
 
-BACKEND = "numpy"
+BACKEND = "python"
 
 
-def _pow_mod_array(base, e, p):
-    out = np.ones_like(base)
-    b = np.mod(base, p)
-    while e > 0:
-        if e & 1:
-            out = (out * b) % p
-        b = (b * b) % p
-        e >>= 1
+def enumerate_box_filtered(lo, hi, normals, bounds) -> list[tuple[int, ...]]:
+    """All integer points a with lo <= a <= hi (componentwise) satisfying
+    <normal, a> >= bound for every normal and its bound, in ascending lex
+    order.
+
+    For each prefix of the leading coordinates the inequalities leave the
+    last coordinate an interval, read off by ceil and floor division.
+    """
+    rows = [(u[:-1], u[-1], b) for u, b in zip(normals, bounds)]
+    out = []
+    for prefix in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
+        first, last = lo[-1], hi[-1]
+        for head, u_last, bound in rows:
+            rest = bound - sum(map(mul, head, prefix))
+            if u_last > 0:
+                first = max(first, -(-rest // u_last))
+            elif u_last < 0:
+                last = min(last, rest // u_last)
+            elif rest > 0:
+                last = first - 1
+            if first > last:
+                break
+        out.extend(prefix + (x,) for x in range(first, last + 1))
     return out
 
 
-def enumerate_box_filtered(lo, hi, normals, bounds) -> np.ndarray:
-    """All integer points a with lo <= a <= hi (componentwise) satisfying
-    normals @ a >= bounds, in ascending lex order."""
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    normals = np.asarray(normals, dtype=np.int64).reshape(-1, lo.shape[0])
-    bounds = np.asarray(bounds, dtype=np.int64)
-    if np.any(hi < lo):
-        return np.empty((0, lo.shape[0]), dtype=np.int64)
-    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=1)
-    keep = np.all(pts @ normals.T >= bounds[None, :], axis=1)
-    return pts[keep]
-
-
-def torus_common_zero(exps, coeffs, offsets, nvars: int, p: int):
+def torus_common_zero(gens: Sequence[Sequence[tuple[int, Sequence[int]]]],
+                      nvars: int, p: int) -> Optional[tuple[int, ...]]:
     """First point of (GF(p)*)^nvars where every generator vanishes, or None.
 
-    Generators are concatenated: generator g owns the term rows
-    offsets[g]..offsets[g+1].  Exponents must be nonnegative (shift Laurent
-    generators first).  Scan order is lex ascending on coordinates 1..p-1.
+    Each generator is a list of (coefficient mod p, exponent) terms with
+    nonnegative exponents (shift Laurent generators first).  The scan runs
+    lex ascending on coordinates 1..p-1 and leaves a point at the first
+    generator that does not vanish there.
     """
-    exps = np.asarray(exps, dtype=np.int64).reshape(-1, nvars)
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    n_pts = (p - 1) ** nvars
-    coords = np.empty((n_pts, nvars), dtype=np.int64)
-    vals = np.arange(1, p, dtype=np.int64)
-    for i in range(nvars):
-        reps = (p - 1) ** (nvars - 1 - i)
-        tiles = (p - 1) ** i
-        coords[:, i] = np.tile(np.repeat(vals, reps), tiles)
-    alive = np.ones(n_pts, dtype=bool)
-    for g in range(len(offsets) - 1):
-        acc = np.zeros(n_pts, dtype=np.int64)
-        for t in range(offsets[g], offsets[g + 1]):
-            term = np.full(n_pts, coeffs[t] % p, dtype=np.int64)
-            for i in range(nvars):
-                e = int(exps[t, i])
-                if e:
-                    term = (term * _pow_mod_array(coords[:, i], e, p)) % p
-            acc = (acc + term) % p
-        alive &= acc == 0
-        if not alive.any():
-            return None
-    return tuple(int(v) for v in coords[np.argmax(alive)])
+    for pt in product(range(1, p), repeat=nvars):
+        if all(sum(c * prod(map(pow, pt, e)) for c, e in terms) % p == 0
+               for terms in gens):
+            return pt
+    return None

@@ -164,17 +164,12 @@ def _eval_mod(g: LaurentPolynomial, point: Sequence[int], q: int) -> int:
 def _scan_prime(system: FaceSystem, nvars: int, q: int) -> Optional[tuple[int, ...]]:
     if (q - 1) ** nvars > _SCAN_POINT_CAP:
         return None
-    exps, coeffs, offsets = [], [], [0]
     F = PrimeField(q)
     try:
-        for poly in system.generators:
-            for alpha, c in poly:
-                exps.append(alpha)
-                coeffs.append(F.coerce(c))
-            offsets.append(len(exps))
+        gens = [[(F.coerce(c), alpha) for alpha, c in poly] for poly in system.generators]
     except BadPrimeError:
         return None
-    return _kernels.torus_common_zero(exps, coeffs, offsets, nvars, q)
+    return _kernels.torus_common_zero(gens, nvars, q)
 
 
 def find_witness(f: LaurentPolynomial, face: Face):

@@ -399,8 +399,7 @@ class NewtonPolytope:
         hi = [math.floor(c * max(v[i] for v in self.vertices)) for i in range(self.nvars)]
         normals = [f.normal for f in self.facets]
         bounds = [-math.floor(c * f.level) for f in self.facets]
-        pts = _kernels.enumerate_box_filtered(lo, hi, normals, bounds)
-        return list(map(tuple, pts.tolist()))
+        return _kernels.enumerate_box_filtered(lo, hi, normals, bounds)
 
     @cached_property
     def dilate_weights(self) -> Mapping[Monomial, Fraction]:

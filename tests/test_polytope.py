@@ -107,6 +107,17 @@ def test_lattice_points_examples():
     assert len(tri.lattice_points_in_dilate(2)) == 10
 
 
+def test_skewed_dilate_is_the_mapped_dilate():
+    """The 3-dilate after a unimodular map whose bounding box holds 22,594
+    points is the image of the unmapped dilate's 35 points."""
+    A = [[1, -2, 2], [0, -15, 11], [0, 4, -3]]
+    f = parse_laurent("x + y + z + x^-1*y^-1*z^-1", ("x", "y", "z"))
+    g = make_laurent(3, {apply_matrix(A, a): c for a, c in f.terms.items()})
+    pts = newton_polytope(g).lattice_points_in_dilate(3)
+    assert len(pts) == 35
+    assert pts == sorted(apply_matrix(A, a) for a in newton_polytope(f).lattice_points_in_dilate(3))
+
+
 def _weight_census(P, c_max):
     """The former per-call weight census, kept as the oracle of the weight
     table: counts of lattice points by exact weight value, up to c_max."""
