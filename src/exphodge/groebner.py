@@ -38,6 +38,9 @@ class RationalField:
     def coerce(self, v) -> Fraction:
         return Fraction(v)
 
+    def from_int(self, v: int) -> int:
+        return v  # an int is an exact rational, and add, sub and mul keep it one
+
     def add(self, a, b):
         return a + b
 
@@ -68,6 +71,9 @@ class PrimeField:
         if v.denominator % self.p == 0:
             raise BadPrimeError(f"bad prime {self.p}: denominator {v.denominator} vanishes")
         return (v.numerator * pow(v.denominator, -1, self.p)) % self.p
+
+    def from_int(self, v: int) -> int:
+        return v % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

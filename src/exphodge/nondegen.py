@@ -1,23 +1,30 @@
-"""Nondegeneracy testing: face systems, saturated Groebner checks, witnesses.
+"""Nondegeneracy testing: face systems, row-reduced Groebner checks, witnesses.
 
 For every proper face not through the origin we ask whether the face
 polynomial and its logarithmic derivatives share a torus zero.  Vertex faces
 pass outright (a monomial never vanishes on the torus).  Every other face is
-decided by one check: an exact Groebner basis over the rationals under
-certification, otherwise a basis modulo each of a few seeded wordsize primes
-(fast, probabilistic).  Each Groebner run stops at the first nonzero constant
-in the ideal, which proves the face empty.  Under certification the primes
-serve only as the fallback for a face whose exact check exceeds its budget.
-A degeneracy claim comes with a witness or an exact basis, but only two of
-them prove it: a rational witness verified by substitution, or an exact
-non-unit Groebner basis.  A finite-field witness shows a zero modulo its prime
-alone, so the claim it backs is not certified by itself.
+decided by one check: exactly over the rationals under certification,
+otherwise modulo each of a few seeded wordsize primes (fast, probabilistic).
+The check row-reduces the face system over its field: the face polynomial
+and its log derivatives are the rows of a coefficient-scaled exponent
+matrix, and invertible row operations keep their ideal.  A reduced row with
+a single term is a monomial, which proves the face empty with no Groebner
+run; over QQ that settles every face whose terms sit at affinely
+independent points.  Any other face gets a saturated Groebner basis of the
+reduced rows, which stops at the first nonzero constant in the ideal.
+Under certification the primes serve only as the fallback for a face
+whose exact check exceeds its budget.  A degeneracy claim comes with a
+witness or an exact basis, but only two of them prove it: a rational witness
+verified by substitution, or an exact non-unit Groebner basis.  A
+finite-field witness shows a zero modulo its prime alone, so the claim it
+backs is not certified by itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Optional, Sequence
 
 from . import _kernels
@@ -25,7 +32,7 @@ from ._primes import SMALL_PRIMES, random_primes
 from .errors import BadPrimeError, BudgetExceededError, ExpHodgeError
 from .groebner import PrimeField, RationalField, groebner_basis, is_unit_ideal
 from .laurent import LaurentPolynomial, Monomial, face_restriction, log_derivative
-from .polytope import Face, newton_polytope
+from .polytope import Face, _dot, newton_polytope
 
 DEFAULT_SEED = 1918
 _SCAN_POINT_CAP = 3_000_000  # witness scans stay below this many torus points
@@ -105,26 +112,71 @@ def build_face_system(f: LaurentPolynomial, face: Face) -> FaceSystem:
     return FaceSystem(face, tuple(gens), tuple(shifted), tuple(shifts))
 
 
-def _saturated_generators(system: FaceSystem, nvars: int):
-    """Shifted generators plus t*x1*...*xn - 1 in n+1 variables."""
-    gens = []
-    for poly in system.generators:
-        gens.append({alpha + (0,): c for alpha, c in poly})
-    gens.append({tuple([1] * nvars + [1]): Fraction(1), tuple([0] * (nvars + 1)): Fraction(-1)})
-    return gens
-
-
 def _vertex_check(face: Face) -> FaceCheck:
     return FaceCheck(face, "empty", (), "vertex face: monomial has no torus zero")
 
 
+def _row_reduce(rows: list[list], F) -> list[list]:
+    """The nonzero rows of a row echelon form of rows over the field F in
+    which each pivot is the only nonzero entry of its column, so each row is
+    a nonzero multiple of a row of the reduced row echelon form.  Rows are
+    combined by F.mul and F.sub alone, with no division, so integer entries
+    stay integers over QQ."""
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        p = top[col]
+        for i, row in enumerate(rows):
+            m = row[col]
+            if i != rank and m:
+                rows[i] = [F.sub(F.mul(p, a), F.mul(m, b)) for a, b in zip(row, top)]
+        rank += 1
+    return rows[:rank]
+
+
 def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str:
-    """The saturated face ideal over the field: "empty" when it is the unit
-    ideal, "nonempty" when it is not, "budget exceeded" when its Groebner
-    basis needs more than max_pairs S-pairs."""
-    gens = _saturated_generators(build_face_system(f, face), f.nvars)
+    """Does the face system have a torus zero over the algebraic closure of
+    the field?  "empty" when not, "nonempty" when it has, "budget exceeded"
+    when its Groebner basis needs more than max_pairs S-pairs.
+
+    With c the face's coefficients in the field (those that vanish there
+    dropped) and A the matrix with the rows 1, alpha_1, ..., alpha_n of their
+    exponents, the face system f_face, theta_1 f_face, ..., theta_n f_face
+    is the rows of A diag(c).  A row reduction R = S A over the field (S
+    invertible) keeps their ideal as that of the rows of R diag(c).  A row
+    of R with one nonzero entry is a monomial, a unit on the torus, so the
+    face is empty with no Groebner run.  Over QQ this decides every face
+    whose terms sit at affinely independent points, a 2-point edge for one.
+    Otherwise each row is shifted by its exponent minimum, t*x1*...*xn - 1
+    is appended in one more variable, and the face is empty exactly when
+    these generate the unit ideal.
+    """
+    F = field
+    P = face.polytope
+    eqs = [(P.facets[j].normal, -P.facets[j].level) for j in face.active_facets]
+    terms = []  # the support lies in P, so the face's equalities select its terms
+    for alpha, c in f.terms.items():
+        if all(_dot(u, alpha) == b for u, b in eqs):
+            c = F.coerce(c)
+            if c:
+                terms.append((alpha, c))
+    A = [[F.from_int(1)] * len(terms)] + [[F.from_int(alpha[i]) for alpha, _ in terms]
+                                          for i in range(f.nvars)]
+    R = _row_reduce(A, F)
+    if any(sum(1 for v in row if v) == 1 for row in R):
+        return "empty"
+    gens = []
+    for row in R:
+        poly = {alpha: F.mul(v, c) for v, (alpha, c) in zip(row, terms) if v}
+        mins = [min(alpha[i] for alpha in poly) for i in range(f.nvars)]
+        gens.append({tuple(map(sub, alpha, mins)) + (0,): c for alpha, c in poly.items()})
+    gens.append({(1,) * (f.nvars + 1): F.coerce(1), (0,) * (f.nvars + 1): F.coerce(-1)})
     try:
-        basis = groebner_basis(gens, field, max_pairs=max_pairs)
+        basis = groebner_basis(gens, F, max_pairs=max_pairs)
     except BudgetExceededError:
         return "budget exceeded"
     return "empty" if is_unit_ideal(basis) else "nonempty"
@@ -132,7 +184,7 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
 
 def check_face(f: LaurentPolynomial, face: Face, p: int,
                max_pairs: int = 20000) -> FaceCheck:
-    """Is the saturated face ideal the unit ideal over GF(p)?
+    """Does the face system have a torus zero over the algebraic closure of GF(p)?
 
     Vertex faces short-circuit: their system contains a single monomial.
     """
@@ -142,7 +194,7 @@ def check_face(f: LaurentPolynomial, face: Face, p: int,
 
 
 def _check_face_exact(f: LaurentPolynomial, face: Face, max_pairs: int = 60000) -> str:
-    """Is the saturated face ideal the unit ideal over the rationals?"""
+    """Does the face system have a torus zero over the algebraic closure of QQ?"""
     return _decide_face(f, face, RationalField(), max_pairs)
 
 

@@ -167,13 +167,22 @@ def _full_dim_hull(points: list[Monomial]):
 
     Beneath-beyond in exact integers (Edelsbrunner, Algorithms in
     Combinatorial Geometry, 1987, ch. 8; Seidel 1981): start from a
-    d-simplex of the points and add the others in index order.  Each facet
-    keeps the set of processed points on it.  A new point sees the facets it
-    lies strictly beneath; every ridge between a seen and an unseen facet
-    spans a new facet with it, and the seen facets go.  Two facets meet in a
-    ridge when no third facet holds all the points they share.  Facets are
-    keyed by (u, b), so a new facet coplanar with a kept one merges with it.
-    A point is a vertex when it is the only point on every facet through it.
+    d-simplex of the points and add the others in index order.  A new point
+    sees the facets it lies strictly beneath; every ridge between a seen and
+    an unseen facet spans a new facet with it, and the seen facets go.  Two
+    facets meet in a ridge when no third facet holds all the points they
+    share.  Facets are keyed by (u, b), so a new facet coplanar with a kept
+    one merges with it.  A point is a vertex when it is the only point on
+    every facet through it.
+
+    Each facet keeps the set of kept points on it: the simplex and every
+    point that sees a facet.  A point that sees none lies in the hull of the
+    points before it, so it is never a vertex and each face is the hull of
+    the kept points on it without it; it is left out of every set.  A kept
+    point on the hyperplane of an unseen facet G lies outside G, beyond one
+    of its ridges, and the facet across that ridge is seen: the new facet
+    through that ridge is coplanar with G and replaces G's set with one that
+    holds the point.  So no set needs a point added by hand.
     """
     d = len(points[0])
     simplex = _affinely_independent(points, range(len(points)), d + 1)
@@ -184,18 +193,10 @@ def _full_dim_hull(points: list[Monomial]):
     for i, p in enumerate(points):
         if i in in_simplex:
             continue
-        done.append(i)
-        seen, on = [], []
-        for key in facets:
-            s = _dot(key[0], p) - key[1]
-            if s < 0:
-                seen.append(key)
-            elif s == 0:
-                on.append(key)
-        for key in on:
-            facets[key] |= {i}
+        seen = [key for key in facets if _dot(key[0], p) < key[1]]
         if not seen:
             continue
+        done.append(i)
         seen_set = set(seen)
         new = []
         for F in seen:

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from exphodge.laurent import parse_laurent
@@ -12,6 +16,23 @@ SUITE = [
 ]
 
 CURVE_SUITE = ["x", "x + x^-1", "x^2 + x^-1"]
+
+# degenerate inputs: each has a face whose ideal is not (1)
+DEGENERATE = ["x^2 + 2*x*y + y^2", "x^2 - 2*x*y + y^2 + x^-1*y^-1",
+              "x^4 - 4*x^2*y^2 + 4*y^4 + x^-1*y^-1", "4*x^2 + 4*x*y + y^2 + x^-1*y^-1"]
+
+CORPUS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+
+def corpus_inputs(monkeypatch, workload, seed, passes):
+    """Seeded passes of a benchmark workload, built by the benchmark's own
+    corpus module (loaded from its file, never modified)."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS_PATH)
+    corpus = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, corpus)  # dataclasses look it up
+    spec.loader.exec_module(corpus)
+    chosen = corpus.workloads(corpus.load_reference())[workload]
+    return [inp.f for batch in corpus.build_corpus(chosen, seed, passes) for inp in batch]
 
 
 @pytest.fixture(params=[text for text, _ in SUITE], ids=lambda t: t.replace(" ", ""))

@@ -2,7 +2,8 @@
 because no pipeline code needs them: the sum of Laurent polynomials, dense
 form and product of sparse matrices, the Čech differentials of a model as
 matrices, the untwisted two-term complex, the Groebner normal form, a
-Groebner basis run to completion, the divisor-shift invariance of the Čech
+Groebner basis run to completion, the face check on the saturated face
+system with no row reduction, the divisor-shift invariance of the Čech
 dimensions, the convex hull by brute force over d-subsets, the weight of a
 lattice point with one Fraction per facet, and seeded unimodular maps."""
 
@@ -14,9 +15,10 @@ from itertools import combinations
 from exphodge import curve
 from exphodge.groebner import (_make_monic, _mono_div, _mono_divides, _mono_lcm,
                                _mono_mul, _reduce, _sub_scaled, grevlex_key,
-                               leading_monomial)
+                               groebner_basis, is_unit_ideal, leading_monomial)
 from exphodge.laurent import make_laurent
 from exphodge.linalg import SparseRationalMatrix
+from exphodge.nondegen import build_face_system
 from exphodge.polytope import _dot, _hyperplane_normal
 
 
@@ -129,6 +131,23 @@ def full_groebner_basis(generators, F):
             reduced.append((lms[i], _make_monic(r, lms[i], F)))
     reduced.sort(key=lambda t: key(t[0]))
     return [g for _, g in reduced]
+
+
+def saturated_generators(system, nvars):
+    """Shifted generators plus t*x1*...*xn - 1 in n+1 variables."""
+    gens = []
+    for poly in system.generators:
+        gens.append({alpha + (0,): c for alpha, c in poly})
+    gens.append({tuple([1] * nvars + [1]): Fraction(1), tuple([0] * (nvars + 1)): Fraction(-1)})
+    return gens
+
+
+def saturated_face_check(f, face, F):
+    """The face check on f_face, theta_1 f_face, ..., theta_n f_face as they
+    are, with no row reduction and no pair budget: "empty" when they and the
+    saturation generate the unit ideal over F, "nonempty" otherwise."""
+    gens = saturated_generators(build_face_system(f, face), f.nvars)
+    return "empty" if is_unit_ideal(groebner_basis(gens, F, max_pairs=10**9)) else "nonempty"
 
 
 def divisor_shift_invariance(f, D: curve.PointDivisor, E: curve.PointDivisor) -> bool:

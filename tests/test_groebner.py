@@ -1,19 +1,16 @@
-import importlib.util
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-from conftest import SUITE
+from conftest import DEGENERATE, SUITE, corpus_inputs
 from oracles import full_groebner_basis, normal_form
 
+from exphodge import nondegen
 from exphodge._primes import random_primes
 from exphodge.errors import BudgetExceededError
 from exphodge.groebner import (PrimeField, RationalField, grevlex_key,
                                groebner_basis, is_unit_ideal)
 from exphodge.laurent import parse_laurent
-from exphodge.nondegen import _saturated_generators, build_face_system
 from exphodge.polytope import newton_polytope
 
 
@@ -170,38 +167,28 @@ def test_generator_constant_only_mod_p():
     assert over_q == full_groebner_basis(gens, RationalField())
 
 
-# degenerate inputs of test_nondegen.py: each has a face whose ideal is not (1)
-DEGENERATE = ["x^2 + 2*x*y + y^2", "x^2 - 2*x*y + y^2 + x^-1*y^-1",
-              "x^4 - 4*x^2*y^2 + 4*y^4 + x^-1*y^-1", "4*x^2 + 4*x*y + y^2 + x^-1*y^-1"]
-CORPUS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-
-
-def _screen_draw(monkeypatch):
-    """One seeded draw of each screen support, built by the benchmark's own
-    corpus module (loaded from its file, never modified)."""
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS_PATH)
-    corpus = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, corpus)  # dataclasses look it up
-    spec.loader.exec_module(corpus)
-    screen = corpus.workloads(corpus.load_reference())["screen"]
-    return [inp.f for inp in corpus.build_corpus(screen, 15, 1)[0]]
-
-
 @pytest.mark.parametrize("F", [RationalField(), PrimeField(random_primes(1, 15)[0])],
                          ids=["QQ", "GF(p)"])
 def test_exit_agrees_with_the_full_run_on_face_systems(F, monkeypatch):
     """Stopping at the first constant gives the reduced basis the full run
-    ends with, on every non-vertex face system: running examples, degenerate
-    inputs and the screen supports."""
+    ends with, on every system a face check passes to groebner_basis:
+    running examples, degenerate inputs and the screen supports."""
+    systems = []
+
+    def recording(gens, field, max_pairs):
+        systems.append(gens)
+        return groebner_basis(gens, field, max_pairs=max_pairs)
+
+    monkeypatch.setattr(nondegen, "groebner_basis", recording)
     polys = [parse_laurent(t) for t, _ in SUITE] + [parse_laurent(t) for t in DEGENERATE]
-    units = nonunits = 0
-    for f in polys + _screen_draw(monkeypatch):
+    for f in polys + corpus_inputs(monkeypatch, "screen", 15, 1):
         for face in newton_polytope(f).proper_faces_excluding_origin():
-            if face.is_vertex:
-                continue
-            gens = _saturated_generators(build_face_system(f, face), f.nvars)
-            basis = groebner_basis(gens, F)
-            assert basis == full_groebner_basis(gens, F), (str(f), str(face))
-            units += is_unit_ideal(basis)
-            nonunits += not is_unit_ideal(basis)
+            if not face.is_vertex:
+                nondegen._decide_face(f, face, F, 60000)
+    units = nonunits = 0
+    for gens in systems:
+        basis = groebner_basis(gens, F)
+        assert basis == full_groebner_basis(gens, F), gens
+        units += is_unit_ideal(basis)
+        nonunits += not is_unit_ideal(basis)
     assert units and nonunits

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from conftest import DEGENERATE, SUITE, corpus_inputs
+from oracles import saturated_face_check
 
 from exphodge import nondegen
-from exphodge.errors import NotFullDimensionalError
+from exphodge._primes import random_primes
+from exphodge.errors import BadPrimeError, NotFullDimensionalError
+from exphodge.groebner import PrimeField, RationalField, groebner_basis
 from exphodge.laurent import parse_laurent
 from exphodge.nondegen import (_eval_mod, build_face_system, check_face,
                                find_witness, is_nondegenerate)
@@ -224,3 +228,83 @@ def test_certify_falls_back_to_primes_on_exact_budget(text, monkeypatch):
     for c in rep.faces:
         if not c.face.is_vertex:
             assert c.note.startswith("exact check exceeded its budget")
+
+
+# ---------------------------------------------------------------------------
+# Row reduction of the face system against the saturated oracle
+# ---------------------------------------------------------------------------
+
+# the last input's edge x + y has both coefficients 0 over GF(3)
+ORACLE_EXTRA = ["x^4-4*x^2*y^2+4*y^4+x^-1*y^-1",
+                "36*x^2+12*x*y+y^2+6*z^2+8*x^-1*y^-1*z^-1+6*x*z^-1+8*y^-2*z",
+                "3*x + 6*y + x^-1*y^-1"]
+ORACLE_FIELDS = [RationalField(), PrimeField(random_primes(1, 18)[0]), PrimeField(3)]
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except BadPrimeError:
+        return "bad prime"
+
+
+@pytest.mark.parametrize("F", ORACLE_FIELDS, ids=["QQ", "GF(p)", "GF(3)"])
+@pytest.mark.parametrize("source", ["examples", "screen", "toric_rank"])
+def test_decide_face_matches_the_saturated_oracle(source, F, monkeypatch):
+    if source == "examples":
+        texts = [t for t, _ in SUITE] + DEGENERATE + ORACLE_EXTRA
+        polys = [parse_laurent(t) for t in texts]
+    else:
+        polys = corpus_inputs(monkeypatch, source, 4242, 2)
+    verdicts = set()
+    for f in polys:
+        for face in newton_polytope(f).proper_faces_excluding_origin():
+            if face.is_vertex:
+                continue
+            got = _outcome(nondegen._decide_face, f, face, F, 60000)
+            assert got == _outcome(saturated_face_check, f, face, F), (str(f), str(face))
+            verdicts.add(got)
+    assert "empty" in verdicts and (source != "examples" or "nonempty" in verdicts)
+
+
+# x^-1*y + x^2*y = x^-1*y*(1 + x^3) on the top edge, whose lattice length is 3
+LENGTH_THREE_EDGE = "x^-1*y + x^2*y + y^-1"
+
+
+def test_row_reduction_is_done_in_the_field():
+    f = parse_laurent(LENGTH_THREE_EDGE)
+    edge = next(fc for fc in newton_polytope(f).proper_faces_excluding_origin()
+                if set(fc.vertices) == {(-1, 1), (2, 1)})
+    # the columns (1, -1, 1) and (1, 2, 1) agree mod 3, and 1 + x^3 = (1 + x)^3
+    assert check_face(f, edge, 3).verdict == "nonempty"
+    assert check_face(f, edge, 5).verdict == "empty"
+    assert nondegen._check_face_exact(f, edge) == "empty"
+    assert is_nondegenerate(f, certify=True).verdict == "nondegenerate"
+
+
+def _count_groebner_runs(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return groebner_basis(*args, **kwargs)
+
+    monkeypatch.setattr(nondegen, "groebner_basis", counting)
+    return calls
+
+
+def test_simplex_faces_need_no_groebner_run(monkeypatch):
+    calls = _count_groebner_runs(monkeypatch)
+    f = parse_laurent("x + y + z + x^-1*y^-1*z^-1")
+    assert is_nondegenerate(f, certify=True).verdict == "nondegenerate"
+    assert is_nondegenerate(f).verdict == "likely-nondegenerate"
+    assert calls == []
+
+
+def test_double_root_edge_reaches_buchberger(monkeypatch):
+    f = parse_laurent("x^2 - 2*x*y + y^2 + x^-1*y^-1")
+    edge = next(fc for fc in newton_polytope(f).proper_faces_excluding_origin()
+                if set(fc.vertices) == {(2, 0), (0, 2)})
+    calls = _count_groebner_runs(monkeypatch)
+    assert nondegen._check_face_exact(f, edge) == "nonempty"
+    assert len(calls) == 1

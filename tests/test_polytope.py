@@ -1,14 +1,12 @@
-import importlib.util
 import itertools
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from conftest import corpus_inputs
 from oracles import apply_matrix, brute_force_hull, fraction_weight, random_unimodular
 
 from exphodge.errors import NotFullDimensionalError
@@ -611,20 +609,6 @@ def test_hull_facets_move_by_the_inverse_transpose(n):
 # The integer weight table against one Fraction per facet
 # ---------------------------------------------------------------------------
 
-CORPUS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-
-
-def _corpus_inputs(monkeypatch, workload):
-    """Two seeded passes of a benchmark workload, built by the benchmark's
-    own corpus module (loaded from its file, never modified)."""
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS_PATH)
-    corpus = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, corpus)  # dataclasses look it up
-    spec.loader.exec_module(corpus)
-    chosen = corpus.workloads(corpus.load_reference())[workload]
-    return [inp.f for batch in corpus.build_corpus(chosen, 4242, 2) for inp in batch]
-
-
 def _check_weight_table(monkeypatch, f):
     """The weight table, the jumps and nvol against a polytope built by the
     brute-force hull, whose n-dilate is read off its bounding box by the
@@ -660,5 +644,5 @@ def test_weight_table_matches_fraction_oracle_beyond_the_suite(monkeypatch, text
 
 @pytest.mark.parametrize("workload", ["curve_n1", "toric_rank", "screen"])
 def test_weight_table_matches_fraction_oracle_on_the_corpus(monkeypatch, workload):
-    for f in _corpus_inputs(monkeypatch, workload):
+    for f in corpus_inputs(monkeypatch, workload, 4242, 2):
         _check_weight_table(monkeypatch, f)
