@@ -2,47 +2,25 @@
 
 Exit codes: 0 success, 2 malformed input, 3 degenerate input under
 --require-nondegenerate, 4 polytope not full-dimensional, 5 internal
-integrity failure.  All randomness flows through one seed (flag --seed,
-environment EXPHODGE_SEED, or a fixed constant), so JSON output is
-reproducible run to run apart from the timing field.
+integrity failure.  Every computation is exact and deterministic, so JSON
+output is reproducible by construction, run to run, apart from the timing
+field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import curve as curve_mod
 from .errors import (DegenerateInputError, ExpHodgeError, IntegrityError,
                      NotFullDimensionalError, ParseError)
 from .laurent import LaurentPolynomial, format_laurent, parse_laurent
-from .nondegen import DEFAULT_SEED, is_nondegenerate
+from .nondegen import is_nondegenerate
 from .polytope import newton_polytope
 from .spectrum import analyze, spectrum_euler, spectrum_rank
 from .derham import betti_numbers
-
-
-def _default_seed() -> int:
-    env = os.environ.get("EXPHODGE_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError("EXPHODGE_SEED must be an integer") from None
-
-
-def _positive_int(text: str) -> int:
-    """argparse type of --primes: zero primes would decide no face."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,12 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("poly", help="Laurent polynomial, e.g. 'x + x^-1'")
     common.add_argument("--vars", default="", help="comma-separated variable names")
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=None, help="seed for all randomness")
-    common.add_argument("--primes", type=_positive_int, default=3,
-                        help="primes per face for the modular check; under --certify "
-                             "used only when the exact check exceeds its budget")
-    common.add_argument("--certify", action="store_true",
-                        help="decide each face by an exact rational Groebner basis")
     common.add_argument("--require-nondegenerate", action="store_true",
                         help="exit 3 when the input is degenerate")
     common.add_argument("--mode", choices=("euler", "rank", "both"), default="both")
@@ -105,11 +77,9 @@ def _guard_degenerate(report, args):
 def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     args = build_parser().parse_args(argv)
     try:
-        seed = args.seed if args.seed is not None else _default_seed()
         f = _parse_input(args)
         if args.command == "analyze":
-            report = analyze(f, mode=args.mode, certify=args.certify, seed=seed,
-                             primes=args.primes)
+            report = analyze(f, mode=args.mode)
             _guard_degenerate(report.nondegeneracy, args)
             if args.plot:
                 _write_svg(args.plot, report)
@@ -118,8 +88,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
             else:
                 _print_analysis(report, out)
         elif args.command == "spectrum":
-            report = is_nondegenerate(f, primes=args.primes, seed=seed,
-                                      certify=args.certify)
+            report = is_nondegenerate(f)
             _guard_degenerate(report, args)
             mode = args.mode
             if report.is_degenerate and mode != "rank":
@@ -132,8 +101,7 @@ def run(argv=None, out=sys.stdout, err=sys.stderr) -> int:
                 for route, entries in spec.items():
                     out.write(f"{route}: {_fmt_spec(entries)}\n")
         elif args.command == "nondegen":
-            report = is_nondegenerate(f, primes=args.primes, seed=seed,
-                                      certify=args.certify)
+            report = is_nondegenerate(f)
             _guard_degenerate(report, args)
             if args.json:
                 out.write(json.dumps({"input": _input_json(f),

@@ -3,21 +3,19 @@
 For every proper face not through the origin we ask whether the face
 polynomial and its logarithmic derivatives share a torus zero.  Vertex faces
 pass outright (a monomial never vanishes on the torus).  Every other face is
-decided by one check: exactly over the rationals under certification,
-otherwise modulo each of a few seeded wordsize primes (fast, probabilistic).
-The check row-reduces the face system over its field: the face polynomial
-and its log derivatives are the rows of a coefficient-scaled exponent
-matrix, and invertible row operations keep their ideal.  A reduced row with
-a single term is a monomial, which proves the face empty with no Groebner
-run; over QQ that settles every face whose terms sit at affinely
-independent points.  Any other face gets a saturated Groebner basis of the
-reduced rows, which stops at the first nonzero constant in the ideal.
-Under certification the primes serve only as the fallback for a face
-whose exact check exceeds its budget.  A degeneracy claim comes with a
-witness or an exact basis, but only two of them prove it: a rational witness
-verified by substitution, or an exact non-unit Groebner basis.  A
-finite-field witness shows a zero modulo its prime alone, so the claim it
-backs is not certified by itself.
+decided by one exact check over the rationals.  The check row-reduces the
+face system: the face polynomial and its log derivatives are the rows of a
+coefficient-scaled exponent matrix, and invertible row operations keep their
+ideal.  A reduced row with a single term is a monomial, which proves the
+face empty with no Groebner run; that settles every face whose terms sit at
+affinely independent points.  Any other face gets a saturated Groebner basis
+of the reduced rows, which stops at the first nonzero constant in the ideal.
+A face whose basis needs more S-pairs than its budget is reported as
+"budget exceeded", an outcome of its own and never a guess.  A nonempty face
+gets a witness search over small prime fields.  Each degeneracy claim is
+proven by a rational witness verified by substitution, or else by the exact
+non-unit basis; a finite-field witness shows a zero modulo its prime alone
+and is reported beside that proof.
 """
 
 from __future__ import annotations
@@ -28,14 +26,15 @@ from operator import sub
 from typing import Optional, Sequence
 
 from . import _kernels
-from ._primes import SMALL_PRIMES, random_primes
-from .errors import BadPrimeError, BudgetExceededError, ExpHodgeError
+from .errors import BadPrimeError, BudgetExceededError
 from .groebner import PrimeField, RationalField, groebner_basis, is_unit_ideal
 from .laurent import LaurentPolynomial, Monomial, face_restriction, log_derivative
 from .polytope import Face, _dot, newton_polytope
 
-DEFAULT_SEED = 1918
+_PAIR_BUDGET = 60000  # S-pairs one exact face check may take
 _SCAN_POINT_CAP = 3_000_000  # witness scans stay below this many torus points
+SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                59, 61, 67, 71, 73, 79, 83, 89, 97, 101)  # fields of the witness scans
 
 
 @dataclass(frozen=True)
@@ -56,22 +55,23 @@ class FaceSystem:
 class FaceCheck:
     face: Face
     verdict: str                    # "empty" | "nonempty" | "budget exceeded"
-    primes: tuple[int, ...] = ()
     note: str = ""
 
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
-    verdict: str                    # "nondegenerate" | "degenerate" | "likely-nondegenerate"
-    certified: bool
+    verdict: str                    # "nondegenerate" | "degenerate" | "undecided"
     faces: tuple[FaceCheck, ...]
-    primes: tuple[int, ...]
     witness: Optional[tuple[Fraction, ...]] = None
     witness_field: Optional[str] = None
     witness_face: Optional[Face] = None
-    # what proves a certified verdict: "rational witness" or "exact basis"
-    # for "degenerate", "exact bases" for "nondegenerate"; None uncertified
+    # what proves the verdict: "rational witness" or "exact basis" for
+    # "degenerate", "exact bases" for "nondegenerate"; None when "undecided"
     certificate: Optional[str] = None
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate is not None
 
     @property
     def is_degenerate(self) -> bool:
@@ -82,7 +82,6 @@ class NondegeneracyReport:
             "verdict": self.verdict,
             "certified": self.certified,
             "certificate": self.certificate,
-            "primes": list(self.primes),
             "faces": [
                 {"face": str(c.face), "verdict": c.verdict, "note": c.note}
                 for c in self.faces
@@ -113,7 +112,7 @@ def build_face_system(f: LaurentPolynomial, face: Face) -> FaceSystem:
 
 
 def _vertex_check(face: Face) -> FaceCheck:
-    return FaceCheck(face, "empty", (), "vertex face: monomial has no torus zero")
+    return FaceCheck(face, "empty", "vertex face: monomial has no torus zero")
 
 
 def _row_reduce(rows: list[list], F) -> list[list]:
@@ -187,13 +186,15 @@ def check_face(f: LaurentPolynomial, face: Face, p: int,
     """Does the face system have a torus zero over the algebraic closure of GF(p)?
 
     Vertex faces short-circuit: their system contains a single monomial.
+    No pipeline code calls this; it is kept only because the benchmark's
+    tracer (perfbench/tracer.py) wraps it by name.
     """
     if face.is_vertex:
         return _vertex_check(face)
-    return FaceCheck(face, _decide_face(f, face, PrimeField(p), max_pairs), (p,))
+    return FaceCheck(face, _decide_face(f, face, PrimeField(p), max_pairs))
 
 
-def _check_face_exact(f: LaurentPolynomial, face: Face, max_pairs: int = 60000) -> str:
+def _check_face_exact(f: LaurentPolynomial, face: Face, max_pairs: int = _PAIR_BUDGET) -> str:
     """Does the face system have a torus zero over the algebraic closure of QQ?"""
     return _decide_face(f, face, RationalField(), max_pairs)
 
@@ -250,93 +251,54 @@ def find_witness(f: LaurentPolynomial, face: Face):
 # Top-level verdict
 # ---------------------------------------------------------------------------
 
-def _modular_verdict(f: LaurentPolynomial, face: Face, prime_list) -> str:
-    """check_face over the sampled primes: one "nonempty" decides, then
-    "budget exceeded"; a prime dividing a denominator is skipped."""
-    usable = []
-    for p in prime_list:
-        try:
-            usable.append(check_face(f, face, p).verdict)
-        except BadPrimeError:
-            pass
-    if not usable:
-        raise ExpHodgeError(
-            f"prime exhaustion: every sampled prime divides a coefficient "
-            f"denominator on face {face}")
-    for verdict in ("nonempty", "budget exceeded"):
-        if verdict in usable:
-            return verdict
-    return "empty"
-
-
-def is_nondegenerate(f: LaurentPolynomial, primes: int = 3, seed: int = DEFAULT_SEED,
-                     certify: bool = False) -> NondegeneracyReport:
+def is_nondegenerate(f: LaurentPolynomial, *, certify: bool = True) -> NondegeneracyReport:
     """Decide nondegeneracy of f with respect to its Newton polytope.
 
-    Each non-vertex face is decided once: by the exact rational check under
-    certify=True, otherwise by the sampled primes.  Under certify the primes
-    decide a face only when its exact check runs out of budget, and the face
-    note says so.  A nonempty face gets a witness search; a modular "nonempty"
-    with no witness is settled by the exact check.  "degenerate" is certified
-    when a rational witness or an exact non-unit basis proves it.
-    "nondegenerate" is claimed only under certify with every face decided
-    exactly, otherwise the positive outcome is "likely-nondegenerate".
+    Each non-vertex face is decided once, by the exact rational check.  A
+    nonempty face gets a witness search, and "degenerate" is proven by a
+    rational witness or by the exact non-unit basis.  "nondegenerate" is
+    proven by the exact bases of every face.  A face whose exact check
+    exceeds its budget reads "budget exceeded", with no witness search; with
+    no nonempty face the verdict is then "undecided", the one verdict that
+    is not certified.  ``certify`` accepts only True, since every face is
+    decided exactly; False raises ValueError.
     """
-    if primes < 1:
-        raise ValueError(f"need at least one prime, got primes={primes}")
+    if not certify:
+        raise ValueError("certify=False was removed: every face is decided exactly")
     poly = newton_polytope(f)
     poly.require_full_dim()
-    prime_list = tuple(random_primes(primes, seed))
     witness = witness_field = witness_face = None
     checks: list[FaceCheck] = []
-    degenerate = False
     certificate = None
-    all_exact = True
     for face in poly.proper_faces_excluding_origin():
         if face.is_vertex:
             checks.append(_vertex_check(face))
             continue
-        exact = _check_face_exact(f, face) if certify else None
+        exact = _check_face_exact(f, face)
         if exact == "empty":
-            checks.append(FaceCheck(face, "empty", (), "exact"))
+            checks.append(FaceCheck(face, "empty", "exact"))
             continue
-        used, note = (), ""
-        if exact != "nonempty":  # no certify, or the exact check ran out of budget
-            all_exact = False
-            used, modular = prime_list, _modular_verdict(f, face, prime_list)
-            if exact == "budget exceeded":
-                note = "exact check exceeded its budget"
-            if modular != "nonempty":
-                checks.append(FaceCheck(face, modular, used, note))
-                continue
+        if exact == "budget exceeded":
+            checks.append(FaceCheck(
+                face, exact, f"exact check exceeded its budget of {_PAIR_BUDGET} S-pairs"))
+            continue
         point, fieldname = find_witness(f, face)
-        if point is None and exact is None:
-            exact = _check_face_exact(f, face)
-            if exact == "empty":
-                checks.append(FaceCheck(face, "empty", used, "modular check was a false alarm"))
-                continue
-        if point is None and exact != "nonempty":
-            checks.append(FaceCheck(face, "budget exceeded", used, note))
-            continue
-        degenerate = True
         if fieldname == "QQ":
-            certificate = "rational witness"
-        elif exact == "nonempty" and certificate is None:
-            certificate = "exact basis"
-        if exact == "nonempty" and fieldname != "QQ":
+            certificate, note = "rational witness", "witness over QQ"
+        else:
+            certificate = certificate or "exact basis"
             note = "exact basis is not the unit ideal"
-        if point is not None:
-            note = "; ".join(filter(None, (note, f"witness over {fieldname}")))
-            if witness is None or (witness_field != "QQ" and fieldname == "QQ"):
-                witness, witness_field, witness_face = point, fieldname, face
-        checks.append(FaceCheck(face, "nonempty", used, note))
+            if point is not None:
+                note += f"; witness over {fieldname}"
+        if point is not None and (witness is None or (witness_field != "QQ" and fieldname == "QQ")):
+            witness, witness_field, witness_face = point, fieldname, face
+        checks.append(FaceCheck(face, "nonempty", note))
 
-    if degenerate:
+    if certificate is not None:
         verdict = "degenerate"
-    elif certify and all_exact:
-        verdict, certificate = "nondegenerate", "exact bases"
+    elif any(c.verdict == "budget exceeded" for c in checks):
+        verdict = "undecided"
     else:
-        verdict = "likely-nondegenerate"
-    return NondegeneracyReport(verdict, certificate is not None, tuple(checks),
-                               prime_list, witness, witness_field, witness_face,
+        verdict, certificate = "nondegenerate", "exact bases"
+    return NondegeneracyReport(verdict, tuple(checks), witness, witness_field, witness_face,
                                certificate)

@@ -40,7 +40,7 @@ from math import comb
 from .derham import betti_numbers, build_graded_level, top_image_profile
 from .errors import IntegrityError
 from .laurent import LaurentPolynomial, format_laurent
-from .nondegen import DEFAULT_SEED, NondegeneracyReport, is_nondegenerate
+from .nondegen import NondegeneracyReport, is_nondegenerate
 from .polytope import NewtonPolytope, newton_polytope
 
 
@@ -196,8 +196,7 @@ class AnalysisReport:
         }
 
 
-def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
-            seed: int = DEFAULT_SEED, primes: int = 3) -> AnalysisReport:
+def analyze(f: LaurentPolynomial, mode: str = "both") -> AnalysisReport:
     """Full pipeline: polytope, nondegeneracy, Betti numbers, spectra, and
     consequence checks.  Each spectrum is computed once and handed to the
     checks; for one variable the rank spectrum also goes to
@@ -209,7 +208,7 @@ def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
     poly = newton_polytope(f)
     poly.require_full_dim()
     warnings: list[str] = []
-    report = is_nondegenerate(f, primes=primes, seed=seed, certify=certify)
+    report = is_nondegenerate(f)
     betti = betti_numbers(f)
     nvol = poly.normalized_volume()
     spectra: dict[str, HodgeSpectrum] = {}
@@ -227,11 +226,6 @@ def analyze(f: LaurentPolynomial, mode: str = "both", certify: bool = False,
     if mode in ("euler", "both"):
         if degenerate:
             warnings.append("combinatorial route suppressed for degenerate input")
-            if not report.certified:
-                warnings.append(
-                    f"the degeneracy verdict is not certified (witness over "
-                    f"{report.witness_field} only), so the combinatorial route "
-                    "was suppressed on an unproven claim")
         else:
             spectra["euler"] = euler
     if not degenerate:

@@ -115,7 +115,7 @@ def test_criterion_7_injectivity_of_classical_levels():
 
 def test_criterion_8_degeneracy_detection():
     f = parse_laurent("x^2 + 2*x*y + y^2", ("x", "y"))
-    rep = is_nondegenerate(f, seed=31337)
+    rep = is_nondegenerate(f)
     assert rep.verdict == "degenerate"
     assert rep.witness is not None
     system = build_face_system(f, rep.witness_face)
@@ -123,13 +123,10 @@ def test_criterion_8_degeneracy_detection():
     assert all(w != 0 for w in rep.witness)
 
     g = parse_laurent("x + y + x^-1*y^-1")
-    probable = is_nondegenerate(g, primes=3, seed=31337)
-    assert probable.verdict == "likely-nondegenerate"
-    assert len(probable.primes) == 3
-    certified = is_nondegenerate(g, primes=3, seed=31337, certify=True)
+    certified = is_nondegenerate(g)
     assert certified.verdict == "nondegenerate" and certified.certified
 
-    assert is_nondegenerate(g, seed=31337) == is_nondegenerate(g, seed=31337)
+    assert is_nondegenerate(g) == is_nondegenerate(g)
     _report(8, "degeneracy detection with verified witness")
 
 

@@ -52,8 +52,8 @@ def test_json_reproducible_modulo_timing():
         doc.pop("timing_ms", None)
         return doc
 
-    _, a, _ = call(["analyze", "x^2 + x^-1", "--json", "--seed", "5"])
-    _, b, _ = call(["analyze", "x^2 + x^-1", "--json", "--seed", "5"])
+    _, a, _ = call(["analyze", "x^2 + x^-1", "--json"])
+    _, b, _ = call(["analyze", "x^2 + x^-1", "--json"])
     assert strip_timing(a) == strip_timing(b)
 
 
@@ -66,31 +66,13 @@ def test_text_and_json_report_same_numbers():
     assert str(doc["betti"]) in text_out
 
 
-def test_env_seed_override(monkeypatch):
-    monkeypatch.setenv("EXPHODGE_SEED", "42")
-    _, a, _ = call(["nondegen", "x + y + x^-1*y^-1", "--json"])
-    monkeypatch.delenv("EXPHODGE_SEED")
-    _, b, _ = call(["nondegen", "x + y + x^-1*y^-1", "--json", "--seed", "42"])
-    assert json.loads(a)["nondegeneracy"]["primes"] == \
-        json.loads(b)["nondegeneracy"]["primes"]
-
-
-def test_malformed_env_seed_is_malformed_input(monkeypatch):
-    monkeypatch.setenv("EXPHODGE_SEED", "abc")
-    code, out, err = call(["volume", "x + y"])
-    assert (code, out) == (2, "")
-    assert err == "error: EXPHODGE_SEED must be an integer\n"
-    # an explicit --seed never reads the variable
-    code, _, _ = call(["volume", "x + y", "--seed", "3"])
-    assert code == 0
-
-
-@pytest.mark.parametrize("value", ["0", "-2", "abc"])
-def test_primes_flag_rejects_non_positive(value, capsys):
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--primes", "3"], ["--certify"]],
+                         ids=["seed", "primes", "certify"])
+def test_removed_flags_are_rejected(flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        call(["nondegen", "x + y + x^-1*y^-1", "--primes", value])
+        call(["nondegen", "x + y + x^-1*y^-1"] + flag)
     assert exc.value.code == 2
-    assert "--primes: must be an integer of at least 1" in capsys.readouterr().err
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_spectrum_command_modes():
@@ -128,21 +110,18 @@ def test_vars_flag():
 
 
 CERTIFICATES = [
-    # (input, --certify, witness field, certified, certificate): the edge zero
-    # (1, -1) of (x + y)^2 is rational; (x^2 - 2y^2)^2 has its edge zeros over
-    # GF(7) only, so only the exact basis under --certify proves its claim
-    ("x^2+2*x*y+y^2+x^-1*y^-1", False, "QQ", True, "rational witness"),
-    ("x^2+2*x*y+y^2+x^-1*y^-1", True, "QQ", True, "rational witness"),
-    ("x^4-4*x^2*y^2+4*y^4+x^-1*y^-1", False, "GF(7)", False, None),
-    ("x^4-4*x^2*y^2+4*y^4+x^-1*y^-1", True, "GF(7)", True, "exact basis"),
-    ("x+y+x^-1*y^-1", False, None, False, None),
-    ("x+y+x^-1*y^-1", True, None, True, "exact bases"),
+    # (input, witness field, certified, certificate): the edge zero (1, -1) of
+    # (x + y)^2 is rational; (x^2 - 2y^2)^2 has its edge zeros over GF(7)
+    # only, so the exact basis proves its claim
+    ("x^2+2*x*y+y^2+x^-1*y^-1", "QQ", True, "rational witness"),
+    ("x^4-4*x^2*y^2+4*y^4+x^-1*y^-1", "GF(7)", True, "exact basis"),
+    ("x+y+x^-1*y^-1", None, True, "exact bases"),
 ]
 
 
-@pytest.mark.parametrize("text,certify,field,certified,certificate", CERTIFICATES)
-def test_nondegen_json_names_the_certificate(text, certify, field, certified, certificate):
-    code, out, _ = call(["nondegen", text, "--json"] + (["--certify"] if certify else []))
+@pytest.mark.parametrize("text,field,certified,certificate", CERTIFICATES)
+def test_nondegen_json_names_the_certificate(text, field, certified, certificate):
+    code, out, _ = call(["nondegen", text, "--json"])
     assert code == 0
     doc = json.loads(out)["nondegeneracy"]
     assert (doc.get("witness_field"), doc["certified"], doc["certificate"]) == \

@@ -6,7 +6,6 @@ from conftest import DEGENERATE, SUITE, corpus_inputs
 from oracles import full_groebner_basis, normal_form
 
 from exphodge import nondegen
-from exphodge._primes import random_primes
 from exphodge.errors import BudgetExceededError
 from exphodge.groebner import (PrimeField, RationalField, grevlex_key,
                                groebner_basis, is_unit_ideal)
@@ -167,7 +166,7 @@ def test_generator_constant_only_mod_p():
     assert over_q == full_groebner_basis(gens, RationalField())
 
 
-@pytest.mark.parametrize("F", [RationalField(), PrimeField(random_primes(1, 15)[0])],
+@pytest.mark.parametrize("F", [RationalField(), PrimeField(1522523711)],
                          ids=["QQ", "GF(p)"])
 def test_exit_agrees_with_the_full_run_on_face_systems(F, monkeypatch):
     """Stopping at the first constant gives the reduced basis the full run

@@ -119,25 +119,18 @@ def test_analyze_full_report():
 
 
 def test_analyze_degenerate_is_flagged():
-    rep = analyze(parse_laurent("x^2 + 2*x*y + y^2", ("x", "y")))
-    assert rep.nondegeneracy.verdict == "degenerate"
-    assert "euler" not in rep.spectra
-    assert "rank" in rep.spectra
-    assert any("unsupported" in w for w in rep.warnings)
-    assert not any("not certified" in w for w in rep.warnings)  # witness over QQ
-    assert "degeneration" not in rep.checks
-
-
-def test_analyze_warns_on_uncertified_degeneracy():
-    # the only witness is over GF(7); certify settles the face exactly
-    f = parse_laurent("x^4 - 4*x^2*y^2 + 4*y^4 + x^-1*y^-1")
-    rep = analyze(f)
-    assert not rep.nondegeneracy.certified
-    assert "euler" not in rep.spectra
-    assert any("not certified" in w and "GF(7)" in w for w in rep.warnings)
-    rep = analyze(f, certify=True)
-    assert rep.nondegeneracy.certified
-    assert not any("not certified" in w for w in rep.warnings)
+    # the edge zero of (x + y)^2 is rational; (x^2 - 2y^2)^2 has its edge
+    # zeros over GF(7) only, and the exact basis proves its claim
+    for text, certificate in [("x^2 + 2*x*y + y^2", "rational witness"),
+                              ("x^4 - 4*x^2*y^2 + 4*y^4 + x^-1*y^-1", "exact basis")]:
+        rep = analyze(parse_laurent(text))
+        assert rep.nondegeneracy.verdict == "degenerate"
+        assert rep.nondegeneracy.certificate == certificate
+        assert "euler" not in rep.spectra
+        assert "rank" in rep.spectra
+        assert any("unsupported" in w for w in rep.warnings)
+        assert not any("not certified" in w for w in rep.warnings)
+        assert "degeneration" not in rep.checks
 
 
 def test_analyze_rejects_subtorus():
@@ -340,7 +333,7 @@ def _random_support_poly(seed: int):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_random_generic_supports_both_routes(seed):
     f = _random_support_poly(seed)
-    rep = analyze(f, certify=True)
+    rep = analyze(f)
     assert rep.nondegeneracy.verdict == "nondegenerate" and rep.nondegeneracy.certified
     euler, rank = rep.spectra["euler"], rep.spectra["rank"]
     assert euler.entries == rank.entries
