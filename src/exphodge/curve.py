@@ -26,18 +26,30 @@ its own models.  One truncation B covers the ambient and every level of the
 three families (and of -f, which has the same pole divisor), so each complex
 yields one model and one B+5 probe, cached by ``_build_model``; complexes
 that differ only in their label share both.  A model assembles d0 and d1
-once, integral entries as ``int``, keeps neither matrix, and eliminates each
-once: the boundaries (the columns of d0) into an echelon whose column order
-puts the rarest T^1 coordinate first, and d1 into one echelon that gives
-rank d1 and later the cocycles.  An H^1 basis is the cocycles that raise the
-rank of a copy of the boundary echelon.
+once, integral entries as ``int``, checks d1 d0 = 0 exactly, and keeps
+neither matrix.
 
-Image dimensions in the ambient H^1 are exact ranks, taken by reducing
-vectors on a copy of the ambient's boundary echelon.  A level whose labels
-nest in the ambient's has its boundaries among the ambient's, so the image of
-its cocycles is the image of its H^1 basis, and only the basis is mapped.
-Injectivity of the classical levels into H^1 (the page-one collapse on
-curves) is checked directly.
+H^1 is computed in the free coordinates F of ker d1.  d1 is eliminated once;
+its non-pivot columns F give the kernel basis z_f with z_f[f] = 1 and
+z_f[f'] = 0 at every other free f', so restriction to F is an isomorphism
+ker d1 -> Q^F.  Every boundary is a cocycle (d1 d0 = 0), hence
+H^1 = Q^F / (im d0 restricted to F).  The boundaries restricted to F are
+eliminated once, rarest column first, giving rank d0 and
+h1 = |F| - rank d0; the z_f whose f is no pivot of that echelon are an H^1
+basis.  Typically F is every chart column ("c", k) and the ("q", k) that
+the p- and q-ranges share, so each boundary of an "a" section restricts to
+a unit vector, and fractions stay in a band of d0.m0 + d0.m_inf + 1 rows
+that does not depend on the truncation.
+
+Image dimensions in the ambient H^1 are exact ranks, taken by restricting
+vectors to F and reducing them on a copy of the ambient's boundary echelon,
+brought to reduced form the first time the model serves as an ambient.  So
+``quotient_rank`` takes only cocycles of the model: a vector that is not one
+has no class, and its restriction would stand for another vector's.  A level
+whose labels nest in the ambient's has its boundaries among the ambient's,
+so the image of its cocycles is the image of its H^1 basis, and only the
+basis is mapped.  Injectivity of the classical levels into H^1 (the
+page-one collapse on curves) is checked directly.
 """
 
 from __future__ import annotations
@@ -51,7 +63,7 @@ from typing import Optional
 
 from .errors import IntegrityError
 from .laurent import LaurentPolynomial, log_derivative
-from .linalg import Echelon, kernel_from_echelon, rarest_first_echelon
+from .linalg import Echelon, kernel_from_echelon, rarest_first_echelon, reduced_echelon
 from .polytope import newton_polytope
 from .spectrum import CheckResult, HodgeSpectrum, jump_candidates
 
@@ -166,25 +178,31 @@ class CechModel:
                         + [("q", k) for k in q_rng])
         self.labels2 = [("r", k) for k in r_rng]
         d0_columns, d1_rows = self._assemble()
+        self._check_square_zero(d0_columns, d1_rows)
 
-        # the boundaries, eliminated once; every T^1 label gets a column,
-        # rarest in the boundaries first, so any T^1 vector can reduce on it
-        count = Counter(j for col in d0_columns for j in col)
-        order = sorted(range(len(self.labels1)), key=lambda j: (count[j], j))
-        self._column = {self.labels1[j]: k for k, j in enumerate(order)}
-        position = [self._column[lab] for lab in self.labels1]
+        # d1, eliminated once: its rank and free columns F now, its kernel
+        # when cocycles() asks
+        self._d1_echelon: Optional[tuple] = rarest_first_echelon(d1_rows)
+        d1_echelon, d1_columns = self._d1_echelon
+        d1_pivots = {d1_columns[c] for c in d1_echelon.pivots}
+        free = [j for j in range(len(self.labels1)) if j not in d1_pivots]
+        # the boundaries restricted to F, eliminated once; F's columns rarest
+        # in the boundaries first, and every other T^1 label maps to None
+        count = Counter(j for col in d0_columns for j in col if j not in d1_pivots)
+        order = sorted(free, key=lambda j: (count[j], j))
+        position = dict(zip(order, range(len(order))))
+        self._coordinate = {lab: position.get(j) for j, lab in enumerate(self.labels1)}
         self._boundary_echelon = Echelon()
         for col in d0_columns:
-            self._boundary_echelon.add({position[j]: v for j, v in col.items()})
-        # d1, eliminated once: its rank now, its kernel when cocycles() asks
-        self._d1_echelon: Optional[tuple] = rarest_first_echelon(d1_rows)
+            self._boundary_echelon.add({position[j]: v for j, v in col.items() if j in position})
+        self._boundaries_reduced = False
         self._cocycles: Optional[list[dict]] = None
         self._h1_basis: Optional[list[dict]] = None
 
         rank_d0 = self._boundary_echelon.rank
-        rank_d1 = self._d1_echelon[0].rank
+        rank_d1 = d1_echelon.rank
         self.h0 = len(self.labels0) - rank_d0
-        self.h1 = (len(self.labels1) - rank_d1) - rank_d0
+        self.h1 = len(free) - rank_d0
         self.h2 = len(self.labels2) - rank_d1
         if self.h0 < 0 or self.h1 < 0 or self.h2 < 0:
             raise IntegrityError("negative cohomology dimension in the cover model")
@@ -196,10 +214,15 @@ class CechModel:
         idx1 = {lab: i for i, lab in enumerate(self.labels1)}
         idx2 = {lab: i for i, lab in enumerate(self.labels2)}
 
+        images: dict[int, dict] = {}
+
         def nabla(k) -> dict[int, object]:
-            out = {k + e: c for e, c in th.items()}
-            if k:
-                out[k] = k
+            # x^k goes to (k + x f') x^k; a_k, b_k and c_k share one image
+            out = images.get(k)
+            if out is None:
+                out = images[k] = {k + e: c for e, c in th.items()}
+                if k:
+                    out[k] = k
             return out
 
         d0_columns = []
@@ -231,12 +254,29 @@ class CechModel:
         if K.d0.m_inf + max(0, hi) > K.d1.m_inf:
             raise ValueError("connection does not map into the degree-1 sheaf at oo")
 
+    def _check_square_zero(self, d0_columns: list[dict], d1_rows: list[dict]):
+        """d1 d0 = 0, exactly: every boundary is a cocycle, which the H^1
+        computation in the free coordinates of ker d1 rests on."""
+        d1_columns: list[dict] = [{} for _ in self.labels1]
+        for r, row in enumerate(d1_rows):
+            for j, v in row.items():
+                d1_columns[j][r] = v
+        for col, lab in zip(d0_columns, self.labels0):
+            image: dict[int, object] = {}
+            for j, v in col.items():
+                for r, w in d1_columns[j].items():
+                    image[r] = image.get(r, 0) + v * w
+            if any(image.values()):
+                raise IntegrityError(f"d1 d0 != 0 on the column of {lab}")
+
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.h0, self.h1, self.h2)
 
     def cocycles(self) -> list[dict]:
-        """Basis of ker d1, as label-keyed sparse vectors (computed once)."""
+        """Basis of ker d1, as label-keyed sparse vectors (computed once): one
+        z_f per free column f of d1, in label order, 1 at f and 0 at every
+        other free column."""
         if self._cocycles is None:
             echelon, columns = self._d1_echelon
             self._d1_echelon = None
@@ -245,10 +285,12 @@ class CechModel:
         return self._cocycles
 
     def h1_basis(self) -> list[dict]:
-        """Cocycles whose classes form a basis of H^1 (computed once)."""
+        """Cocycles whose classes form a basis of H^1 (computed once): the z_f
+        whose free column f is no pivot of the restricted boundary echelon."""
         if self._h1_basis is None:
-            echelon = self.boundary_echelon()
-            basis = [z for z in self.cocycles() if self.quotient_rank([z], echelon)]
+            pivots = self._boundary_echelon.pivots
+            free = [k for k in map(self._coordinate.get, self.labels1) if k is not None]
+            basis = [z for z, k in zip(self.cocycles(), free) if k not in pivots]
             if len(basis) != self.h1:
                 raise IntegrityError(
                     f"H^1 basis has {len(basis)} classes, the ranks give {self.h1}")
@@ -256,17 +298,24 @@ class CechModel:
         return self._h1_basis
 
     def boundary_echelon(self) -> Echelon:
-        """A copy of the echelon of im d0, for reductions modulo boundaries."""
+        """A copy of the reduced echelon of im d0 restricted to the free
+        coordinates, for reductions modulo boundaries."""
+        if not self._boundaries_reduced:
+            self._boundary_echelon = reduced_echelon(self._boundary_echelon)
+            self._boundaries_reduced = True
         return self._boundary_echelon.copy()
 
     def quotient_rank(self, vecs, echelon: Optional[Echelon] = None) -> int:
-        """Dimension of the span of label-keyed T^1 vectors modulo im d0.
-        Given an echelon from ``boundary_echelon``, reduce on it and keep
-        there the vectors that raise its rank."""
+        """Dimension of the span of label-keyed cocycles of this model modulo
+        im d0.  Each vector is restricted to the free coordinates of ker d1,
+        which determine a cocycle.  Given an echelon from
+        ``boundary_echelon``, reduce on it and keep there the vectors that
+        raise its rank."""
         if echelon is None:
             echelon = self.boundary_echelon()
-        column = self._column
-        return sum(echelon.add({column[lab]: v for lab, v in vec.items()}) for vec in vecs)
+        coordinate = self._coordinate
+        return sum(echelon.add({k: v for lab, v in vec.items()
+                                if (k := coordinate[lab]) is not None}) for vec in vecs)
 
 
 @lru_cache(maxsize=512)

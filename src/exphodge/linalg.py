@@ -14,6 +14,11 @@ count and then by column (Markowitz's static rule), so the smallest label is
 the column the fewest rows share: a column held by one row becomes a pivot
 with no fill-in.  ``kernel_from_echelon`` reads a kernel off a
 ``rarest_first_echelon``, so a rank now and a kernel later cost one elimination.
+
+``reduced_echelon`` brings an echelon to reduced form by back substitution:
+the same pivots, and each row also holds no other row's pivot.  A kernel is
+read off the reduced rows, and a vector reduced on them takes one step per
+pivot it holds, since no step brings in another pivot.
 """
 
 from __future__ import annotations
@@ -132,15 +137,15 @@ def rarest_first_echelon(rows: list[Vector]) -> tuple[Echelon, list]:
     return echelon, columns
 
 
-def kernel_from_echelon(echelon: Echelon, columns: list, ncols: int) -> list[dict[int, Fraction]]:
-    """Basis of the vectors of length ncols that every row of a
-    ``rarest_first_echelon`` annihilates, one sparse dict per vector.  Reads
-    the echelon's rows and never mutates them."""
-    # back substitution to reduced form, in descending label order: each row
-    # holds no label below its pivot
+def reduced_echelon(echelon: Echelon) -> Echelon:
+    """An echelon of the same rows in reduced form: the same pivots, and each
+    row holds no other row's pivot.  Back substitution in descending pivot
+    order; reads the given rows and never mutates them."""
     reduced: dict[int, dict] = {}
     for c in sorted(echelon.pivots, reverse=True):
         row = dict(echelon.pivots[c])
+        # every row stored so far has its pivot above c and holds no other
+        # stored pivot, so one pass over this row's own columns clears them
         for c2 in [k for k in row if k != c and k in reduced]:
             f = row[c2]
             for cc, vv in reduced[c2].items():
@@ -150,11 +155,26 @@ def kernel_from_echelon(echelon: Echelon, columns: list, ncols: int) -> list[dic
                 else:
                     row[cc] = s
         reduced[c] = row
-    pivots = {columns[c]: {columns[cc]: v for cc, v in row.items()}
-              for c, row in reduced.items()}
-    # one vector per free column: 1 there, minus that column of each row
-    return [{fc: 1, **{pc: -row[fc] for pc, row in pivots.items() if row.get(fc)}}
-            for fc in range(ncols) if fc not in pivots]
+    out = Echelon()
+    out.pivots = reduced
+    return out
+
+
+def kernel_from_echelon(echelon: Echelon, columns: list, ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the vectors of length ncols that every row of a
+    ``rarest_first_echelon`` annihilates, one sparse dict per free column in
+    ascending order: 1 there, minus that column of each reduced row.  Reads
+    the echelon's rows and never mutates them."""
+    reduced = reduced_echelon(echelon).pivots
+    pivots = {columns[c] for c in reduced}
+    kernel = {fc: {fc: 1} for fc in range(ncols) if fc not in pivots}
+    # one pass over the reduced rows: every entry off the pivot is a free column
+    for c, row in reduced.items():
+        pc = columns[c]
+        for cc, v in row.items():
+            if cc != c:
+                kernel[columns[cc]][pc] = -v
+    return list(kernel.values())
 
 
 def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:

@@ -221,6 +221,10 @@ def analyze(f: LaurentPolynomial, mode: str = "both") -> AnalysisReport:
         warnings.append(
             "input is degenerate: the spectrum below is the raw filtration "
             "rank output, unsupported by the degeneration theorem")
+    elif report.verdict == "undecided":
+        warnings.append(
+            "nondegeneracy not certified: a face check exceeded its budget, so the "
+            "degeneration theorem's hypothesis is unproven for the spectra and checks below")
     if mode in ("rank", "both"):
         spectra["rank"] = rank
     if mode in ("euler", "both"):

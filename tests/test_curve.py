@@ -424,3 +424,112 @@ def test_rational_coefficients_pass_every_check():
     # x f' has non-integral coefficients: the rows mix int and Fraction
     d1 = cech_d1(curve.cech_hypercohomology(curve.divisor_twist_level(f, 0)))
     assert {v.denominator for v in d1.entries.values()} > {1}
+
+
+# ---------------------------------------------------------------------------
+# H^1 in the free coordinates of ker d1, against the full-coordinate quotient
+# ---------------------------------------------------------------------------
+
+def _comparison_inputs(monkeypatch):
+    from conftest import corpus_inputs
+
+    texts = dict.fromkeys(CURVE_SUITE + ENGINE_INPUTS + [RATIONAL_INPUT])
+    return [parse_laurent(t) for t in texts] + corpus_inputs(monkeypatch, "curve_n1", 4242, 2)
+
+
+def _recorded_comparison(f, monkeypatch):
+    """What compare_filtrations does for f: every model it builds, every
+    quotient_rank call (model, vectors, echelon reduced on, result) and every
+    h1_image_dim call (sub, ambient, result)."""
+    models, calls, images = [], [], []
+    init, quotient_rank = curve.CechModel.__init__, curve.CechModel.quotient_rank
+    h1_image_dim = curve.h1_image_dim
+
+    def recording_init(self, K, B):
+        init(self, K, B)
+        models.append(self)
+
+    def recording_quotient_rank(self, vecs, echelon=None):
+        vecs = list(vecs)
+        if echelon is None:
+            echelon = self.boundary_echelon()
+        calls.append((self, vecs, echelon, quotient_rank(self, vecs, echelon)))
+        return calls[-1][3]
+
+    def recording_h1_image_dim(sub, amb):
+        images.append((sub, amb, h1_image_dim(sub, amb)))
+        return images[-1][2]
+
+    with monkeypatch.context() as m:
+        m.setattr(curve.CechModel, "__init__", recording_init)
+        m.setattr(curve.CechModel, "quotient_rank", recording_quotient_rank)
+        m.setattr(curve, "h1_image_dim", recording_h1_image_dim)
+        curve._build_model.cache_clear()
+        _report(f)
+    return models, calls, images
+
+
+def test_free_coordinate_quotients_match_full_coordinates(monkeypatch):
+    """H^1 bases, the ranks of the Zp, Zd and Zt vectors and their joint
+    ranks, and the image dims of every level, each against the quotient by
+    the boundaries in all of T^1."""
+    for f in _comparison_inputs(monkeypatch):
+        models, calls, images = _recorded_comparison(f, monkeypatch)
+        assert models and calls and images, f
+        for model in models:
+            basis = model.h1_basis()
+            assert len(basis) == model.h1
+            assert image_dim_over(basis, cech_boundaries(model)) == model.h1, f
+        # a call on an echelon that earlier calls filled counts modulo their
+        # vectors too: the joint rank of Zd + Zt continues from Zp
+        taken: dict[int, list] = {}
+        for model, vecs, echelon, result in calls:
+            before = taken.setdefault(id(echelon), [])
+            assert result == image_dim_over(vecs, cech_boundaries(model) + before), f
+            before.extend(vecs)
+        for sub, amb, d in images:
+            assert d == image_dim_over(sub.cocycles(), cech_boundaries(amb)), f
+    curve._build_model.cache_clear()
+
+
+@pytest.mark.parametrize("which", [0, "middle", -1])
+def test_square_zero_is_checked(which, monkeypatch):
+    assemble = curve.CechModel._assemble
+
+    def one_sign_flipped(self):
+        d0_columns, d1_rows = assemble(self)
+        col = d0_columns[len(d0_columns) // 2 if which == "middle" else which]
+        j = next(iter(col))
+        col[j] = -col[j]
+        return d0_columns, d1_rows
+
+    monkeypatch.setattr(curve.CechModel, "_assemble", one_sign_flipped)
+    with pytest.raises(IntegrityError, match="d1 d0"):
+        curve.CechModel(curve.divisor_twist_level(parse_laurent("x^2 + x^-1"), 0), 20)
+
+
+@pytest.mark.parametrize("text", list(dict.fromkeys(CURVE_SUITE + ENGINE_INPUTS
+                                                    + [RATIONAL_INPUT])))
+def test_quotient_rank_takes_only_cocycles(text, monkeypatch):
+    quotient_rank = curve.CechModel.quotient_rank
+    d1_of: dict[int, tuple] = {}
+    seen = []
+
+    def checking(self, vecs, echelon=None):
+        vecs = list(vecs)
+        if id(self) not in d1_of:
+            d1_of[id(self)] = (self, cech_d1(self).columns())
+        columns = d1_of[id(self)][1]
+        index = {lab: j for j, lab in enumerate(self.labels1)}
+        for vec in vecs:
+            image = {}
+            for lab, v in vec.items():
+                for r, w in columns[index[lab]].items():
+                    image[r] = image.get(r, 0) + w * v
+            assert not any(image.values()), vec
+        seen.extend(vecs)
+        return quotient_rank(self, vecs, echelon)
+
+    monkeypatch.setattr(curve.CechModel, "quotient_rank", checking)
+    assert _report(parse_laurent(text)).subspaces_agree
+    assert seen

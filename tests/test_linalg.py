@@ -5,7 +5,7 @@ from oracles import cech_d0, cech_d1, dense, from_dense, matmul
 
 from exphodge.linalg import (Echelon, SparseRationalMatrix, exact_rank,
                              image_dim_over, kernel_from_echelon, nullspace_basis,
-                             rarest_first_echelon, span_rank)
+                             rarest_first_echelon, reduced_echelon, span_rank)
 
 
 def test_rank_trivial_cases():
@@ -253,3 +253,28 @@ def test_kernel_from_echelon_leaves_shared_rows_alone():
         kernel = kernel_from_echelon(clone, columns, m.ncols)
         assert {c: dict(row) for c, row in echelon.pivots.items()} == before
         assert kernel == nullspace_basis(m)
+
+
+def test_reduced_echelon_against_gauss_oracle():
+    # the same pivots and rank, each row clear at every other pivot, the same
+    # row space, and the input echelon untouched
+    rng = random.Random(59)
+    for _ in range(200):
+        m = _mixed_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
+        rows = [{c: v.numerator if v.denominator == 1 else v for c, v in row.items()}
+                for row in m.rows()]
+        echelon = Echelon()
+        for row in rows:
+            echelon.add(row)
+        before = {c: dict(row) for c, row in echelon.pivots.items()}
+        reduced = reduced_echelon(echelon)
+        assert {c: dict(row) for c, row in echelon.pivots.items()} == before
+        assert set(reduced.pivots) == set(echelon.pivots)
+        assert reduced.rank == _rank_fraction_gauss(m)
+        for c, row in reduced.pivots.items():
+            assert row[c] == 1 and min(row) == c
+            assert not any(row.get(c2) for c2 in reduced.pivots if c2 != c)
+        for row in rows:
+            assert not reduced.copy().add(row)
+        for row in reduced.pivots.values():
+            assert not echelon.copy().add(row)

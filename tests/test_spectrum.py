@@ -133,6 +133,21 @@ def test_analyze_degenerate_is_flagged():
         assert "degeneration" not in rep.checks
 
 
+def test_analyze_warns_when_nondegeneracy_is_undecided(monkeypatch):
+    # a face check over budget leaves the verdict undecided; the degenerate
+    # input still gets both spectra and passing checks, and the warning says
+    # that the degeneration theorem's hypothesis is unproven
+    from exphodge import nondegen
+
+    monkeypatch.setattr(nondegen, "_check_face_exact", lambda f, face: "budget exceeded")
+    rep = analyze(parse_laurent("x^2 - 2*x*y + y^2 + x^-1*y^-1"))
+    assert rep.nondegeneracy.verdict == "undecided"
+    assert list(rep.spectra) == ["rank", "euler"]
+    assert rep.warnings == [
+        "nondegeneracy not certified: a face check exceeded its budget, so the "
+        "degeneration theorem's hypothesis is unproven for the spectra and checks below"]
+
+
 def test_analyze_rejects_subtorus():
     with pytest.raises(NotFullDimensionalError) as exc:
         analyze(parse_laurent("x*y"))
