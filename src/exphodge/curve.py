@@ -4,8 +4,24 @@ Every sheaf in sight is a line bundle O(a[0] + b[oo]) on P^1, and the
 logarithmic one-forms are globally trivialized by dlog x, so a two-term
 twisted complex is just a pair of point divisors plus the connection.  Its
 hypercohomology is computed from the standard two-chart cover: chart section
-spaces are monomial ranges, truncated symmetrically at B with a mandatory
-stability assertion (dims must not move under B -> B+5).
+spaces are monomial ranges, truncated symmetrically at B.  Two lemmas fix
+B and the classical ambient; in each, a quotient complex is triangular with
+a nonzero diagonal, hence acyclic.
+
+* For B >= required_truncation(K), T_B is a subcomplex of T_(B+1) and the
+  quotient is one 1-2-1 piece per chart end.  At the + end, with hi the top
+  exponent of x f' and t its coefficient (hi = 0 and t = k = B+1 if x f'
+  has no positive exponent; the - end is the mirror image),
+  a_(B+1) -> -c_(B+1) + t p_(B+1+hi) and (c, p) -> (-t c - p) r_(B+1+hi),
+  or p -> -r alone with no degree-0 term.  So T_B computes the
+  hypercohomology, that of the union of all T_B.  The hypotheses are checked
+  where a model is built: B against required_truncation, every connection
+  image against its range, and x f' for a constant term.
+* From level -M to level -(M+1) of the classical filtration, the degree-0
+  and the degree-1 term each gain 1 + m_0 monomials at 0 (m_0 the pole
+  order), and the lowest term of nabla maps the first onto the second with
+  diagonal the lowest coefficient of x f' (k when m_0 = 0); oo is alike.
+  So every level -M, M >= 0, has the same hypercohomology.
 
 Three filtrations are realized on H^1 and compared inside one ambient model:
 
@@ -14,7 +30,7 @@ Three filtrations are realized on H^1 and compared inside one ambient model:
       level lam of O for -1 < lam <= 0:  O(S - ceil(lam P)),
       level lam for lam <= -1:           (level lam+1)(S + P),
       level lam of Omega^1:              Omega^1 (x) (level lam-1 of O),
-  whose level-(-M) terms serve as the exhaustive ambient;
+  whose level-(-1) term serves as the exhaustive ambient;
 * the compactly supported variant, twisting everything by -T where
   T = S - red(P).
 
@@ -24,10 +40,9 @@ twist dimensions come from the classical ambient, where they are compared
 with the other families; the compactly supported side of -f is measured in
 its own models.  One truncation B covers the ambient and every level of the
 three families (and of -f, which has the same pole divisor), so each complex
-yields one model and one B+5 probe, cached by ``_build_model``; complexes
-that differ only in their label share both.  A model assembles d0 and d1
-once, integral entries as ``int``, checks d1 d0 = 0 exactly, and keeps
-neither matrix.
+yields one model, cached by ``_build_model``; complexes that differ only in
+their label share it.  A model assembles d0 and d1 by columns once, integral
+entries as ``int``, checks d1 d0 = 0 exactly, and keeps neither matrix.
 
 H^1 is computed in the free coordinates F of ker d1.  d1 is eliminated once;
 its non-pivot columns F give the kernel basis z_f with z_f[f] = 1 and
@@ -136,11 +151,6 @@ def required_truncation(K: TwoTermComplex) -> int:
     return max(need + [0])
 
 
-def default_truncation(f: LaurentPolynomial) -> int:
-    P = pole_divisor(f)
-    return 4 * (P.m0 + P.m_inf + 2) + 10
-
-
 class CechModel:
     """Total complex of the two-chart cover of a two-term complex.
 
@@ -177,14 +187,18 @@ class CechModel:
         self.labels1 = ([("c", k) for k in c_rng] + [("p", k) for k in p_rng]
                         + [("q", k) for k in q_rng])
         self.labels2 = [("r", k) for k in r_rng]
-        d0_columns, d1_rows = self._assemble()
-        self._check_square_zero(d0_columns, d1_rows)
+        d0_columns, d1_columns = self._assemble()
+        self._check_square_zero(d0_columns, d1_columns)
 
         # d1, eliminated once: its rank and free columns F now, its kernel
         # when cocycles() asks
+        d1_rows: list[dict] = [{} for _ in self.labels2]
+        for j, col in enumerate(d1_columns):
+            for r, v in col.items():
+                d1_rows[r][j] = v
         self._d1_echelon: Optional[tuple] = rarest_first_echelon(d1_rows)
-        d1_echelon, d1_columns = self._d1_echelon
-        d1_pivots = {d1_columns[c] for c in d1_echelon.pivots}
+        d1_echelon, relabel = self._d1_echelon
+        d1_pivots = {relabel[c] for c in d1_echelon.pivots}
         free = [j for j in range(len(self.labels1)) if j not in d1_pivots]
         # the boundaries restricted to F, eliminated once; F's columns rarest
         # in the boundaries first, and every other T^1 label maps to None
@@ -208,7 +222,7 @@ class CechModel:
             raise IntegrityError("negative cohomology dimension in the cover model")
 
     def _assemble(self) -> tuple[list[dict], list[dict]]:
-        """Columns of d0 and rows of d1, index-keyed, integral entries as int."""
+        """Columns of d0 and of d1, index-keyed, integral entries as int."""
         th = self._theta
         assert 0 not in th, "x f' has a constant term"  # so nabla's parts never collide
         idx1 = {lab: i for i, lab in enumerate(self.labels1)}
@@ -236,14 +250,13 @@ class CechModel:
                         f"connection image x^{j} escapes the {out_side}-range")
                 col[row] = c
             d0_columns.append(col)
-        d1_rows: list[dict] = [{} for _ in self.labels2]
-        for col, (side, k) in enumerate(self.labels1):
+        d1_columns = []
+        for side, k in self.labels1:
             if side == "c":
-                for j, c in nabla(k).items():
-                    d1_rows[idx2[("r", j)]][col] = -c
+                d1_columns.append({idx2[("r", j)]: -c for j, c in nabla(k).items()})
             else:
-                d1_rows[idx2[("r", k)]][col] = -1 if side == "p" else 1
-        return d0_columns, d1_rows
+                d1_columns.append({idx2[("r", k)]: -1 if side == "p" else 1})
+        return d0_columns, d1_columns
 
     @staticmethod
     def _check_maps(K: TwoTermComplex, lo: int, hi: int):
@@ -254,13 +267,9 @@ class CechModel:
         if K.d0.m_inf + max(0, hi) > K.d1.m_inf:
             raise ValueError("connection does not map into the degree-1 sheaf at oo")
 
-    def _check_square_zero(self, d0_columns: list[dict], d1_rows: list[dict]):
+    def _check_square_zero(self, d0_columns: list[dict], d1_columns: list[dict]):
         """d1 d0 = 0, exactly: every boundary is a cocycle, which the H^1
         computation in the free coordinates of ker d1 rests on."""
-        d1_columns: list[dict] = [{} for _ in self.labels1]
-        for r, row in enumerate(d1_rows):
-            for j, v in row.items():
-                d1_columns[j][r] = v
         for col, lab in zip(d0_columns, self.labels0):
             image: dict[int, object] = {}
             for j, v in col.items():
@@ -324,16 +333,9 @@ def _build_model(K: TwoTermComplex, B: int) -> CechModel:
 
 
 def cech_hypercohomology(K: TwoTermComplex, B: Optional[int] = None) -> CechModel:
-    """Build the cover model at truncation B (default from the pole divisor)
-    and assert the dimensions are stable under B -> B+5."""
-    if B is None:
-        B = _shared_truncation(K.f, [K])
-    model = _build_model(K, B)
-    probe = _build_model(K, B + 5)
-    if model.dims != probe.dims:
-        raise IntegrityError(
-            f"truncation unstable: dims {model.dims} at B={B} vs {probe.dims} at B={B + 5}")
-    return model
+    """The cover model at truncation B, by default required_truncation(K),
+    from which on every B gives the same hypercohomology."""
+    return _build_model(K, required_truncation(K) if B is None else B)
 
 
 def _image_generators(sub: CechModel, ambient: CechModel) -> list[dict]:
@@ -383,7 +385,8 @@ def deligne_level(f: LaurentPolynomial, lam) -> TwoTermComplex:
 
 
 def deligne_ambient(f: LaurentPolynomial, M: int) -> TwoTermComplex:
-    """Level -M (integer M >= 1): O((M+1)S + MP) -> Omega_log((M+1)(S+P))."""
+    """Level -M (integer M >= 0): O((M+1)S + MP) -> Omega_log((M+1)(S+P));
+    every M has the same H^1, and M = 0 is cF^0 itself."""
     P = pole_divisor(f)
     d0 = S_DIVISOR.times(M + 1) + P.times(M)
     d1 = (S_DIVISOR + P).times(M + 1)
@@ -402,10 +405,10 @@ def compact_level(f: LaurentPolynomial, lam) -> TwoTermComplex:
     return TwoTermComplex(P.scale_floor(-lam) - T, d1, f, f"cptF^{lam}")
 
 
-def _shared_truncation(f: LaurentPolynomial, complexes) -> int:
+def _shared_truncation(complexes) -> int:
     """One truncation for every given complex of f (or of -f, which has the
     same pole divisor and exponents)."""
-    return max([default_truncation(f)] + [required_truncation(K) + 10 for K in complexes])
+    return max(required_truncation(K) for K in complexes)
 
 
 def _filtration_dims(levels, ambient: TwoTermComplex, B: int):
@@ -419,16 +422,9 @@ def _filtration_dims(levels, ambient: TwoTermComplex, B: int):
     return out, amb
 
 
-def _deligne_stable_M(f: LaurentPolynomial) -> int:
-    """Smallest doubling level whose ambient H^1 dim repeats twice."""
-    history = []
-    M = 2
-    while M <= 32:
-        history.append(cech_hypercohomology(deligne_ambient(f, M)).h1)
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            return M
-        M *= 2
-    raise IntegrityError("stabilization failure: ambient H^1 keeps moving up to M=32")
+# Level of the classical ambient: every level -M, M >= 0, has the same H^1,
+# but level 0 is cF^0 itself, whose injectivity would be a tautology.
+_AMBIENT_M = 1
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +480,14 @@ def compare_filtrations(f: LaurentPolynomial, rank: HodgeSpectrum) -> CurveFiltr
     if f.nvars != 1:
         raise ValueError("curve comparison needs one variable")
     jumps = jump_candidates(f)
-    ambient = deligne_ambient(f, _deligne_stable_M(f))
+    ambient = deligne_ambient(f, _AMBIENT_M)
     twist = [divisor_twist_level(f, lam) for lam in jumps]
     deligne = [deligne_level(f, lam) for lam in jumps]
     compact = [compact_level(f, lam) for lam in jumps]
     compact_neg = [compact_level(-f, lam) for lam in jumps]
     # one truncation for every model of f, and of -f, whose pole divisor and
     # exponents are those of f
-    B = _shared_truncation(f, [ambient] + twist + deligne + compact + compact_neg)
+    B = _shared_truncation([ambient] + twist + deligne + compact + compact_neg)
     deligne_measured, amb = _filtration_dims(deligne, ambient, B)
     deligne_dims = [d for d, _ in deligne_measured]
     compact_measured, _ = _filtration_dims(compact, compact_level(f, 0), B)

@@ -43,5 +43,5 @@ class BudgetExceededError(ExpHodgeError):
 
 
 class IntegrityError(ExpHodgeError):
-    """An internal cross-check failed: negative graded dimension, unstable
-    truncation, or a stabilization that never settles."""
+    """An internal cross-check failed: negative graded dimension, d1 d0 != 0
+    in a cover model, or a section that leaves its cover model."""

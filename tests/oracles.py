@@ -62,9 +62,9 @@ def cech_d0(model: curve.CechModel) -> SparseRationalMatrix:
 
 
 def cech_d1(model: curve.CechModel) -> SparseRationalMatrix:
-    _, rows = model._assemble()
+    _, columns = model._assemble()
     return SparseRationalMatrix(len(model.labels2), len(model.labels1), {
-        (r, c): v for r, row in enumerate(rows) for c, v in row.items()})
+        (r, c): v for c, col in enumerate(columns) for r, v in col.items()})
 
 
 def cech_boundaries(model: curve.CechModel) -> list[dict]:
@@ -156,7 +156,7 @@ def divisor_shift_invariance(f, D: curve.PointDivisor, E: curve.PointDivisor) ->
     P = curve.pole_divisor(f)
     K1 = curve.TwoTermComplex(D, D + P, f)
     K2 = curve.TwoTermComplex(D + E, D + E + P, f)
-    B = curve._shared_truncation(f, [K1, K2])
+    B = curve._shared_truncation([K1, K2])
     return curve.cech_hypercohomology(K1, B).dims == curve.cech_hypercohomology(K2, B).dims
 
 

@@ -187,13 +187,12 @@ def _families(f):
     """(ambient, levels) of the three filtrations, at the one truncation that
     compare_filtrations uses."""
     jumps = jump_candidates(f)
-    M = curve._deligne_stable_M(f)
     families = [
         (curve.divisor_twist_level(f, 0), [curve.divisor_twist_level(f, l) for l in jumps]),
-        (curve.deligne_ambient(f, M), [curve.deligne_level(f, l) for l in jumps]),
+        (curve.deligne_ambient(f, curve._AMBIENT_M), [curve.deligne_level(f, l) for l in jumps]),
         (curve.compact_level(f, 0), [curve.compact_level(f, l) for l in jumps]),
     ]
-    B = curve._shared_truncation(f, [K for amb, levels in families for K in [amb] + levels])
+    B = curve._shared_truncation([K for amb, levels in families for K in [amb] + levels])
     return families, B
 
 
@@ -221,7 +220,7 @@ def test_h1_image_dim_maps_every_cocycle_when_boundaries_do_not_nest():
     P = curve.pole_divisor(f)
     amb_K = curve.TwoTermComplex(curve.PointDivisor(-1, -1), P, f)
     sub_K = curve.TwoTermComplex(curve.ZERO_DIVISOR, P, f)
-    B = curve._shared_truncation(f, [amb_K, sub_K])
+    B = curve._shared_truncation([amb_K, sub_K])
     amb = curve.cech_hypercohomology(amb_K, B)
     sub = curve.cech_hypercohomology(sub_K, B)
     assert amb.quotient_rank(sub.h1_basis()) == 3
@@ -258,12 +257,15 @@ def test_analyze_builds_each_model_once(monkeypatch):
     analyze(parse_laurent("x^2 + x^-1"))
     assert built
     assert len(set(built)) == len(built)
-    # every model of f and -f but the stabilization ambients sits at one B
+    # every model of f and -f sits at the one B, and the one classical
+    # ambient is the only one built
     f = parse_laurent("x^2 + x^-1")
     _, B = _families(f)
-    M = curve._deligne_stable_M(f)
-    stabilization = {curve.deligne_ambient(f, m).d0 for m in (2, 4, 8, 16, 32) if m < M}
-    assert {b for d0, _, _, b in built if d0 not in stabilization} == {B, B + 5}
+    assert {b for _, _, _, b in built} == {B}
+    ambient = curve.deligne_ambient(f, curve._AMBIENT_M)
+    assert (ambient.d0, ambient.d1, f, B) in built
+    others = {(K.d0, K.d1) for K in (curve.deligne_ambient(f, m) for m in range(2, 9))}
+    assert not others & {(d0, d1) for d0, d1, _, _ in built}
 
 
 @pytest.mark.parametrize("text", ENGINE_INPUTS)
@@ -307,7 +309,7 @@ def test_report_matches_separately_measured_filtrations(text):
     _, B = _families(f)
     assert (rep.twist_dims, rep.duality_pairs) == _duality_oracle(f, B)
     # each classical level maps injectively: image dim = dim H^1 of the level
-    amb = curve.cech_hypercohomology(curve.deligne_ambient(f, curve._deligne_stable_M(f)), B)
+    amb = curve.cech_hypercohomology(curve.deligne_ambient(f, curve._AMBIENT_M), B)
     flags = []
     for lam, d in zip(rep.jumps, rep.deligne_dims):
         sub = curve.cech_hypercohomology(curve.deligne_level(f, lam), B)
@@ -383,9 +385,8 @@ def test_cocycles_span_ker_d1(text):
 @pytest.mark.parametrize("text", INTEGER_INPUTS)
 def test_h1_basis_has_h1_classes_on_every_level(text):
     f = parse_laurent(text)
-    M = curve._deligne_stable_M(f)
     _, B = _families(f)
-    ambient = curve.cech_hypercohomology(curve.deligne_ambient(f, M), B)
+    ambient = curve.cech_hypercohomology(curve.deligne_ambient(f, curve._AMBIENT_M), B)
     for model in [ambient] + _all_models(f):
         assert len(model.h1_basis()) == model.h1
 
@@ -497,11 +498,11 @@ def test_square_zero_is_checked(which, monkeypatch):
     assemble = curve.CechModel._assemble
 
     def one_sign_flipped(self):
-        d0_columns, d1_rows = assemble(self)
+        d0_columns, d1_columns = assemble(self)
         col = d0_columns[len(d0_columns) // 2 if which == "middle" else which]
         j = next(iter(col))
         col[j] = -col[j]
-        return d0_columns, d1_rows
+        return d0_columns, d1_columns
 
     monkeypatch.setattr(curve.CechModel, "_assemble", one_sign_flipped)
     with pytest.raises(IntegrityError, match="d1 d0"):
@@ -533,3 +534,59 @@ def test_quotient_rank_takes_only_cocycles(text, monkeypatch):
     monkeypatch.setattr(curve.CechModel, "quotient_rank", checking)
     assert _report(parse_laurent(text)).subspaces_agree
     assert seen
+
+
+# ---------------------------------------------------------------------------
+# The two lemmas of the module docstring, against the numbers they replace
+# ---------------------------------------------------------------------------
+
+LEMMA_TEXTS = list(dict.fromkeys(
+    CURVE_SUITE + ENGINE_INPUTS + ["3*x + 5*x^-1", RATIONAL_INPUT,
+                                   "x^-2 + 3*x^-1", "x^3 - 2*x", "x + x^-6"]))
+
+
+def _lemma_inputs(monkeypatch):
+    from conftest import corpus_inputs
+
+    return ([parse_laurent(t) for t in LEMMA_TEXTS]
+            + corpus_inputs(monkeypatch, "curve_n1", 4242, 2))
+
+
+def test_truncation_lemma_on_every_model_analyze_builds(monkeypatch):
+    """Each model analyze builds has the dims of the same complex truncated
+    further out: T_B -> T_(B+1) is a quasi-isomorphism."""
+    from exphodge.spectrum import analyze
+
+    built = []
+    init = curve.CechModel.__init__
+
+    def recording_init(self, K, B):
+        init(self, K, B)
+        built.append(self)
+
+    for f in _lemma_inputs(monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(curve.CechModel, "__init__", recording_init)
+            curve._build_model.cache_clear()
+            analyze(f)
+    assert len(built) > 100
+    for model in built:
+        for extra in (1, 5):
+            assert curve.CechModel(model.complex, model.B + extra).dims == model.dims, \
+                (model.complex, model.B, extra)
+    curve._build_model.cache_clear()
+
+
+def test_ambient_lemma_every_level_has_the_same_h1(monkeypatch):
+    """Levels -M, M = 0..8, of the classical filtration have the same
+    hypercohomology, and cF^0 maps onto the H^1 of each."""
+    for f in _lemma_inputs(monkeypatch):
+        ambients = [curve.deligne_ambient(f, M) for M in range(9)]
+        level0 = curve.deligne_level(f, 0)
+        B = curve._shared_truncation(ambients + [level0])
+        sub = curve.cech_hypercohomology(level0, B)
+        for K in ambients:
+            amb = curve.cech_hypercohomology(K, B)
+            assert amb.dims == sub.dims, (f, K.label)
+            assert curve.h1_image_dim(sub, amb) == sub.h1, (f, K.label)
+    curve._build_model.cache_clear()
