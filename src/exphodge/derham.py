@@ -10,28 +10,46 @@ and the connection acts by
 
 expanded in the wedge basis with dlog x_I sorted ascending and the sign of an
 insertion given by its position parity.  All entries are exact rationals.
-The points alpha and their weights come from the hull's weight table.
+The points alpha and their weights come from the hull's weight table.  Each
+entry is written once: the insertion i is the one index of the row's set
+missing from the column's, and the row exponent alpha + beta names the one
+term beta (the d term when beta = 0), so no two terms meet in one entry.
+
+The complex of -f has the same bases and weights, and ``ComplexSlice.negated``
+builds it from f's by a sign flip: every entry whose row exponent differs from
+its column exponent (the df part) changes sign, and the d part stays.  No
+differential is assembled twice for f and -f.
 
 Every other slice is a weight block of the level-0 slice.  Filtration level
 lam keeps the degree-p forms of weight <= p - lam (none below degree lam) and
 the blocks of the differentials between them; the graded piece at level lam
 keeps those of weight exactly p - lam, and its blocks are the weight-raising
 part of the connection.  The first term preserves weight and each beta term
-raises it by at most one, so no kept column may reach a dropped row of weight
-above p + 1 - lam: the block check that d maps level lam into itself.
+raises it by at most one.  One pass over the level-0 entries checks
+w(row) <= w(col) + 1 on every entry, which says that d maps every level into
+itself, and buckets the entries with w(row) = w(col) + 1 by column weight;
+every graded block is read from those buckets.  The weights are numbered once
+per slice, so the pass compares small integers and no entry meets a Fraction.
+
+The rank of the level-0 differential into top degree comes from the one
+echelon of ``ComplexSlice.top_profile`` that the rank route builds anyway, so
+the Betti numbers after it eliminate only the lower differentials.  Ranks and
+buckets are kept on the slice that they describe, in a field that
+``dataclasses.replace`` does not carry over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import eq, le
+from operator import add
 
 from .laurent import LaurentPolynomial, Monomial
 from .linalg import (Echelon, SparseRationalMatrix, exact_rank, image_dim_over,
-                     nullspace_basis)
+                     nullspace_basis, relabel_rarest_first)
 from .polytope import NewtonPolytope, newton_polytope
 
 # a basis form (alpha, I): the log-form x^alpha dlog x_I, I ascending 0-based
@@ -58,6 +76,9 @@ class ComplexSlice:
     bases: tuple[tuple[BasisForm, ...], ...]      # index p in 0..n
     mats: tuple[SparseRationalMatrix, ...]        # mats[p]: degree p -> p+1
     weights: tuple[tuple[Fraction, ...], ...]     # weights[p][i]: of bases[p][i]
+    # ranks and weight buckets of this slice, computed once; outside
+    # __init__, so dataclasses.replace starts the copy with none
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nvars(self) -> int:
@@ -66,70 +87,174 @@ class ComplexSlice:
     def dims(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.bases)
 
+    def rank(self, p: int) -> int:
+        """Exact rank of mats[p], computed once per slice."""
+        ranks = self._memo.setdefault("ranks", {})
+        if p not in ranks:
+            ranks[p] = exact_rank(self.mats[p])
+        return ranks[p]
+
     def cohomology(self) -> list[int]:
         """Cohomology dimensions, degrees 0..n, by exact ranks of the
         differentials."""
-        ranks = [0] + [exact_rank(m) for m in self.mats] + [0]
+        ranks = [0] + [self.rank(p) for p in range(len(self.mats))] + [0]
         return [d - ranks[p] - ranks[p + 1] for p, d in enumerate(self.dims())]
+
+    def negated(self) -> "ComplexSlice":
+        """The same slice of -f: the entries of the df part, whose row
+        exponent differs from their column exponent, change sign."""
+        mats = []
+        for p, m in enumerate(self.mats):
+            source, target = self.bases[p], self.bases[p + 1]
+            mats.append(SparseRationalMatrix(m.nrows, m.ncols, {
+                (r, c): v if target[r][0] == source[c][0] else -v
+                for (r, c), v in m.entries.items()}))
+        return ComplexSlice(-self.f, self.level, self.bases, tuple(mats), self.weights)
+
+    def top_profile(self, levels) -> list[int]:
+        """dim im(H^n(level lam) -> H^n(level 0)) for every lam in levels,
+        from this level-0 slice in one pass (see ``top_image_profile``).  The
+        pass adds every row of d_{n-1}, so it also records that rank."""
+        if self.level != 0:
+            raise ValueError(f"the profile reads a level-0 slice, not level {self.level}")
+        n = self.nvars
+        levels = [_check_level(self.f, lam)[1] for lam in levels]
+        rows, _ = relabel_rarest_first(self.mats[n - 1].rows())
+        weights = self.weights[n]
+        # descending weight, and shortest first within one weight: a rank is
+        # read only between two weights, and a row set's rank is its own
+        number = {w: k for k, w in enumerate(sorted(set(weights), reverse=True))}
+        order = sorted(range(len(rows)), key=lambda r: (number[weights[r]], len(rows[r])))
+        echelon = Echelon()
+        added = 0
+        outside: dict[Fraction, tuple[int, int]] = {}  # lam -> (|rows outside|, rank)
+        for lam in sorted(set(levels)):
+            while added < len(order) and weights[order[added]] > n - lam:
+                echelon.add(rows[order[added]])
+                added += 1
+            outside[lam] = (added, echelon.rank)
+        for r in order[added:]:
+            echelon.add(rows[r])
+        rank_b = self._memo.setdefault("ranks", {})[n - 1] = echelon.rank
+        return [len(rows) - k + rank_k - rank_b
+                for k, rank_k in (outside[lam] for lam in levels)]
 
 
 def _differential(f: LaurentPolynomial, bases, p: int) -> SparseRationalMatrix:
     n = f.nvars
     source, target = bases[p], bases[p + 1]
     index = {form: i for i, form in enumerate(target)}
-    entries: dict[tuple[int, int], Fraction] = {}
-
-    def add(row_form: BasisForm, col: int, value: Fraction):
-        row = index.get(row_form)
-        if row is None:
-            # weight(alpha + beta) <= weight(alpha) + 1, so level 0 holds every image
-            raise AssertionError(f"image form {row_form} missing from basis")
-        key = (row, col)
-        s = entries.get(key, Fraction(0)) + value
-        if s == 0:
-            entries.pop(key, None)
-        else:
-            entries[key] = s
-
-    for col, (alpha, I) in enumerate(source):
-        for i in range(n):
-            sign, merged = _insertion_sign(i, I)
-            if sign == 0:
-                continue
-            if alpha[i] != 0:
-                add((alpha, merged), col, Fraction(sign * alpha[i]))
-            for beta, c in f.terms.items():
-                if beta[i] == 0:
-                    continue
-                target_alpha = tuple(a + b for a, b in zip(alpha, beta))
-                add((target_alpha, merged), col, sign * beta[i] * c)
+    # the df part: beta_i c(beta) for the terms with beta_i != 0, and its
+    # negative, for the two insertion signs
+    df = [[(beta, beta[i] * c) for beta, c in f.terms.items() if beta[i]] for i in range(n)]
+    signed = {1: df, -1: [[(beta, -v) for beta, v in terms] for terms in df]}
+    insertions = {I: [(i, sign, merged) for i in range(n)
+                      for sign, merged in [_insertion_sign(i, I)] if sign]
+                  for I in combinations(range(n), p)}
+    entries: dict[tuple[int, int], object] = {}
+    written = 0
+    try:
+        for col, (alpha, I) in enumerate(source):
+            for i, sign, merged in insertions[I]:
+                if alpha[i]:
+                    entries[index[alpha, merged], col] = sign * alpha[i]
+                    written += 1
+                for beta, v in signed[sign][i]:
+                    entries[index[tuple(map(add, alpha, beta)), merged], col] = v
+                    written += 1
+    except KeyError as missing:
+        # weight(alpha + beta) <= weight(alpha) + 1, so level 0 holds every image
+        raise AssertionError(f"image form {missing.args[0]} missing from basis") from None
+    assert written == len(entries), "two terms of d met in one entry"
     return SparseRationalMatrix(len(target), len(source), entries)
 
 
-def _weight_block(slice0: ComplexSlice, lam: Fraction, keep) -> ComplexSlice:
-    """The degree-p forms of slice0 whose weight w has keep(w, p - lam), and
-    the blocks of slice0's differentials between them.  An entry of a kept
-    column in a dropped row of weight above p + 1 - lam would mean d leaves
-    level lam, and raises."""
-    caps = [p - lam for p in range(len(slice0.weights))]
-    kept = [[i for i, w in enumerate(ws) if keep(w, cap)]
-            for ws, cap in zip(slice0.weights, caps)]
+@dataclass(frozen=True)
+class _Buckets:
+    """The weights of a level-0 slice numbered once, and its entries bucketed
+    by those numbers."""
+
+    weights: tuple[Fraction, ...]          # the distinct weights, ascending
+    number: dict[Fraction, int]            # weights[k] -> k
+    ids: tuple[tuple[int, ...], ...]       # ids[p][i]: number of weights[p][i]
+    forms: tuple[dict[int, list[int]], ...]
+    # forms[p][k]: the degree-p forms of weight number k, ascending
+    raised: tuple[dict[int, list[tuple[int, int]]], ...]
+    # raised[p][k]: the keys (r, c) of the entries of mats[p] whose column
+    # has weight number k and whose row has the weight one above it (the
+    # matrix's own key objects, so a bucket holds only references)
+
+
+def _buckets(slice0: ComplexSlice) -> _Buckets:
+    """The buckets of a level-0 slice, built once by one pass over its
+    entries.  The pass checks w(row) <= w(col) + 1 on every entry, that is,
+    that d maps every level into itself, and raises when an entry breaks it."""
+    memo = slice0._memo.get("buckets")
+    if memo is not None:
+        return memo
+    weights = sorted(set().union(*slice0.weights))
+    number = {w: k for k, w in enumerate(weights)}
+    above = [number.get(w + 1) for w in weights]             # number of w + 1
+    reach = [bisect_right(weights, w + 1) - 1 for w in weights]  # last number <= w + 1
+    ids = tuple(tuple(number[w] for w in ws) for ws in slice0.weights)
+    forms = []
+    for degree_ids in ids:
+        by_weight: dict[int, list[int]] = {}
+        for i, k in enumerate(degree_ids):
+            by_weight.setdefault(k, []).append(i)
+        forms.append(by_weight)
+    raised = []
+    for p, m in enumerate(slice0.mats):
+        col_ids, row_ids = ids[p], ids[p + 1]
+        bucket: dict[int, list] = {}
+        for key in m.entries:
+            r, c = key
+            k, kr = col_ids[c], row_ids[r]
+            if kr == above[k]:
+                bucket.setdefault(k, []).append(key)
+            elif kr > reach[k]:
+                raise AssertionError(
+                    f"d maps level {p - weights[k]} to {slice0.bases[p + 1][r]}")
+        raised.append(bucket)
+    memo = slice0._memo["buckets"] = _Buckets(
+        tuple(weights), number, ids, tuple(forms), tuple(raised))
+    return memo
+
+
+def _block(slice0: ComplexSlice, lam: Fraction, kept, keys) -> ComplexSlice:
+    """The block of slice0 on the kept form indices, degree by degree, with
+    the entries of mats[p] at keys[p], pairs (r, c), in block coordinates."""
     mats = []
     for p, m in enumerate(slice0.mats):
         cols = {c: j for j, c in enumerate(kept[p])}
-        rows = {r: k for k, r in enumerate(kept[p + 1])}
-        entries = {}
-        for (r, c), v in m.entries.items():
-            if c not in cols:
-                continue
-            if r in rows:
-                entries[(rows[r], cols[c])] = v
-            elif slice0.weights[p + 1][r] > caps[p + 1]:
-                raise AssertionError(f"d maps level {lam} to {slice0.bases[p + 1][r]}")
-        mats.append(SparseRationalMatrix(len(rows), len(cols), entries))
+        rows = {r: j for j, r in enumerate(kept[p + 1])}
+        mats.append(SparseRationalMatrix(len(rows), len(cols), {
+            (rows[r], cols[c]): m.entries[r, c] for r, c in keys[p]}))
     bases = tuple(tuple(slice0.bases[p][i] for i in ix) for p, ix in enumerate(kept))
     weights = tuple(tuple(slice0.weights[p][i] for i in ix) for p, ix in enumerate(kept))
     return ComplexSlice(slice0.f, lam, bases, tuple(mats), weights)
+
+
+def _filtration_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
+    """The degree-p forms of slice0 of weight <= p - lam and the blocks of its
+    differentials between them."""
+    buckets = _buckets(slice0)  # its check puts the image of a kept column in level lam
+    # ends[p]: how many weights are <= p - lam, so weight number k is kept when k < ends[p]
+    ends = [bisect_right(buckets.weights, p - lam) for p in range(len(slice0.bases))]
+    kept = [[i for i, k in enumerate(ids) if k < end] for ids, end in zip(buckets.ids, ends)]
+    keys = [[(r, c) for r, c in m.entries if buckets.ids[p][c] < ends[p]]
+            for p, m in enumerate(slice0.mats)]
+    return _block(slice0, lam, kept, keys)
+
+
+def _graded_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
+    """The degree-p forms of slice0 of weight exactly p - lam and the blocks
+    of its differentials between them, read from the buckets."""
+    buckets = _buckets(slice0)
+    ks = [buckets.number.get(p - lam) for p in range(len(slice0.bases))]
+    kept = [forms.get(k, []) for forms, k in zip(buckets.forms, ks)]
+    keys = [raised.get(k, ()) for raised, k in zip(buckets.raised, ks)]
+    return _block(slice0, lam, kept, keys)
 
 
 def _check_level(f: LaurentPolynomial, lam) -> tuple[NewtonPolytope, Fraction]:
@@ -147,7 +272,7 @@ def build_filtration_level(f: LaurentPolynomial, lam) -> ComplexSlice:
     level 0, a weight block of the level-0 slice above it."""
     poly, lam = _check_level(f, lam)
     if lam > 0:
-        return _weight_block(build_filtration_level(f, Fraction(0)), lam, le)
+        return _filtration_block(build_filtration_level(f, Fraction(0)), lam)
     n = f.nvars
     weight = poly.dilate_weights
     bases, weights = [], []
@@ -163,12 +288,13 @@ def build_graded_level(f: LaurentPolynomial, lam) -> ComplexSlice:
     """The graded piece at level lam: the exact-weight block of the level-0
     slice, whose differentials are the weight-raising part of d."""
     _, lam = _check_level(f, lam)
-    return _weight_block(build_filtration_level(f, Fraction(0)), lam, eq)
+    return _graded_block(build_filtration_level(f, Fraction(0)), lam)
 
 
 def betti_numbers(f: LaurentPolynomial) -> list[int]:
     """Dimensions of the twisted de Rham cohomology, degrees 0..n, from the
-    level-0 slice by exact ranks."""
+    level-0 slice by exact ranks; the rank of d_{n-1} is read from the rank
+    route when that has run on the slice."""
     return build_filtration_level(f, Fraction(0)).cohomology()
 
 
@@ -205,27 +331,10 @@ def top_image_profile(f: LaurentPolynomial, levels) -> list[int]:
             = |S_lam| + rank(rows of B outside S_lam) - rank(B).
 
     The sets S_lam shrink as lam grows, so one incremental echelon over the
-    rows of B, taken in descending weight, yields every rank on the way.
+    rows of B, taken in descending weight, yields every rank on the way, and
+    rank(B) at its end.
     """
-    n = f.nvars
-    slice0 = build_filtration_level(f, Fraction(0))
-    levels = [_check_level(f, lam)[1] for lam in levels]
-    rows = slice0.mats[n - 1].rows()
-    weights = slice0.weights[n]
-    order = sorted(range(len(rows)), key=weights.__getitem__, reverse=True)
-    echelon = Echelon()
-    added = 0
-    outside: dict[Fraction, tuple[int, int]] = {}  # lam -> (|rows outside|, rank)
-    for lam in sorted(set(levels)):
-        while added < len(order) and weights[order[added]] > n - lam:
-            echelon.add(rows[order[added]])
-            added += 1
-        outside[lam] = (added, echelon.rank)
-    for r in order[added:]:
-        echelon.add(rows[r])
-    rank_b = echelon.rank
-    return [len(rows) - k + rank_k - rank_b
-            for k, rank_k in (outside[lam] for lam in levels)]
+    return build_filtration_level(f, Fraction(0)).top_profile(levels)
 
 
 __all__ = [

@@ -12,7 +12,10 @@ every prefix of the rows.
 first relabel the columns of their whole input rarest first, by occurrence
 count and then by column (Markowitz's static rule), so the smallest label is
 the column the fewest rows share: a column held by one row becomes a pivot
-with no fill-in.  ``kernel_from_echelon`` reads a kernel off a
+with no fill-in.  ``rarest_first_echelon`` then adds the rows shortest first.
+Under a fixed column order the pivot set of a row space does not depend on
+the order of its rows, so neither does a rank or a reduced form; short rows
+first keep the entries small.  ``kernel_from_echelon`` reads a kernel off a
 ``rarest_first_echelon``, so a rank now and a kernel later cost one elimination.
 
 ``reduced_echelon`` brings an echelon to reduced form by back substitution:
@@ -38,7 +41,8 @@ class SparseRationalMatrix:
         self.ncols = ncols
         clean: dict[tuple[int, int], Fraction] = {}
         for (r, c), v in entries.items():
-            v = Fraction(v)
+            if type(v) is not Fraction:  # a Fraction is immutable and kept as is
+                v = Fraction(v)
             if v != 0:
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise IndexError(f"entry ({r},{c}) outside {nrows}x{ncols}")
@@ -116,7 +120,7 @@ class Echelon:
         return False
 
 
-def _rarest_first(rows: list[Vector]) -> tuple[list[dict[int, Fraction]], list]:
+def relabel_rarest_first(rows: list[Vector]) -> tuple[list[dict[int, Fraction]], list]:
     """The rows with their columns relabelled 0, 1, ... rarest first, by
     (occurrence count over all rows, column), and the columns in label
     order, so that ``columns[label]`` maps a label back."""
@@ -129,10 +133,12 @@ def _rarest_first(rows: list[Vector]) -> tuple[list[dict[int, Fraction]], list]:
 
 def rarest_first_echelon(rows: list[Vector]) -> tuple[Echelon, list]:
     """The echelon of the rows with their columns relabelled rarest first,
-    and the column map of ``_rarest_first``."""
-    relabelled, columns = _rarest_first(rows)
+    added shortest first, and the column map of ``relabel_rarest_first``.
+    Under a fixed column order the pivot set, and so the reduced form, does
+    not depend on the order in which the rows come."""
+    relabelled, columns = relabel_rarest_first(rows)
     echelon = Echelon()
-    for row in relabelled:
+    for row in sorted(relabelled, key=len):
         echelon.add(row)
     return echelon, columns
 
@@ -205,7 +211,7 @@ def image_dim_over(span_new: Iterable[Vector], span_base: Iterable[Vector]) -> i
     rank(new + base) - rank(base).  The base is eliminated once; each new
     vector then counts when it raises the rank."""
     base = list(span_base)
-    rows, _ = _rarest_first(base + list(span_new))
+    rows, _ = relabel_rarest_first(base + list(span_new))
     echelon = Echelon()
     for row in rows[:len(base)]:
         echelon.add(row)

@@ -20,14 +20,19 @@ between consecutive jumps, where B is the level-0 differential into top
 degree and S_lam the top forms of weight at most n - lam.  The sets S_lam are
 nested, so one incremental exact echelon over the rows of B, in descending
 weight, gives the dimension at every jump: an exact rank computation, never a
-count.  Agreement of the two routes is the numerical shadow of the
-degeneration of the spectral sequence at its first page; the analysis report
-never hides a disagreement.
+count.  The echelon ends with every row of B, so it leaves rank(B) on the
+level-0 slice, and ``analyze`` computes the Betti numbers after the rank
+route so that they do not eliminate B again.  Agreement of the two routes is
+the numerical shadow of the degeneration of the spectral sequence at its
+first page; the analysis report never hides a disagreement.
 
 ``analyze`` computes each spectrum of f once and hands it to the checks:
 ``check_degeneration(f, euler, rank)`` compares the two and adds the graded
-vanishing below top degree, and ``check_symmetry(f, rank)`` tests the given
-spectrum for h^lam = h^(n-lam), ranking only the second input -f itself.
+vanishing below top degree, from the graded blocks of f's one level-0 slice,
+and ``check_symmetry(f, rank)`` tests the given spectrum for
+h^lam = h^(n-lam), ranking only the second input -f itself.  It ranks -f
+through the same profile code, on the sign flip of f's level-0 slice
+(``ComplexSlice.negated``), so no differential of -f is assembled.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from .derham import betti_numbers, build_graded_level, top_image_profile
+from .derham import ComplexSlice, betti_numbers, build_filtration_level, build_graded_level
 from .errors import IntegrityError
 from .laurent import LaurentPolynomial, format_laurent
 from .nondegen import NondegeneracyReport, is_nondegenerate
@@ -104,9 +109,15 @@ def spectrum_euler(f: LaurentPolynomial) -> HodgeSpectrum:
 def spectrum_rank(f: LaurentPolynomial) -> HodgeSpectrum:
     """Top-degree spectrum from exact filtration image dimensions; completely
     independent of the Euler route."""
-    n = f.nvars
-    jumps = jump_candidates(f)
-    dims = top_image_profile(f, jumps)
+    return _rank_route(build_filtration_level(f, Fraction(0)))
+
+
+def _rank_route(slice0: ComplexSlice) -> HodgeSpectrum:
+    """The rank spectrum read off the top profile of a level-0 slice: f's
+    own, or its sign flip for -f."""
+    n = slice0.nvars
+    jumps = jump_candidates(slice0.f)
+    dims = slice0.top_profile(jumps)
     dims.append(0)  # above the top jump the level is empty
     entries = []
     for k, lam in enumerate(jumps):
@@ -155,7 +166,7 @@ def check_symmetry(f: LaurentPolynomial, rank: HodgeSpectrum) -> CheckResult:
                           "cohomology and compactly supported cohomology differ"}
         return CheckResult("not applicable", note)
     n = f.nvars
-    rk_neg = spectrum_rank(-f)
+    rk_neg = _rank_route(build_filtration_level(f, Fraction(0)).negated())
     detail = {"rank": rank.to_json(), "rank_negated": rk_neg.to_json()}
     sign_invariant = rank.entries == rk_neg.entries
     symmetric = all(rank.multiplicity(Fraction(n) - lam) == m for lam, m in rank.entries)
@@ -209,13 +220,14 @@ def analyze(f: LaurentPolynomial, mode: str = "both") -> AnalysisReport:
     poly.require_full_dim()
     warnings: list[str] = []
     report = is_nondegenerate(f)
-    betti = betti_numbers(f)
     nvol = poly.normalized_volume()
     spectra: dict[str, HodgeSpectrum] = {}
     checks: dict[str, CheckResult] = {}
     degenerate = report.is_degenerate
     # the checks of a nondegenerate input need both spectra, whatever the mode
     rank = None if degenerate and mode == "euler" else spectrum_rank(f)
+    # after the rank route, which leaves rank(d_{n-1}) on the level-0 slice
+    betti = betti_numbers(f)
     euler = None if degenerate else spectrum_euler(f)
     if degenerate:
         warnings.append(

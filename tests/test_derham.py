@@ -2,19 +2,19 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
-from operator import eq, le
 
 import pytest
 from oracles import dense, matmul
 from test_polytope import _weight_census
 from test_spectrum import _random_support_poly
 
-from exphodge.derham import (_insertion_sign, _weight_block, betti_numbers,
-                             build_filtration_level, build_graded_level,
-                             filtration_image_dim, top_image_profile)
+from exphodge.derham import (_filtration_block, _graded_block, _insertion_sign,
+                             betti_numbers, build_filtration_level,
+                             build_graded_level, filtration_image_dim,
+                             top_image_profile)
 from exphodge.errors import NotFullDimensionalError
 from exphodge.laurent import parse_laurent
-from exphodge.linalg import SparseRationalMatrix
+from exphodge.linalg import SparseRationalMatrix, exact_rank
 from exphodge.polytope import NewtonPolytope, newton_polytope
 from exphodge.spectrum import jump_candidates
 
@@ -246,7 +246,8 @@ def test_blocks_match_per_level_construction(suite_poly):
     lambda: _random_support_poly(1),
     lambda: _random_support_poly(2),
     lambda: _random_support_poly(3),
-], ids=["n3-simplex", "generic-1", "generic-2", "generic-3"])
+    lambda: _random_support_poly(2, nvars=3),
+], ids=["n3-simplex", "generic-1", "generic-2", "generic-3", "generic-n3"])
 def test_blocks_match_per_level_construction_off_suite(make):
     _assert_blocks_match_oracle(make())
 
@@ -269,11 +270,102 @@ def test_blocks_enumerate_no_lattice_points(monkeypatch):
 
 def test_block_check_catches_d_leaving_the_level():
     # give the image x dlog x of the degree-0 form weight 2: d then leaves
-    # level 0 (weight above 0 + 1) in the level block and the graded block
+    # level 0 (weight above 0 + 1), and the one pass over the level-0 entries
+    # that both the level block and the graded block start from raises; the
+    # copy made by replace starts with no buckets of the good slice
     slice0 = build_filtration_level(parse_laurent("x + x^-1"), 0)
     assert slice0.bases[1][2] == ((1,), (0,)) and slice0.mats[0].entries[(2, 0)] == 1
+    assert _graded_block(slice0, Fraction(0)).bases[1] == (((-1,), (0,)), ((1,), (0,)))
     bad = replace(slice0, weights=(slice0.weights[0], (Fraction(1), Fraction(0), Fraction(2))))
-    for keep in (le, eq):
-        with pytest.raises(AssertionError, match="maps level"):
-            _weight_block(bad, Fraction(0), keep)
-    assert _weight_block(slice0, Fraction(0), eq).bases[1] == (((-1,), (0,)), ((1,), (0,)))
+    for block in (_filtration_block, _graded_block):
+        with pytest.raises(AssertionError, match="maps level 0 to"):
+            block(bad, Fraction(0))
+
+
+def _assert_negated_matches_fresh_build(f):
+    slice0 = build_filtration_level(f, 0)
+    before = [dict(m.entries) for m in slice0.mats]
+    flipped = slice0.negated()
+    fresh = build_filtration_level.__wrapped__(-f, 0)  # _differential run on -f itself
+    assert flipped.f == fresh.f == -f and flipped.level == fresh.level == 0
+    assert flipped.bases == fresh.bases and flipped.weights == fresh.weights
+    assert [(m.nrows, m.ncols) for m in flipped.mats] == [(m.nrows, m.ncols) for m in fresh.mats]
+    assert [m.entries for m in flipped.mats] == [m.entries for m in fresh.mats]
+    # the flip leaves f's slice alone and starts with no ranks of its own
+    assert [m.entries for m in slice0.mats] == before
+    assert not flipped._memo
+
+
+def test_negated_slice_matches_fresh_build(suite_poly):
+    _assert_negated_matches_fresh_build(suite_poly)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _random_support_poly(1),
+    lambda: _random_support_poly(2),
+    lambda: _random_support_poly(3),
+    lambda: _random_support_poly(2, nvars=3),
+    lambda: parse_laurent("2/3*x^2 + y^2 - 5/7*z^2 + x^-1*y^-1*z^-1"),
+], ids=["generic-1", "generic-2", "generic-3", "generic-n3", "n3-rational"])
+def test_negated_slice_matches_fresh_build_off_suite(make):
+    _assert_negated_matches_fresh_build(make())
+
+
+def test_differential_writes_each_entry_once():
+    # f with a constant term: every entry is one term, the d term when the
+    # row exponent is the column's, else the df term of their difference beta
+    f = parse_laurent("x^2*y + x*y^-1 + x^-2 + 3")
+    slice0 = build_filtration_level.__wrapped__(f, 0)
+    _assert_blocks_match_oracle(f)
+    for p, m in enumerate(slice0.mats):
+        source, target = slice0.bases[p], slice0.bases[p + 1]
+        for (r, c), v in m.entries.items():
+            (alpha, I), (gamma, J) = source[c], target[r]
+            (i,) = set(J) - set(I)
+            sign, _ = _insertion_sign(i, I)
+            beta = tuple(g - a for g, a in zip(gamma, alpha))
+            expected = alpha[i] if gamma == alpha else beta[i] * f.terms[beta]
+            assert v == sign * expected
+
+
+def test_rank_route_leaves_rank_of_top_differential_on_the_slice(monkeypatch):
+    # the profile's echelon takes every row of d_{n-1}; the Betti numbers read
+    # its rank and eliminate only the lower differentials
+    from exphodge import derham
+
+    f = parse_laurent("x^3 + y^3 + z^3 + x^-2*y^-2*z^-2")
+    build_filtration_level.cache_clear()
+    slice0 = build_filtration_level(f, 0)
+    top_image_profile(f, jump_candidates(f))
+    assert set(slice0._memo["ranks"]) == {2}
+    ranked = []
+    monkeypatch.setattr(derham, "exact_rank", lambda m: ranked.append(m) or exact_rank(m))
+    assert betti_numbers(f) == [0, 0, 0, 81]
+    assert ranked == [slice0.mats[0], slice0.mats[1]]
+    assert slice0._memo["ranks"][2] == exact_rank(slice0.mats[2])
+    # a copy made by replace starts with no memo
+    assert not replace(slice0, level=Fraction(0))._memo
+
+
+def test_graded_blocks_read_one_bucketing_per_slice(suite_poly):
+    slice0 = build_filtration_level(suite_poly, 0)
+    blocks = [build_graded_level(suite_poly, lam) for lam in jump_candidates(suite_poly)]
+    buckets = slice0._memo["buckets"]
+    assert [build_graded_level(suite_poly, lam).bases for lam in jump_candidates(suite_poly)] \
+        == [b.bases for b in blocks]
+    assert slice0._memo["buckets"] is buckets
+    # every level-0 entry is a graded entry of exactly one level, or keeps weight
+    raised = sum(len(v) for bucket in buckets.raised for v in bucket.values())
+    assert raised == sum(m.nnz for b in blocks for m in b.mats)
+
+
+def test_differential_refuses_two_terms_in_one_entry(monkeypatch):
+    # send every insertion into dlog x: the x^-1*y^-1 term under i = 0 and
+    # under i = 1 then lands on one entry, which the write count catches
+    from exphodge import derham
+
+    f = parse_laurent("x + y + x^-1*y^-1")
+    bases = build_filtration_level(f, 0).bases
+    monkeypatch.setattr(derham, "_insertion_sign", lambda i, index_set: (1, (0,)))
+    with pytest.raises(AssertionError, match="two terms of d met in one entry"):
+        derham._differential(f, bases, 0)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from oracles import cech_d0, cech_d1, dense, from_dense, matmul
+from test_spectrum import _random_support_poly
 
 from exphodge.linalg import (Echelon, SparseRationalMatrix, exact_rank,
                              image_dim_over, kernel_from_echelon, nullspace_basis,
@@ -131,6 +132,13 @@ def _structured_matrices():
     for lam in jump_candidates(f):
         for p, m in enumerate(build_graded_level(f, lam).mats):
             out[f"graded {lam} d{p}"] = m
+    # a generic n = 3 support (5 vertices, nvol 6): its level-0 matrices and
+    # the sign-flipped d2 that the symmetry check ranks for -g
+    g = _random_support_poly(2, nvars=3)
+    slice0 = build_filtration_level(g, 0)
+    for p, m in enumerate(slice0.mats):
+        out[f"generic level 0 d{p}"] = m
+    out["generic -g level 0 d2"] = slice0.negated().mats[2]
     return model, out
 
 

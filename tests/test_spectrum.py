@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -159,24 +161,51 @@ def test_analyze_rejects_subtorus():
     ("x^2 + x^-1", 2),             # the same: the curve comparison takes f's
 ])
 def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
-    from exphodge import curve, spectrum
+    """f and -f are each ranked once, by the top profile of a level-0 slice;
+    only f's slice is assembled (n differentials), -f's is its sign flip, and
+    the Betti numbers read rank(d_{n-1}) from the profile's echelon."""
+    from exphodge import curve, derham, spectrum
 
     f = parse_laurent(text)
-    jumps = jump_candidates(f)
-    calls = dict.fromkeys(["spectrum_rank", "spectrum_euler", "build_graded_level"], 0)
+    n, jumps = f.nvars, jump_candidates(f)
+    calls = dict.fromkeys(["spectrum_euler", "build_graded_level", "_differential"], 0)
     for name in calls:
-        fn = getattr(spectrum, name)
+        module = derham if name == "_differential" else spectrum
+        fn = getattr(module, name)
 
         def counting(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        for module in (spectrum, curve):  # counts a curve module that ranks f itself
-            if getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counting)
+        for owner in (module, curve):  # counts a curve module that ranks f itself
+            if getattr(owner, name, None) is fn:
+                monkeypatch.setattr(owner, name, counting)
+    ranked, negated, eliminated = Counter(), [], []
+    profile, negate = derham.ComplexSlice.top_profile, derham.ComplexSlice.negated
+
+    def counting_profile(self, levels):
+        ranked[self.f] += 1
+        return profile(self, levels)
+
+    def recording_negate(self):
+        negated.append(negate(self))
+        return negated[-1]
+
+    def recording_rank(m, _rank=derham.exact_rank):
+        eliminated.append(m)
+        return _rank(m)
+    monkeypatch.setattr(derham.ComplexSlice, "top_profile", counting_profile)
+    monkeypatch.setattr(derham.ComplexSlice, "negated", recording_negate)
+    monkeypatch.setattr(derham, "exact_rank", recording_rank)
+    derham.build_filtration_level.cache_clear()
     rep = analyze(f)
     assert rep.checks and all(check.ok for check in rep.checks.values())
-    assert calls == {"spectrum_rank": rank_calls, "spectrum_euler": 1,
-                     "build_graded_level": len(jumps)}
+    tops = [derham.build_filtration_level(f, 0).mats[n - 1]] + [s.mats[n - 1] for s in negated]
+    assert calls == {"spectrum_euler": 1, "build_graded_level": len(jumps), "_differential": n}
+    assert ranked == {f: 1, -f: 1} and sum(ranked.values()) == rank_calls
+    assert len(tops) == 2
+    assert not any(m is top for m in eliminated for top in tops)
+    # every exact_rank of the run ranks a graded block or a lower level-0 differential
+    assert len(eliminated) == n * len(jumps) + n - 1
 
 
 DEGENERATE_WARNING = ("input is degenerate: the spectrum below is the raw filtration "
@@ -333,14 +362,16 @@ def test_spectra_invariant_under_seeded_gl_n_z(text):
         assert spectrum_rank(g).entries == rank
 
 
-def _random_support_poly(seed: int):
-    """8 terms in [-3, 3]^2 with the origin interior, random integer
-    coefficients: a generic support, unlike the simplices above."""
+def _random_support_poly(seed: int, nvars: int = 2):
+    """8 terms in [-3, 3]^2, or 5 terms in {-1, 0, 1}^3, with the origin
+    interior and random integer coefficients: a generic support, unlike the
+    simplices above."""
+    radius, nterms = {2: (3, 8), 3: (1, 5)}[nvars]
     rng = random.Random(seed)
-    points = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+    points = [p for p in itertools.product(range(-radius, radius + 1), repeat=nvars) if any(p)]
     while True:
-        support = rng.sample(points, 8)
-        f = make_laurent(2, {a: rng.choice([-1, 1]) * rng.randint(1, 9) for a in support})
+        support = rng.sample(points, nterms)
+        f = make_laurent(nvars, {a: rng.choice([-1, 1]) * rng.randint(1, 9) for a in support})
         if newton_polytope(f).contains_origin_interior():
             return f
 
