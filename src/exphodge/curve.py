@@ -8,15 +8,17 @@ spaces are monomial ranges, truncated symmetrically at B.  Two lemmas fix
 B and the classical ambient; in each, a quotient complex is triangular with
 a nonzero diagonal, hence acyclic.
 
-* For B >= required_truncation(K), T_B is a subcomplex of T_(B+1) and the
-  quotient is one 1-2-1 piece per chart end.  At the + end, with hi the top
-  exponent of x f' and t its coefficient (hi = 0 and t = k = B+1 if x f'
-  has no positive exponent; the - end is the mirror image),
-  a_(B+1) -> -c_(B+1) + t p_(B+1+hi) and (c, p) -> (-t c - p) r_(B+1+hi),
-  or p -> -r alone with no degree-0 term.  So T_B computes the
-  hypercohomology, that of the union of all T_B.  The hypotheses are checked
-  where a model is built: B against required_truncation, every connection
-  image against its range, and x f' for a constant term.
+* For B >= required_truncation(K), the largest |m| over the coefficients m
+  of d0 and d1, every chart range at B reaches its truncated end, so T_B is
+  a subcomplex of T_(B+1) and the quotient is one 1-2-1 piece per chart
+  end.  At the + end, with hi the top exponent of x f' and t its coefficient
+  (hi = 0 and t = k = B+1 if x f' has no positive exponent; the - end is the
+  mirror image), a_(B+1) -> -c_(B+1) + t p_(B+1+hi) and
+  (c, p) -> (-t c - p) r_(B+1+hi), or p -> -r alone with no degree-0 term.
+  So T_B computes the hypercohomology, that of the union of all T_B.  The
+  hypotheses are checked where a model is built: B against
+  required_truncation, every connection image against its range (so the
+  lower terms of nabla a_(B+1) lie in T_B), and x f' for a constant term.
 * From level -M to level -(M+1) of the classical filtration, the degree-0
   and the degree-1 term each gain 1 + m_0 monomials at 0 (m_0 the pole
   order), and the lowest term of nabla maps the first onto the second with
@@ -44,17 +46,23 @@ yields one model, cached by ``_build_model``; complexes that differ only in
 their label share it.  A model assembles d0 and d1 by columns once, integral
 entries as ``int``, checks d1 d0 = 0 exactly, and keeps neither matrix.
 
-H^1 is computed in the free coordinates F of ker d1.  d1 is eliminated once;
-its non-pivot columns F give the kernel basis z_f with z_f[f] = 1 and
-z_f[f'] = 0 at every other free f', so restriction to F is an isomorphism
-ker d1 -> Q^F.  Every boundary is a cocycle (d1 d0 = 0), hence
+H^1 is computed in the free coordinates F of ker d1, with no elimination:
+d1(c, p, q) = q - p - nabla c, so row r_k holds -1 at p_k and +1 at q_k, and
+no other row holds either.  Row r_k pivots at p_k, or at q_k when p_k is out
+of range, so rank d1 counts the rows with a pivot, F is every ("c", k) and
+each ("q", k) whose p_k is in range, and z_f = e_f - sum_r v_r s_r e_piv(r)
+(v_r the entry of f in row r, s_r = +-1 its pivot entry) has z_f[f] = 1 and
+z_f[f'] = 0 at every other free f': restriction to F is an isomorphism
+ker d1 -> Q^F.  A row with neither p nor q is a class of H^1(P^1, O(d1)),
+zero when deg d1 = d1.m0 + d1.m_inf >= -1 (Hartshorne, III.5); a model with
+a degree-0 term requires this, and without one such a row counts in h2.
+Every boundary is a cocycle (d1 d0 = 0), hence
 H^1 = Q^F / (im d0 restricted to F).  The boundaries restricted to F are
 eliminated once, rarest column first, giving rank d0 and
 h1 = |F| - rank d0; the z_f whose f is no pivot of that echelon are an H^1
-basis.  Typically F is every chart column ("c", k) and the ("q", k) that
-the p- and q-ranges share, so each boundary of an "a" section restricts to
-a unit vector, and fractions stay in a band of d0.m0 + d0.m_inf + 1 rows
-that does not depend on the truncation.
+basis.  Each boundary of an "a" section restricts to a unit vector, and
+fractions stay in a band of d0.m0 + d0.m_inf + 1 rows that does not depend
+on the truncation.
 
 Image dimensions in the ambient H^1 are exact ranks, taken by restricting
 vectors to F and reducing them on a copy of the ambient's boundary echelon,
@@ -78,7 +86,7 @@ from typing import Optional
 
 from .errors import IntegrityError
 from .laurent import LaurentPolynomial, log_derivative
-from .linalg import Echelon, kernel_from_echelon, rarest_first_echelon, reduced_echelon
+from .linalg import Echelon, reduced_echelon
 from .polytope import newton_polytope
 from .spectrum import CheckResult, HodgeSpectrum, jump_candidates
 
@@ -138,14 +146,9 @@ def _theta_terms(f: LaurentPolynomial) -> dict[int, Fraction]:
     return {a[0]: c.numerator if c.denominator == 1 else c for a, c in th.terms.items()}
 
 
-def _theta_range(th: dict[int, Fraction]) -> tuple[int, int]:
-    """Lowest and highest exponent of x f', the range widened to contain 0."""
-    return min([0, *th]), max([0, *th])
-
-
 def required_truncation(K: TwoTermComplex) -> int:
-    lo, hi = _theta_range(_theta_terms(K.f))
-    need = [K.d1.m0 - lo, K.d1.m_inf - hi, abs(K.d1.m0), abs(K.d1.m_inf)]
+    """The least B of the truncation lemma: the largest |m| over d0 and d1."""
+    need = [abs(K.d1.m0), abs(K.d1.m_inf)]
     if K.d0 is not None:
         need += [abs(K.d0.m0), abs(K.d0.m_inf)]
     return max(need + [0])
@@ -167,7 +170,8 @@ class CechModel:
         self.complex = K
         self.B = B
         self._theta = _theta_terms(K.f)
-        lo, hi = _theta_range(self._theta)
+        # lowest and highest exponent of x f', the range widened to contain 0
+        lo, hi = min([0, *self._theta]), max([0, *self._theta])
 
         def rng(a, b):
             return list(range(a, b + 1)) if a <= b else []
@@ -190,16 +194,20 @@ class CechModel:
         d0_columns, d1_columns = self._assemble()
         self._check_square_zero(d0_columns, d1_columns)
 
-        # d1, eliminated once: its rank and free columns F now, its kernel
-        # when cocycles() asks
-        d1_rows: list[dict] = [{} for _ in self.labels2]
-        for j, col in enumerate(d1_columns):
-            for r, v in col.items():
-                d1_rows[r][j] = v
-        self._d1_echelon: Optional[tuple] = rarest_first_echelon(d1_rows)
-        d1_echelon, relabel = self._d1_echelon
-        d1_pivots = {relabel[c] for c in d1_echelon.pivots}
+        # d1 read from the labels: row r_k pivots at p_k, else at q_k, with
+        # entry s = -1 or +1; each free column gives z_f = e_f - sum v s e_piv
+        idx1 = {lab: j for j, lab in enumerate(self.labels1)}
+        pivot_of = {r: (idx1[("p", k)], -1) if k >= -K.d1.m0 else (idx1[("q", k)], 1)
+                    for r, (_, k) in enumerate(self.labels2) if k >= -K.d1.m0 or k <= K.d1.m_inf}
+        d1_pivots = {j for j, _ in pivot_of.values()}
         free = [j for j in range(len(self.labels1)) if j not in d1_pivots]
+        self._cocycles = []
+        for fc in free:
+            z = {self.labels1[fc]: 1}
+            for r, v in d1_columns[fc].items():
+                j, s = pivot_of[r]
+                z[self.labels1[j]] = -v * s
+            self._cocycles.append(z)
         # the boundaries restricted to F, eliminated once; F's columns rarest
         # in the boundaries first, and every other T^1 label maps to None
         count = Counter(j for col in d0_columns for j in col if j not in d1_pivots)
@@ -210,14 +218,12 @@ class CechModel:
         for col in d0_columns:
             self._boundary_echelon.add({position[j]: v for j, v in col.items() if j in position})
         self._boundaries_reduced = False
-        self._cocycles: Optional[list[dict]] = None
         self._h1_basis: Optional[list[dict]] = None
 
         rank_d0 = self._boundary_echelon.rank
-        rank_d1 = d1_echelon.rank
         self.h0 = len(self.labels0) - rank_d0
         self.h1 = len(free) - rank_d0
-        self.h2 = len(self.labels2) - rank_d1
+        self.h2 = len(self.labels2) - len(pivot_of)
         if self.h0 < 0 or self.h1 < 0 or self.h2 < 0:
             raise IntegrityError("negative cohomology dimension in the cover model")
 
@@ -260,6 +266,10 @@ class CechModel:
 
     @staticmethod
     def _check_maps(K: TwoTermComplex, lo: int, hi: int):
+        # a row of d1 with neither p nor q would need an elimination
+        degree = K.d1.m0 + K.d1.m_inf
+        if degree < -1:
+            raise ValueError(f"degree-1 sheaf of degree {degree} < -1 under a degree-0 term")
         # basis monomial check: nabla sends chart sections of O(d0) into the
         # chart sections of the degree-1 sheaf
         if -K.d0.m0 + min(0, lo) < -K.d1.m0:
@@ -283,14 +293,9 @@ class CechModel:
         return (self.h0, self.h1, self.h2)
 
     def cocycles(self) -> list[dict]:
-        """Basis of ker d1, as label-keyed sparse vectors (computed once): one
-        z_f per free column f of d1, in label order, 1 at f and 0 at every
-        other free column."""
-        if self._cocycles is None:
-            echelon, columns = self._d1_echelon
-            self._d1_echelon = None
-            self._cocycles = [{self.labels1[j]: v for j, v in vec.items()} for vec
-                              in kernel_from_echelon(echelon, columns, len(self.labels1))]
+        """Basis of ker d1, as label-keyed sparse vectors: one z_f per free
+        column f of d1, in label order, 1 at f and 0 at every other free
+        column."""
         return self._cocycles
 
     def h1_basis(self) -> list[dict]:

@@ -15,8 +15,7 @@ the column the fewest rows share: a column held by one row becomes a pivot
 with no fill-in.  ``rarest_first_echelon`` then adds the rows shortest first.
 Under a fixed column order the pivot set of a row space does not depend on
 the order of its rows, so neither does a rank or a reduced form; short rows
-first keep the entries small.  ``kernel_from_echelon`` reads a kernel off a
-``rarest_first_echelon``, so a rank now and a kernel later cost one elimination.
+first keep the entries small.
 
 ``reduced_echelon`` brings an echelon to reduced form by back substitution:
 the same pivots, and each row also holds no other row's pivot.  A kernel is
@@ -166,14 +165,16 @@ def reduced_echelon(echelon: Echelon) -> Echelon:
     return out
 
 
-def kernel_from_echelon(echelon: Echelon, columns: list, ncols: int) -> list[dict[int, Fraction]]:
-    """Basis of the vectors of length ncols that every row of a
-    ``rarest_first_echelon`` annihilates, one sparse dict per free column in
-    ascending order: 1 there, minus that column of each reduced row.  Reads
-    the echelon's rows and never mutates them."""
+def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
+    """Basis of the right nullspace {v : M v = 0}, one sparse dict per free
+    column in ascending order: 1 there, minus that column of each reduced row.
+
+    A matrix with no rows has the full coordinate space as nullspace.
+    """
+    echelon, columns = rarest_first_echelon(M.rows())
     reduced = reduced_echelon(echelon).pivots
     pivots = {columns[c] for c in reduced}
-    kernel = {fc: {fc: 1} for fc in range(ncols) if fc not in pivots}
+    kernel = {fc: {fc: 1} for fc in range(M.ncols) if fc not in pivots}
     # one pass over the reduced rows: every entry off the pivot is a free column
     for c, row in reduced.items():
         pc = columns[c]
@@ -181,15 +182,6 @@ def kernel_from_echelon(echelon: Echelon, columns: list, ncols: int) -> list[dic
             if cc != c:
                 kernel[columns[cc]][pc] = -v
     return list(kernel.values())
-
-
-def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
-    """Basis of the right nullspace {v : M v = 0}, one sparse dict per vector.
-
-    A matrix with no rows has the full coordinate space as nullspace.
-    """
-    echelon, columns = rarest_first_echelon(M.rows())
-    return kernel_from_echelon(echelon, columns, M.ncols)
 
 
 # ---------------------------------------------------------------------------

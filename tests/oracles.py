@@ -5,12 +5,14 @@ matrices, the untwisted two-term complex, the Groebner normal form, a
 Groebner basis run to completion, the face check on the saturated face
 system with no row reduction, the divisor-shift invariance of the Čech
 dimensions, the convex hull by brute force over d-subsets, the weight of a
-lattice point with one Fraction per facet, and seeded unimodular maps."""
+lattice point with one Fraction per facet, seeded unimodular maps and seeded
+generic supports."""
 
 import heapq
 import math
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from exphodge import curve
 from exphodge.groebner import (_make_monic, _mono_div, _mono_divides, _mono_lcm,
@@ -19,7 +21,7 @@ from exphodge.groebner import (_make_monic, _mono_div, _mono_divides, _mono_lcm,
 from exphodge.laurent import make_laurent
 from exphodge.linalg import SparseRationalMatrix
 from exphodge.nondegen import build_face_system
-from exphodge.polytope import _dot, _hyperplane_normal
+from exphodge.polytope import _dot, _hyperplane_normal, newton_polytope
 
 
 def laurent_sum(f, g):
@@ -217,3 +219,16 @@ def random_unimodular(rng, n):
 
 def apply_matrix(m, point):
     return tuple(sum(a * x for a, x in zip(row, point)) for row in m)
+
+
+def generic_support(seed, k, n, r):
+    """k terms drawn from the nonzero points of [-r, r]^n, each with a random
+    nonzero integer coefficient in [-9, 9], drawn again until the origin is
+    interior: a generic support, unlike the simplices of the benchmark."""
+    box = [p for p in product(range(-r, r + 1), repeat=n) if any(p)]
+    rng = random.Random(seed)
+    while True:
+        pts = rng.sample(box, k)
+        f = make_laurent(n, {p: rng.choice((-1, 1)) * rng.randint(1, 9) for p in pts})
+        if newton_polytope(f).contains_origin_interior():
+            return f

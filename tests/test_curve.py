@@ -6,7 +6,7 @@ import pytest
 from exphodge import curve
 from exphodge.errors import IntegrityError
 from exphodge.laurent import make_laurent, parse_laurent
-from exphodge.linalg import image_dim_over
+from exphodge.linalg import SparseRationalMatrix, exact_rank, image_dim_over, nullspace_basis
 from exphodge.spectrum import jump_candidates, spectrum_rank
 
 from conftest import CURVE_SUITE
@@ -346,7 +346,7 @@ def test_subspace_check_sees_equal_dims_on_other_lines(monkeypatch, name, fake):
 
 
 # ---------------------------------------------------------------------------
-# Exact integers: one d1 echelon per model, no matrix kept
+# Exact integers: d1 read from the labels, no matrix kept
 # ---------------------------------------------------------------------------
 
 INTEGER_INPUTS = ["x^2 + x^-1", "x^5 + x^-3", "3*x + 5*x^-1"]
@@ -392,23 +392,18 @@ def test_h1_basis_has_h1_classes_on_every_level(text):
 
 
 def test_models_keep_no_matrix():
-    from exphodge.linalg import SparseRationalMatrix
-
     for model in _all_models(parse_laurent("x^2 + x^-1")):
         model.h1_basis()
         assert not any(isinstance(v, SparseRationalMatrix) for v in vars(model).values())
         assert not matmul(cech_d1(model), cech_d0(model)).entries
 
 
-def test_integer_input_eliminates_d1_in_integers():
-    # every d1 pivot is a chart column with entry +-1, so nothing divides
+def test_integer_input_keeps_cocycles_in_integers():
+    # every d1 pivot entry is +-1, so an integral f gives integral cocycles
     for text in INTEGER_INPUTS:
         model = curve.CechModel(curve.deligne_ambient(parse_laurent(text), 4), 40)
-        echelon, _ = model._d1_echelon
-        entries = [v for row in echelon.pivots.values() for v in row.values()]
-        entries += [v for z in model.cocycles() for v in z.values()]
+        entries = [v for z in model.cocycles() for v in z.values()]
         assert entries and all(type(v) is int for v in entries), text
-        assert model._d1_echelon is None  # dropped once the cocycles are read
 
 
 def test_rational_coefficients_pass_every_check():
@@ -552,9 +547,8 @@ def _lemma_inputs(monkeypatch):
             + corpus_inputs(monkeypatch, "curve_n1", 4242, 2))
 
 
-def test_truncation_lemma_on_every_model_analyze_builds(monkeypatch):
-    """Each model analyze builds has the dims of the same complex truncated
-    further out: T_B -> T_(B+1) is a quasi-isomorphism."""
+def _models_analyze_builds(monkeypatch):
+    """Every model analyze builds for the lemma inputs."""
     from exphodge.spectrum import analyze
 
     built = []
@@ -569,8 +563,15 @@ def test_truncation_lemma_on_every_model_analyze_builds(monkeypatch):
             m.setattr(curve.CechModel, "__init__", recording_init)
             curve._build_model.cache_clear()
             analyze(f)
+    curve._build_model.cache_clear()
     assert len(built) > 100
-    for model in built:
+    return built
+
+
+def test_truncation_lemma_on_every_model_analyze_builds(monkeypatch):
+    """Each model analyze builds has the dims of the same complex truncated
+    further out: T_B -> T_(B+1) is a quasi-isomorphism."""
+    for model in _models_analyze_builds(monkeypatch):
         for extra in (1, 5):
             assert curve.CechModel(model.complex, model.B + extra).dims == model.dims, \
                 (model.complex, model.B, extra)
@@ -590,3 +591,46 @@ def test_ambient_lemma_every_level_has_the_same_h1(monkeypatch):
             assert amb.dims == sub.dims, (f, K.label)
             assert curve.h1_image_dim(sub, amb) == sub.h1, (f, K.label)
     curve._build_model.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# d1 read from the labels, against an elimination of the d1 matrix
+# ---------------------------------------------------------------------------
+
+def test_d1_closed_form_against_elimination(monkeypatch):
+    """h2, the cocycles and their free coordinates, against an elimination
+    of cech_d1, on every model analyze builds for the lemma inputs.  Among
+    them is x, where a rarest-first elimination of d1 pivots r_1 on c_0 and
+    so frees p_1 where the labels free c_0."""
+    models = _models_analyze_builds(monkeypatch)
+    assert any(m.complex.f == parse_laurent("x") for m in models)
+    for model in models:
+        d1 = cech_d1(model)
+        rank = exact_rank(d1)
+        assert model.h2 == len(model.labels2) - rank, model.complex
+        index = {lab: j for j, lab in enumerate(model.labels1)}
+        cocycles = [{index[lab]: v for lab, v in z.items()} for z in model.cocycles()]
+        assert len(cocycles) == len(model.labels1) - rank, model.complex
+        assert not matmul(d1, SparseRationalMatrix(len(index), len(cocycles), {
+            (j, i): v for i, z in enumerate(cocycles) for j, v in z.items()})).entries
+        free = [index[lab] for lab in model.labels1 if model._coordinate[lab] is not None]
+        assert len(free) == len(cocycles)
+        for f, z in zip(free, cocycles):
+            assert {g: z.get(g, 0) for g in free} == {g: int(g == f) for g in free}
+        kernel = nullspace_basis(d1)
+        assert image_dim_over(cocycles, kernel) == image_dim_over(kernel, cocycles) == 0
+
+
+def test_degree_one_sheaf_below_minus_one_is_refused_under_a_degree_zero_term():
+    f = parse_laurent("x + x^-1")
+    K = curve.TwoTermComplex(curve.PointDivisor(-2, -2), curve.PointDivisor(-1, -1), f)
+    with pytest.raises(ValueError, match="degree -2"):
+        curve.cech_hypercohomology(K)
+
+
+def test_degree_one_sheaf_below_minus_one_alone_counts_zero_rows_in_h2():
+    f = parse_laurent("x + x^-1")
+    model = curve.cech_hypercohomology(
+        curve.TwoTermComplex(None, curve.PointDivisor(-3, 0), f))
+    assert model.dims == (0, 0, 2)
+    assert model.h2 == len(model.labels2) - exact_rank(cech_d1(model))

@@ -5,8 +5,7 @@ from oracles import cech_d0, cech_d1, dense, from_dense, matmul
 from test_spectrum import _random_support_poly
 
 from exphodge.linalg import (Echelon, SparseRationalMatrix, exact_rank,
-                             image_dim_over, kernel_from_echelon, nullspace_basis,
-                             rarest_first_echelon, reduced_echelon, span_rank)
+                             image_dim_over, nullspace_basis, reduced_echelon, span_rank)
 
 
 def test_rank_trivial_cases():
@@ -249,18 +248,6 @@ def test_int_rows_with_unit_pivots_stay_int():
     # a non-unit pivot is divided out, into Fractions
     assert echelon.add({95: 2, 96: 1})
     assert echelon.pivots[95] == {95: 1, 96: Fraction(1, 2)}
-
-
-def test_kernel_from_echelon_leaves_shared_rows_alone():
-    rng = random.Random(53)
-    for _ in range(30):
-        m = _mixed_matrix(rng, rng.randint(2, 10), rng.randint(2, 10))
-        echelon, columns = rarest_first_echelon(m.rows())
-        clone = echelon.copy()
-        before = {c: dict(row) for c, row in echelon.pivots.items()}
-        kernel = kernel_from_echelon(clone, columns, m.ncols)
-        assert {c: dict(row) for c, row in echelon.pivots.items()} == before
-        assert kernel == nullspace_basis(m)
 
 
 def test_reduced_echelon_against_gauss_oracle():

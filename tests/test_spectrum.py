@@ -1,11 +1,10 @@
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
-from oracles import apply_matrix, random_unimodular
+from oracles import apply_matrix, generic_support, random_unimodular
 
 from exphodge.derham import betti_numbers
 from exphodge.errors import NotFullDimensionalError
@@ -366,14 +365,8 @@ def _random_support_poly(seed: int, nvars: int = 2):
     """8 terms in [-3, 3]^2, or 5 terms in {-1, 0, 1}^3, with the origin
     interior and random integer coefficients: a generic support, unlike the
     simplices above."""
-    radius, nterms = {2: (3, 8), 3: (1, 5)}[nvars]
-    rng = random.Random(seed)
-    points = [p for p in itertools.product(range(-radius, radius + 1), repeat=nvars) if any(p)]
-    while True:
-        support = rng.sample(points, nterms)
-        f = make_laurent(nvars, {a: rng.choice([-1, 1]) * rng.randint(1, 9) for a in support})
-        if newton_polytope(f).contains_origin_interior():
-            return f
+    nterms, radius = {2: (8, 3), 3: (5, 1)}[nvars]
+    return generic_support(seed, nterms, nvars, radius)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -386,3 +379,15 @@ def test_random_generic_supports_both_routes(seed):
     assert rank.total == rep.nvol == newton_polytope(f).normalized_volume()
     assert all(rank.multiplicity(2 - lam) == m for lam, m in rank.entries)
     assert all(check.status == "pass" for check in rep.checks.values())
+
+
+def test_generic_n3_support_both_routes():
+    # (seed 1, k 10, n 3, r 2): 10 terms in [-2, 2]^3, nvol 94
+    f = generic_support(1, 10, 3, 2)
+    rep = analyze(f)
+    assert rep.nondegeneracy.verdict == "nondegenerate" and rep.nondegeneracy.certified
+    assert {name: check.status for name, check in rep.checks.items()} == {
+        "degeneration": "pass", "symmetry": "pass"}
+    euler, rank = rep.spectra["euler"], rep.spectra["rank"]
+    assert euler.entries == rank.entries
+    assert rank.total == rep.nvol == 94
