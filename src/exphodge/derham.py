@@ -31,16 +31,32 @@ itself, and buckets the entries with w(row) = w(col) + 1 by column weight;
 every graded block is read from those buckets.  The weights are numbered once
 per slice, so the pass compares small integers and no entry meets a Fraction.
 
-The rank of the level-0 differential into top degree comes from the one
-echelon of ``ComplexSlice.top_profile`` that the rank route builds anyway, so
-the Betti numbers after it eliminate only the lower differentials.  Ranks and
-buckets are kept on the slice that they describe, in a field that
-``dataclasses.replace`` does not carry over.
+Ranks are taken over GF(PRIME), PRIME = 2^31 - 1 fixed (``linalg``), and
+used only through one of two proofs; the exact echelon decides whatever they
+leave open.  ``ComplexSlice.top_profile`` reduces each level-0 differential
+mod PRIME and eliminates it once.  (a) When those ranks saturate the complex
+(r'_(p-1) + r'_p = dim C^p for p < n), d o d = 0 proves them: they are the
+ranks over Q, so the Betti numbers after the rank route eliminate nothing.
+(b) The rank route's image dimensions lie between a lower bound from the
+GF(PRIME) ranks of the rows of d_(n-1) and an upper bound from the GF(PRIME)
+ranks of the graded pieces in top degree, and are read only where the two
+meet.  ``graded_ranks`` ranks every graded piece in every degree from the
+buckets, with no block built; the degeneration check reads from them the
+vanishing below top degree of each piece that saturates.  A graded entry
+raises weight, so it is a df entry, and -f's graded blocks are the negatives
+of f's: one set of graded ranks bounds both signs.  When PRIME divides a
+denominator, or a proof does not close, the exact path runs: the exact
+echelon of the top profile records rank d_(n-1), the Betti numbers eliminate
+the lower differentials, and each unsaturated graded piece is ranked as a
+block.  Ranks,
+graded ranks and buckets are kept on the slice that they describe, in a field
+that ``dataclasses.replace`` does not carry over; no residue of a matrix
+outlives the call that eliminates it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -49,7 +65,8 @@ from operator import add
 
 from .laurent import LaurentPolynomial, Monomial
 from .linalg import (Echelon, SparseRationalMatrix, exact_rank, image_dim_over,
-                     nullspace_basis, relabel_rarest_first)
+                     modular_rank, modular_ranks, nullspace_basis, relabel_rarest_first,
+                     saturated_ranks)
 from .polytope import NewtonPolytope, newton_polytope
 
 # a basis form (alpha, I): the log-form x^alpha dlog x_I, I ascending 0-based
@@ -88,7 +105,8 @@ class ComplexSlice:
         return tuple(len(b) for b in self.bases)
 
     def rank(self, p: int) -> int:
-        """Exact rank of mats[p], computed once per slice."""
+        """Rank of mats[p] over Q, computed once per slice: proven by the top
+        profile's saturation when that closed, else by the exact echelon."""
         ranks = self._memo.setdefault("ranks", {})
         if p not in ranks:
             ranks[p] = exact_rank(self.mats[p])
@@ -111,33 +129,100 @@ class ComplexSlice:
                 for (r, c), v in m.entries.items()}))
         return ComplexSlice(-self.f, self.level, self.bases, tuple(mats), self.weights)
 
-    def top_profile(self, levels) -> list[int]:
+    def top_profile(self, levels, graded=None) -> list[int]:
         """dim im(H^n(level lam) -> H^n(level 0)) for every lam in levels,
         from this level-0 slice in one pass (see ``top_image_profile``).  The
-        pass adds every row of d_{n-1}, so it also records that rank."""
+        pass adds every row of d_{n-1}, so it also records that rank.
+
+        The pass runs over GF(PRIME) first, and its numbers are kept only
+        when the sandwich of ``_modular_top`` closes on them; ``graded``, the
+        ``graded_ranks`` of this slice when None, bounds it from above.
+        Otherwise the exact echelon decides."""
         if self.level != 0:
             raise ValueError(f"the profile reads a level-0 slice, not level {self.level}")
         n = self.nvars
         levels = [_check_level(self.f, lam)[1] for lam in levels]
-        rows, _ = relabel_rarest_first(self.mats[n - 1].rows())
+        steps = sorted(set(levels))
+        rows = self.mats[n - 1].rows()
         weights = self.weights[n]
         # descending weight, and shortest first within one weight: a rank is
         # read only between two weights, and a row set's rank is its own
-        number = {w: k for k, w in enumerate(sorted(set(weights), reverse=True))}
-        order = sorted(range(len(rows)), key=lambda r: (number[weights[r]], len(rows[r])))
+        distinct = sorted(set(weights))
+        number = {w: k for k, w in enumerate(reversed(distinct))}
+        ids = [number[w] for w in weights]
+        order = sorted(range(len(rows)), key=lambda r: (ids[r], len(rows[r])))
+        # the rows of B outside S_lam, of weight > n - lam, lead the order:
+        # cuts[j] counts them for lam = steps[j]
+        leading = [ids[r] for r in order]
+        cuts = [bisect_left(leading, len(distinct) - bisect_right(distinct, n - lam))
+                for lam in steps]
+        rows = [rows[r] for r in order]
+        dims = self._modular_top(rows, steps, cuts, graded)
+        if dims is None:
+            dims = self._exact_top(rows, cuts)
+        profile = dict(zip(steps, dims))
+        return [profile[lam] for lam in levels]
+
+    def _modular_top(self, rows, steps, cuts, graded) -> list[int] | None:
+        """The top profile at steps, the rows of B outside S_lam being
+        rows[:k] for k in cuts, taken from GF(PRIME) ranks only through two
+        proofs, or None.
+
+        (a) When the level-0 ranks saturate (``saturated_ranks``), they are
+        the ranks over Q, and the slice keeps them.  (b) With rank B proven,
+
+            |S_lam| + r'(rows of B outside S_lam) - rank B
+
+        is a lower bound, and the exact sequence H^n(F^>lam) -> H^n(F^lam)
+        -> H^n(Gr^lam) -> 0 bounds dim H^n(F^lam) by the sum over every jump
+        candidate mu >= lam (the hull's, whichever levels were asked) of
+        dim Gr^mu_n - r'(Gr^mu d_{n-1}).  The image dimension lies between
+        the two, so it is read only where they meet; they meet when the
+        filtration is strict (Deligne, Theorie de Hodge II, 1.3.2)."""
+        n = self.nvars
+        lower_ranks = [modular_rank(m.rows()) for m in self.mats[:n - 1]]
+        if None in lower_ranks:
+            return None
+        prefix = modular_ranks(rows, cuts + [len(rows)])
+        if prefix is None:
+            return None
+        proven = saturated_ranks(lower_ranks + prefix[-1:], self.dims())
+        if proven is None:
+            return None
+        self._memo.setdefault("ranks", {}).update(enumerate(proven))
+        graded = graded_ranks(self) if graded is None else graded
+        if graded is None:
+            return None
+        mus = sorted(graded)
+        # upper[i]: the sum of dim Gr^mu_n - r'(Gr^mu d_{n-1}) over mus[i:]
+        upper = [0] * (len(mus) + 1)
+        for i in reversed(range(len(mus))):
+            dims, ranks = graded[mus[i]]
+            upper[i] = upper[i + 1] + dims[n] - ranks[n - 1]
+        rank_b = proven[n - 1]
+        profile = []
+        for lam, k, rank_k in zip(steps, cuts, prefix):
+            lower = len(rows) - k + rank_k - rank_b
+            if lower != upper[bisect_left(mus, lam)]:
+                return None
+            profile.append(lower)
+        return profile
+
+    def _exact_top(self, rows, cuts) -> list[int]:
+        """The top profile at the cuts by the exact echelon, the rows of B
+        outside S_lam being rows[:k]; records rank B."""
+        rows, _ = relabel_rarest_first(rows)
         echelon = Echelon()
-        added = 0
-        outside: dict[Fraction, tuple[int, int]] = {}  # lam -> (|rows outside|, rank)
-        for lam in sorted(set(levels)):
-            while added < len(order) and weights[order[added]] > n - lam:
-                echelon.add(rows[order[added]])
-                added += 1
-            outside[lam] = (added, echelon.rank)
-        for r in order[added:]:
-            echelon.add(rows[r])
-        rank_b = self._memo.setdefault("ranks", {})[n - 1] = echelon.rank
-        return [len(rows) - k + rank_k - rank_b
-                for k, rank_k in (outside[lam] for lam in levels)]
+        prefix, added = [], 0
+        for k in cuts:
+            for row in rows[added:k]:
+                echelon.add(row)
+            added = k
+            prefix.append(echelon.rank)
+        for row in rows[added:]:
+            echelon.add(row)
+        rank_b = self._memo.setdefault("ranks", {})[self.nvars - 1] = echelon.rank
+        return [len(rows) - k + rank_k - rank_b for k, rank_k in zip(cuts, prefix)]
 
 
 def _differential(f: LaurentPolynomial, bases, p: int) -> SparseRationalMatrix:
@@ -257,6 +342,37 @@ def _graded_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
     return _block(slice0, lam, kept, keys)
 
 
+def graded_ranks(slice0: ComplexSlice) -> dict | None:
+    """For every jump candidate mu of the hull, (dims, ranks) of the graded
+    piece at mu: its dimensions in degrees 0..n and the GF(PRIME) ranks of
+    its differentials, read from the buckets with no block built; None when
+    PRIME divides a denominator.  Kept on the slice, as integers only.
+
+    Every graded entry raises weight, so it is a df entry: the graded blocks
+    of -f are entrywise the negatives of f's, and these ranks serve both."""
+    memo = slice0._memo
+    if "graded" in memo:
+        return memo["graded"]
+    buckets = _buckets(slice0)
+    n = slice0.nvars
+    graded: dict | None = {}
+    for mu in newton_polytope(slice0.f).jumps:
+        ks = [buckets.number.get(p - mu) for p in range(n + 1)]
+        dims = tuple(len(forms.get(k, ())) for forms, k in zip(buckets.forms, ks))
+        ranks = []
+        for p, m in enumerate(slice0.mats):
+            rows: dict[int, dict] = {}
+            for key in buckets.raised[p].get(ks[p], ()):
+                rows.setdefault(key[0], {})[key[1]] = m.entries[key]
+            ranks.append(modular_rank(list(rows.values())))
+        if None in ranks:
+            graded = None
+            break
+        graded[mu] = (dims, tuple(ranks))
+    memo["graded"] = graded
+    return graded
+
+
 def _check_level(f: LaurentPolynomial, lam) -> tuple[NewtonPolytope, Fraction]:
     lam = Fraction(lam)
     poly = newton_polytope(f)
@@ -293,8 +409,8 @@ def build_graded_level(f: LaurentPolynomial, lam) -> ComplexSlice:
 
 def betti_numbers(f: LaurentPolynomial) -> list[int]:
     """Dimensions of the twisted de Rham cohomology, degrees 0..n, from the
-    level-0 slice by exact ranks; the rank of d_{n-1} is read from the rank
-    route when that has run on the slice."""
+    level-0 slice by ranks over Q: the ones the rank route proved or
+    eliminated on the slice when it has run, exact ranks for the rest."""
     return build_filtration_level(f, Fraction(0)).cohomology()
 
 
@@ -332,7 +448,9 @@ def top_image_profile(f: LaurentPolynomial, levels) -> list[int]:
 
     The sets S_lam shrink as lam grows, so one incremental echelon over the
     rows of B, taken in descending weight, yields every rank on the way, and
-    rank(B) at its end.
+    rank(B) at its end: over GF(PRIME) when the proofs of
+    ``ComplexSlice._modular_top`` close on it, exactly otherwise.  Any levels
+    in [0, n] may be asked, in any order.
     """
     return build_filtration_level(f, Fraction(0)).top_profile(levels)
 
@@ -340,5 +458,5 @@ def top_image_profile(f: LaurentPolynomial, levels) -> list[int]:
 __all__ = [
     "BasisForm", "ComplexSlice", "build_filtration_level",
     "build_graded_level", "betti_numbers", "filtration_image_dim",
-    "top_image_profile",
+    "graded_ranks", "top_image_profile",
 ]

@@ -1,14 +1,28 @@
-"""Exact sparse rational matrices and rank computations.
+"""Sparse rational matrices and rank computations: exact over Q, or over
+GF(PRIME) when a proof turns the modular rank into the rank over Q.
 
-One exact engine over Q, so no rounding can occur anywhere: ``Echelon``, an
-incremental sparse row echelon form whose integral entries stay ``int`` and
-whose unit pivots never divide, takes one vector at a time and reports
-whether it raised the rank.  Every rank (``exact_rank``, ``span_rank``),
-quotient image (``image_dim_over``) and kernel (``nullspace_basis``) runs on
-it, and so do rank profiles of nested row sets, which need the rank after
-every prefix of the rows.
+``Echelon``, an incremental sparse row echelon form over Q whose integral
+entries stay ``int`` and whose unit pivots never divide, takes one vector at a
+time and reports whether it raised the rank.  Every exact rank
+(``exact_rank``, ``span_rank``), quotient image (``image_dim_over``) and
+kernel (``nullspace_basis``) runs on it, and so do rank profiles of nested row
+sets, which need the rank after every prefix of the rows.
 
-``Echelon`` pivots on the smallest column of a vector.  The entry points
+``ModularEchelon`` is the same echelon over GF(PRIME), PRIME = 2^31 - 1 fixed,
+on plain ``int`` residues, so no ``Fraction`` is built.  ``modular_ranks``
+reduces rows mod PRIME and ranks their prefixes; it returns None when PRIME
+divides a denominator.  Otherwise a minor that vanishes over Q vanishes mod
+PRIME, so each rank it returns is a proven lower bound on the rank over Q (cf.
+Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001), and never more.  A
+lower bound becomes a rank only through a proof.  ``saturated_ranks`` holds
+the one proof that lives here: in a complex C^0 -> ... -> C^m, d o d = 0
+gives rank d_(p-1) + rank d_p <= dim C^p over Q, so when the GF(PRIME) ranks
+satisfy r'_(p-1) + r'_p = dim C^p for every p < m, induction from p = 0
+proves r_p = r'_p for every p (and no cohomology below degree m).  A caller
+whose proof does not close runs the exact ``Echelon`` instead, which is the
+only engine that decides such an input.
+
+Both echelons pivot on the smallest column of a vector.  The entry points
 first relabel the columns of their whole input rarest first, by occurrence
 count and then by column (Markowitz's static rule), so the smallest label is
 the column the fewest rows share: a column held by one row becomes a pivot
@@ -27,9 +41,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Vector = Mapping[int, Fraction]
+
+PRIME = 2 ** 31 - 1
 
 
 class SparseRationalMatrix:
@@ -119,15 +135,58 @@ class Echelon:
         return False
 
 
+class ModularEchelon:
+    """``Echelon`` over GF(PRIME): the same smallest-column pivots, on
+    residues in [0, PRIME) stored as ``int``.
+
+    Each stored row is 1 at its pivot and holds no column below it.  ``add``
+    takes a row of nonzero residues, which it may consume."""
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, row: dict[int, int]) -> bool:
+        """Reduce row against the stored rows; keep it and return True when
+        it is independent of them, return False otherwise."""
+        pivots = self.pivots
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                lead = row[c]
+                if lead != 1:
+                    inv = pow(lead, -1, PRIME)
+                    row = {cc: vv * inv % PRIME for cc, vv in row.items()}
+                pivots[c] = row
+                return True
+            f = row[c]
+            for cc, vv in prow.items():
+                s = (row.get(cc, 0) - f * vv) % PRIME
+                if s:
+                    row[cc] = s
+                else:
+                    row.pop(cc, None)
+        return False
+
+
+def _rarest_first_labels(rows: Sequence[Vector]) -> dict:
+    """Column -> label 0, 1, ... rarest first, by (occurrence count over all
+    rows, column), in label order."""
+    count = Counter(c for row in rows for c, v in row.items() if v)
+    return {c: k for k, c in enumerate(sorted(count, key=lambda c: (count[c], c)))}
+
+
 def relabel_rarest_first(rows: list[Vector]) -> tuple[list[dict[int, Fraction]], list]:
     """The rows with their columns relabelled 0, 1, ... rarest first, by
     (occurrence count over all rows, column), and the columns in label
     order, so that ``columns[label]`` maps a label back."""
-    count = Counter(c for row in rows for c, v in row.items() if v)
-    columns = sorted(count, key=lambda c: (count[c], c))
-    label = {c: k for k, c in enumerate(columns)}
+    label = _rarest_first_labels(rows)
     relabelled = [{label[c]: v for c, v in row.items() if v} for row in rows]
-    return relabelled, columns
+    return relabelled, list(label)
 
 
 def rarest_first_echelon(rows: list[Vector]) -> tuple[Echelon, list]:
@@ -208,3 +267,61 @@ def image_dim_over(span_new: Iterable[Vector], span_base: Iterable[Vector]) -> i
     for row in rows[:len(base)]:
         echelon.add(row)
     return sum(echelon.add(row) for row in rows[len(base):])
+
+
+# ---------------------------------------------------------------------------
+# Ranks over GF(PRIME) and the saturation proof
+# ---------------------------------------------------------------------------
+
+def modular_ranks(rows: Sequence[Vector], cuts: Iterable[int]) -> list[int] | None:
+    """The ranks over GF(PRIME) of the prefixes rows[:k], k in cuts
+    (ascending), with the rows added in the given order and their columns
+    relabelled rarest first as over Q; None when PRIME divides a
+    denominator.  Each is a lower bound on the rank over Q.  A row is reduced
+    mod PRIME only as it is added, so no residue outlives this call."""
+    label = _rarest_first_labels(rows)
+    inverse = {1: 1}  # denominator -> its inverse mod PRIME
+    echelon = ModularEchelon()
+    ranks, added = [], 0
+    for k in cuts:
+        for row in rows[added:k]:
+            reduced = {}
+            for c, v in row.items():
+                d = v.denominator
+                inv = inverse.get(d)
+                if inv is None:
+                    if d % PRIME == 0:
+                        return None
+                    inv = inverse[d] = pow(d, -1, PRIME)
+                r = v.numerator * inv % PRIME
+                if r:
+                    reduced[label[c]] = r
+            echelon.add(reduced)
+        added = k
+        ranks.append(echelon.rank)
+    return ranks
+
+
+def modular_rank(rows: Sequence[Vector]) -> int | None:
+    """The rank over GF(PRIME) of the rows, added shortest first; None when
+    PRIME divides a denominator."""
+    if not rows:
+        return 0
+    ranks = modular_ranks(sorted(rows, key=len), [len(rows)])
+    return None if ranks is None else ranks[0]
+
+
+def saturated_ranks(ranks: Sequence[int], dims: Sequence[int]) -> list[int] | None:
+    """Proven ranks over Q of the differentials d_0, ..., d_(m-1) of a complex
+    with dims[p] = dim C^p, from their GF(PRIME) ranks, or None.
+
+    They are proven when r'_(p-1) + r'_p = dims[p] for every p < m (r'_(-1) =
+    0): then rank d_p <= dims[p] - rank d_(p-1) = r'_p <= rank d_p by
+    induction from p = 0, so every r'_p is the rank over Q and the complex
+    has no cohomology below degree m."""
+    below = 0
+    for r, dim in zip(ranks, dims):
+        if below + r != dim:
+            return None
+        below = r
+    return list(ranks)

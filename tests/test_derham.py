@@ -14,7 +14,7 @@ from exphodge.derham import (_filtration_block, _graded_block, _insertion_sign,
                              top_image_profile)
 from exphodge.errors import NotFullDimensionalError
 from exphodge.laurent import parse_laurent
-from exphodge.linalg import SparseRationalMatrix, exact_rank
+from exphodge.linalg import Echelon, SparseRationalMatrix, exact_rank
 from exphodge.polytope import NewtonPolytope, newton_polytope
 from exphodge.spectrum import jump_candidates
 
@@ -165,6 +165,25 @@ def test_top_image_profile_any_level_order():
     assert top_image_profile(f, []) == []
 
 
+def test_top_image_profile_on_a_subset_and_off_the_jumps(monkeypatch):
+    # the sandwich's upper bound sums over every jump candidate >= lam, not
+    # over the levels asked: on a strict subset of the jumps and on a level
+    # that is no jump it still closes, with no exact echelon, on the exact value
+    from exphodge import derham
+
+    f = parse_laurent("x^3 + y^4 + x^-2*y^-1")
+    jumps = jump_candidates(f)
+    between = (jumps[1] + jumps[2]) / 2
+    assert between not in jumps
+    exact_profiles = []
+    monkeypatch.setattr(derham, "Echelon", lambda: exact_profiles.append(1) or Echelon())
+    for levels in [jumps[1::2], jumps[-2:-1], [between], [jumps[0], between]]:
+        build_filtration_level.cache_clear()
+        assert top_image_profile(f, levels) == [
+            filtration_image_dim(f, lam, 2) for lam in levels], levels
+    assert not exact_profiles
+
+
 def test_top_image_profile_rejects_levels_outside_range():
     f = parse_laurent("x + x^-1")
     with pytest.raises(ValueError):
@@ -294,6 +313,13 @@ def _assert_negated_matches_fresh_build(f):
     # the flip leaves f's slice alone and starts with no ranks of its own
     assert [m.entries for m in slice0.mats] == before
     assert not flipped._memo
+    # every graded entry raises weight, so it is a df entry: -f's graded
+    # blocks are entrywise the negatives of f's, and f's ranks bound both
+    for lam in jump_candidates(f):
+        ours, theirs = _graded_block(slice0, lam), _graded_block(flipped, lam)
+        assert ours.bases == theirs.bases
+        assert [{k: -v for k, v in m.entries.items()} for m in ours.mats] \
+            == [m.entries for m in theirs.mats]
 
 
 def test_negated_slice_matches_fresh_build(suite_poly):
@@ -329,22 +355,28 @@ def test_differential_writes_each_entry_once():
 
 
 def test_rank_route_leaves_rank_of_top_differential_on_the_slice(monkeypatch):
-    # the profile's echelon takes every row of d_{n-1}; the Betti numbers read
-    # its rank and eliminate only the lower differentials
+    # the profile's pass takes every row of d_{n-1}.  Over GF(PRIME) it proves
+    # every level-0 rank by saturation, so the Betti numbers eliminate
+    # nothing; when PRIME divides a denominator the exact echelon records
+    # rank d_{n-1}, and the Betti numbers eliminate only the lower differentials
     from exphodge import derham
 
-    f = parse_laurent("x^3 + y^3 + z^3 + x^-2*y^-2*z^-2")
-    build_filtration_level.cache_clear()
-    slice0 = build_filtration_level(f, 0)
-    top_image_profile(f, jump_candidates(f))
-    assert set(slice0._memo["ranks"]) == {2}
     ranked = []
     monkeypatch.setattr(derham, "exact_rank", lambda m: ranked.append(m) or exact_rank(m))
-    assert betti_numbers(f) == [0, 0, 0, 81]
-    assert ranked == [slice0.mats[0], slice0.mats[1]]
-    assert slice0._memo["ranks"][2] == exact_rank(slice0.mats[2])
-    # a copy made by replace starts with no memo
-    assert not replace(slice0, level=Fraction(0))._memo
+    for text, betti, exact in [
+            ("x^3 + y^3 + z^3 + x^-2*y^-2*z^-2", [0, 0, 0, 81], False),
+            ("x + y + z + 1/2147483647*x^-1*y^-1*z^-1", [0, 0, 0, 4], True)]:
+        f = parse_laurent(text)
+        build_filtration_level.cache_clear()
+        slice0 = build_filtration_level(f, 0)
+        top_image_profile(f, jump_candidates(f))
+        assert set(slice0._memo["ranks"]) == ({2} if exact else {0, 1, 2})
+        ranked.clear()
+        assert betti_numbers(f) == betti
+        assert ranked == ([slice0.mats[0], slice0.mats[1]] if exact else [])
+        assert all(slice0._memo["ranks"][p] == exact_rank(m) for p, m in enumerate(slice0.mats))
+        # a copy made by replace starts with no memo
+        assert not replace(slice0, level=Fraction(0))._memo
 
 
 def test_graded_blocks_read_one_bucketing_per_slice(suite_poly):

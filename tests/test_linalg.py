@@ -4,8 +4,9 @@ from fractions import Fraction
 from oracles import cech_d0, cech_d1, dense, from_dense, matmul
 from test_spectrum import _random_support_poly
 
-from exphodge.linalg import (Echelon, SparseRationalMatrix, exact_rank,
-                             image_dim_over, nullspace_basis, reduced_echelon, span_rank)
+from exphodge.linalg import (PRIME, Echelon, ModularEchelon, SparseRationalMatrix,
+                             exact_rank, image_dim_over, modular_rank, modular_ranks,
+                             nullspace_basis, reduced_echelon, saturated_ranks, span_rank)
 
 
 def test_rank_trivial_cases():
@@ -146,6 +147,60 @@ def test_rank_on_structured_matrices():
     for name, m in mats.items():
         assert exact_rank(m) == _rank_fraction_gauss(m), name
         assert span_rank(m.rows()) == exact_rank(m), name
+
+
+def test_certified_ranks_on_structured_matrices():
+    # every GF(PRIME) rank is at most the rank over Q, and every rank that
+    # saturation proves for a complex (the level-0 complexes and each graded
+    # piece) is the rank over Q
+    _, mats = _structured_matrices()
+    complexes: dict[str, list] = {}
+    for name, m in mats.items():
+        assert modular_rank(m.rows()) <= _rank_fraction_gauss(m), name
+        prefix, _, degree = name.rpartition(" d")
+        if not name.startswith(("cech", "generic -g")):
+            complexes.setdefault(prefix, []).append((int(degree), m))
+    proven = 0
+    for prefix, degrees in complexes.items():
+        ms = [m for _, m in sorted(degrees, key=lambda pm: pm[0])]
+        dims = [m.ncols for m in ms] + [ms[-1].nrows]
+        ranks = saturated_ranks([modular_rank(m.rows()) for m in ms], dims)
+        if ranks is not None:
+            assert ranks == [_rank_fraction_gauss(m) for m in ms], prefix
+            proven += len(ranks)
+    assert {"level 0", "generic level 0"} <= set(complexes) and proven >= 5
+
+
+def test_modular_rank_is_a_lower_bound_that_saturation_refuses_when_strict():
+    # [[1, 1], [1, 1 + PRIME]] has rank 2 over Q and 1 over GF(PRIME): as the
+    # one differential of Q^2 -> Q^2 it does not saturate, so nothing is proven
+    m = SparseRationalMatrix(2, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1 + PRIME})
+    assert exact_rank(m) == 2 and modular_rank(m.rows()) == 1
+    assert saturated_ranks([1], [2, 2]) is None
+    assert saturated_ranks([2], [2, 2]) == [2]
+    # a denominator that PRIME divides has no residue
+    assert modular_rank([{0: Fraction(1, PRIME)}]) is None
+    assert modular_ranks([{0: Fraction(3, 2)}, {1: Fraction(PRIME)}], [1, 2]) == [1, 1]
+    assert saturated_ranks([0, 1], [1, 1, 1]) is None  # H^0 = 1, below degree 2
+
+
+def test_modular_echelon_against_gauss_oracle():
+    # prefix ranks over GF(PRIME) against Q on small random rationals, where
+    # PRIME divides no minor; add() says whether the rank grew
+    rng = random.Random(31)
+    for _ in range(40):
+        m = _random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
+        rows = m.rows()
+        cuts = list(range(len(rows) + 1))
+        assert modular_ranks(rows, cuts) == [
+            _rank_fraction_gauss(from_dense(dense(m)[:k])) if k else 0 for k in cuts]
+        echelon = ModularEchelon()
+        for row in rows:
+            before = echelon.rank
+            residues = {c: v.numerator * pow(v.denominator, -1, PRIME) % PRIME
+                        for c, v in row.items()}
+            assert echelon.add(residues) == (echelon.rank == before + 1)
+        assert all(row[c] == 1 and min(row) == c for c, row in echelon.pivots.items())
 
 
 def test_nullspace_on_structured_matrices():

@@ -9,6 +9,7 @@ from oracles import apply_matrix, generic_support, random_unimodular
 from exphodge.derham import betti_numbers
 from exphodge.errors import NotFullDimensionalError
 from exphodge.laurent import make_laurent, parse_laurent
+from exphodge.linalg import Echelon
 from exphodge.nondegen import is_nondegenerate
 from exphodge.polytope import newton_polytope
 from exphodge.spectrum import (HodgeSpectrum, analyze, check_degeneration,
@@ -155,18 +156,30 @@ def test_analyze_rejects_subtorus():
     assert "1" in str(exc.value) and "2" in str(exc.value)
 
 
+# PRIME = 2^31 - 1 divides a coefficient's denominator: no rank can be
+# reduced mod PRIME, so every rank is exact
+PRIME_DENOMINATOR = "x + y + 1/2147483647*x^-1*y^-1"
+
+
 @pytest.mark.parametrize("text,rank_calls", [
     ("x^3 + y^4 + x^-2*y^-1", 2),  # f, and -f in the symmetry check
     ("x^2 + x^-1", 2),             # the same: the curve comparison takes f's
-])
+    (PRIME_DENOMINATOR, 2),        # the same, on the exact path throughout
+], ids=["x^3 + y^4 + x^-2*y^-1-2", "x^2 + x^-1-2", "prime-denominator"])
 def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
     """f and -f are each ranked once, by the top profile of a level-0 slice;
-    only f's slice is assembled (n differentials), -f's is its sign flip, and
-    the Betti numbers read rank(d_{n-1}) from the profile's echelon."""
+    only f's slice is assembled (n differentials), -f's is its sign flip.
+
+    Certified input: each level-0 differential is eliminated once over
+    GF(PRIME) per sign (d_{n-1} by the profile), each graded block once for
+    both signs, and nothing exactly.  When PRIME divides a denominator the
+    exact path runs: the Betti numbers read rank(d_{n-1}) from the exact
+    profile's echelon, and every graded block is built and ranked exactly."""
     from exphodge import curve, derham, spectrum
 
     f = parse_laurent(text)
     n, jumps = f.nvars, jump_candidates(f)
+    certified = text != PRIME_DENOMINATOR
     calls = dict.fromkeys(["spectrum_euler", "build_graded_level", "_differential"], 0)
     for name in calls:
         module = derham if name == "_differential" else spectrum
@@ -178,12 +191,12 @@ def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
         for owner in (module, curve):  # counts a curve module that ranks f itself
             if getattr(owner, name, None) is fn:
                 monkeypatch.setattr(owner, name, counting)
-    ranked, negated, eliminated = Counter(), [], []
+    ranked, negated, eliminated, modular = Counter(), [], [], Counter()
     profile, negate = derham.ComplexSlice.top_profile, derham.ComplexSlice.negated
 
-    def counting_profile(self, levels):
+    def counting_profile(self, levels, graded=None):
         ranked[self.f] += 1
-        return profile(self, levels)
+        return profile(self, levels, graded)
 
     def recording_negate(self):
         negated.append(negate(self))
@@ -192,19 +205,36 @@ def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
     def recording_rank(m, _rank=derham.exact_rank):
         eliminated.append(m)
         return _rank(m)
+
+    def counting_modular(name, fn):
+        def counted(*args):
+            modular[name] += 1
+            return fn(*args)
+        return counted
     monkeypatch.setattr(derham.ComplexSlice, "top_profile", counting_profile)
     monkeypatch.setattr(derham.ComplexSlice, "negated", recording_negate)
     monkeypatch.setattr(derham, "exact_rank", recording_rank)
+    for name in ("modular_rank", "modular_ranks"):
+        monkeypatch.setattr(derham, name, counting_modular(name, getattr(derham, name)))
+    exact_tops = []
+    monkeypatch.setattr(derham, "Echelon", lambda: exact_tops.append(1) or Echelon())
     derham.build_filtration_level.cache_clear()
     rep = analyze(f)
     assert rep.checks and all(check.ok for check in rep.checks.values())
     tops = [derham.build_filtration_level(f, 0).mats[n - 1]] + [s.mats[n - 1] for s in negated]
-    assert calls == {"spectrum_euler": 1, "build_graded_level": len(jumps), "_differential": n}
     assert ranked == {f: 1, -f: 1} and sum(ranked.values()) == rank_calls
     assert len(tops) == 2
     assert not any(m is top for m in eliminated for top in tops)
-    # every exact_rank of the run ranks a graded block or a lower level-0 differential
-    assert len(eliminated) == n * len(jumps) + n - 1
+    if certified:
+        assert calls == {"spectrum_euler": 1, "build_graded_level": 0, "_differential": n}
+        # d_0 .. d_{n-2} for f and for -f, and the graded blocks of every jump once
+        assert modular == {"modular_ranks": 2, "modular_rank": 2 * (n - 1) + n * len(jumps)}
+        assert eliminated == [] and exact_tops == []
+    else:
+        assert calls == {"spectrum_euler": 1, "build_graded_level": len(jumps), "_differential": n}
+        # every exact_rank of the run ranks a graded block or a lower level-0 differential
+        assert len(eliminated) == n * len(jumps) + n - 1
+        assert len(exact_tops) == 2  # the exact profile of f and of -f
 
 
 DEGENERATE_WARNING = ("input is degenerate: the spectrum below is the raw filtration "
@@ -309,6 +339,112 @@ def test_kloosterman_closed_form(n):
     assert spectrum_rank(f).entries == expected
 
 
+# Forced fallbacks: a GF(PRIME) rank is used only when a proof closes on it,
+# so each input below runs the exact path for at least one rank, and its
+# report must equal the one of a run on the exact path alone.
+
+def _report_json(f):
+    from exphodge import derham
+
+    derham.build_filtration_level.cache_clear()  # the ranks live on the cached slice
+    out = analyze(f).to_json()
+    out.pop("timing_ms")
+    return out
+
+
+def _exact_report_json(f, monkeypatch):
+    """The report with no GF(PRIME) rank at all, as when PRIME divides a
+    denominator."""
+    from exphodge import derham
+
+    with monkeypatch.context() as patch:
+        patch.setattr(derham, "modular_rank", lambda rows: None)
+        patch.setattr(derham, "modular_ranks", lambda rows, cuts: None)
+        return _report_json(f)
+
+
+def _count_exact_profiles(monkeypatch):
+    from exphodge import derham
+
+    slices = []
+    exact_top = derham.ComplexSlice._exact_top
+    monkeypatch.setattr(derham.ComplexSlice, "_exact_top",
+                        lambda self, *args: slices.append(self.f) or exact_top(self, *args))
+    return slices
+
+
+def test_prime_denominator_takes_the_exact_path(monkeypatch):
+    f = parse_laurent(PRIME_DENOMINATOR)
+    expected = _exact_report_json(f, monkeypatch)
+    profiled = _count_exact_profiles(monkeypatch)
+    out = _report_json(f)
+    assert out == expected and profiled == [f, -f]
+    # the oracle: any nonzero c gives x + y + c/(xy) the spectrum of nvol 3
+    spectrum = [{"lambda": str(k), "mult": 1} for k in range(3)]
+    assert out["spectrum"] == {"rank": spectrum, "euler": spectrum}
+    assert out["betti"] == [0, 0, 3] and out["polytope"]["nvol"] == 3
+    assert all(check["status"] == "pass" for check in out["checks"].values())
+
+
+def test_unsaturated_degenerate_input_takes_the_exact_path(monkeypatch):
+    from exphodge.derham import (build_filtration_level, build_graded_level,
+                                 filtration_image_dim, graded_ranks)
+    from exphodge.linalg import exact_rank, saturated_ranks
+
+    f = parse_laurent("x^4-4*x^2*y^2+4*y^4+x^-1*y^-1")
+    expected = _exact_report_json(f, monkeypatch)
+    profiled = _count_exact_profiles(monkeypatch)
+    out = _report_json(f)
+    assert out == expected and profiled == [f]
+    slice0 = build_filtration_level(f, 0)
+    dims, ranks = graded_ranks(slice0)[0]
+    assert saturated_ranks(ranks, dims) is None  # the graded piece at 0 has H^1
+    # the oracles: exact ranks of the level-0 complex, and the per-level images
+    exact = [0] + [exact_rank(m) for m in slice0.mats] + [0]
+    assert out["betti"] == [d - exact[p] - exact[p + 1] for p, d in enumerate(slice0.dims())]
+    jumps = jump_candidates(f)
+    images = [filtration_image_dim(f, lam, 2) for lam in jumps] + [0]
+    assert out["spectrum"]["rank"] == [
+        {"lambda": str(lam), "mult": images[k] - images[k + 1]}
+        for k, lam in enumerate(jumps) if images[k] > images[k + 1]]
+    # the degeneration check ranks the unsaturated graded piece exactly
+    rank = spectrum_rank(f)
+    check = check_degeneration(f, rank, rank)
+    below = {str(lam): build_graded_level(f, lam).cohomology()[:2] for lam in jumps}
+    assert check.detail["graded_cohomology_below_top"] == below and below["0"] != [0, 0]
+    assert check.status == "fail"
+
+
+@pytest.mark.parametrize("short", ["saturation chain", "B row pass"])
+def test_rank_one_short_over_gf_p_takes_the_exact_path(short, monkeypatch):
+    # a GF(PRIME) rank one below the rank over Q, as when PRIME divides a
+    # minor: saturation fails in the chain; in the B row pass the lower bound
+    # drops below the upper bound.  Either way the exact echelon decides.
+    from exphodge import derham
+
+    f = parse_laurent("x^3 + y^4 + x^-2*y^-1")
+    expected = _exact_report_json(f, monkeypatch)
+    if short == "saturation chain":
+        d0 = derham.build_filtration_level.__wrapped__(f, 0).mats[0].rows()
+        rank = derham.modular_rank
+        monkeypatch.setattr(derham, "modular_rank",
+                            lambda rows: rank(rows) - (rows == d0))
+    else:
+        ranks = derham.modular_ranks
+
+        def short_prefix(rows, cuts):
+            out = ranks(rows, cuts)
+            k = next(k for k, r in enumerate(out) if r)  # not the whole of B
+            return out[:k] + [out[k] - 1] + out[k + 1:]
+        monkeypatch.setattr(derham, "modular_ranks", short_prefix)
+    profiled = _count_exact_profiles(monkeypatch)
+    out = _report_json(f)
+    assert out == expected
+    assert profiled == ([f] if short == "saturation chain" else [f, -f])
+    assert out["spectrum"]["rank"] == out["spectrum"]["euler"]
+    assert out["betti"] == [0, 0, out["polytope"]["nvol"]]
+
+
 def test_degenerate_rank_route_still_sums_to_volume():
     # no theorem backs the spectrum here, but the raw image dims are defined
     # and the level-0 dimension still equals the volume
@@ -381,13 +517,24 @@ def test_random_generic_supports_both_routes(seed):
     assert all(check.status == "pass" for check in rep.checks.values())
 
 
-def test_generic_n3_support_both_routes():
-    # (seed 1, k 10, n 3, r 2): 10 terms in [-2, 2]^3, nvol 94
-    f = generic_support(1, 10, 3, 2)
+def _assert_both_routes(f, nvol):
     rep = analyze(f)
     assert rep.nondegeneracy.verdict == "nondegenerate" and rep.nondegeneracy.certified
     assert {name: check.status for name, check in rep.checks.items()} == {
         "degeneration": "pass", "symmetry": "pass"}
     euler, rank = rep.spectra["euler"], rep.spectra["rank"]
     assert euler.entries == rank.entries
-    assert rank.total == rep.nvol == 94
+    assert rank.total == rep.nvol == nvol
+
+
+def test_generic_n3_support_both_routes():
+    # (seed 1, k 10, n 3, r 2): 10 terms in [-2, 2]^3, nvol 94
+    _assert_both_routes(generic_support(1, 10, 3, 2), 94)
+
+
+@pytest.mark.parametrize("args,nvol", [
+    ((2, 10, 3, 2), 108),  # 10 terms in [-2, 2]^3
+    ((5, 10, 4, 1), 75),   # 10 terms in {-1, 0, 1}^4
+], ids=["n3-nvol108", "n4-nvol75"])
+def test_generic_support_both_routes(args, nvol):
+    _assert_both_routes(generic_support(*args), nvol)
