@@ -33,21 +33,26 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("poly", help="Laurent polynomial, e.g. 'x + x^-1'")
     common.add_argument("--vars", default="", help="comma-separated variable names")
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--require-nondegenerate", action="store_true",
-                        help="exit 3 when the input is degenerate")
-    common.add_argument("--mode", choices=("euler", "rank", "both"), default="both")
-    common.add_argument("--plot", default=None, metavar="FILE",
-                        help="write an SVG (polytope for n<=2 plus spectrum bars)")
+    # each of these goes only on the subcommands that read it
+    guard = argparse.ArgumentParser(add_help=False)
+    guard.add_argument("--require-nondegenerate", action="store_true",
+                       help="exit 3 when the input is degenerate")
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", choices=("euler", "rank", "both"), default="both")
+    plot = argparse.ArgumentParser(add_help=False)
+    plot.add_argument("--plot", default=None, metavar="FILE",
+                      help="write an SVG (polytope for n<=2 plus spectrum bars)")
 
-    for name, doc in [
-        ("analyze", "full report: polytope, nondegeneracy, Betti, spectra, checks"),
-        ("spectrum", "Hodge spectrum only"),
-        ("nondegen", "nondegeneracy verdict"),
-        ("volume", "Newton polytope summary and normalized volume"),
-        ("curve", "one-variable filtration comparison and duality"),
-        ("betti", "twisted de Rham Betti numbers"),
+    for name, doc, flags in [
+        ("analyze", "full report: polytope, nondegeneracy, Betti, spectra, checks",
+         [guard, mode, plot]),
+        ("spectrum", "Hodge spectrum only", [guard, mode]),
+        ("nondegen", "nondegeneracy verdict", [guard]),
+        ("volume", "Newton polytope summary and normalized volume", []),
+        ("curve", "one-variable filtration comparison and duality", []),
+        ("betti", "twisted de Rham Betti numbers", []),
     ]:
-        sub.add_parser(name, parents=[common], help=doc)
+        sub.add_parser(name, parents=[common, *flags], help=doc)
     return parser
 
 

@@ -31,27 +31,28 @@ itself, and buckets the entries with w(row) = w(col) + 1 by column weight;
 every graded block is read from those buckets.  The weights are numbered once
 per slice, so the pass compares small integers and no entry meets a Fraction.
 
-Ranks are taken over GF(PRIME), PRIME = 2^31 - 1 fixed (``linalg``), and
-used only through one of two proofs; the exact echelon decides whatever they
-leave open.  ``ComplexSlice.top_profile`` reduces each level-0 differential
-mod PRIME and eliminates it once.  (a) When those ranks saturate the complex
-(r'_(p-1) + r'_p = dim C^p for p < n), d o d = 0 proves them: they are the
-ranks over Q, so the Betti numbers after the rank route eliminate nothing.
-(b) The rank route's image dimensions lie between a lower bound from the
-GF(PRIME) ranks of the rows of d_(n-1) and an upper bound from the GF(PRIME)
-ranks of the graded pieces in top degree, and are read only where the two
-meet.  ``graded_ranks`` ranks every graded piece in every degree from the
-buckets, with no block built; the degeneration check reads from them the
-vanishing below top degree of each piece that saturates.  A graded entry
-raises weight, so it is a df entry, and -f's graded blocks are the negatives
-of f's: one set of graded ranks bounds both signs.  When PRIME divides a
-denominator, or a proof does not close, the exact path runs: the exact
-echelon of the top profile records rank d_(n-1), the Betti numbers eliminate
-the lower differentials, and each unsaturated graded piece is ranked as a
-block.  Ranks,
-graded ranks and buckets are kept on the slice that they describe, in a field
-that ``dataclasses.replace`` does not carry over; no residue of a matrix
-outlives the call that eliminates it.
+``ComplexSlice`` owns every rank of its differentials.  Ranks are taken
+over GF(PRIME), PRIME = 2^31 - 1 fixed (``linalg``), and used only through
+one of two proofs; the exact echelon decides whatever they leave open.
+(a) ``ComplexSlice.rank`` takes the GF(PRIME) rank of each differential
+once; when they saturate the slice (r'_(p-1) + r'_p = dim C^p for p < n),
+d o d = 0 proves them, so the Betti numbers, with or without the rank route
+before them, eliminate nothing exactly.  (b) ``ComplexSlice.top_profile``
+runs one pass over the rows of d_(n-1) at the hull's jumps; its image
+dimensions lie between a lower bound from the GF(PRIME) ranks of those rows
+and an upper bound from the graded table (``graded_ranks``: the GF(PRIME)
+ranks of every graded piece in every degree, read from the buckets with no
+block built), and are read only where the two meet; else the pass runs
+again over Q.  Either pass leaves the rank of d_(n-1) on the slice, so it is
+reduced mod PRIME once.  ``ComplexSlice.graded_below_top`` reads the
+vanishing below top degree of a graded piece from its saturation in the
+table, else from the exact ranks of its block.  A graded entry raises
+weight, so it is a df entry, and -f's graded blocks are the negatives of
+f's on the same keys: ``negated`` hands f's buckets and graded table to the
+slice of -f.  Ranks, GF(PRIME) ranks, the graded table and buckets are kept
+on the slice that they describe, in a field that ``dataclasses.replace``
+does not carry over; no residue of a matrix outlives the call that
+eliminates it.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ from itertools import combinations
 from operator import add
 
 from .laurent import LaurentPolynomial, Monomial
-from .linalg import (Echelon, SparseRationalMatrix, exact_rank, image_dim_over,
-                     modular_rank, modular_ranks, nullspace_basis, relabel_rarest_first,
-                     saturated_ranks)
+from .linalg import (SparseRationalMatrix, exact_rank, image_dim_over, modular_rank,
+                     nullspace_basis, prefix_ranks, saturated_ranks)
 from .polytope import NewtonPolytope, newton_polytope
 
 # a basis form (alpha, I): the log-form x^alpha dlog x_I, I ascending 0-based
@@ -93,8 +93,9 @@ class ComplexSlice:
     bases: tuple[tuple[BasisForm, ...], ...]      # index p in 0..n
     mats: tuple[SparseRationalMatrix, ...]        # mats[p]: degree p -> p+1
     weights: tuple[tuple[Fraction, ...], ...]     # weights[p][i]: of bases[p][i]
-    # ranks and weight buckets of this slice, computed once; outside
-    # __init__, so dataclasses.replace starts the copy with none
+    # ranks over Q and GF(PRIME), graded table and weight buckets of this
+    # slice, computed once; outside __init__, so dataclasses.replace starts
+    # the copy with none
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -105,124 +106,117 @@ class ComplexSlice:
         return tuple(len(b) for b in self.bases)
 
     def rank(self, p: int) -> int:
-        """Rank of mats[p] over Q, computed once per slice: proven by the top
-        profile's saturation when that closed, else by the exact echelon."""
+        """Rank of mats[p] over Q, computed once per slice: proven by the
+        saturation of the slice's GF(PRIME) ranks when it closes, else by the
+        exact echelon."""
         ranks = self._memo.setdefault("ranks", {})
-        if p not in ranks:
+        if p not in ranks and not self._saturated():
             ranks[p] = exact_rank(self.mats[p])
         return ranks[p]
 
+    def _saturated(self) -> bool:
+        """Whether the GF(PRIME) ranks of the differentials, each taken once
+        per slice, saturate the slice (``saturated_ranks``); they are then
+        its ranks over Q, and the slice keeps them."""
+        modular = self._memo.setdefault("modular", {})
+        for p, m in enumerate(self.mats):
+            if p not in modular:
+                modular[p] = modular_rank(m.rows())
+        proven = saturated_ranks([modular[p] for p in range(len(self.mats))], self.dims())
+        if proven is not None:
+            self._memo.setdefault("ranks", {}).update(enumerate(proven))
+        return proven is not None
+
     def cohomology(self) -> list[int]:
-        """Cohomology dimensions, degrees 0..n, by exact ranks of the
+        """Cohomology dimensions, degrees 0..n, by ranks over Q of the
         differentials."""
         ranks = [0] + [self.rank(p) for p in range(len(self.mats))] + [0]
         return [d - ranks[p] - ranks[p + 1] for p, d in enumerate(self.dims())]
 
     def negated(self) -> "ComplexSlice":
         """The same slice of -f: the entries of the df part, whose row
-        exponent differs from their column exponent, change sign."""
+        exponent differs from their column exponent, change sign.
+
+        Every graded entry raises weight, so it is a df entry on the same
+        key: -f's graded blocks are entrywise the negatives of f's, and the
+        copy starts with f's buckets and graded table."""
         mats = []
         for p, m in enumerate(self.mats):
             source, target = self.bases[p], self.bases[p + 1]
             mats.append(SparseRationalMatrix(m.nrows, m.ncols, {
                 (r, c): v if target[r][0] == source[c][0] else -v
                 for (r, c), v in m.entries.items()}))
-        return ComplexSlice(-self.f, self.level, self.bases, tuple(mats), self.weights)
+        flipped = ComplexSlice(-self.f, self.level, self.bases, tuple(mats), self.weights)
+        flipped._memo.update(graded=graded_ranks(self), buckets=_buckets(self))
+        return flipped
 
-    def top_profile(self, levels, graded=None) -> list[int]:
-        """dim im(H^n(level lam) -> H^n(level 0)) for every lam in levels,
-        from this level-0 slice in one pass (see ``top_image_profile``).  The
-        pass adds every row of d_{n-1}, so it also records that rank.
+    def graded_below_top(self, mu) -> list[int]:
+        """The cohomology dimensions below top degree of the graded piece at
+        the jump candidate mu of this level-0 slice: zero when its GF(PRIME)
+        ranks in the graded table saturate it, else by the exact ranks of its
+        block."""
+        dims, ranks = graded_ranks(self)[mu]
+        if saturated_ranks(ranks, dims) is not None:
+            return [0] * self.nvars
+        block = _graded_block(self, mu)
+        block._memo["modular"] = dict(enumerate(ranks))
+        return block.cohomology()[:self.nvars]
+
+    def top_profile(self) -> list[int]:
+        """dim im(H^n(level lam) -> H^n(level 0)) at every jump candidate lam
+        of the hull, ascending, from this level-0 slice in one pass over the
+        rows of d_{n-1} (see ``top_image_profile``).
 
         The pass runs over GF(PRIME) first, and its numbers are kept only
-        when the sandwich of ``_modular_top`` closes on them; ``graded``, the
-        ``graded_ranks`` of this slice when None, bounds it from above.
-        Otherwise the exact echelon decides."""
-        if self.level != 0:
-            raise ValueError(f"the profile reads a level-0 slice, not level {self.level}")
-        n = self.nvars
-        levels = [_check_level(self.f, lam)[1] for lam in levels]
-        steps = sorted(set(levels))
-        rows = self.mats[n - 1].rows()
-        weights = self.weights[n]
-        # descending weight, and shortest first within one weight: a rank is
-        # read only between two weights, and a row set's rank is its own
-        distinct = sorted(set(weights))
-        number = {w: k for k, w in enumerate(reversed(distinct))}
-        ids = [number[w] for w in weights]
-        order = sorted(range(len(rows)), key=lambda r: (ids[r], len(rows[r])))
-        # the rows of B outside S_lam, of weight > n - lam, lead the order:
-        # cuts[j] counts them for lam = steps[j]
-        leading = [ids[r] for r in order]
-        cuts = [bisect_left(leading, len(distinct) - bisect_right(distinct, n - lam))
-                for lam in steps]
-        rows = [rows[r] for r in order]
-        dims = self._modular_top(rows, steps, cuts, graded)
-        if dims is None:
-            dims = self._exact_top(rows, cuts)
-        profile = dict(zip(steps, dims))
-        return [profile[lam] for lam in levels]
-
-    def _modular_top(self, rows, steps, cuts, graded) -> list[int] | None:
-        """The top profile at steps, the rows of B outside S_lam being
-        rows[:k] for k in cuts, taken from GF(PRIME) ranks only through two
-        proofs, or None.
-
-        (a) When the level-0 ranks saturate (``saturated_ranks``), they are
-        the ranks over Q, and the slice keeps them.  (b) With rank B proven,
+        when both proofs close on them: the level-0 ranks saturate, which
+        proves rank B, and at every jump the lower bound
 
             |S_lam| + r'(rows of B outside S_lam) - rank B
 
-        is a lower bound, and the exact sequence H^n(F^>lam) -> H^n(F^lam)
-        -> H^n(Gr^lam) -> 0 bounds dim H^n(F^lam) by the sum over every jump
-        candidate mu >= lam (the hull's, whichever levels were asked) of
-        dim Gr^mu_n - r'(Gr^mu d_{n-1}).  The image dimension lies between
-        the two, so it is read only where they meet; they meet when the
-        filtration is strict (Deligne, Theorie de Hodge II, 1.3.2)."""
+        meets the upper bound that the exact sequence H^n(F^>lam) ->
+        H^n(F^lam) -> H^n(Gr^lam) -> 0 gives, the sum over every jump
+        mu >= lam of dim Gr^mu_n - r'(Gr^mu d_{n-1}) from the graded table.
+        The image dimension lies between the two; they meet when the
+        filtration is strict (Deligne, Theorie de Hodge II, 1.3.2).
+        Otherwise the pass runs again over Q.  Either pass adds every row of
+        B, so it leaves r'(B) or rank B on the slice."""
+        if self.level != 0:
+            raise ValueError(f"the profile reads a level-0 slice, not level {self.level}")
         n = self.nvars
-        lower_ranks = [modular_rank(m.rows()) for m in self.mats[:n - 1]]
-        if None in lower_ranks:
-            return None
-        prefix = modular_ranks(rows, cuts + [len(rows)])
-        if prefix is None:
-            return None
-        proven = saturated_ranks(lower_ranks + prefix[-1:], self.dims())
-        if proven is None:
-            return None
-        self._memo.setdefault("ranks", {}).update(enumerate(proven))
-        graded = graded_ranks(self) if graded is None else graded
-        if graded is None:
-            return None
-        mus = sorted(graded)
-        # upper[i]: the sum of dim Gr^mu_n - r'(Gr^mu d_{n-1}) over mus[i:]
-        upper = [0] * (len(mus) + 1)
-        for i in reversed(range(len(mus))):
-            dims, ranks = graded[mus[i]]
-            upper[i] = upper[i + 1] + dims[n] - ranks[n - 1]
-        rank_b = proven[n - 1]
-        profile = []
-        for lam, k, rank_k in zip(steps, cuts, prefix):
-            lower = len(rows) - k + rank_k - rank_b
-            if lower != upper[bisect_left(mus, lam)]:
-                return None
-            profile.append(lower)
-        return profile
+        jumps = newton_polytope(self.f).jumps
+        buckets = _buckets(self)
+        rows = self.mats[n - 1].rows()
+        ids = buckets.ids[n]
+        # descending weight, and shortest first within one weight: a rank is
+        # read only between two weights, and a row set's rank is its own
+        order = sorted(range(len(rows)), key=lambda r: (-ids[r], len(rows[r])))
+        # the rows of B outside S_lam, of weight number at least the count of
+        # weights <= n - lam, lead the order: cuts[j] counts them for jumps[j]
+        leading = [-ids[r] for r in order]
+        cuts = [bisect_right(leading, -bisect_right(buckets.weights, n - lam)) for lam in jumps]
+        rows = [rows[r] for r in order]
+        for modular in (True, False):
+            prefix = prefix_ranks(rows, cuts + [len(rows)], modular)
+            if prefix is None:
+                continue
+            rank_b = prefix.pop()
+            self._memo.setdefault("modular" if modular else "ranks", {})[n - 1] = rank_b
+            profile = [len(rows) - k + rank_k - rank_b for k, rank_k in zip(cuts, prefix)]
+            if not modular or self._sandwich_closes(jumps, profile):
+                return profile
 
-    def _exact_top(self, rows, cuts) -> list[int]:
-        """The top profile at the cuts by the exact echelon, the rows of B
-        outside S_lam being rows[:k]; records rank B."""
-        rows, _ = relabel_rarest_first(rows)
-        echelon = Echelon()
-        prefix, added = [], 0
-        for k in cuts:
-            for row in rows[added:k]:
-                echelon.add(row)
-            added = k
-            prefix.append(echelon.rank)
-        for row in rows[added:]:
-            echelon.add(row)
-        rank_b = self._memo.setdefault("ranks", {})[self.nvars - 1] = echelon.rank
-        return [len(rows) - k + rank_k - rank_b for k, rank_k in zip(cuts, prefix)]
+    def _sandwich_closes(self, jumps, profile) -> bool:
+        """Whether the GF(PRIME) profile at the jumps is proven: rank B by
+        saturation, and each lower bound equal to its upper bound."""
+        if not self._saturated():
+            return False
+        n, graded, upper = self.nvars, graded_ranks(self), 0
+        for lam, lower in zip(reversed(jumps), reversed(profile)):
+            dims, ranks = graded[lam]
+            upper += dims[n] - ranks[n - 1]
+            if lower != upper:
+                return False
+        return True
 
 
 def _differential(f: LaurentPolynomial, bases, p: int) -> SparseRationalMatrix:
@@ -342,20 +336,18 @@ def _graded_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
     return _block(slice0, lam, kept, keys)
 
 
-def graded_ranks(slice0: ComplexSlice) -> dict | None:
-    """For every jump candidate mu of the hull, (dims, ranks) of the graded
-    piece at mu: its dimensions in degrees 0..n and the GF(PRIME) ranks of
-    its differentials, read from the buckets with no block built; None when
-    PRIME divides a denominator.  Kept on the slice, as integers only.
-
-    Every graded entry raises weight, so it is a df entry: the graded blocks
-    of -f are entrywise the negatives of f's, and these ranks serve both."""
+def graded_ranks(slice0: ComplexSlice) -> dict:
+    """The graded table of a level-0 slice: for every jump candidate mu of
+    the hull, (dims, ranks) of the graded piece at mu, its dimensions in
+    degrees 0..n and the GF(PRIME) ranks of its differentials (None where
+    PRIME divides a denominator), read from the buckets with no block built.
+    Kept on the slice, as integers only, and handed to its sign flip."""
     memo = slice0._memo
     if "graded" in memo:
         return memo["graded"]
     buckets = _buckets(slice0)
     n = slice0.nvars
-    graded: dict | None = {}
+    graded = {}
     for mu in newton_polytope(slice0.f).jumps:
         ks = [buckets.number.get(p - mu) for p in range(n + 1)]
         dims = tuple(len(forms.get(k, ())) for forms, k in zip(buckets.forms, ks))
@@ -365,9 +357,6 @@ def graded_ranks(slice0: ComplexSlice) -> dict | None:
             for key in buckets.raised[p].get(ks[p], ()):
                 rows.setdefault(key[0], {})[key[1]] = m.entries[key]
             ranks.append(modular_rank(list(rows.values())))
-        if None in ranks:
-            graded = None
-            break
         graded[mu] = (dims, tuple(ranks))
     memo["graded"] = graded
     return graded
@@ -409,8 +398,9 @@ def build_graded_level(f: LaurentPolynomial, lam) -> ComplexSlice:
 
 def betti_numbers(f: LaurentPolynomial) -> list[int]:
     """Dimensions of the twisted de Rham cohomology, degrees 0..n, from the
-    level-0 slice by ranks over Q: the ones the rank route proved or
-    eliminated on the slice when it has run, exact ranks for the rest."""
+    ranks over Q of the level-0 slice (``ComplexSlice.rank``): the ones the
+    rank route left on it when it has run, saturation or exact ranks for the
+    rest."""
     return build_filtration_level(f, Fraction(0)).cohomology()
 
 
@@ -448,11 +438,14 @@ def top_image_profile(f: LaurentPolynomial, levels) -> list[int]:
 
     The sets S_lam shrink as lam grows, so one incremental echelon over the
     rows of B, taken in descending weight, yields every rank on the way, and
-    rank(B) at its end: over GF(PRIME) when the proofs of
-    ``ComplexSlice._modular_top`` close on it, exactly otherwise.  Any levels
-    in [0, n] may be asked, in any order.
+    rank(B) at its end (``ComplexSlice.top_profile``, at the hull's jumps).
+    Every p - weight in [0, n] is a jump, so a level keeps the forms of the
+    least jump at or above it, and none above the top jump.  Any levels in
+    [0, n] may be asked, in any order.
     """
-    return build_filtration_level(f, Fraction(0)).top_profile(levels)
+    levels = [_check_level(f, lam)[1] for lam in levels]
+    profile = build_filtration_level(f, Fraction(0)).top_profile() + [0]
+    return [profile[bisect_left(newton_polytope(f).jumps, lam)] for lam in levels]
 
 
 __all__ = [

@@ -9,18 +9,20 @@ kernel (``nullspace_basis``) runs on it, and so do rank profiles of nested row
 sets, which need the rank after every prefix of the rows.
 
 ``ModularEchelon`` is the same echelon over GF(PRIME), PRIME = 2^31 - 1 fixed,
-on plain ``int`` residues, so no ``Fraction`` is built.  ``modular_ranks``
-reduces rows mod PRIME and ranks their prefixes; it returns None when PRIME
-divides a denominator.  Otherwise a minor that vanishes over Q vanishes mod
-PRIME, so each rank it returns is a proven lower bound on the rank over Q (cf.
-Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001), and never more.  A
-lower bound becomes a rank only through a proof.  ``saturated_ranks`` holds
-the one proof that lives here: in a complex C^0 -> ... -> C^m, d o d = 0
-gives rank d_(p-1) + rank d_p <= dim C^p over Q, so when the GF(PRIME) ranks
-satisfy r'_(p-1) + r'_p = dim C^p for every p < m, induction from p = 0
-proves r_p = r'_p for every p (and no cohomology below degree m).  A caller
-whose proof does not close runs the exact ``Echelon`` instead, which is the
-only engine that decides such an input.
+on plain ``int`` residues, so no ``Fraction`` is built.  ``prefix_ranks``
+ranks the prefixes of a row list over either field, on either echelon; over
+GF(PRIME) it reduces each row mod PRIME as it adds it and returns None when
+PRIME divides a denominator.  Otherwise a minor that vanishes over Q vanishes
+mod PRIME, so each rank it returns is a proven lower bound on the rank over
+Q (cf. Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001), and never
+more.  A lower bound becomes a rank only through a proof, and the one owner
+of the de Rham ranks (``derham.ComplexSlice``) is the only caller of
+``saturated_ranks``, the proof that lives here: in a complex C^0 -> ... ->
+C^m, d o d = 0 gives rank d_(p-1) + rank d_p <= dim C^p over Q, so when the
+GF(PRIME) ranks satisfy r'_(p-1) + r'_p = dim C^p for every p < m,
+induction from p = 0 proves r_p = r'_p for every p (and no cohomology below
+degree m).  A caller whose proof does not close runs the exact ``Echelon``
+instead, which is the only engine that decides such an input.
 
 Both echelons pivot on the smallest column of a vector.  The entry points
 first relabel the columns of their whole input rarest first, by occurrence
@@ -180,25 +182,17 @@ def _rarest_first_labels(rows: Sequence[Vector]) -> dict:
     return {c: k for k, c in enumerate(sorted(count, key=lambda c: (count[c], c)))}
 
 
-def relabel_rarest_first(rows: list[Vector]) -> tuple[list[dict[int, Fraction]], list]:
-    """The rows with their columns relabelled 0, 1, ... rarest first, by
-    (occurrence count over all rows, column), and the columns in label
-    order, so that ``columns[label]`` maps a label back."""
-    label = _rarest_first_labels(rows)
-    relabelled = [{label[c]: v for c, v in row.items() if v} for row in rows]
-    return relabelled, list(label)
-
-
 def rarest_first_echelon(rows: list[Vector]) -> tuple[Echelon, list]:
     """The echelon of the rows with their columns relabelled rarest first,
-    added shortest first, and the column map of ``relabel_rarest_first``.
-    Under a fixed column order the pivot set, and so the reduced form, does
-    not depend on the order in which the rows come."""
-    relabelled, columns = relabel_rarest_first(rows)
+    added shortest first, and the columns in label order, so that
+    ``columns[label]`` maps a label back.  Under a fixed column order the
+    pivot set, and so the reduced form, does not depend on the order in
+    which the rows come."""
+    label = _rarest_first_labels(rows)
     echelon = Echelon()
-    for row in sorted(relabelled, key=len):
+    for row in sorted(({label[c]: v for c, v in row.items() if v} for row in rows), key=len):
         echelon.add(row)
-    return echelon, columns
+    return echelon, list(label)
 
 
 def reduced_echelon(echelon: Echelon) -> Echelon:
@@ -259,32 +253,34 @@ def span_rank(vectors: Iterable[Vector]) -> int:
 
 def image_dim_over(span_new: Iterable[Vector], span_base: Iterable[Vector]) -> int:
     """dim of the image of span_new in the quotient by span_base:
-    rank(new + base) - rank(base).  The base is eliminated once; each new
-    vector then counts when it raises the rank."""
+    rank(new + base) - rank(base), the base eliminated once and the new
+    vectors added after it (``prefix_ranks``)."""
     base = list(span_base)
-    rows, _ = relabel_rarest_first(base + list(span_new))
-    echelon = Echelon()
-    for row in rows[:len(base)]:
-        echelon.add(row)
-    return sum(echelon.add(row) for row in rows[len(base):])
+    rows = base + list(span_new)
+    below, total = prefix_ranks(rows, [len(base), len(rows)], False)
+    return total - below
 
 
 # ---------------------------------------------------------------------------
-# Ranks over GF(PRIME) and the saturation proof
+# Prefix ranks over Q or GF(PRIME), and the saturation proof
 # ---------------------------------------------------------------------------
 
-def modular_ranks(rows: Sequence[Vector], cuts: Iterable[int]) -> list[int] | None:
-    """The ranks over GF(PRIME) of the prefixes rows[:k], k in cuts
-    (ascending), with the rows added in the given order and their columns
-    relabelled rarest first as over Q; None when PRIME divides a
-    denominator.  Each is a lower bound on the rank over Q.  A row is reduced
-    mod PRIME only as it is added, so no residue outlives this call."""
+def prefix_ranks(rows: Sequence[Vector], cuts: Iterable[int], modular: bool) -> list[int] | None:
+    """The ranks of the prefixes rows[:k], k in cuts (ascending), with the
+    rows added in the given order and their columns relabelled rarest first:
+    over Q by ``Echelon``, or over GF(PRIME) by ``ModularEchelon`` when
+    modular, and then None when PRIME divides a denominator.  A modular rank
+    is a lower bound on the rank over Q.  A row is reduced mod PRIME only as
+    it is added, so no residue outlives this call."""
     label = _rarest_first_labels(rows)
+    echelon = ModularEchelon() if modular else Echelon()
     inverse = {1: 1}  # denominator -> its inverse mod PRIME
-    echelon = ModularEchelon()
     ranks, added = [], 0
     for k in cuts:
         for row in rows[added:k]:
+            if not modular:
+                echelon.add({label[c]: v for c, v in row.items() if v})
+                continue
             reduced = {}
             for c, v in row.items():
                 d = v.denominator
@@ -307,13 +303,14 @@ def modular_rank(rows: Sequence[Vector]) -> int | None:
     PRIME divides a denominator."""
     if not rows:
         return 0
-    ranks = modular_ranks(sorted(rows, key=len), [len(rows)])
+    ranks = prefix_ranks(sorted(rows, key=len), [len(rows)], True)
     return None if ranks is None else ranks[0]
 
 
-def saturated_ranks(ranks: Sequence[int], dims: Sequence[int]) -> list[int] | None:
+def saturated_ranks(ranks: Sequence[int | None], dims: Sequence[int]) -> list[int] | None:
     """Proven ranks over Q of the differentials d_0, ..., d_(m-1) of a complex
-    with dims[p] = dim C^p, from their GF(PRIME) ranks, or None.
+    with dims[p] = dim C^p, from their GF(PRIME) ranks (None for one that
+    PRIME cannot take), or None.
 
     They are proven when r'_(p-1) + r'_p = dims[p] for every p < m (r'_(-1) =
     0): then rank d_p <= dims[p] - rank d_(p-1) = r'_p <= rank d_p by
@@ -321,7 +318,7 @@ def saturated_ranks(ranks: Sequence[int], dims: Sequence[int]) -> list[int] | No
     has no cohomology below degree m."""
     below = 0
     for r, dim in zip(ranks, dims):
-        if below + r != dim:
+        if r is None or below + r != dim:
             return None
         below = r
     return list(ranks)

@@ -19,29 +19,29 @@ filtration image dimension
 between consecutive jumps, where B is the level-0 differential into top
 degree and S_lam the top forms of weight at most n - lam.  The sets S_lam are
 nested, so one incremental echelon over the rows of B, in descending weight,
-gives the dimension at every jump: a rank computation, never a count.  The
-echelon runs over GF(PRIME), PRIME = 2^31 - 1, and its ranks count only
-through a proof (``derham``): saturation of the level-0 complex proves every
-level-0 rank, and each dimension is read only where its lower bound from the
-rows of B meets its upper bound from the graded pieces in top degree; they
-meet when the filtration is strict (Deligne, Theorie de Hodge II, 1.3.2).
-Otherwise, or when PRIME divides a denominator, the exact echelon decides.
-Either way the pass leaves rank(B) on the level-0 slice, and ``analyze``
-computes the Betti numbers after the rank route so that they do not eliminate
-B again.  Agreement of the two routes is the numerical shadow of the
-degeneration of the spectral sequence at its first page; the analysis report
-never hides a disagreement.
+gives the dimension at every jump: a rank computation, never a count.  Every
+rank is owned by the level-0 slice (``derham.ComplexSlice``), which takes it
+over GF(PRIME), PRIME = 2^31 - 1, and counts it only through a proof:
+saturation of the level-0 complex proves every level-0 rank, and each
+dimension is read only where its lower bound from the rows of B meets its
+upper bound from the graded pieces in top degree; they meet when the
+filtration is strict (Deligne, Theorie de Hodge II, 1.3.2).  Otherwise, or
+when PRIME divides a denominator, the exact echelon decides.  Either way the
+pass leaves the rank of B on the slice, and ``analyze`` computes the Betti
+numbers after the rank route so that B is not reduced again.  Agreement of
+the two routes is the numerical shadow of the degeneration of the spectral
+sequence at its first page; the analysis report never hides a disagreement.
 
 ``analyze`` computes each spectrum of f once and hands it to the checks:
 ``check_degeneration(f, euler, rank)`` compares the two and adds the graded
-vanishing below top degree, proven by saturation of the GF(PRIME) ranks of
-each graded piece (``derham.graded_ranks``) or, where they do not saturate,
-by exact ranks of its block of f's one level-0 slice.  ``check_symmetry(f,
-rank)`` tests the given spectrum for h^lam = h^(n-lam), ranking only the
-second input -f itself.  It ranks -f through the same profile code, on the
-sign flip of f's level-0 slice (``ComplexSlice.negated``), so no differential
-of -f is assembled, and bounds it by f's graded ranks, since -f's graded
-blocks are the negatives of f's.
+vanishing below top degree, which the level-0 slice proves
+(``ComplexSlice.graded_below_top``).  ``check_symmetry(f, rank)`` tests the
+given spectrum for h^lam = h^(n-lam), ranking only the second input -f
+itself.  It ranks -f through the same profile code, on the sign flip of f's
+level-0 slice (``ComplexSlice.negated``), so no differential of -f is
+assembled, and that slice starts with f's graded table, since -f's graded
+blocks are the negatives of f's.  No rank or proof passes through this
+module.
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from .derham import (ComplexSlice, betti_numbers, build_filtration_level, build_graded_level,
-                     graded_ranks)
+from .derham import ComplexSlice, betti_numbers, build_filtration_level
 from .errors import IntegrityError
 from .laurent import LaurentPolynomial, format_laurent
-from .linalg import saturated_ranks
 from .nondegen import NondegeneracyReport, is_nondegenerate
 from .polytope import NewtonPolytope, newton_polytope
 
@@ -123,12 +121,12 @@ def spectrum_rank(f: LaurentPolynomial) -> HodgeSpectrum:
     return _rank_route(build_filtration_level(f, Fraction(0)))
 
 
-def _rank_route(slice0: ComplexSlice, graded=None) -> HodgeSpectrum:
+def _rank_route(slice0: ComplexSlice) -> HodgeSpectrum:
     """The rank spectrum read off the top profile of a level-0 slice: f's
-    own, or its sign flip for -f, bounded by f's ``graded_ranks``."""
+    own, or its sign flip for -f."""
     n = slice0.nvars
     jumps = jump_candidates(slice0.f)
-    dims = slice0.top_profile(jumps, graded)
+    dims = slice0.top_profile()
     dims.append(0)  # above the top jump the level is empty
     entries = []
     for k, lam in enumerate(jumps):
@@ -156,17 +154,10 @@ class CheckResult:
 def check_degeneration(f: LaurentPolynomial, euler: HodgeSpectrum,
                        rank: HodgeSpectrum) -> CheckResult:
     """The given Euler and rank spectra of f agree entrywise AND every graded
-    slice has cohomology only in top degree: proven by saturation of its
-    GF(PRIME) ranks, or else by its exact ranks."""
+    slice has cohomology only in top degree (``ComplexSlice.graded_below_top``)."""
     detail = {"euler": euler.to_json(), "rank": rank.to_json()}
-    n = f.nvars
-    graded = graded_ranks(build_filtration_level(f, Fraction(0)))
-    graded_dims = {}
-    for lam in jump_candidates(f):
-        if graded is not None and saturated_ranks(graded[lam][1], graded[lam][0]) is not None:
-            graded_dims[str(lam)] = [0] * n  # the saturation proof: nothing below top
-        else:
-            graded_dims[str(lam)] = build_graded_level(f, lam).cohomology()[:n]
+    slice0 = build_filtration_level(f, Fraction(0))
+    graded_dims = {str(lam): slice0.graded_below_top(lam) for lam in jump_candidates(f)}
     detail["graded_cohomology_below_top"] = graded_dims
     vanishing = all(b == 0 for below in graded_dims.values() for b in below)
     status = "pass" if (euler.entries == rank.entries and vanishing) else "fail"
@@ -184,7 +175,7 @@ def check_symmetry(f: LaurentPolynomial, rank: HodgeSpectrum) -> CheckResult:
         return CheckResult("not applicable", note)
     n = f.nvars
     slice0 = build_filtration_level(f, Fraction(0))
-    rk_neg = _rank_route(slice0.negated(), graded_ranks(slice0))
+    rk_neg = _rank_route(slice0.negated())
     detail = {"rank": rank.to_json(), "rank_negated": rk_neg.to_json()}
     sign_invariant = rank.entries == rk_neg.entries
     symmetric = all(rank.multiplicity(Fraction(n) - lam) == m for lam, m in rank.entries)

@@ -75,6 +75,51 @@ def test_removed_flags_are_rejected(flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# each flag goes only on the subcommands that read it: --plot on analyze,
+# --mode on analyze and spectrum, --require-nondegenerate on those and nondegen
+REJECTED_FLAGS = [
+    (command, flag)
+    for command, flags in [
+        ("spectrum", ["--plot"]),
+        ("nondegen", ["--plot", "--mode"]),
+        ("volume", ["--plot", "--mode", "--require-nondegenerate"]),
+        ("curve", ["--plot", "--mode", "--require-nondegenerate"]),
+        ("betti", ["--plot", "--mode", "--require-nondegenerate"]),
+    ]
+    for flag in flags
+]
+FLAG_ARGS = {"--plot": ["--plot", "p.svg"], "--mode": ["--mode", "rank"],
+             "--require-nondegenerate": ["--require-nondegenerate"]}
+
+
+@pytest.mark.parametrize("command,flag", REJECTED_FLAGS,
+                         ids=[command + flag for command, flag in REJECTED_FLAGS])
+def test_flags_rejected_where_unread(command, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        call([command, "x^2+2*x*y+y^2+x^-1*y^-1"] + FLAG_ARGS[flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "p.svg").exists()
+
+
+@pytest.mark.parametrize("command,flags,code", [
+    ("analyze", ["--plot", "--mode", "--require-nondegenerate"], 3),
+    ("spectrum", ["--mode", "--require-nondegenerate"], 3),
+    ("nondegen", ["--require-nondegenerate"], 3),
+    ("analyze", ["--plot", "--mode"], 0),
+    ("spectrum", ["--mode"], 0),
+], ids=["analyze-guarded", "spectrum-guarded", "nondegen-guarded", "analyze", "spectrum"])
+def test_flags_accepted_where_read(command, flags, code, tmp_path, monkeypatch):
+    # the degenerate input exits 3 under --require-nondegenerate, 0 otherwise
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "x^2+2*x*y+y^2+x^-1*y^-1"]
+    for flag in flags:
+        argv += FLAG_ARGS[flag]
+    assert call(argv)[0] == code
+    assert (tmp_path / "p.svg").exists() == (flags == ["--plot", "--mode"])
+
+
 def test_spectrum_command_modes():
     code, out, _ = call(["spectrum", "x + y", "--mode", "euler"])
     assert code == 0 and "euler" in out and "(2, 1)" in out

@@ -4,17 +4,17 @@ from itertools import combinations
 from math import ceil
 
 import pytest
-from oracles import dense, matmul
+from oracles import dense, generic_support, matmul
 from test_polytope import _weight_census
 from test_spectrum import _random_support_poly
 
 from exphodge.derham import (_filtration_block, _graded_block, _insertion_sign,
                              betti_numbers, build_filtration_level,
-                             build_graded_level, filtration_image_dim,
+                             build_graded_level, filtration_image_dim, graded_ranks,
                              top_image_profile)
 from exphodge.errors import NotFullDimensionalError
 from exphodge.laurent import parse_laurent
-from exphodge.linalg import Echelon, SparseRationalMatrix, exact_rank
+from exphodge.linalg import SparseRationalMatrix, exact_rank
 from exphodge.polytope import NewtonPolytope, newton_polytope
 from exphodge.spectrum import jump_candidates
 
@@ -166,18 +166,23 @@ def test_top_image_profile_any_level_order():
 
 
 def test_top_image_profile_on_a_subset_and_off_the_jumps(monkeypatch):
-    # the sandwich's upper bound sums over every jump candidate >= lam, not
-    # over the levels asked: on a strict subset of the jumps and on a level
-    # that is no jump it still closes, with no exact echelon, on the exact value
+    # the profile runs at every jump candidate, not at the levels asked, and
+    # a level that is no jump reads the least jump above it: on a strict
+    # subset of the jumps and off the jumps the sandwich still closes, with no
+    # pass over Q, on the exact value
     from exphodge import derham
 
     f = parse_laurent("x^3 + y^4 + x^-2*y^-1")
     jumps = jump_candidates(f)
-    between = (jumps[1] + jumps[2]) / 2
-    assert between not in jumps
-    exact_profiles = []
-    monkeypatch.setattr(derham, "Echelon", lambda: exact_profiles.append(1) or Echelon())
-    for levels in [jumps[1::2], jumps[-2:-1], [between], [jumps[0], between]]:
+    between, early = (jumps[1] + jumps[2]) / 2, jumps[1] / 2
+    assert between not in jumps and early not in jumps
+    exact_profiles, prefix_ranks = [], derham.prefix_ranks
+
+    def recording(rows, cuts, modular):
+        exact_profiles.extend([] if modular else [rows])
+        return prefix_ranks(rows, cuts, modular)
+    monkeypatch.setattr(derham, "prefix_ranks", recording)
+    for levels in [jumps[1::2], jumps[-2:-1], [between], [jumps[0], between], [early]]:
         build_filtration_level.cache_clear()
         assert top_image_profile(f, levels) == [
             filtration_image_dim(f, lam, 2) for lam in levels], levels
@@ -310,9 +315,15 @@ def _assert_negated_matches_fresh_build(f):
     assert flipped.bases == fresh.bases and flipped.weights == fresh.weights
     assert [(m.nrows, m.ncols) for m in flipped.mats] == [(m.nrows, m.ncols) for m in fresh.mats]
     assert [m.entries for m in flipped.mats] == [m.entries for m in fresh.mats]
-    # the flip leaves f's slice alone and starts with no ranks of its own
+    # the flip leaves f's slice alone, starts with no ranks of its own, and
+    # carries f's buckets and graded table: the ones the flipped slice
+    # computes for itself
     assert [m.entries for m in slice0.mats] == before
-    assert not flipped._memo
+    carried = dict(flipped._memo)
+    assert set(carried) == {"buckets", "graded"}
+    flipped._memo.clear()
+    assert graded_ranks(flipped) == carried["graded"]
+    assert flipped._memo["buckets"] == carried["buckets"]
     # every graded entry raises weight, so it is a df entry: -f's graded
     # blocks are entrywise the negatives of f's, and f's ranks bound both
     for lam in jump_candidates(f):
@@ -377,6 +388,28 @@ def test_rank_route_leaves_rank_of_top_differential_on_the_slice(monkeypatch):
         assert all(slice0._memo["ranks"][p] == exact_rank(m) for p, m in enumerate(slice0.mats))
         # a copy made by replace starts with no memo
         assert not replace(slice0, level=Fraction(0))._memo
+
+
+@pytest.mark.parametrize("make,exact", [
+    (lambda: parse_laurent("x^3 + y^3 + z^3 + x^-2*y^-2*z^-2"), False),
+    (lambda: generic_support(2, 10, 3, 2), False),
+    (lambda: parse_laurent("x + y + z + 1/2147483647*x^-1*y^-1*z^-1"), True),
+], ids=["n3-nvol81", "generic-n3-nvol108", "prime-denominator"])
+def test_betti_numbers_alone_are_proven_by_saturation(make, exact, monkeypatch):
+    # with no rank route before them, the Betti numbers take the GF(PRIME)
+    # ranks of the level-0 differentials, which saturation proves; when PRIME
+    # divides a denominator every differential is eliminated exactly
+    from exphodge import derham
+
+    f = make()
+    ranked = []
+    monkeypatch.setattr(derham, "exact_rank", lambda m: ranked.append(m) or exact_rank(m))
+    build_filtration_level.cache_clear()
+    betti = betti_numbers(f)
+    slice0 = build_filtration_level(f, 0)
+    assert ranked == (list(slice0.mats) if exact else [])
+    ranks = [0] + [exact_rank(m) for m in slice0.mats] + [0]
+    assert betti == [d - ranks[p] - ranks[p + 1] for p, d in enumerate(slice0.dims())]
 
 
 def test_graded_blocks_read_one_bucketing_per_slice(suite_poly):

@@ -5,7 +5,7 @@ from oracles import cech_d0, cech_d1, dense, from_dense, matmul
 from test_spectrum import _random_support_poly
 
 from exphodge.linalg import (PRIME, Echelon, ModularEchelon, SparseRationalMatrix,
-                             exact_rank, image_dim_over, modular_rank, modular_ranks,
+                             exact_rank, image_dim_over, modular_rank, prefix_ranks,
                              nullspace_basis, reduced_echelon, saturated_ranks, span_rank)
 
 
@@ -180,20 +180,22 @@ def test_modular_rank_is_a_lower_bound_that_saturation_refuses_when_strict():
     assert saturated_ranks([2], [2, 2]) == [2]
     # a denominator that PRIME divides has no residue
     assert modular_rank([{0: Fraction(1, PRIME)}]) is None
-    assert modular_ranks([{0: Fraction(3, 2)}, {1: Fraction(PRIME)}], [1, 2]) == [1, 1]
+    assert prefix_ranks([{0: Fraction(3, 2)}, {1: Fraction(PRIME)}], [1, 2], True) == [1, 1]
+    assert prefix_ranks([{0: Fraction(3, 2)}, {1: Fraction(PRIME)}], [1, 2], False) == [1, 2]
+    assert saturated_ranks([None, 1], [0, 1, 1]) is None  # no residue, no proof
     assert saturated_ranks([0, 1], [1, 1, 1]) is None  # H^0 = 1, below degree 2
 
 
 def test_modular_echelon_against_gauss_oracle():
-    # prefix ranks over GF(PRIME) against Q on small random rationals, where
-    # PRIME divides no minor; add() says whether the rank grew
+    # prefix ranks over GF(PRIME) and over Q against Q on small random
+    # rationals, where PRIME divides no minor; add() says whether the rank grew
     rng = random.Random(31)
     for _ in range(40):
         m = _random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
         rows = m.rows()
         cuts = list(range(len(rows) + 1))
-        assert modular_ranks(rows, cuts) == [
-            _rank_fraction_gauss(from_dense(dense(m)[:k])) if k else 0 for k in cuts]
+        expected = [_rank_fraction_gauss(from_dense(dense(m)[:k])) if k else 0 for k in cuts]
+        assert prefix_ranks(rows, cuts, True) == prefix_ranks(rows, cuts, False) == expected
         echelon = ModularEchelon()
         for row in rows:
             before = echelon.rank

@@ -9,7 +9,6 @@ from oracles import apply_matrix, generic_support, random_unimodular
 from exphodge.derham import betti_numbers
 from exphodge.errors import NotFullDimensionalError
 from exphodge.laurent import make_laurent, parse_laurent
-from exphodge.linalg import Echelon
 from exphodge.nondegen import is_nondegenerate
 from exphodge.polytope import newton_polytope
 from exphodge.spectrum import (HodgeSpectrum, analyze, check_degeneration,
@@ -174,15 +173,16 @@ def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
     GF(PRIME) per sign (d_{n-1} by the profile), each graded block once for
     both signs, and nothing exactly.  When PRIME divides a denominator the
     exact path runs: the Betti numbers read rank(d_{n-1}) from the exact
-    profile's echelon, and every graded block is built and ranked exactly."""
+    profile's pass, and every graded block that the denominator reaches is
+    built and ranked exactly."""
     from exphodge import curve, derham, spectrum
 
     f = parse_laurent(text)
     n, jumps = f.nvars, jump_candidates(f)
     certified = text != PRIME_DENOMINATOR
-    calls = dict.fromkeys(["spectrum_euler", "build_graded_level", "_differential"], 0)
+    calls = dict.fromkeys(["spectrum_euler", "_graded_block", "_differential"], 0)
     for name in calls:
-        module = derham if name == "_differential" else spectrum
+        module = spectrum if name == "spectrum_euler" else derham
         fn = getattr(module, name)
 
         def counting(*args, _fn=fn, _name=name, **kwargs):
@@ -191,12 +191,12 @@ def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
         for owner in (module, curve):  # counts a curve module that ranks f itself
             if getattr(owner, name, None) is fn:
                 monkeypatch.setattr(owner, name, counting)
-    ranked, negated, eliminated, modular = Counter(), [], [], Counter()
+    ranked, negated, eliminated, passes = Counter(), [], [], Counter()
     profile, negate = derham.ComplexSlice.top_profile, derham.ComplexSlice.negated
 
-    def counting_profile(self, levels, graded=None):
+    def counting_profile(self):
         ranked[self.f] += 1
-        return profile(self, levels, graded)
+        return profile(self)
 
     def recording_negate(self):
         negated.append(negate(self))
@@ -206,18 +206,18 @@ def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
         eliminated.append(m)
         return _rank(m)
 
-    def counting_modular(name, fn):
-        def counted(*args):
-            modular[name] += 1
-            return fn(*args)
-        return counted
+    def counting_modular(rows, _rank=derham.modular_rank):
+        passes["modular_rank"] += 1
+        return _rank(rows)
+
+    def counting_prefix(rows, cuts, modular, _ranks=derham.prefix_ranks):
+        passes["modular prefix" if modular else "exact prefix"] += 1
+        return _ranks(rows, cuts, modular)
     monkeypatch.setattr(derham.ComplexSlice, "top_profile", counting_profile)
     monkeypatch.setattr(derham.ComplexSlice, "negated", recording_negate)
     monkeypatch.setattr(derham, "exact_rank", recording_rank)
-    for name in ("modular_rank", "modular_ranks"):
-        monkeypatch.setattr(derham, name, counting_modular(name, getattr(derham, name)))
-    exact_tops = []
-    monkeypatch.setattr(derham, "Echelon", lambda: exact_tops.append(1) or Echelon())
+    monkeypatch.setattr(derham, "modular_rank", counting_modular)
+    monkeypatch.setattr(derham, "prefix_ranks", counting_prefix)
     derham.build_filtration_level.cache_clear()
     rep = analyze(f)
     assert rep.checks and all(check.ok for check in rep.checks.values())
@@ -226,15 +226,18 @@ def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
     assert len(tops) == 2
     assert not any(m is top for m in eliminated for top in tops)
     if certified:
-        assert calls == {"spectrum_euler": 1, "build_graded_level": 0, "_differential": n}
+        assert calls == {"spectrum_euler": 1, "_graded_block": 0, "_differential": n}
         # d_0 .. d_{n-2} for f and for -f, and the graded blocks of every jump once
-        assert modular == {"modular_ranks": 2, "modular_rank": 2 * (n - 1) + n * len(jumps)}
-        assert eliminated == [] and exact_tops == []
+        assert passes == {"modular prefix": 2, "modular_rank": 2 * (n - 1) + n * len(jumps)}
+        assert eliminated == []
     else:
-        assert calls == {"spectrum_euler": 1, "build_graded_level": len(jumps), "_differential": n}
-        # every exact_rank of the run ranks a graded block or a lower level-0 differential
-        assert len(eliminated) == n * len(jumps) + n - 1
-        assert len(exact_tops) == 2  # the exact profile of f and of -f
+        # the top jump's graded piece is one top form with no entry, so its
+        # GF(PRIME) ranks saturate it; the denominator reaches every other one
+        assert calls == {"spectrum_euler": 1, "_graded_block": len(jumps) - 1, "_differential": n}
+        # every exact_rank of the run ranks such a graded block or a lower
+        # level-0 differential
+        assert len(eliminated) == n * (len(jumps) - 1) + n - 1
+        assert passes["exact prefix"] == 2  # the exact profile of f and of -f
 
 
 DEGENERATE_WARNING = ("input is degenerate: the spectrum below is the raw filtration "
@@ -357,19 +360,28 @@ def _exact_report_json(f, monkeypatch):
     denominator."""
     from exphodge import derham
 
+    prefix_ranks = derham.prefix_ranks
     with monkeypatch.context() as patch:
         patch.setattr(derham, "modular_rank", lambda rows: None)
-        patch.setattr(derham, "modular_ranks", lambda rows, cuts: None)
+        patch.setattr(derham, "prefix_ranks", lambda rows, cuts, modular:
+                      None if modular else prefix_ranks(rows, cuts, modular))
         return _report_json(f)
 
 
 def _count_exact_profiles(monkeypatch):
+    """The f of every slice whose top profile makes its pass over Q."""
     from exphodge import derham
 
-    slices = []
-    exact_top = derham.ComplexSlice._exact_top
-    monkeypatch.setattr(derham.ComplexSlice, "_exact_top",
-                        lambda self, *args: slices.append(self.f) or exact_top(self, *args))
+    slices, profiled = [], []
+    profile, prefix_ranks = derham.ComplexSlice.top_profile, derham.prefix_ranks
+
+    def recording(rows, cuts, modular):
+        if not modular:
+            slices.append(profiled[-1])
+        return prefix_ranks(rows, cuts, modular)
+    monkeypatch.setattr(derham.ComplexSlice, "top_profile",
+                        lambda self: profiled.append(self.f) or profile(self))
+    monkeypatch.setattr(derham, "prefix_ranks", recording)
     return slices
 
 
@@ -399,18 +411,26 @@ def test_unsaturated_degenerate_input_takes_the_exact_path(monkeypatch):
     slice0 = build_filtration_level(f, 0)
     dims, ranks = graded_ranks(slice0)[0]
     assert saturated_ranks(ranks, dims) is None  # the graded piece at 0 has H^1
+
+    def exact_cohomology(s):
+        exact = [0] + [exact_rank(m) for m in s.mats] + [0]
+        return [d - exact[p] - exact[p + 1] for p, d in enumerate(s.dims())]
     # the oracles: exact ranks of the level-0 complex, and the per-level images
-    exact = [0] + [exact_rank(m) for m in slice0.mats] + [0]
-    assert out["betti"] == [d - exact[p] - exact[p + 1] for p, d in enumerate(slice0.dims())]
+    assert out["betti"] == exact_cohomology(slice0)
     jumps = jump_candidates(f)
     images = [filtration_image_dim(f, lam, 2) for lam in jumps] + [0]
     assert out["spectrum"]["rank"] == [
         {"lambda": str(lam), "mult": images[k] - images[k + 1]}
         for k, lam in enumerate(jumps) if images[k] > images[k + 1]]
-    # the degeneration check ranks the unsaturated graded piece exactly
-    rank = spectrum_rank(f)
+    # the degeneration check ranks the unsaturated graded piece exactly; its
+    # block starts with its GF(PRIME) ranks from the graded table
+    from exphodge import derham
+
+    rank, reduced = spectrum_rank(f), []
+    monkeypatch.setattr(derham, "modular_rank", lambda rows: reduced.append(rows))
     check = check_degeneration(f, rank, rank)
-    below = {str(lam): build_graded_level(f, lam).cohomology()[:2] for lam in jumps}
+    assert reduced == []
+    below = {str(lam): exact_cohomology(build_graded_level(f, lam))[:2] for lam in jumps}
     assert check.detail["graded_cohomology_below_top"] == below and below["0"] != [0, 0]
     assert check.status == "fail"
 
@@ -430,13 +450,15 @@ def test_rank_one_short_over_gf_p_takes_the_exact_path(short, monkeypatch):
         monkeypatch.setattr(derham, "modular_rank",
                             lambda rows: rank(rows) - (rows == d0))
     else:
-        ranks = derham.modular_ranks
+        ranks = derham.prefix_ranks
 
-        def short_prefix(rows, cuts):
-            out = ranks(rows, cuts)
-            k = next(k for k, r in enumerate(out) if r)  # not the whole of B
-            return out[:k] + [out[k] - 1] + out[k + 1:]
-        monkeypatch.setattr(derham, "modular_ranks", short_prefix)
+        def short_prefix(rows, cuts, modular):
+            out = ranks(rows, cuts, modular)
+            if modular:
+                k = next(k for k, r in enumerate(out) if r)  # not the whole of B
+                out[k] -= 1
+            return out
+        monkeypatch.setattr(derham, "prefix_ranks", short_prefix)
     profiled = _count_exact_profiles(monkeypatch)
     out = _report_json(f)
     assert out == expected
@@ -535,6 +557,7 @@ def test_generic_n3_support_both_routes():
 @pytest.mark.parametrize("args,nvol", [
     ((2, 10, 3, 2), 108),  # 10 terms in [-2, 2]^3
     ((5, 10, 4, 1), 75),   # 10 terms in {-1, 0, 1}^4
-], ids=["n3-nvol108", "n4-nvol75"])
+    ((4, 9, 4, 1), 60),    # 9 terms in {-1, 0, 1}^4
+], ids=["n3-nvol108", "n4-nvol75", "n4-nvol60"])
 def test_generic_support_both_routes(args, nvol):
     _assert_both_routes(generic_support(*args), nvol)
