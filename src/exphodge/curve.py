@@ -71,8 +71,10 @@ brought to reduced form the first time the model serves as an ambient.  So
 has no class, and its restriction would stand for another vector's.  A level
 whose labels nest in the ambient's has its boundaries among the ambient's,
 so the image of its cocycles is the image of its H^1 basis, and only the
-basis is mapped.  Injectivity of the classical levels into H^1 (the
-page-one collapse on curves) is checked directly.
+basis is mapped.  A model builds its cocycles on first read, so the
+classical ambient, which serves only ``quotient_rank``, builds none.
+Injectivity of the classical levels into H^1 (the page-one collapse on
+curves) is checked directly.
 """
 
 from __future__ import annotations
@@ -195,19 +197,14 @@ class CechModel:
         self._check_square_zero(d0_columns, d1_columns)
 
         # d1 read from the labels: row r_k pivots at p_k, else at q_k, with
-        # entry s = -1 or +1; each free column gives z_f = e_f - sum v s e_piv
+        # entry s = -1 or +1; the free columns give the cocycles on first read
         idx1 = {lab: j for j, lab in enumerate(self.labels1)}
         pivot_of = {r: (idx1[("p", k)], -1) if k >= -K.d1.m0 else (idx1[("q", k)], 1)
                     for r, (_, k) in enumerate(self.labels2) if k >= -K.d1.m0 or k <= K.d1.m_inf}
         d1_pivots = {j for j, _ in pivot_of.values()}
         free = [j for j in range(len(self.labels1)) if j not in d1_pivots]
-        self._cocycles = []
-        for fc in free:
-            z = {self.labels1[fc]: 1}
-            for r, v in d1_columns[fc].items():
-                j, s = pivot_of[r]
-                z[self.labels1[j]] = -v * s
-            self._cocycles.append(z)
+        self._d1_free = ([(fc, d1_columns[fc]) for fc in free], pivot_of)
+        self._cocycles: Optional[list[dict]] = None
         # the boundaries restricted to F, eliminated once; F's columns rarest
         # in the boundaries first, and every other T^1 label maps to None
         count = Counter(j for col in d0_columns for j in col if j not in d1_pivots)
@@ -293,9 +290,20 @@ class CechModel:
         return (self.h0, self.h1, self.h2)
 
     def cocycles(self) -> list[dict]:
-        """Basis of ker d1, as label-keyed sparse vectors: one z_f per free
-        column f of d1, in label order, 1 at f and 0 at every other free
-        column."""
+        """Basis of ker d1, as label-keyed sparse vectors: one z_f = e_f -
+        sum v s e_piv per free column f of d1, in label order, 1 at f and 0
+        at every other free column (built once, on first read)."""
+        if self._cocycles is None:
+            columns, pivot_of = self._d1_free
+            labels = self.labels1
+            self._cocycles = []
+            for fc, column in columns:
+                z = {labels[fc]: 1}
+                for r, v in column.items():
+                    j, s = pivot_of[r]
+                    z[labels[j]] = -v * s
+                self._cocycles.append(z)
+            del self._d1_free
         return self._cocycles
 
     def h1_basis(self) -> list[dict]:

@@ -31,28 +31,29 @@ itself, and buckets the entries with w(row) = w(col) + 1 by column weight;
 every graded block is read from those buckets.  The weights are numbered once
 per slice, so the pass compares small integers and no entry meets a Fraction.
 
-``ComplexSlice`` owns every rank of its differentials.  Ranks are taken
-over GF(PRIME), PRIME = 2^31 - 1 fixed (``linalg``), and used only through
-one of two proofs; the exact echelon decides whatever they leave open.
-(a) ``ComplexSlice.rank`` takes the GF(PRIME) rank of each differential
-once; when they saturate the slice (r'_(p-1) + r'_p = dim C^p for p < n),
-d o d = 0 proves them, so the Betti numbers, with or without the rank route
-before them, eliminate nothing exactly.  (b) ``ComplexSlice.top_profile``
-runs one pass over the rows of d_(n-1) at the hull's jumps; its image
-dimensions lie between a lower bound from the GF(PRIME) ranks of those rows
-and an upper bound from the graded table (``graded_ranks``: the GF(PRIME)
-ranks of every graded piece in every degree, read from the buckets with no
-block built), and are read only where the two meet; else the pass runs
-again over Q.  Either pass leaves the rank of d_(n-1) on the slice, so it is
-reduced mod PRIME once.  ``ComplexSlice.graded_below_top`` reads the
-vanishing below top degree of a graded piece from its saturation in the
-table, else from the exact ranks of its block.  A graded entry raises
-weight, so it is a df entry, and -f's graded blocks are the negatives of
-f's on the same keys: ``negated`` hands f's buckets and graded table to the
-slice of -f.  Ranks, GF(PRIME) ranks, the graded table and buckets are kept
-on the slice that they describe, in a field that ``dataclasses.replace``
-does not carry over; no residue of a matrix outlives the call that
-eliminates it.
+``ComplexSlice`` owns every rank of its differentials.  Every rank runs
+through the one rank loop ``linalg.prefix_ranks``, first over GF(PRIME),
+PRIME = 2^31 - 1 fixed, where a rank is a lower bound on the rank over Q,
+never None; a lower bound counts only through one of two proofs, and the
+loop over Q decides whatever they leave open.  (a) ``ComplexSlice.rank``
+takes the GF(PRIME) rank of each differential once; when they saturate the
+slice (r'_(p-1) + r'_p = dim C^p for p < n), d o d = 0 proves them, so the
+Betti numbers, with or without the rank route before them, eliminate
+nothing exactly.  (b) ``ComplexSlice.top_profile`` runs one pass over the
+rows of d_(n-1) at the hull's jumps; its image dimensions lie between a
+lower bound from the GF(PRIME) ranks of those rows and an upper bound from
+the graded table (``graded_ranks``: the GF(PRIME) ranks of every graded
+piece, one pass per degree over the buckets, with no block built), and are
+read only where the two meet; else the pass runs again over Q.  Either pass
+leaves the rank of d_(n-1) on the slice, so it is reduced mod PRIME once.
+``ComplexSlice.graded_below_top`` reads the vanishing below top degree of a
+graded piece from its saturation in the table, else from the exact ranks of
+its block.  A graded entry raises weight, so it is a df entry, and -f's
+graded blocks are the negatives of f's on the same keys: ``negated`` hands
+f's buckets and graded table to the slice of -f.  Ranks, GF(PRIME) ranks,
+the graded table and buckets are kept on the slice that they describe, in a
+field that ``dataclasses.replace`` does not carry over; no residue of a
+matrix outlives the call that eliminates it.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add
 
+from .errors import IntegrityError
 from .laurent import LaurentPolynomial, Monomial
-from .linalg import (SparseRationalMatrix, exact_rank, image_dim_over, modular_rank,
-                     nullspace_basis, prefix_ranks, saturated_ranks)
+from .linalg import (SparseRationalMatrix, exact_rank, image_dim_over, nullspace_basis,
+                     prefix_ranks, saturated_ranks)
 from .polytope import NewtonPolytope, newton_polytope
 
 # a basis form (alpha, I): the log-form x^alpha dlog x_I, I ascending 0-based
@@ -121,7 +123,7 @@ class ComplexSlice:
         modular = self._memo.setdefault("modular", {})
         for p, m in enumerate(self.mats):
             if p not in modular:
-                modular[p] = modular_rank(m.rows())
+                modular[p] = prefix_ranks(sorted(m.rows(), key=len), [m.nrows], True)[0]
         proven = saturated_ranks([modular[p] for p in range(len(self.mats))], self.dims())
         if proven is not None:
             self._memo.setdefault("ranks", {}).update(enumerate(proven))
@@ -129,9 +131,13 @@ class ComplexSlice:
 
     def cohomology(self) -> list[int]:
         """Cohomology dimensions, degrees 0..n, by ranks over Q of the
-        differentials."""
+        differentials; raises ``IntegrityError`` on a negative one, which
+        only a complex with d o d != 0 can give."""
         ranks = [0] + [self.rank(p) for p in range(len(self.mats))] + [0]
-        return [d - ranks[p] - ranks[p + 1] for p, d in enumerate(self.dims())]
+        dims = [d - ranks[p] - ranks[p + 1] for p, d in enumerate(self.dims())]
+        if min(dims) < 0:
+            raise IntegrityError(f"negative cohomology dimension {dims} at level {self.level}")
+        return dims
 
     def negated(self) -> "ComplexSlice":
         """The same slice of -f: the entries of the df part, whose row
@@ -197,8 +203,6 @@ class ComplexSlice:
         rows = [rows[r] for r in order]
         for modular in (True, False):
             prefix = prefix_ranks(rows, cuts + [len(rows)], modular)
-            if prefix is None:
-                continue
             rank_b = prefix.pop()
             self._memo.setdefault("modular" if modular else "ranks", {})[n - 1] = rank_b
             profile = [len(rows) - k + rank_k - rank_b for k, rank_k in zip(cuts, prefix)]
@@ -339,26 +343,32 @@ def _graded_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
 def graded_ranks(slice0: ComplexSlice) -> dict:
     """The graded table of a level-0 slice: for every jump candidate mu of
     the hull, (dims, ranks) of the graded piece at mu, its dimensions in
-    degrees 0..n and the GF(PRIME) ranks of its differentials (None where
-    PRIME divides a denominator), read from the buckets with no block built.
-    Kept on the slice, as integers only, and handed to its sign flip."""
+    degrees 0..n and the GF(PRIME) ranks of its differentials, read from the
+    buckets with no block built.  The blocks of one degree share no column
+    (weight p - mu) and no row (weight p + 1 - mu), so one pass per degree
+    ranks them all, each block's rank the rise across it.  Kept on the
+    slice, as integers only, and handed to its sign flip."""
     memo = slice0._memo
     if "graded" in memo:
         return memo["graded"]
     buckets = _buckets(slice0)
     n = slice0.nvars
-    graded = {}
-    for mu in newton_polytope(slice0.f).jumps:
-        ks = [buckets.number.get(p - mu) for p in range(n + 1)]
-        dims = tuple(len(forms.get(k, ())) for forms, k in zip(buckets.forms, ks))
-        ranks = []
-        for p, m in enumerate(slice0.mats):
-            rows: dict[int, dict] = {}
-            for key in buckets.raised[p].get(ks[p], ()):
-                rows.setdefault(key[0], {})[key[1]] = m.entries[key]
-            ranks.append(modular_rank(list(rows.values())))
-        graded[mu] = (dims, tuple(ranks))
-    memo["graded"] = graded
+    jumps = newton_polytope(slice0.f).jumps
+    ks = [[buckets.number.get(p - mu) for p in range(n + 1)] for mu in jumps]
+    rises = []  # rises[p][j]: the rank of the block of degree p at jumps[j]
+    for p, m in enumerate(slice0.mats):
+        rows, cuts = [], []
+        for k in ks:
+            block: dict[int, dict] = {}
+            for key in buckets.raised[p].get(k[p], ()):
+                block.setdefault(key[0], {})[key[1]] = m.entries[key]
+            rows += sorted(block.values(), key=len)
+            cuts.append(len(rows))
+        prefix = prefix_ranks(rows, cuts, True)
+        rises.append([total - below for below, total in zip([0] + prefix, prefix)])
+    graded = memo["graded"] = {}
+    for mu, k, ranks in zip(jumps, ks, zip(*rises)):
+        graded[mu] = (tuple(len(forms.get(kp, ())) for forms, kp in zip(buckets.forms, k)), ranks)
     return graded
 
 

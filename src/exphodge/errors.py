@@ -43,5 +43,5 @@ class BudgetExceededError(ExpHodgeError):
 
 
 class IntegrityError(ExpHodgeError):
-    """An internal cross-check failed: negative graded dimension, d1 d0 != 0
-    in a cover model, or a section that leaves its cover model."""
+    """An internal cross-check failed: a negative dimension, d1 d0 != 0 in
+    a cover model, or a section that leaves its cover model."""

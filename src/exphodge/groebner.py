@@ -53,9 +53,6 @@ class RationalField:
     def inv(self, a):
         return 1 / a
 
-    def neg(self, a):
-        return -a
-
 
 class PrimeField:
     """Arithmetic mod a prime, elements stored as ints in [0, p)."""
@@ -86,9 +83,6 @@ class PrimeField:
 
     def inv(self, a):
         return pow(a, self.p - 2, self.p)
-
-    def neg(self, a):
-        return (-a) % self.p
 
 
 def grevlex_key(e: Exponent):

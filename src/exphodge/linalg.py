@@ -3,35 +3,36 @@ GF(PRIME) when a proof turns the modular rank into the rank over Q.
 
 ``Echelon``, an incremental sparse row echelon form over Q whose integral
 entries stay ``int`` and whose unit pivots never divide, takes one vector at a
-time and reports whether it raised the rank.  Every exact rank
-(``exact_rank``, ``span_rank``), quotient image (``image_dim_over``) and
-kernel (``nullspace_basis``) runs on it, and so do rank profiles of nested row
-sets, which need the rank after every prefix of the rows.
+time and reports whether it raised the rank.  ``ModularEchelon`` is the same
+echelon over GF(PRIME), PRIME = 2^31 - 1 fixed, on plain ``int`` residues, so
+no ``Fraction`` is built.
 
-``ModularEchelon`` is the same echelon over GF(PRIME), PRIME = 2^31 - 1 fixed,
-on plain ``int`` residues, so no ``Fraction`` is built.  ``prefix_ranks``
-ranks the prefixes of a row list over either field, on either echelon; over
-GF(PRIME) it reduces each row mod PRIME as it adds it and returns None when
-PRIME divides a denominator.  Otherwise a minor that vanishes over Q vanishes
-mod PRIME, so each rank it returns is a proven lower bound on the rank over
-Q (cf. Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001), and never
-more.  A lower bound becomes a rank only through a proof, and the one owner
-of the de Rham ranks (``derham.ComplexSlice``) is the only caller of
-``saturated_ranks``, the proof that lives here: in a complex C^0 -> ... ->
-C^m, d o d = 0 gives rank d_(p-1) + rank d_p <= dim C^p over Q, so when the
-GF(PRIME) ranks satisfy r'_(p-1) + r'_p = dim C^p for every p < m,
-induction from p = 0 proves r_p = r'_p for every p (and no cohomology below
-degree m).  A caller whose proof does not close runs the exact ``Echelon``
-instead, which is the only engine that decides such an input.
+``prefix_ranks`` is the one rank loop: it ranks the prefixes of a row list
+over either field, and every rank entry point here runs through it
+(``exact_rank`` and ``span_rank`` are one prefix, ``image_dim_over`` two).
+Only a kernel (``nullspace_basis``) needs the echelon itself.  Over GF(PRIME) it reduces
+each row mod PRIME as it adds it and leaves out a row with an entry whose
+denominator PRIME divides.  A minor that vanishes over Q vanishes mod PRIME,
+so the rank of the rows it keeps is a lower bound on the rank over Q of the
+whole prefix (cf. Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001):
+a lower bound, never None and never more.  A lower bound becomes a rank only
+through a proof, and the one owner of the de Rham ranks
+(``derham.ComplexSlice``) is the only caller of ``saturated_ranks``, the
+proof that lives here: in a complex C^0 -> ... -> C^m, d o d = 0 gives
+rank d_(p-1) + rank d_p <= dim C^p over Q, so when the GF(PRIME) ranks
+satisfy r'_(p-1) + r'_p = dim C^p for every p < m, induction from p = 0
+proves r_p = r'_p for every p (and no cohomology below degree m).  A caller
+whose proof does not close runs the loop again over Q, which is the only
+engine that decides such an input.
 
-Both echelons pivot on the smallest column of a vector.  The entry points
-first relabel the columns of their whole input rarest first, by occurrence
-count and then by column (Markowitz's static rule), so the smallest label is
-the column the fewest rows share: a column held by one row becomes a pivot
-with no fill-in.  ``rarest_first_echelon`` then adds the rows shortest first.
-Under a fixed column order the pivot set of a row space does not depend on
-the order of its rows, so neither does a rank or a reduced form; short rows
-first keep the entries small.
+Both echelons pivot on the smallest column of a vector.  The rank loop and
+the kernel first relabel the columns of their whole input rarest first, by
+occurrence count and then by column (Markowitz's static rule), so the
+smallest label is the column the fewest rows share: a column held by one row
+becomes a pivot with no fill-in.  Under a fixed column order the pivot set
+of a row space does not depend on the order of its rows, so neither does a
+rank or a reduced form; callers add short rows first, which keeps the
+entries small.
 
 ``reduced_echelon`` brings an echelon to reduced form by back substitution:
 the same pivots, and each row also holds no other row's pivot.  A kernel is
@@ -182,19 +183,6 @@ def _rarest_first_labels(rows: Sequence[Vector]) -> dict:
     return {c: k for k, c in enumerate(sorted(count, key=lambda c: (count[c], c)))}
 
 
-def rarest_first_echelon(rows: list[Vector]) -> tuple[Echelon, list]:
-    """The echelon of the rows with their columns relabelled rarest first,
-    added shortest first, and the columns in label order, so that
-    ``columns[label]`` maps a label back.  Under a fixed column order the
-    pivot set, and so the reduced form, does not depend on the order in
-    which the rows come."""
-    label = _rarest_first_labels(rows)
-    echelon = Echelon()
-    for row in sorted(({label[c]: v for c, v in row.items() if v} for row in rows), key=len):
-        echelon.add(row)
-    return echelon, list(label)
-
-
 def reduced_echelon(echelon: Echelon) -> Echelon:
     """An echelon of the same rows in reduced form: the same pivots, and each
     row holds no other row's pivot.  Back substitution in descending pivot
@@ -220,12 +208,16 @@ def reduced_echelon(echelon: Echelon) -> Echelon:
 
 def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
     """Basis of the right nullspace {v : M v = 0}, one sparse dict per free
-    column in ascending order: 1 there, minus that column of each reduced row.
-
-    A matrix with no rows has the full coordinate space as nullspace.
+    column in ascending order: 1 there, minus that column of each reduced row
+    (rows added shortest first, columns relabelled rarest first).  A matrix
+    with no rows has the full coordinate space as nullspace.
     """
-    echelon, columns = rarest_first_echelon(M.rows())
-    reduced = reduced_echelon(echelon).pivots
+    rows = M.rows()
+    label = _rarest_first_labels(rows)
+    echelon = Echelon()
+    for row in sorted(({label[c]: v for c, v in row.items() if v} for row in rows), key=len):
+        echelon.add(row)
+    reduced, columns = reduced_echelon(echelon).pivots, list(label)
     pivots = {columns[c] for c in reduced}
     kernel = {fc: {fc: 1} for fc in range(M.ncols) if fc not in pivots}
     # one pass over the reduced rows: every entry off the pivot is a free column
@@ -242,13 +234,14 @@ def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
 # ---------------------------------------------------------------------------
 
 def exact_rank(M: SparseRationalMatrix) -> int:
-    """Rank over the rationals."""
-    return rarest_first_echelon(M.rows())[0].rank
+    """Rank over the rationals, the rows added shortest first."""
+    return prefix_ranks(sorted(M.rows(), key=len), [M.nrows], False)[0]
 
 
 def span_rank(vectors: Iterable[Vector]) -> int:
-    """Rank of the span of sparse rational vectors."""
-    return rarest_first_echelon(list(vectors))[0].rank
+    """Rank over the rationals of the span of sparse vectors, shortest first."""
+    rows = sorted(vectors, key=len)
+    return prefix_ranks(rows, [len(rows)], False)[0]
 
 
 def image_dim_over(span_new: Iterable[Vector], span_base: Iterable[Vector]) -> int:
@@ -265,16 +258,17 @@ def image_dim_over(span_new: Iterable[Vector], span_base: Iterable[Vector]) -> i
 # Prefix ranks over Q or GF(PRIME), and the saturation proof
 # ---------------------------------------------------------------------------
 
-def prefix_ranks(rows: Sequence[Vector], cuts: Iterable[int], modular: bool) -> list[int] | None:
+def prefix_ranks(rows: Sequence[Vector], cuts: Iterable[int], modular: bool) -> list[int]:
     """The ranks of the prefixes rows[:k], k in cuts (ascending), with the
     rows added in the given order and their columns relabelled rarest first:
     over Q by ``Echelon``, or over GF(PRIME) by ``ModularEchelon`` when
-    modular, and then None when PRIME divides a denominator.  A modular rank
-    is a lower bound on the rank over Q.  A row is reduced mod PRIME only as
-    it is added, so no residue outlives this call."""
+    modular.  A modular rank leaves out every row with an entry whose
+    denominator PRIME divides, so it is a lower bound on the rank over Q of
+    the prefix.  A row is reduced mod PRIME only as it is added, so no
+    residue outlives this call."""
     label = _rarest_first_labels(rows)
     echelon = ModularEchelon() if modular else Echelon()
-    inverse = {1: 1}  # denominator -> its inverse mod PRIME
+    inverse = {1: 1}  # denominator -> its inverse mod PRIME, 0 when PRIME divides it
     ranks, added = [], 0
     for k in cuts:
         for row in rows[added:k]:
@@ -286,31 +280,23 @@ def prefix_ranks(rows: Sequence[Vector], cuts: Iterable[int], modular: bool) -> 
                 d = v.denominator
                 inv = inverse.get(d)
                 if inv is None:
-                    if d % PRIME == 0:
-                        return None
-                    inv = inverse[d] = pow(d, -1, PRIME)
+                    inv = inverse[d] = pow(d, -1, PRIME) if d % PRIME else 0
+                if not inv:
+                    break
                 r = v.numerator * inv % PRIME
                 if r:
                     reduced[label[c]] = r
-            echelon.add(reduced)
+            else:
+                echelon.add(reduced)
         added = k
         ranks.append(echelon.rank)
     return ranks
 
 
-def modular_rank(rows: Sequence[Vector]) -> int | None:
-    """The rank over GF(PRIME) of the rows, added shortest first; None when
-    PRIME divides a denominator."""
-    if not rows:
-        return 0
-    ranks = prefix_ranks(sorted(rows, key=len), [len(rows)], True)
-    return None if ranks is None else ranks[0]
-
-
-def saturated_ranks(ranks: Sequence[int | None], dims: Sequence[int]) -> list[int] | None:
+def saturated_ranks(ranks: Sequence[int], dims: Sequence[int]) -> list[int] | None:
     """Proven ranks over Q of the differentials d_0, ..., d_(m-1) of a complex
-    with dims[p] = dim C^p, from their GF(PRIME) ranks (None for one that
-    PRIME cannot take), or None.
+    with dims[p] = dim C^p, from lower bounds on them (their GF(PRIME)
+    ranks), or None.
 
     They are proven when r'_(p-1) + r'_p = dims[p] for every p < m (r'_(-1) =
     0): then rank d_p <= dims[p] - rank d_(p-1) = r'_p <= rank d_p by
@@ -318,7 +304,7 @@ def saturated_ranks(ranks: Sequence[int | None], dims: Sequence[int]) -> list[in
     has no cohomology below degree m."""
     below = 0
     for r, dim in zip(ranks, dims):
-        if r is None or below + r != dim:
+        if below + r != dim:
             return None
         below = r
     return list(ranks)

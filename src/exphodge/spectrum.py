@@ -21,16 +21,17 @@ degree and S_lam the top forms of weight at most n - lam.  The sets S_lam are
 nested, so one incremental echelon over the rows of B, in descending weight,
 gives the dimension at every jump: a rank computation, never a count.  Every
 rank is owned by the level-0 slice (``derham.ComplexSlice``), which takes it
-over GF(PRIME), PRIME = 2^31 - 1, and counts it only through a proof:
+over GF(PRIME), PRIME = 2^31 - 1, as a lower bound (never None, in the one
+rank loop ``linalg.prefix_ranks``), and counts it only through a proof:
 saturation of the level-0 complex proves every level-0 rank, and each
 dimension is read only where its lower bound from the rows of B meets its
 upper bound from the graded pieces in top degree; they meet when the
-filtration is strict (Deligne, Theorie de Hodge II, 1.3.2).  Otherwise, or
-when PRIME divides a denominator, the exact echelon decides.  Either way the
-pass leaves the rank of B on the slice, and ``analyze`` computes the Betti
-numbers after the rank route so that B is not reduced again.  Agreement of
-the two routes is the numerical shadow of the degeneration of the spectral
-sequence at its first page; the analysis report never hides a disagreement.
+filtration is strict (Deligne, Theorie de Hodge II, 1.3.2).  Otherwise the
+same loop decides over Q.  Either way the pass leaves the rank of B on the
+slice, and ``analyze`` computes the Betti numbers after the rank route so
+that B is not reduced again.  Agreement of the two routes is the numerical
+shadow of the degeneration of the spectral sequence at its first page; the
+analysis report never hides a disagreement.
 
 ``analyze`` computes each spectrum of f once and hands it to the checks:
 ``check_degeneration(f, euler, rank)`` compares the two and adds the graded

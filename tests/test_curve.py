@@ -268,6 +268,28 @@ def test_analyze_builds_each_model_once(monkeypatch):
     assert not others & {(d0, d1) for d0, d1, _, _ in built}
 
 
+def test_analyze_builds_no_cocycle_on_the_classical_ambient(monkeypatch):
+    # the ambient serves only quotient_rank, which reads its boundary
+    # echelon; every other model of the comparison reads its cocycles
+    from exphodge.spectrum import analyze
+
+    built = []
+    init = curve.CechModel.__init__
+
+    def recording_init(self, K, B):
+        init(self, K, B)
+        built.append(self)
+
+    monkeypatch.setattr(curve.CechModel, "__init__", recording_init)
+    for text in ("x^2 + x^-1", "3*x + 5*x^-1", "2/3*x^2 - 5/7*x^-1"):
+        f = parse_laurent(text)
+        built.clear()
+        curve._build_model.cache_clear()
+        assert analyze(f).checks["curve_comparison"].ok
+        ambient = curve.deligne_ambient(f, curve._AMBIENT_M)
+        assert [m.complex == ambient for m in built if m._cocycles is None] == [True], text
+
+
 @pytest.mark.parametrize("text", ENGINE_INPUTS)
 def test_compare_filtrations_does_not_move_with_truncation(text, monkeypatch):
     f = parse_laurent(text)

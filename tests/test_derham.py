@@ -1,3 +1,4 @@
+import io
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -434,3 +435,36 @@ def test_differential_refuses_two_terms_in_one_entry(monkeypatch):
     monkeypatch.setattr(derham, "_insertion_sign", lambda i, index_set: (1, (0,)))
     with pytest.raises(AssertionError, match="two terms of d met in one entry"):
         derham._differential(f, bases, 0)
+
+
+def test_negative_cohomology_raises(monkeypatch):
+    # five d-part entries of B = d_{n-1}, spread over them, multiplied by 3:
+    # d o d = 0 breaks, and the ranks give H^2 = -2, which the slice refuses
+    # and on which the CLI exits 5
+    from exphodge import derham
+    from exphodge.cli import run
+    from exphodge.errors import IntegrityError
+
+    differential = derham._differential
+
+    def corrupted(f, bases, p):
+        m = differential(f, bases, p)
+        if p < f.nvars - 1:
+            return m
+        source, target = bases[p], bases[p + 1]
+        d_part = [key for key in m.entries if target[key[0]][0] == source[key[1]][0]]
+        chosen = set(d_part[::len(d_part) // 5][:5])
+        return SparseRationalMatrix(m.nrows, m.ncols, {
+            key: 3 * v if key in chosen else v for key, v in m.entries.items()})
+    text = "x^3+y^3+z^3+x^-2*y^-2*z^-2"
+    monkeypatch.setattr(derham, "_differential", corrupted)
+    try:
+        build_filtration_level.cache_clear()
+        with pytest.raises(IntegrityError, match=r"negative cohomology dimension \[0, 0, -2, 79\]"):
+            betti_numbers(parse_laurent(text))
+        build_filtration_level.cache_clear()
+        err = io.StringIO()
+        assert run(["betti", text], io.StringIO(), err) == 5
+        assert "negative cohomology" in err.getvalue()
+    finally:
+        build_filtration_level.cache_clear()  # no corrupted slice outlives the test

@@ -5,8 +5,14 @@ from oracles import cech_d0, cech_d1, dense, from_dense, matmul
 from test_spectrum import _random_support_poly
 
 from exphodge.linalg import (PRIME, Echelon, ModularEchelon, SparseRationalMatrix,
-                             exact_rank, image_dim_over, modular_rank, prefix_ranks,
-                             nullspace_basis, reduced_echelon, saturated_ranks, span_rank)
+                             exact_rank, image_dim_over, prefix_ranks, nullspace_basis,
+                             reduced_echelon, saturated_ranks, span_rank)
+
+
+def _modular_rank(rows):
+    """The GF(PRIME) rank of the rows, added shortest first, by the one rank loop."""
+    rows = sorted(rows, key=len)
+    return prefix_ranks(rows, [len(rows)], True)[0]
 
 
 def test_rank_trivial_cases():
@@ -156,7 +162,7 @@ def test_certified_ranks_on_structured_matrices():
     _, mats = _structured_matrices()
     complexes: dict[str, list] = {}
     for name, m in mats.items():
-        assert modular_rank(m.rows()) <= _rank_fraction_gauss(m), name
+        assert _modular_rank(m.rows()) <= _rank_fraction_gauss(m), name
         prefix, _, degree = name.rpartition(" d")
         if not name.startswith(("cech", "generic -g")):
             complexes.setdefault(prefix, []).append((int(degree), m))
@@ -164,7 +170,7 @@ def test_certified_ranks_on_structured_matrices():
     for prefix, degrees in complexes.items():
         ms = [m for _, m in sorted(degrees, key=lambda pm: pm[0])]
         dims = [m.ncols for m in ms] + [ms[-1].nrows]
-        ranks = saturated_ranks([modular_rank(m.rows()) for m in ms], dims)
+        ranks = saturated_ranks([_modular_rank(m.rows()) for m in ms], dims)
         if ranks is not None:
             assert ranks == [_rank_fraction_gauss(m) for m in ms], prefix
             proven += len(ranks)
@@ -175,14 +181,17 @@ def test_modular_rank_is_a_lower_bound_that_saturation_refuses_when_strict():
     # [[1, 1], [1, 1 + PRIME]] has rank 2 over Q and 1 over GF(PRIME): as the
     # one differential of Q^2 -> Q^2 it does not saturate, so nothing is proven
     m = SparseRationalMatrix(2, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1 + PRIME})
-    assert exact_rank(m) == 2 and modular_rank(m.rows()) == 1
+    assert exact_rank(m) == 2 and _modular_rank(m.rows()) == 1
     assert saturated_ranks([1], [2, 2]) is None
     assert saturated_ranks([2], [2, 2]) == [2]
-    # a denominator that PRIME divides has no residue
-    assert modular_rank([{0: Fraction(1, PRIME)}]) is None
+    # a denominator that PRIME divides has no residue: its row is left out,
+    # and the rank of the other rows is still a lower bound
+    assert _modular_rank([{0: Fraction(1, PRIME)}]) == 0
+    rows = [{0: Fraction(1, PRIME)}, {0: Fraction(2), 1: Fraction(1, 2 * PRIME)}, {1: Fraction(3)}]
+    assert prefix_ranks(rows, [1, 2, 3], True) == [0, 0, 1]
+    assert prefix_ranks(rows, [1, 2, 3], False) == [1, 2, 2]
     assert prefix_ranks([{0: Fraction(3, 2)}, {1: Fraction(PRIME)}], [1, 2], True) == [1, 1]
     assert prefix_ranks([{0: Fraction(3, 2)}, {1: Fraction(PRIME)}], [1, 2], False) == [1, 2]
-    assert saturated_ranks([None, 1], [0, 1, 1]) is None  # no residue, no proof
     assert saturated_ranks([0, 1], [1, 1, 1]) is None  # H^0 = 1, below degree 2
 
 

@@ -155,26 +155,27 @@ def test_analyze_rejects_subtorus():
     assert "1" in str(exc.value) and "2" in str(exc.value)
 
 
-# PRIME = 2^31 - 1 divides a coefficient's denominator: no rank can be
-# reduced mod PRIME, so every rank is exact
+# PRIME = 2^31 - 1 divides a coefficient's denominator: the GF(PRIME) ranks
+# leave out every row that holds it, and what they cannot prove is exact
 PRIME_DENOMINATOR = "x + y + 1/2147483647*x^-1*y^-1"
 
 
 @pytest.mark.parametrize("text,rank_calls", [
     ("x^3 + y^4 + x^-2*y^-1", 2),  # f, and -f in the symmetry check
     ("x^2 + x^-1", 2),             # the same: the curve comparison takes f's
-    (PRIME_DENOMINATOR, 2),        # the same, on the exact path throughout
+    (PRIME_DENOMINATOR, 2),        # the same, on the exact path for most ranks
 ], ids=["x^3 + y^4 + x^-2*y^-1-2", "x^2 + x^-1-2", "prime-denominator"])
 def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
     """f and -f are each ranked once, by the top profile of a level-0 slice;
     only f's slice is assembled (n differentials), -f's is its sign flip.
 
     Certified input: each level-0 differential is eliminated once over
-    GF(PRIME) per sign (d_{n-1} by the profile), each graded block once for
-    both signs, and nothing exactly.  When PRIME divides a denominator the
-    exact path runs: the Betti numbers read rank(d_{n-1}) from the exact
-    profile's pass, and every graded block that the denominator reaches is
-    built and ranked exactly."""
+    GF(PRIME) per sign (d_{n-1} by the profile), the graded blocks of each
+    degree in one pass for both signs, and nothing exactly.  When PRIME
+    divides a denominator the same GF(PRIME) passes run, the exact path
+    after them: the Betti numbers read rank(d_{n-1}) from the exact
+    profile's pass, and every graded block whose GF(PRIME) ranks do not
+    saturate it is built and ranked exactly."""
     from exphodge import curve, derham, spectrum
 
     f = parse_laurent(text)
@@ -206,17 +207,12 @@ def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
         eliminated.append(m)
         return _rank(m)
 
-    def counting_modular(rows, _rank=derham.modular_rank):
-        passes["modular_rank"] += 1
-        return _rank(rows)
-
     def counting_prefix(rows, cuts, modular, _ranks=derham.prefix_ranks):
         passes["modular prefix" if modular else "exact prefix"] += 1
         return _ranks(rows, cuts, modular)
     monkeypatch.setattr(derham.ComplexSlice, "top_profile", counting_profile)
     monkeypatch.setattr(derham.ComplexSlice, "negated", recording_negate)
     monkeypatch.setattr(derham, "exact_rank", recording_rank)
-    monkeypatch.setattr(derham, "modular_rank", counting_modular)
     monkeypatch.setattr(derham, "prefix_ranks", counting_prefix)
     derham.build_filtration_level.cache_clear()
     rep = analyze(f)
@@ -225,19 +221,21 @@ def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
     assert ranked == {f: 1, -f: 1} and sum(ranked.values()) == rank_calls
     assert len(tops) == 2
     assert not any(m is top for m in eliminated for top in tops)
+    # the profiles of f and of -f, d_0 .. d_{n-2} for each, and one pass per
+    # degree over the graded blocks of every jump
+    modular = {"modular prefix": 2 + 2 * (n - 1) + n}
     if certified:
         assert calls == {"spectrum_euler": 1, "_graded_block": 0, "_differential": n}
-        # d_0 .. d_{n-2} for f and for -f, and the graded blocks of every jump once
-        assert passes == {"modular prefix": 2, "modular_rank": 2 * (n - 1) + n * len(jumps)}
+        assert passes == modular
         assert eliminated == []
     else:
-        # the top jump's graded piece is one top form with no entry, so its
-        # GF(PRIME) ranks saturate it; the denominator reaches every other one
-        assert calls == {"spectrum_euler": 1, "_graded_block": len(jumps) - 1, "_differential": n}
+        # the graded pieces at the two top jumps saturate on the rows that
+        # the denominator misses; it keeps every lower one from saturating
+        assert calls == {"spectrum_euler": 1, "_graded_block": len(jumps) - 2, "_differential": n}
         # every exact_rank of the run ranks such a graded block or a lower
         # level-0 differential
-        assert len(eliminated) == n * (len(jumps) - 1) + n - 1
-        assert passes["exact prefix"] == 2  # the exact profile of f and of -f
+        assert len(eliminated) == n * (len(jumps) - 2) + n - 1
+        assert passes == {**modular, "exact prefix": 2}  # the exact profile of f and of -f
 
 
 DEGENERATE_WARNING = ("input is degenerate: the spectrum below is the raw filtration "
@@ -356,15 +354,14 @@ def _report_json(f):
 
 
 def _exact_report_json(f, monkeypatch):
-    """The report with no GF(PRIME) rank at all, as when PRIME divides a
-    denominator."""
+    """The report with every GF(PRIME) rank 0: a valid lower bound that
+    proves no rank but those of empty pieces, so every other rank is exact."""
     from exphodge import derham
 
     prefix_ranks = derham.prefix_ranks
     with monkeypatch.context() as patch:
-        patch.setattr(derham, "modular_rank", lambda rows: None)
         patch.setattr(derham, "prefix_ranks", lambda rows, cuts, modular:
-                      None if modular else prefix_ranks(rows, cuts, modular))
+                      [0] * len(cuts) if modular else prefix_ranks(rows, cuts, modular))
         return _report_json(f)
 
 
@@ -385,16 +382,59 @@ def _count_exact_profiles(monkeypatch):
     return slices
 
 
+def _count_exact_ranks(monkeypatch):
+    """The matrices that the de Rham slices rank exactly."""
+    from exphodge import derham
+
+    ranked, exact_rank = [], derham.exact_rank
+    monkeypatch.setattr(derham, "exact_rank", lambda m: ranked.append(m) or exact_rank(m))
+    return ranked
+
+
 def test_prime_denominator_takes_the_exact_path(monkeypatch):
     f = parse_laurent(PRIME_DENOMINATOR)
     expected = _exact_report_json(f, monkeypatch)
-    profiled = _count_exact_profiles(monkeypatch)
+    profiled, ranked = _count_exact_profiles(monkeypatch), _count_exact_ranks(monkeypatch)
     out = _report_json(f)
     assert out == expected and profiled == [f, -f]
+    # d_0 of level 0 and the graded block at 0; the pieces at 1 and 2
+    # saturate on the rows without the denominator
+    assert len(ranked) == 3
     # the oracle: any nonzero c gives x + y + c/(xy) the spectrum of nvol 3
     spectrum = [{"lambda": str(k), "mult": 1} for k in range(3)]
     assert out["spectrum"] == {"rank": spectrum, "euler": spectrum}
     assert out["betti"] == [0, 0, 3] and out["polytope"]["nvol"] == 3
+    assert all(check["status"] == "pass" for check in out["checks"].values())
+
+
+@pytest.mark.parametrize("text,exact_ranks,exact_profiles", [
+    # PRIME divides a denominator: the rows that hold it are left out, which
+    # in n = 3 leaves the lower graded pieces and the sandwich open, and for
+    # x + c/x still closes both proofs
+    ("x + y + z + 1/2147483647*x^-1*y^-1*z^-1", 8, 2),
+    ("x + 1/2147483647*x^-1", 0, 0),
+    # a coefficient that PRIME divides vanishes mod PRIME but not over Q:
+    # its rows lose an entry, and still both proofs close
+    ("x + y + 2147483647*x^-1*y^-1", 0, 0),
+    ("x^2 + y^2 + 2147483647*x*y + x^-1*y^-1", 0, 0),
+    ("x + y + z + 4294967294*x^-1*y^-1*z^-1", 0, 0),
+])
+def test_prime_in_a_coefficient_keeps_the_exact_report(text, exact_ranks, exact_profiles,
+                                                       monkeypatch):
+    # the GF(PRIME) ranks stay lower bounds: whatever they prove, the report
+    # is the one of the exact path
+    f = parse_laurent(text)
+    expected = _exact_report_json(f, monkeypatch)
+    profiled, ranked = _count_exact_profiles(monkeypatch), _count_exact_ranks(monkeypatch)
+    out = _report_json(f)
+    assert out == expected
+    assert (len(ranked), len(profiled)) == (exact_ranks, exact_profiles)
+    # the oracle: a nondegenerate spectrum depends only on the Newton
+    # polytope, so the support with every coefficient 1 has the same numbers
+    ones = _report_json(make_laurent(f.nvars, dict.fromkeys(f.terms, 1)))
+    assert out["nondegeneracy"]["verdict"] == "nondegenerate"
+    assert out["spectrum"]["rank"] == out["spectrum"]["euler"] == ones["spectrum"]["rank"]
+    assert out["betti"] == ones["betti"] and out["polytope"] == ones["polytope"]
     assert all(check["status"] == "pass" for check in out["checks"].values())
 
 
@@ -427,7 +467,7 @@ def test_unsaturated_degenerate_input_takes_the_exact_path(monkeypatch):
     from exphodge import derham
 
     rank, reduced = spectrum_rank(f), []
-    monkeypatch.setattr(derham, "modular_rank", lambda rows: reduced.append(rows))
+    monkeypatch.setattr(derham, "prefix_ranks", lambda *args: reduced.append(args))
     check = check_degeneration(f, rank, rank)
     assert reduced == []
     below = {str(lam): exact_cohomology(build_graded_level(f, lam))[:2] for lam in jumps}
@@ -445,10 +485,10 @@ def test_rank_one_short_over_gf_p_takes_the_exact_path(short, monkeypatch):
     f = parse_laurent("x^3 + y^4 + x^-2*y^-1")
     expected = _exact_report_json(f, monkeypatch)
     if short == "saturation chain":
-        d0 = derham.build_filtration_level.__wrapped__(f, 0).mats[0].rows()
-        rank = derham.modular_rank
-        monkeypatch.setattr(derham, "modular_rank",
-                            lambda rows: rank(rows) - (rows == d0))
+        d0 = sorted(derham.build_filtration_level.__wrapped__(f, 0).mats[0].rows(), key=len)
+        ranks = derham.prefix_ranks
+        monkeypatch.setattr(derham, "prefix_ranks", lambda rows, cuts, modular: [
+            r - (modular and rows == d0) for r in ranks(rows, cuts, modular)])
     else:
         ranks = derham.prefix_ranks
 
