@@ -446,9 +446,11 @@ _AMBIENT_M = 1
 
 def _toric_generators(f: LaurentPolynomial, lam: Fraction) -> list[dict]:
     """Global level-lam one-forms as hypercocycles (0, g, g) of the cover:
-    x^k dlog x for every lattice point k of weight at most 1 - lam."""
-    return [{("p", k): 1, ("q", k): 1}
-            for (k,), w in newton_polytope(f).dilate_weights.items() if w <= 1 - lam]
+    x^k dlog x for every lattice point k of weight at most 1 - lam, that is
+    of numerator at most floor((1 - lam) D)."""
+    poly = newton_polytope(f)
+    cap = floor((1 - lam) * poly.weight_denominator)
+    return [{("p", k): 1, ("q", k): 1} for (k,), w in poly.dilate_weights.items() if w <= cap]
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,12 @@ part of the connection.  The first term preserves weight and each beta term
 raises it by at most one.  One pass over the level-0 entries checks
 w(row) <= w(col) + 1 on every entry, which says that d maps every level into
 itself, and buckets the entries with w(row) = w(col) + 1 by column weight;
-every graded block is read from those buckets.  The weights are numbered once
-per slice, so the pass compares small integers and no entry meets a Fraction.
+every graded block is read from those buckets.  Weights are numbered once
+per hull, in integers: the hull's weight table holds D times each weight, D
+the lcm of its positive facet levels (``NewtonPolytope.weight_denominator``),
+so a slice compares numerators k, "weight <= p - lam" reads k <= floor((p -
+lam) D), and the graded table is keyed by the jump numerators j = lam D.  No
+weight of a basis form is a Fraction; only a slice's ``level`` is one.
 
 ``ComplexSlice`` owns every rank of its differentials.  Every rank runs
 through the one rank loop ``linalg.prefix_ranks``, first over GF(PRIME),
@@ -63,6 +67,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import floor
 from operator import add
 
 from .errors import IntegrityError
@@ -94,7 +99,7 @@ class ComplexSlice:
     level: Fraction
     bases: tuple[tuple[BasisForm, ...], ...]      # index p in 0..n
     mats: tuple[SparseRationalMatrix, ...]        # mats[p]: degree p -> p+1
-    weights: tuple[tuple[Fraction, ...], ...]     # weights[p][i]: of bases[p][i]
+    weights: tuple[tuple[int, ...], ...]          # weights[p][i]: D * weight of bases[p][i]
     # ranks over Q and GF(PRIME), graded table and weight buckets of this
     # slice, computed once; outside __init__, so dataclasses.replace starts
     # the copy with none
@@ -156,15 +161,15 @@ class ComplexSlice:
         flipped._memo.update(graded=graded_ranks(self), buckets=_buckets(self))
         return flipped
 
-    def graded_below_top(self, mu) -> list[int]:
+    def graded_below_top(self, j: int) -> list[int]:
         """The cohomology dimensions below top degree of the graded piece at
-        the jump candidate mu of this level-0 slice: zero when its GF(PRIME)
-        ranks in the graded table saturate it, else by the exact ranks of its
-        block."""
-        dims, ranks = graded_ranks(self)[mu]
+        the jump candidate j / D of this level-0 slice, j a key of the graded
+        table: zero when its GF(PRIME) ranks there saturate it, else by the
+        exact ranks of its block."""
+        dims, ranks = graded_ranks(self)[j]
         if saturated_ranks(ranks, dims) is not None:
             return [0] * self.nvars
-        block = _graded_block(self, mu)
+        block = _graded_block(self, Fraction(j, newton_polytope(self.f).weight_denominator))
         block._memo["modular"] = dict(enumerate(ranks))
         return block.cohomology()[:self.nvars]
 
@@ -189,7 +194,8 @@ class ComplexSlice:
         if self.level != 0:
             raise ValueError(f"the profile reads a level-0 slice, not level {self.level}")
         n = self.nvars
-        jumps = newton_polytope(self.f).jumps
+        poly = newton_polytope(self.f)
+        jumps, top = poly.jumps, n * poly.weight_denominator
         buckets = _buckets(self)
         rows = self.mats[n - 1].rows()
         ids = buckets.ids[n]
@@ -197,9 +203,9 @@ class ComplexSlice:
         # read only between two weights, and a row set's rank is its own
         order = sorted(range(len(rows)), key=lambda r: (-ids[r], len(rows[r])))
         # the rows of B outside S_lam, of weight number at least the count of
-        # weights <= n - lam, lead the order: cuts[j] counts them for jumps[j]
+        # numerators <= n D - j, lead the order: one cut counts them per jump j
         leading = [-ids[r] for r in order]
-        cuts = [bisect_right(leading, -bisect_right(buckets.weights, n - lam)) for lam in jumps]
+        cuts = [bisect_right(leading, -bisect_right(buckets.weights, top - j)) for j in jumps]
         rows = [rows[r] for r in order]
         for modular in (True, False):
             prefix = prefix_ranks(rows, cuts + [len(rows)], modular)
@@ -215,8 +221,8 @@ class ComplexSlice:
         if not self._saturated():
             return False
         n, graded, upper = self.nvars, graded_ranks(self), 0
-        for lam, lower in zip(reversed(jumps), reversed(profile)):
-            dims, ranks = graded[lam]
+        for j, lower in zip(reversed(jumps), reversed(profile)):
+            dims, ranks = graded[j]
             upper += dims[n] - ranks[n - 1]
             if lower != upper:
                 return False
@@ -257,8 +263,8 @@ class _Buckets:
     """The weights of a level-0 slice numbered once, and its entries bucketed
     by those numbers."""
 
-    weights: tuple[Fraction, ...]          # the distinct weights, ascending
-    number: dict[Fraction, int]            # weights[k] -> k
+    weights: tuple[int, ...]               # the distinct numerators, ascending
+    number: dict[int, int]                 # weights[k] -> k
     ids: tuple[tuple[int, ...], ...]       # ids[p][i]: number of weights[p][i]
     forms: tuple[dict[int, list[int]], ...]
     # forms[p][k]: the degree-p forms of weight number k, ascending
@@ -275,10 +281,11 @@ def _buckets(slice0: ComplexSlice) -> _Buckets:
     memo = slice0._memo.get("buckets")
     if memo is not None:
         return memo
+    D = newton_polytope(slice0.f).weight_denominator
     weights = sorted(set().union(*slice0.weights))
     number = {w: k for k, w in enumerate(weights)}
-    above = [number.get(w + 1) for w in weights]             # number of w + 1
-    reach = [bisect_right(weights, w + 1) - 1 for w in weights]  # last number <= w + 1
+    above = [number.get(w + D) for w in weights]             # number of w + D
+    reach = [bisect_right(weights, w + D) - 1 for w in weights]  # last number <= w + D
     ids = tuple(tuple(number[w] for w in ws) for ws in slice0.weights)
     forms = []
     for degree_ids in ids:
@@ -297,7 +304,7 @@ def _buckets(slice0: ComplexSlice) -> _Buckets:
                 bucket.setdefault(k, []).append(key)
             elif kr > reach[k]:
                 raise AssertionError(
-                    f"d maps level {p - weights[k]} to {slice0.bases[p + 1][r]}")
+                    f"d maps level {Fraction(p * D - weights[k], D)} to {slice0.bases[p + 1][r]}")
         raised.append(bucket)
     memo = slice0._memo["buckets"] = _Buckets(
         tuple(weights), number, ids, tuple(forms), tuple(raised))
@@ -319,11 +326,13 @@ def _block(slice0: ComplexSlice, lam: Fraction, kept, keys) -> ComplexSlice:
 
 
 def _filtration_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
-    """The degree-p forms of slice0 of weight <= p - lam and the blocks of its
-    differentials between them."""
+    """The degree-p forms of slice0 of weight <= p - lam, that is of
+    numerator <= floor((p - lam) D), and the blocks of its differentials
+    between them."""
     buckets = _buckets(slice0)  # its check puts the image of a kept column in level lam
-    # ends[p]: how many weights are <= p - lam, so weight number k is kept when k < ends[p]
-    ends = [bisect_right(buckets.weights, p - lam) for p in range(len(slice0.bases))]
+    D = newton_polytope(slice0.f).weight_denominator
+    # ends[p]: how many numerators are <= (p - lam) D, so number k is kept when k < ends[p]
+    ends = [bisect_right(buckets.weights, floor((p - lam) * D)) for p in range(len(slice0.bases))]
     kept = [[i for i, k in enumerate(ids) if k < end] for ids, end in zip(buckets.ids, ends)]
     keys = [[(r, c) for r, c in m.entries if buckets.ids[p][c] < ends[p]]
             for p, m in enumerate(slice0.mats)]
@@ -334,28 +343,32 @@ def _graded_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
     """The degree-p forms of slice0 of weight exactly p - lam and the blocks
     of its differentials between them, read from the buckets."""
     buckets = _buckets(slice0)
-    ks = [buckets.number.get(p - lam) for p in range(len(slice0.bases))]
+    D = newton_polytope(slice0.f).weight_denominator
+    # lam D is an integer at a jump; off the jumps no numerator equals p D - lam D
+    ks = [buckets.number.get(p * D - lam * D) for p in range(len(slice0.bases))]
     kept = [forms.get(k, []) for forms, k in zip(buckets.forms, ks)]
     keys = [raised.get(k, ()) for raised, k in zip(buckets.raised, ks)]
     return _block(slice0, lam, kept, keys)
 
 
 def graded_ranks(slice0: ComplexSlice) -> dict:
-    """The graded table of a level-0 slice: for every jump candidate mu of
-    the hull, (dims, ranks) of the graded piece at mu, its dimensions in
-    degrees 0..n and the GF(PRIME) ranks of its differentials, read from the
-    buckets with no block built.  The blocks of one degree share no column
-    (weight p - mu) and no row (weight p + 1 - mu), so one pass per degree
-    ranks them all, each block's rank the rise across it.  Kept on the
-    slice, as integers only, and handed to its sign flip."""
+    """The graded table of a level-0 slice: for every jump numerator j of
+    the hull (``NewtonPolytope.jumps``, the jump j / D), (dims, ranks) of the
+    graded piece there, its dimensions in degrees 0..n and the GF(PRIME)
+    ranks of its differentials, read from the buckets with no block built.
+    The blocks of one degree share no column (numerator p D - j) and no row
+    (numerator (p + 1) D - j), so one pass per degree ranks them all, each
+    block's rank the rise across it.  Kept on the slice, keyed by j, as
+    integers only, and handed to its sign flip."""
     memo = slice0._memo
     if "graded" in memo:
         return memo["graded"]
     buckets = _buckets(slice0)
     n = slice0.nvars
-    jumps = newton_polytope(slice0.f).jumps
-    ks = [[buckets.number.get(p - mu) for p in range(n + 1)] for mu in jumps]
-    rises = []  # rises[p][j]: the rank of the block of degree p at jumps[j]
+    poly = newton_polytope(slice0.f)
+    D, jumps = poly.weight_denominator, poly.jumps
+    ks = [[buckets.number.get(p * D - j) for p in range(n + 1)] for j in jumps]
+    rises = []  # rises[p][i]: the rank of the block of degree p at jumps[i]
     for p, m in enumerate(slice0.mats):
         rows, cuts = [], []
         for k in ks:
@@ -367,8 +380,8 @@ def graded_ranks(slice0: ComplexSlice) -> dict:
         prefix = prefix_ranks(rows, cuts, True)
         rises.append([total - below for below, total in zip([0] + prefix, prefix)])
     graded = memo["graded"] = {}
-    for mu, k, ranks in zip(jumps, ks, zip(*rises)):
-        graded[mu] = (tuple(len(forms.get(kp, ())) for forms, kp in zip(buckets.forms, k)), ranks)
+    for j, k, ranks in zip(jumps, ks, zip(*rises)):
+        graded[j] = (tuple(len(forms.get(kp, ())) for forms, kp in zip(buckets.forms, k)), ranks)
     return graded
 
 
@@ -388,12 +401,12 @@ def build_filtration_level(f: LaurentPolynomial, lam) -> ComplexSlice:
     poly, lam = _check_level(f, lam)
     if lam > 0:
         return _filtration_block(build_filtration_level(f, Fraction(0)), lam)
-    n = f.nvars
+    n, D = f.nvars, poly.weight_denominator
     weight = poly.dilate_weights
     bases, weights = [], []
     for p in range(n + 1):
         index_sets = list(combinations(range(n), p))
-        bases.append(tuple((a, I) for a, w in weight.items() if w <= p for I in index_sets))
+        bases.append(tuple((a, I) for a, k in weight.items() if k <= p * D for I in index_sets))
         weights.append(tuple(weight[a] for a, _ in bases[p]))
     mats = tuple(_differential(f, bases, p) for p in range(n))
     return ComplexSlice(f, lam, tuple(bases), mats, tuple(weights))
@@ -455,7 +468,8 @@ def top_image_profile(f: LaurentPolynomial, levels) -> list[int]:
     """
     levels = [_check_level(f, lam)[1] for lam in levels]
     profile = build_filtration_level(f, Fraction(0)).top_profile() + [0]
-    return [profile[bisect_left(newton_polytope(f).jumps, lam)] for lam in levels]
+    poly = newton_polytope(f)
+    return [profile[bisect_left(poly.jumps, lam * poly.weight_denominator)] for lam in levels]
 
 
 __all__ = [

@@ -47,7 +47,7 @@ class LaurentPolynomial:
         for alpha, c in self.terms.items():
             if len(alpha) != self.nvars:
                 raise ValueError(f"monomial {alpha} has wrong arity")
-            if c == 0:
+            if not c:
                 raise ValueError("stored coefficient is zero")
 
     def __hash__(self):
@@ -106,8 +106,9 @@ def make_laurent(nvars: int, terms: Mapping[Monomial, object],
     """Canonicalize a term map: Fraction-ify coefficients, drop zeros."""
     clean: dict[Monomial, Fraction] = {}
     for alpha, c in terms.items():
-        c = Fraction(c)
-        if c != 0:
+        if type(c) is not Fraction:  # a Fraction is immutable and kept as is
+            c = Fraction(c)
+        if c:
             clean[tuple(alpha)] = c
     return LaurentPolynomial(nvars, clean, tuple(var_names))
 
@@ -288,14 +289,13 @@ def format_laurent(f: LaurentPolynomial) -> str:
             if e == 0:
                 continue
             factors.append(name if e == 1 else f"{name}^{e}")
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
+        num, den = c.numerator, c.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if factors and mag == "1":
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
-        pieces.append((c < 0, body))
+            body = "*".join([mag] + factors)
+        pieces.append((num < 0, body))
     neg, body = pieces[0]
     out = ("-" if neg else "") + body
     for neg, body in pieces[1:]:

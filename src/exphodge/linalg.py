@@ -61,7 +61,7 @@ class SparseRationalMatrix:
         for (r, c), v in entries.items():
             if type(v) is not Fraction:  # a Fraction is immutable and kept as is
                 v = Fraction(v)
-            if v != 0:
+            if v:
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise IndexError(f"entry ({r},{c}) outside {nrows}x{ncols}")
                 clean[(r, c)] = v

@@ -5,17 +5,18 @@ support.  Facets are stored as primitive integer inequalities <u, a> >= -c
 with level c >= 0 (the origin always satisfies them).  The weight of a lattice
 point a is the least c >= 0 with a in c*Delta; its denominators divide facet
 levels, so every weight is an exact Fraction (or +infinity outside the
-recession directions).
+recession directions), and every finite one lies in (1/D)Z, with D the lcm of
+the positive facet levels (``weight_denominator``).
 
 One exact hull is the only geometric computation: vertices, faces and the
 normalized volume are all read from its facet incidence sets.  It is built by
 beneath-beyond in integers, so its cost follows the facets, not the d-subsets
 of the support.  The hull keeps three tables, each built on first use: its
 face list, which the nondegeneracy check and the volume share; its weight
-table, the weight of every lattice point of the n-dilate, which is the only
-place a weight is computed for the census and the de Rham bases (the ratios
-are compared by integer cross-multiplication, and one Fraction serves each
-distinct ratio); and the jump candidates p - w read off that table once.
+table, D times the weight of every lattice point of the n-dilate, which is
+the only place a weight is computed for the census and the de Rham bases; and
+the jump candidates p - w, as the numerators (p - w) D, read off that table
+once.  Both hold integers, so no lattice point meets a Fraction.
 Faces, containment, weights and the volume need a full-dimensional polytope
 (``require_full_dim`` is the one guard); a lower-dimensional one keeps only
 its dimension and vertices.
@@ -403,28 +404,33 @@ class NewtonPolytope:
         return _kernels.enumerate_box_filtered(lo, hi, normals, bounds)
 
     @cached_property
-    def dilate_weights(self) -> Mapping[Monomial, Fraction]:
-        """The weight of every lattice point of the n-dilate, keys ascending
-        lex: the one weight table of the hull, built on first use.  Every
-        point of the dilate has a finite weight, and one Fraction serves all
-        the points with the same ratio."""
-        fractions: dict[tuple[int, int], Fraction] = {}
-        table = {}
-        for a in self.lattice_points_in_dilate(self.nvars):
-            ratio = self._weight_ratio(a)
-            w = fractions.get(ratio)
-            if w is None:
-                w = fractions[ratio] = Fraction(*ratio)
-            table[a] = w
-        return MappingProxyType(table)
+    def weight_denominator(self) -> int:
+        """D, the lcm of the positive facet levels: every weight of the hull
+        lies in (1/D)Z."""
+        return math.lcm(*(f.level for f in self.facets if f.level > 0))
 
     @cached_property
-    def jumps(self) -> tuple[Fraction, ...]:
-        """Every value p - w in [0, n] over the weights w of the table,
-        ascending: the only places the filtration can jump."""
-        n = self.nvars
-        return tuple(sorted({p - w for w in set(self.dilate_weights.values())
-                             for p in range(n + 1) if 0 <= p - w <= n}))
+    def dilate_weights(self) -> Mapping[Monomial, int]:
+        """D times the weight of every lattice point of the n-dilate, keys
+        ascending lex: the one weight table of the hull, built on first use.
+        A weight s / level is the numerator s * (D // level), the pairing with
+        the normal scaled by -(D // level), largest over the facets.  A level-0
+        facet (s <= 0 on the dilate) scales to 0, and with none the origin is
+        interior, so the largest pairing is never negative."""
+        D = self.weight_denominator
+        scaled = [tuple(-x * (D // f.level if f.level else 0) for x in f.normal)
+                  for f in self.facets]
+        return MappingProxyType({a: max([sum(map(mul, v, a)) for v in scaled])
+                                 for a in self.lattice_points_in_dilate(self.nvars)})
+
+    @cached_property
+    def jumps(self) -> tuple[int, ...]:
+        """Every numerator j = p*D - k in [0, n*D] over the numerators k of
+        the table, ascending: the levels j / D are the only places the
+        filtration can jump."""
+        D, n = self.weight_denominator, self.nvars
+        return tuple(sorted({p * D - k for k in set(self.dilate_weights.values())
+                             for p in range(n + 1) if 0 <= p * D - k <= n * D}))
 
     def contains_origin_interior(self) -> bool:
         if self.dim != self.nvars:

@@ -10,7 +10,10 @@ with N(c) the number of lattice points of exact weight c.  The census N is
 read from the hull's one weight table (``NewtonPolytope.dilate_weights``),
 which the de Rham bases read too, so no weight is computed twice for one
 support, and the jump candidates p - w from the hull's one list of them
-(``NewtonPolytope.jumps``).  Route two (rank): h^lam is the drop of the
+(``NewtonPolytope.jumps``).  Both hold integers over the hull's one
+denominator D: the table D w and the jumps j = (p - w) D, so the census
+counts integers; a jump becomes the Fraction j / D only in a spectrum entry
+or a report.  Route two (rank): h^lam is the drop of the
 filtration image dimension
 
     dim im(H^n(level lam) -> H^n(level 0))
@@ -48,10 +51,12 @@ module.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 from .derham import ComplexSlice, betti_numbers, build_filtration_level
 from .errors import IntegrityError
 from .laurent import LaurentPolynomial, format_laurent
@@ -67,8 +72,7 @@ class HodgeSpectrum:
     entries: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
-        lams = [l for l, _ in self.entries]
-        if lams != sorted(set(lams)):
+        if any(a >= b for (a, _), (b, _) in zip(self.entries, self.entries[1:])):
             raise ValueError("jumps must be strictly increasing")
         if any(m <= 0 for _, m in self.entries):
             raise ValueError("multiplicities must be positive")
@@ -79,10 +83,8 @@ class HodgeSpectrum:
 
     def multiplicity(self, lam) -> int:
         lam = Fraction(lam)
-        for l, m in self.entries:
-            if l == lam:
-                return m
-        return 0
+        i = bisect_left(self.entries, lam, key=itemgetter(0))
+        return self.entries[i][1] if i < len(self.entries) and self.entries[i][0] == lam else 0
 
     def to_json(self) -> list[dict]:
         return [{"lambda": str(l), "mult": m} for l, m in self.entries]
@@ -94,25 +96,26 @@ class HodgeSpectrum:
 
 def jump_candidates(f: LaurentPolynomial) -> list[Fraction]:
     """All values p - weight(alpha) in [0, n]: the only places the filtration
-    can jump, as listed once by the hull."""
-    return list(newton_polytope(f).jumps)
+    can jump, as listed once by the hull (as numerators over its D)."""
+    poly = newton_polytope(f)
+    return [Fraction(j, poly.weight_denominator) for j in poly.jumps]
 
 
 def spectrum_euler(f: LaurentPolynomial) -> HodgeSpectrum:
     """Top-degree spectrum from the weight census alone."""
     n = f.nvars
     poly = newton_polytope(f)
-    census = Counter(poly.dilate_weights.values())
+    D, census = poly.weight_denominator, Counter(poly.dilate_weights.values())
     sign = (-1) ** n
     entries = []
-    for lam in poly.jumps:
-        h = sign * sum((-1) ** p * comb(n, p) * census[p - lam] for p in range(n + 1))
+    for j in poly.jumps:
+        h = sign * sum((-1) ** p * comb(n, p) * census[p * D - j] for p in range(n + 1))
         if h < 0:
             raise IntegrityError(
-                f"negative graded dimension {h} at level {lam}: "
+                f"negative graded dimension {h} at level {Fraction(j, D)}: "
                 "input is degenerate or a computation is wrong")
         if h > 0:
-            entries.append((lam, h))
+            entries.append((Fraction(j, D), h))
     return HodgeSpectrum(n, tuple(entries))
 
 
@@ -125,16 +128,16 @@ def spectrum_rank(f: LaurentPolynomial) -> HodgeSpectrum:
 def _rank_route(slice0: ComplexSlice) -> HodgeSpectrum:
     """The rank spectrum read off the top profile of a level-0 slice: f's
     own, or its sign flip for -f."""
-    n = slice0.nvars
-    jumps = jump_candidates(slice0.f)
+    n, poly = slice0.nvars, newton_polytope(slice0.f)
     dims = slice0.top_profile()
     dims.append(0)  # above the top jump the level is empty
     entries = []
-    for k, lam in enumerate(jumps):
+    for k, j in enumerate(poly.jumps):
         h = dims[k] - dims[k + 1]
-        if h < 0:
-            raise IntegrityError(f"filtration image dimension increased at {lam}")
-        if h > 0:
+        if h:
+            lam = Fraction(j, poly.weight_denominator)
+            if h < 0:
+                raise IntegrityError(f"filtration image dimension increased at {lam}")
             entries.append((lam, h))
     return HodgeSpectrum(n, tuple(entries))
 
@@ -158,7 +161,9 @@ def check_degeneration(f: LaurentPolynomial, euler: HodgeSpectrum,
     slice has cohomology only in top degree (``ComplexSlice.graded_below_top``)."""
     detail = {"euler": euler.to_json(), "rank": rank.to_json()}
     slice0 = build_filtration_level(f, Fraction(0))
-    graded_dims = {str(lam): slice0.graded_below_top(lam) for lam in jump_candidates(f)}
+    poly = newton_polytope(f)
+    graded_dims = {str(Fraction(j, poly.weight_denominator)): slice0.graded_below_top(j)
+                   for j in poly.jumps}
     detail["graded_cohomology_below_top"] = graded_dims
     vanishing = all(b == 0 for below in graded_dims.values() for b in below)
     status = "pass" if (euler.entries == rank.entries and vanishing) else "fail"
@@ -179,7 +184,7 @@ def check_symmetry(f: LaurentPolynomial, rank: HodgeSpectrum) -> CheckResult:
     rk_neg = _rank_route(slice0.negated())
     detail = {"rank": rank.to_json(), "rank_negated": rk_neg.to_json()}
     sign_invariant = rank.entries == rk_neg.entries
-    symmetric = all(rank.multiplicity(Fraction(n) - lam) == m for lam, m in rank.entries)
+    symmetric = rank.entries == tuple((n - lam, m) for lam, m in reversed(rank.entries))
     detail["sign_invariance"] = sign_invariant
     detail["symmetric"] = symmetric
     return CheckResult("pass" if (sign_invariant and symmetric) else "fail", detail)

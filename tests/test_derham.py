@@ -257,9 +257,48 @@ def _assert_blocks_match_oracle(f):
             mats = [_oracle_differential(f, bases, p, graded) for p in range(n)]
             assert block.level == lam
             assert block.bases == bases, (lam, graded)
-            assert block.weights == tuple(tuple(poly.weight(a) for a, _ in b) for b in bases)
+            D = poly.weight_denominator
+            assert tuple(tuple(Fraction(k, D) for k in ks) for ks in block.weights) \
+                == tuple(tuple(poly.weight(a) for a, _ in b) for b in bases)
             assert [(m.nrows, m.ncols) for m in block.mats] == [(m.nrows, m.ncols) for m in mats]
             assert [m.entries for m in block.mats] == [m.entries for m in mats], (lam, graded)
+
+
+INTEGER_TABLE_INPUTS = ["x^2 + x^-1", "x^3 + y^4 + x^-2*y^-1", "x^2*y + x*y^2 + x^-1*y^-1",
+                        "2/3*x^2 + y^2 - 5/7*z^2 + x^-1*y^-1*z^-1"]
+
+
+@pytest.mark.parametrize("text", INTEGER_TABLE_INPUTS, ids=lambda t: t.replace(" ", ""))
+def test_jumps_slice_weights_and_graded_keys_are_integers(text):
+    f = parse_laurent(text)
+    poly = newton_polytope(f)
+    D = poly.weight_denominator
+    assert D > 1
+    slice0 = build_filtration_level(f, 0)
+    assert all(type(j) is int for j in poly.jumps)
+    assert all(type(k) is int for ks in slice0.weights for k in ks)
+    assert all(type(k) is int for ks in build_filtration_level(f, 1).weights for k in ks)
+    table = graded_ranks(slice0)
+    assert list(table) == list(poly.jumps) and all(type(j) is int for j in table)
+    assert jump_candidates(f) == [Fraction(j, D) for j in poly.jumps]
+
+
+@pytest.mark.parametrize("text", INTEGER_TABLE_INPUTS, ids=lambda t: t.replace(" ", ""))
+def test_off_jump_levels_match_fraction_oracle(text):
+    # at lam = (j + 1/2) / D no weight equals p - lam, so a level keeps the
+    # numerators k <= floor((p - lam) D) and a graded piece keeps nothing; the
+    # bases are the Fraction oracle's, and the profile the per-level one
+    f = parse_laurent(text)
+    poly, n = newton_polytope(f), f.nvars
+    D = poly.weight_denominator
+    levels = [Fraction(2 * j + 1, 2 * D) for j in range(n * D)]
+    for lam in levels:
+        block = build_filtration_level(f, lam)
+        assert block.bases == _oracle_bases(poly, lam, n, exact_weight=False), lam
+        assert [[Fraction(k, D) for k in ks] for ks in block.weights] \
+            == [[poly.weight(a) for a, _ in b] for b in block.bases]
+        assert build_graded_level(f, lam).dims() == (0,) * (n + 1)
+    assert top_image_profile(f, levels) == [filtration_image_dim(f, lam, n) for lam in levels]
 
 
 def test_blocks_match_per_level_construction(suite_poly):
@@ -301,7 +340,9 @@ def test_block_check_catches_d_leaving_the_level():
     slice0 = build_filtration_level(parse_laurent("x + x^-1"), 0)
     assert slice0.bases[1][2] == ((1,), (0,)) and slice0.mats[0].entries[(2, 0)] == 1
     assert _graded_block(slice0, Fraction(0)).bases[1] == (((-1,), (0,)), ((1,), (0,)))
-    bad = replace(slice0, weights=(slice0.weights[0], (Fraction(1), Fraction(0), Fraction(2))))
+    D = newton_polytope(slice0.f).weight_denominator
+    assert [Fraction(k, D) for k in slice0.weights[1]] == [1, 0, 1]
+    bad = replace(slice0, weights=(slice0.weights[0], (D, 0, 2 * D)))
     for block in (_filtration_block, _graded_block):
         with pytest.raises(AssertionError, match="maps level 0 to"):
             block(bad, Fraction(0))

@@ -60,6 +60,11 @@ def test_format_examples():
     assert format_laurent(make_laurent(1, {(1,): 1, (-1,): 1})) == "x + x^-1"
     assert format_laurent(make_laurent(2, {(0, 0): -1})) == "-1"
     assert format_laurent(make_laurent(2, {(2, -1): Fraction(3, 2)})) == "3/2*x^2*y^-1"
+    assert format_laurent(make_laurent(1, {(1,): -1})) == "-x"
+    assert format_laurent(make_laurent(1, {(-1,): Fraction(-1, 2)})) == "-1/2*x^-1"
+    assert format_laurent(make_laurent(1, {(2,): 1, (1,): Fraction(-3, 2), (0,): 1})) \
+        == "x^2 - 3/2*x + 1"
+    assert format_laurent(make_laurent(2, {(1, 0): 1, (0, 0): Fraction(-1, 3)})) == "x - 1/3"
 
 
 def _random_poly(rng: random.Random) -> LaurentPolynomial:

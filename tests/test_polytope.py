@@ -135,9 +135,11 @@ def test_weight_census_examples():
     assert _weight_census(mixed, 1) == {Fraction(0): 1, Fraction(1, 2): 1, Fraction(1): 2}
     tri = newton_polytope(parse_laurent("x + y + x^-1*y^-1"))
     assert _weight_census(tri, 2) == {Fraction(0): 1, Fraction(1): 3, Fraction(2): 6}
-    # at c = n the census is the weight table's, counted
+    # at c = n the census is the weight table's, counted over its denominator
     for P in (mixed, tri):
-        assert Counter(P.dilate_weights.values()) == _weight_census(P, P.nvars)
+        D = P.weight_denominator
+        assert Counter(Fraction(k, D) for k in P.dilate_weights.values()) \
+            == _weight_census(P, P.nvars)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -151,13 +153,35 @@ def test_weight_table_matches_enumeration_and_census(n):
         P = newton_polytope(make_laurent(n, {p: 1 for p in pts}))
         if P.dim != n:
             continue
-        table = P.dilate_weights
+        table, D = P.dilate_weights, P.weight_denominator
         assert list(table) == P.lattice_points_in_dilate(n)
-        assert all(w == P.weight(a) for a, w in table.items())
-        assert Counter(table.values()) == _weight_census(P, n)
+        assert all(Fraction(k, D) == P.weight(a) for a, k in table.items())
+        assert Counter(Fraction(k, D) for k in table.values()) == _weight_census(P, n)
         assert P.dilate_weights is table
         checked += 1
     assert checked >= 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weight_table_holds_integers_over_the_hull_denominator(n):
+    """D is the lcm of the positive facet levels, every table value is the
+    int D * weight, and every jump an int in [0, n D]."""
+    rng = random.Random(4300 + n)
+    checked = 0
+    for _ in range(10):
+        pts = _random_points(rng, n, rng.randint(n + 1, n + 3), r=2 if n < 4 else 1)
+        P = newton_polytope(make_laurent(n, {p: 1 for p in pts}))
+        if P.dim != n:
+            continue
+        D = P.weight_denominator
+        assert D == math.lcm(*(f.level for f in P.facets if f.level > 0))
+        for a, k in P.dilate_weights.items():
+            assert type(k) is int and P.weight(a) * D == k
+        assert all(type(j) is int and 0 <= j <= n * D for j in P.jumps)
+        checked += 1
+    assert checked >= 5
+    assert newton_polytope(parse_laurent("x^2 + x^-1")).weight_denominator == 2
+    assert newton_polytope(parse_laurent("x + y")).weight_denominator == 1
 
 
 def test_contains_origin_interior():
@@ -624,10 +648,11 @@ def _check_weight_table(monkeypatch, f):
     box = [(n * min(v[i] for v in Q.vertices), n * max(v[i] for v in Q.vertices))
            for i in range(n)]
     oracle = {a: w for a in _box(*box) if (w := fraction_weight(Q, a)) <= n}
-    assert list(P.dilate_weights.items()) == list(oracle.items())
+    D = P.weight_denominator
+    assert [(a, Fraction(k, D)) for a, k in P.dilate_weights.items()] == list(oracle.items())
     assert all(type(x) is int for a in P.dilate_weights for x in a)
     jumps = sorted({p - w for w in oracle.values() for p in range(n + 1) if 0 <= p - w <= n})
-    assert P.jumps == tuple(jumps)
+    assert tuple(Fraction(j, D) for j in P.jumps) == tuple(jumps)
     assert P.normalized_volume() == Q.normalized_volume()
 
 

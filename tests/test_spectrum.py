@@ -95,6 +95,9 @@ def test_check_symmetry_fails_on_asymmetric_spectrum():
     res = check_symmetry(f, asymmetric)
     assert res.status == "fail"
     assert res.detail["symmetric"] is False
+    # a jump whose mirror 2 - 1/2 is missing
+    unmatched = HodgeSpectrum(2, ((Q(0), 1), (Q(1, 2), 1), (Q(2), 1)))
+    assert check_symmetry(f, unmatched).detail["symmetric"] is False
 
 
 def test_spectrum_entries_validate():
@@ -102,6 +105,10 @@ def test_spectrum_entries_validate():
         HodgeSpectrum(1, ((Q(1), 1), (Q(0), 1)))
     with pytest.raises(ValueError):
         HodgeSpectrum(1, ((Q(0), 0),))
+    with pytest.raises(ValueError):
+        HodgeSpectrum(1, ((Q(1, 2), 1), (Q(1, 2), 2)))
+    spec = HodgeSpectrum(2, ((Q(0), 1), (Q(2, 3), 2), (Q(2), 1)))
+    assert [spec.multiplicity(l) for l in (0, Q(2, 3), "2/3", 1, 2, 3)] == [1, 2, 2, 0, 1, 0]
 
 
 def test_analyze_full_report():
@@ -293,6 +300,10 @@ THOM_SEBASTIANI = [
     ("x^3 + x^-2", "y^2 + z^2 + y^-1*z^-1"),
     ("x + x^-1", "y + z + y^-1*z^-1"),
     ("x^2 + y^2 + x^-1*y^-1", "z^3 + z^-1"),
+    # totals in 4 variables with D > 1
+    ("x^2 + y^2 + x^-1*y^-1", "z^3 + w^2 + z^-1*w^-1"),
+    ("x^2*y + x*y^2 + x^-1*y^-1", "z^3 + w^3 + z^-2*w^-2"),
+    ("x^2 + x^-1", "y^3 + z^2 + w^2 + y^-1*z^-1*w^-1"),
 ]
 
 
