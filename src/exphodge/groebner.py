@@ -1,12 +1,23 @@
-"""Buchberger's algorithm over the rationals and prime fields.
+"""Buchberger's algorithm over the integers and prime fields.
 
 Polynomials are dicts mapping exponent tuples (nonnegative ints) to nonzero
-field elements.  The engine exists to decide one question: whether a face
+coefficients.  The engine exists to decide one question: whether a face
 system together with the torus saturation t*x1*...*xn - 1 generates the unit
 ideal.  It is deterministic, reentrant, and capped by a pair budget.
 A nonzero constant among the generators or as an S-pair remainder settles
 that question (weak Nullstellensatz), so the run stops there and returns [1],
 the reduced basis of the unit ideal.
+
+Over the rationals the run is over Z, on primitive polynomials: each
+generator is cleared of its denominators and divided by its content, which
+keeps its ideal over QQ.  An S-polynomial or a reduction step is
+a*p - b*x^s*g, with a and b the leading coefficients of g and p over their
+gcd, and each remainder is divided by its content; no Fraction enters the
+loop, and only the returned reduced basis is made monic in Fractions.  Mod
+p every polynomial is monic.  One loop serves both fields: the field shim
+supplies the cofactors a, b and the normalization (content over Z, monic
+mod p).  Scaling changes no leading monomial, so both fields meet the same
+pairs in the same order.
 
 Each basis element's leading monomial is computed once and kept beside it.
 Pending S-pairs wait in a heap keyed (grevlex key of the lcm of the leading
@@ -19,6 +30,7 @@ keys are memoized per call.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from operator import add, le, sub
 from typing import Mapping, Sequence
@@ -30,10 +42,11 @@ Poly = dict[Exponent, object]
 
 
 class RationalField:
-    """Arithmetic shim for Fraction coefficients."""
+    """Arithmetic shim for Fraction coefficients; Buchberger runs over Z."""
 
     name = "QQ"
     zero = Fraction(0)
+    characteristic = 0
 
     def coerce(self, v) -> Fraction:
         return Fraction(v)
@@ -53,6 +66,27 @@ class RationalField:
     def inv(self, a):
         return 1 / a
 
+    def elements(self, g: Mapping) -> Poly:
+        """g's nonzero coefficients times the lcm of their denominators."""
+        g = {tuple(e): Fraction(c) for e, c in g.items() if c}
+        den = math.lcm(*(c.denominator for c in g.values()))
+        return {e: c.numerator * (den // c.denominator) for e, c in g.items()}
+
+    def normalize(self, p: Poly, lm: Exponent) -> Poly:
+        """p divided by its content: a primitive integer polynomial."""
+        g = math.gcd(*p.values())
+        return p if g == 1 else {e: c // g for e, c in p.items()}
+
+    def cofactors(self, a, b):
+        """(b', a') with b' * a == a' * b: the two leading coefficients over
+        their gcd, crosswise."""
+        g = math.gcd(a, b)
+        return b // g, a // g
+
+    def monic(self, p: Poly, lm: Exponent) -> Poly:
+        lc = p[lm]
+        return {e: Fraction(c, lc) for e, c in p.items()}
+
 
 class PrimeField:
     """Arithmetic mod a prime, elements stored as ints in [0, p)."""
@@ -61,6 +95,7 @@ class PrimeField:
 
     def __init__(self, p: int):
         self.p = p
+        self.characteristic = p
         self.name = f"GF({p})"
 
     def coerce(self, v) -> int:
@@ -83,6 +118,22 @@ class PrimeField:
 
     def inv(self, a):
         return pow(a, self.p - 2, self.p)
+
+    def elements(self, g: Mapping) -> Poly:
+        """g's coefficients reduced mod p, those that vanish dropped."""
+        g = {tuple(e): self.coerce(c) for e, c in g.items()}
+        return {e: c for e, c in g.items() if c}
+
+    def normalize(self, p: Poly, lm: Exponent) -> Poly:
+        """p made monic."""
+        inv = self.inv(p[lm])
+        return {e: c * inv % self.p for e, c in p.items()}
+
+    def cofactors(self, a, b):
+        """(1, a / b): every basis element is monic, so b is 1."""
+        return 1, (a if b == 1 else a * self.inv(b) % self.p)
+
+    monic = normalize
 
 
 def grevlex_key(e: Exponent):
@@ -111,11 +162,24 @@ def _mono_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(max, a, b))
 
 
-def _sub_scaled(p: Poly, q: Poly, coeff, shift: Exponent, F) -> Poly:
-    """p -= coeff * x^shift * q, in place; returns p."""
+def _scaled(p: Poly, u, mod: int) -> Poly:
+    """u * p, entries mod `mod` unless it is 0."""
+    if u == 1:
+        return p
+    if mod:
+        return {e: c * u % mod for e, c in p.items()}
+    return {e: c * u for e, c in p.items()}
+
+
+def _sub_scaled(p: Poly, q: Poly, v, shift: Exponent, mod: int) -> Poly:
+    """p -= v * x^shift * q, in place, entries mod `mod` unless it is 0;
+    returns p."""
+    get = p.get
     for e, c in q.items():
-        key = _mono_mul(e, shift)
-        s = F.sub(p.get(key, F.zero), F.mul(coeff, c))
+        key = tuple(map(add, e, shift))
+        s = get(key, 0) - v * c
+        if mod:
+            s %= mod
         if s:
             p[key] = s
         else:
@@ -124,8 +188,11 @@ def _sub_scaled(p: Poly, q: Poly, coeff, shift: Exponent, F) -> Poly:
 
 
 def _reduce(p: Poly, basis: Sequence[Poly], lms: Sequence[Exponent], key, F) -> Poly:
-    """Remainder of multivariate division of p by the basis, whose leading
-    monomials are given in lms (leading terms only)."""
+    """A remainder of multivariate division of p by the basis, whose leading
+    monomials are given in lms (leading terms only): a nonzero multiple of
+    the remainder over the field, since each step scales the work by a
+    cofactor."""
+    mod = F.characteristic
     rem: Poly = {}
     work = dict(p)
     divisors = list(zip(lms, basis))
@@ -134,9 +201,9 @@ def _reduce(p: Poly, basis: Sequence[Poly], lms: Sequence[Exponent], key, F) -> 
         lc = work[lm]
         for glm, g in divisors:
             if _mono_divides(glm, lm):
-                glc = g[glm]
-                factor = lc if glc == 1 else F.mul(lc, F.inv(glc))
-                _sub_scaled(work, g, factor, _mono_div(lm, glm), F)
+                u, v = F.cofactors(lc, g[glm])
+                work, rem = _scaled(work, u, mod), _scaled(rem, u, mod)
+                _sub_scaled(work, g, v, _mono_div(lm, glm), mod)
                 break
         else:
             rem[lm] = lc
@@ -144,14 +211,10 @@ def _reduce(p: Poly, basis: Sequence[Poly], lms: Sequence[Exponent], key, F) -> 
     return rem
 
 
-def _make_monic(p: Poly, lm: Exponent, F) -> Poly:
-    inv = F.inv(p[lm])
-    return {e: F.mul(c, inv) for e, c in p.items()}
-
-
 def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
                    max_pairs: int = 20000) -> list[Poly]:
-    """Reduced Groebner basis, deterministic for fixed inputs.
+    """Reduced Groebner basis, monic (with Fraction coefficients over QQ),
+    deterministic for fixed inputs.
 
     A nonzero constant generator, or an S-pair remainder that is a nonzero
     constant, returns [1] at once: the constant is a combination of the
@@ -161,6 +224,7 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
     Callers surface the error as a distinct outcome, not a verdict.
     """
     F = field
+    mod = F.characteristic
     keys: dict[Exponent, tuple] = {}
 
     def key(e: Exponent):
@@ -169,18 +233,17 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
             k = keys[e] = grevlex_key(e)
         return k
 
-    monic: list[tuple[Exponent, Poly]] = []
+    normal: list[tuple[Exponent, Poly]] = []
     for g in generators:
-        g = {tuple(e): F.coerce(c) for e, c in g.items()}
-        g = {e: c for e, c in g.items() if c}
+        g = F.elements(g)
         if g:
             lm = leading_monomial(g, key)
-            monic.append((lm, _make_monic(g, lm, F)))
-    monic.sort(key=lambda t: key(t[0]))
-    if monic and not any(monic[0][0]):  # a nonzero constant generator
-        return [{monic[0][0]: F.coerce(1)}]
-    lms = [lm for lm, _ in monic]
-    basis = [g for _, g in monic]
+            normal.append((lm, F.normalize(g, lm)))
+    normal.sort(key=lambda t: key(t[0]))
+    if normal and not any(normal[0][0]):  # a nonzero constant generator
+        return [{normal[0][0]: F.coerce(1)}]
+    lms = [lm for lm, _ in normal]
+    basis = [g for _, g in normal]
 
     # normal strategy: smallest lcm of leading monomials first, ties by (i, j)
     pairs = []
@@ -198,9 +261,11 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
         lmi, lmj = lms[i], lms[j]
         if lcm == _mono_mul(lmi, lmj):
             continue  # coprime leading terms: S-poly reduces to zero
+        gi, gj = basis[i], basis[j]
+        u, v = F.cofactors(gi[lmi], gj[lmj])
         shift = _mono_div(lcm, lmi)
-        s = _sub_scaled({_mono_mul(e, shift): c for e, c in basis[i].items()},
-                        basis[j], F.coerce(1), _mono_div(lcm, lmj), F)
+        s = _sub_scaled(_scaled({_mono_mul(e, shift): c for e, c in gi.items()}, u, mod),
+                        gj, v, _mono_div(lcm, lmj), mod)
         s = _reduce(s, basis, lms, key, F)
         if not s:
             continue
@@ -211,7 +276,7 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
         for k in range(new):
             lcm = _mono_lcm(lms[k], lm)
             heapq.heappush(pairs, (key(lcm), k, new, lcm))
-        basis.append(_make_monic(s, lm, F))
+        basis.append(F.normalize(s, lm))
         lms.append(lm)
 
     # minimalize: drop generators whose leading monomial is divisible by another's
@@ -225,7 +290,7 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
         r = _reduce(basis[i], [basis[k] for k in others], [lms[k] for k in others],
                     key, F) if others else basis[i]
         if r:
-            reduced.append((lms[i], _make_monic(r, lms[i], F)))
+            reduced.append((lms[i], F.monic(r, lms[i])))
     reduced.sort(key=lambda t: key(t[0]))
     return [g for _, g in reduced]
 

@@ -1,15 +1,20 @@
-"""Nondegeneracy testing: face systems, row-reduced Groebner checks, witnesses.
+"""Nondegeneracy testing: face systems, closed forms, Groebner checks, witnesses.
 
 For every proper face not through the origin we ask whether the face
 polynomial and its logarithmic derivatives share a torus zero.  Vertex faces
 pass outright (a monomial never vanishes on the torus).  Every other face is
-decided by one exact check over the rationals.  The check row-reduces the
-face system: the face polynomial and its log derivatives are the rows of a
-coefficient-scaled exponent matrix, and invertible row operations keep their
-ideal.  A reduced row with a single term is a monomial, which proves the
-face empty with no Groebner run; that settles every face whose terms sit at
-affinely independent points.  Any other face gets a saturated Groebner basis
-of the reduced rows, which stops at the first nonzero constant in the ideal.
+decided by one exact check over the rationals.  A torus zero is a vector
+(c_j x^alpha_j) in the kernel of the face's exponent matrix [1; alpha], so
+the check reads the kernel's dimension e = k - d - 1 (k terms on a d-face)
+first.  A simplex face (e = 0) is empty by its count alone.  A circuit face
+(e = 1) is empty unless its one relation holds, a closed form in integers.
+Any other face, and a circuit whose relation holds, is row-reduced: the
+face polynomial and its log derivatives are the rows of a
+coefficient-scaled exponent matrix, and invertible row operations keep
+their ideal.  A reduced row with a single term is a monomial, which proves
+the face empty.  Otherwise the face gets a saturated Groebner basis of the
+reduced rows, over Z on primitive polynomials, which stops at the first
+nonzero constant in the ideal; so every nonempty face is proven by a basis.
 A face whose basis needs more S-pairs than its budget is reported as
 "budget exceeded", an outcome of its own and never a guess.  A nonempty face
 gets a witness search over small prime fields.  Each degeneracy claim is
@@ -20,6 +25,7 @@ and is reported beside that proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -137,6 +143,32 @@ def _row_reduce(rows: list[list], F) -> list[list]:
     return rows[:rank]
 
 
+def _circuit_relation_holds(R: list[list[int]], coeffs: Sequence[Fraction]) -> bool:
+    """For a circuit face over QQ: R is the integer row reduction of its
+    A = [1; alpha], each row a pivot plus the one free column (the last), and
+    coeffs its coefficients.  The primitive kernel vector m of A (sum m_j = 0,
+    sum m_j alpha_j = 0) spans the integer relations among the columns, so
+    c_j x^alpha_j = t m_j has a torus solution iff
+    prod_j (m_j / c_j)^(m_j) = 1 (Gel'fand, Kapranov & Zelevinsky,
+    Discriminants, Resultants and Multidimensional Determinants, 1994, ch. 9).
+    The product is compared cross-multiplied, in integers."""
+    free = [-row[-1] for row in R]  # m_i * pivot_i = -row_i[-1] * m_free
+    scale = math.lcm(*(row[i] for i, row in enumerate(R)))
+    m = [q * (scale // row[i]) for i, (q, row) in enumerate(zip(free, R))] + [scale]
+    g = math.gcd(*m)
+    lhs = rhs = 1
+    for mj, c in zip(m, coeffs):
+        mj //= g
+        num, den = mj * c.denominator, c.numerator  # m_j / c_j = num / den
+        if mj > 0:
+            lhs *= num ** mj
+            rhs *= den ** mj
+        else:
+            lhs *= den ** -mj
+            rhs *= num ** -mj
+    return lhs == rhs
+
+
 def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str:
     """Does the face system have a torus zero over the algebraic closure of
     the field?  "empty" when not, "nonempty" when it has, "budget exceeded"
@@ -145,28 +177,46 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
     With c the face's coefficients in the field (those that vanish there
     dropped) and A the matrix with the rows 1, alpha_1, ..., alpha_n of their
     exponents, the face system f_face, theta_1 f_face, ..., theta_n f_face
-    is the rows of A diag(c).  A row reduction R = S A over the field (S
-    invertible) keeps their ideal as that of the rows of R diag(c).  A row
-    of R with one nonzero entry is a monomial, a unit on the torus, so the
-    face is empty with no Groebner run.  Over QQ this decides every face
-    whose terms sit at affinely independent points, a 2-point edge for one.
-    Otherwise each row is shifted by its exponent minimum, t*x1*...*xn - 1
-    is appended in one more variable, and the face is empty exactly when
-    these generate the unit ideal.
+    is the rows of A diag(c): a torus zero x is a vector (c_j x^alpha_j) in
+    the kernel of A.  Over QQ the face is decided by the dimension
+    e = k - d - 1 of that kernel, k terms on a d-face:
+
+    - e = 0 (a simplex: the terms sit at affinely independent points) leaves
+      only the zero vector, so the face is empty; this is read off the count
+      before any coefficient is coerced.
+    - e = 1 (a circuit) has a zero iff the circuit relation holds
+      (``_circuit_relation_holds``); when it fails the face is empty, and when
+      it holds the face goes on to the basis below, which proves it nonempty.
+    - e >= 2, and every face over GF(p), where the rank of A can drop, go on
+      to the basis.
+
+    A row reduction R = S A over the field (S invertible) keeps the ideal of
+    the face system as that of the rows of R diag(c).  A row of R with one
+    nonzero entry is a monomial, a unit on the torus, so the face is empty
+    with no Groebner run.  Otherwise each row is shifted by its exponent
+    minimum, t*x1*...*xn - 1 is appended in one more variable, and the face
+    is empty exactly when these generate the unit ideal (over QQ, a basis
+    over Z of primitive polynomials).
     """
     F = field
-    P = face.polytope
-    eqs = [(P.facets[j].normal, -P.facets[j].level) for j in face.active_facets]
-    terms = []  # the support lies in P, so the face's equalities select its terms
-    for alpha, c in f.terms.items():
-        if all(_dot(u, alpha) == b for u, b in eqs):
-            c = F.coerce(c)
-            if c:
-                terms.append((alpha, c))
+    exact = F.characteristic == 0
+    # the support lies in P, where each pairing with an active facet's normal
+    # is at least its bound: the face's terms are where their sums meet
+    active = [face.polytope.facets[j] for j in face.active_facets]
+    normal = [sum(col) for col in zip(*(fc.normal for fc in active))]
+    bound = -sum(fc.level for fc in active)
+    terms = [(alpha, c) for alpha, c in f.terms.items() if _dot(normal, alpha) == bound]
+    if exact and len(terms) == face.dim + 1:
+        return "empty"
+    terms = [(alpha, F.coerce(c)) for alpha, c in terms]
+    terms = [(alpha, c) for alpha, c in terms if c]
     A = [[F.from_int(1)] * len(terms)] + [[F.from_int(alpha[i]) for alpha, _ in terms]
                                           for i in range(f.nvars)]
     R = _row_reduce(A, F)
     if any(sum(1 for v in row if v) == 1 for row in R):
+        return "empty"
+    if exact and len(terms) == face.dim + 2 and not _circuit_relation_holds(
+            R, [c for _, c in terms]):
         return "empty"
     gens = []
     for row in R:

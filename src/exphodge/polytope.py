@@ -14,7 +14,9 @@ beneath-beyond in integers, so its cost follows the facets, not the d-subsets
 of the support.  The hull keeps three tables, each built on first use: its
 face list, which the nondegeneracy check and the volume share; its weight
 table, D times the weight of every lattice point of the n-dilate, which is
-the only place a weight is computed for the census and the de Rham bases; and
+the only place a weight is computed for the census and the de Rham bases
+(the leading part of each facet pairing is taken once per prefix of the
+lex enumeration, so a point costs one max of sums); and
 the jump candidates p - w, as the numerators (p - w) D, read off that table
 once.  Both hold integers, so no lattice point meets a Fraction.
 Faces, containment, weights and the volume need a full-dimensional polytope
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -123,9 +125,18 @@ def _primitive(u: Sequence[int]) -> tuple[int, ...]:
 def _hyperplane_normal(points: Sequence[Monomial]) -> Optional[tuple[int, ...]]:
     """Primitive normal of the hyperplane through d points of Z^d (None when
     they do not affinely span one): the signed (d-1)-minors of the difference
-    rows, which is the cross product in d = 3."""
+    rows, written out as the perpendicular in d = 2 and the cross product in
+    d = 3."""
     rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
-    u = [(-1) ** i * _int_det([r[:i] + r[i + 1:] for r in rows]) for i in range(len(points[0]))]
+    d = len(points[0])
+    if d == 2:
+        (x, y), = rows
+        u = [y, -x]
+    elif d == 3:
+        (a1, a2, a3), (b1, b2, b3) = rows
+        u = [a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1]
+    else:
+        u = [(-1) ** i * _int_det([r[:i] + r[i + 1:] for r in rows]) for i in range(d)]
     if not any(u):
         return None
     return _primitive(u)
@@ -137,7 +148,10 @@ def _hyperplane_normal(points: Sequence[Monomial]) -> Optional[tuple[int, ...]]:
 
 def _affinely_independent(points: Sequence[Monomial], indices: Sequence[int], k: int) -> list[int]:
     """The first k indices, taken greedily in the given order, whose points
-    are affinely independent (fewer when the points do not allow k)."""
+    are affinely independent (fewer when the points do not allow k).  The
+    points are distinct, so for k = 2 (a ridge in d = 3) the first two are."""
+    if k == 2:
+        return list(indices[:2])
     chosen = list(indices[:1])
     for i in indices[1:]:
         if len(chosen) >= k:
@@ -354,7 +368,8 @@ class NewtonPolytope:
         for vset in _face_vertex_sets(facet_sets):
             vtuple = tuple(sorted(vset))
             base = self.vertices[vtuple[0]]
-            fdim = len(_row_lattice_basis(
+            # up to three vertices of a polytope are affinely independent
+            fdim = len(vtuple) - 1 if len(vtuple) <= 3 else len(_row_lattice_basis(
                 [tuple(a - b for a, b in zip(self.vertices[i], base)) for i in vtuple]))
             active = tuple(j for j, fs in enumerate(facet_sets) if vset <= fs)
             origin_on = all(self.facets[j].level == 0 for j in active)
@@ -416,12 +431,26 @@ class NewtonPolytope:
         A weight s / level is the numerator s * (D // level), the pairing with
         the normal scaled by -(D // level), largest over the facets.  A level-0
         facet (s <= 0 on the dilate) scales to 0, and with none the origin is
-        interior, so the largest pairing is never negative."""
+        interior, so the largest pairing is never negative.  The points come
+        in lex order, grouped by the prefix of their leading coordinates: the
+        leading part of each pairing is taken once per prefix and the last
+        part once per last coordinate, so a point costs one max of sums."""
         D = self.weight_denominator
         scaled = [tuple(-x * (D // f.level if f.level else 0) for x in f.normal)
                   for f in self.facets]
-        return MappingProxyType({a: max([sum(map(mul, v, a)) for v in scaled])
-                                 for a in self.lattice_points_in_dilate(self.nvars)})
+        heads = [v[:-1] for v in scaled]
+        tails = [v[-1] for v in scaled]
+        table, prefix, lasts = {}, None, {}
+        for a in self.lattice_points_in_dilate(self.nvars):
+            if a[:-1] != prefix:
+                prefix = a[:-1]
+                base = [sum(map(mul, h, prefix)) for h in heads]
+            x = a[-1]
+            last = lasts.get(x)
+            if last is None:
+                last = lasts[x] = [t * x for t in tails]
+            table[a] = max(map(add, base, last))
+        return MappingProxyType(table)
 
     @cached_property
     def jumps(self) -> tuple[int, ...]:

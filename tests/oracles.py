@@ -1,8 +1,9 @@
 """Reference forms the tests check exphodge against, kept out of the package
 because no pipeline code needs them: the sum of Laurent polynomials, dense
 form and product of sparse matrices, the Čech differentials of a model as
-matrices, the untwisted two-term complex, the Groebner normal form, a
-Groebner basis run to completion, the face check on the saturated face
+matrices, the untwisted two-term complex, the Groebner normal form and a
+Groebner basis run to completion (both in the field's own arithmetic, where
+the package runs over Z), the face check on the saturated face
 system with no row reduction, the divisor-shift invariance of the Čech
 dimensions, the convex hull by brute force over d-subsets, the weight of a
 lattice point with one Fraction per facet, seeded unimodular maps and seeded
@@ -15,9 +16,9 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from exphodge import curve
-from exphodge.groebner import (_make_monic, _mono_div, _mono_divides, _mono_lcm,
-                               _mono_mul, _reduce, _sub_scaled, grevlex_key,
-                               groebner_basis, is_unit_ideal, leading_monomial)
+from exphodge.groebner import (_mono_div, _mono_divides, _mono_lcm, _mono_mul,
+                               grevlex_key, groebner_basis, is_unit_ideal,
+                               leading_monomial)
 from exphodge.laurent import make_laurent
 from exphodge.linalg import SparseRationalMatrix
 from exphodge.nondegen import build_face_system
@@ -82,15 +83,52 @@ def untwisted_complex() -> curve.TwoTermComplex:
                                 make_laurent(1, {}), "untwisted")
 
 
+def _sub_scaled(p, q, coeff, shift, F):
+    """p -= coeff * x^shift * q in the field F, in place; returns p."""
+    for e, c in q.items():
+        key = _mono_mul(e, shift)
+        s = F.sub(p.get(key, F.zero), F.mul(coeff, c))
+        if s:
+            p[key] = s
+        else:
+            p.pop(key, None)
+    return p
+
+
+def _reduce(p, basis, lms, key, F):
+    """Remainder of multivariate division of p by the basis, whose leading
+    monomials are given in lms (leading terms only), in the field F."""
+    rem = {}
+    work = dict(p)
+    while work:
+        lm = max(work, key=key)
+        lc = work[lm]
+        for glm, g in zip(lms, basis):
+            if _mono_divides(glm, lm):
+                _sub_scaled(work, g, F.mul(lc, F.inv(g[glm])), _mono_div(lm, glm), F)
+                break
+        else:
+            rem[lm] = lc
+            del work[lm]
+    return rem
+
+
+def _make_monic(p, lm, F):
+    inv = F.inv(p[lm])
+    return {e: F.mul(c, inv) for e, c in p.items()}
+
+
 def normal_form(p, basis, key, F):
     """Remainder of multivariate division by the basis (leading terms only)."""
     return _reduce(p, basis, [leading_monomial(g, key) for g in basis], key, F)
 
 
 def full_groebner_basis(generators, F):
-    """Reduced Groebner basis by Buchberger run to completion, then minimalized
+    """Reduced Groebner basis by Buchberger run to completion in the field's
+    own arithmetic on monic polynomials (Fractions over QQ), then minimalized
     and tail-reduced: `groebner.groebner_basis` without its exit at the first
-    nonzero constant or its pair budget, with the same pair order."""
+    nonzero constant, its pair budget or its integer arithmetic, with the same
+    pair order."""
     key = grevlex_key
     monic = []
     for g in generators:

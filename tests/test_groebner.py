@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from conftest import DEGENERATE, SUITE, corpus_inputs
@@ -9,7 +10,7 @@ from exphodge import nondegen
 from exphodge.errors import BudgetExceededError
 from exphodge.groebner import (PrimeField, RationalField, grevlex_key,
                                groebner_basis, is_unit_ideal)
-from exphodge.laurent import parse_laurent
+from exphodge.laurent import make_laurent, parse_laurent
 from exphodge.polytope import newton_polytope
 
 
@@ -184,6 +185,60 @@ def test_exit_agrees_with_the_full_run_on_face_systems(F, monkeypatch):
         for face in newton_polytope(f).proper_faces_excluding_origin():
             if not face.is_vertex:
                 nondegen._decide_face(f, face, F, 60000)
+    units = nonunits = 0
+    for gens in systems:
+        basis = groebner_basis(gens, F)
+        assert basis == full_groebner_basis(gens, F), gens
+        units += is_unit_ideal(basis)
+        nonunits += not is_unit_ideal(basis)
+    assert units and nonunits
+
+
+def _large(rng):
+    """Numerator in +-[1, 10^6], denominator in [1, 3]: the screen workload's
+    coefficients."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 3))
+
+
+def _large_inputs(seed, count):
+    """Seeded supports of 8 to 14 points of {-1,0,1}^3 with large coefficients;
+    every third gets s*z*(u*x*y^-1 + v*x^-1*y)^2 planted on the segment from
+    (1, -1, 1) to (-1, 1, 1) (a double root when that segment is an edge)."""
+    box = [p for p in product((-1, 0, 1), repeat=3) if any(p)]
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        terms = {p: _large(rng) for p in rng.sample(box, rng.randint(8, 14))}
+        if len(out) % 3 == 0:
+            s, u, v = (rng.choice((-1, 1)) * rng.randint(1, 5) for _ in range(3))
+            terms.update({(1, -1, 1): Fraction(s * u * u), (0, 0, 1): Fraction(2 * s * u * v),
+                          (-1, 1, 1): Fraction(s * v * v)})
+        f = make_laurent(3, terms)
+        if newton_polytope(f).dim == 3:
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("F", [RationalField(), PrimeField(1522523711)], ids=["QQ", "GF(p)"])
+def test_integer_buchberger_matches_the_field_oracle_on_large_coefficients(F, monkeypatch):
+    """With numerators up to 10^6 and denominators up to 3, the basis of every
+    system a face check passes on (5- to 8-point 2-faces among them), and of
+    seeded random systems, equals the full run in the field's own arithmetic."""
+    systems = []
+
+    def recording(gens, field, max_pairs):
+        systems.append(gens)
+        return groebner_basis(gens, field, max_pairs=max_pairs)
+
+    monkeypatch.setattr(nondegen, "groebner_basis", recording)
+    for f in _large_inputs(3202, 40):
+        for face in newton_polytope(f).proper_faces_excluding_origin():
+            if not face.is_vertex:
+                nondegen._decide_face(f, face, F, 60000)
+    rng = random.Random(f"large:{F.name}")
+    for _ in range(40):
+        gens = _random_system(rng, rng.randint(2, 3))
+        systems.append([{e: c * _large(rng) for e, c in g.items()} for g in gens])
     units = nonunits = 0
     for gens in systems:
         basis = groebner_basis(gens, F)

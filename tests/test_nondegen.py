@@ -1,4 +1,8 @@
+import math
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from conftest import DEGENERATE, SUITE, corpus_inputs
@@ -7,10 +11,10 @@ from oracles import saturated_face_check
 from exphodge import nondegen
 from exphodge.errors import BadPrimeError, NotFullDimensionalError
 from exphodge.groebner import PrimeField, RationalField
-from exphodge.laurent import parse_laurent
+from exphodge.laurent import make_laurent, parse_laurent
 from exphodge.nondegen import (_eval_mod, build_face_system, check_face,
                                find_witness, is_nondegenerate)
-from exphodge.polytope import newton_polytope
+from exphodge.polytope import _row_lattice_basis, newton_polytope
 
 
 def test_all_vertex_faces_pass():
@@ -284,3 +288,152 @@ def test_double_root_edge_reaches_buchberger(monkeypatch):
     calls = _counting(monkeypatch, "groebner_basis")
     assert nondegen._check_face_exact(f, edge) == "nonempty"
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Closed forms over QQ: simplex faces and circuit faces
+# ---------------------------------------------------------------------------
+
+def _kernel_vector(points):
+    """The primitive integer m with sum m_j = 0 and sum m_j alpha_j = 0 for
+    points spanning a circuit (a one-dimensional kernel), by Fraction
+    elimination."""
+    k = len(points)
+    rows = [[Fraction(1)] * k] + [[Fraction(p[i]) for p in points]
+                                  for i in range(len(points[0]))]
+    pivots = []
+    for c in range(k):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        rows[len(pivots)], rows[r] = rows[r], rows[len(pivots)]
+        top = rows[len(pivots)] = [x / rows[len(pivots)][c] for x in rows[len(pivots)]]
+        rows = [row if row is top or not row[c] else
+                [a - row[c] * b for a, b in zip(row, top)] for row in rows]
+        pivots.append(c)
+    free, = (c for c in range(k) if c not in pivots)
+    m = [Fraction(0)] * k
+    m[free] = Fraction(1)
+    for row, c in zip(rows, pivots):
+        m[c] = -row[free]
+    den = math.lcm(*(x.denominator for x in m))
+    ints = [int(x * den) for x in m]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
+
+
+def _planted(m, points, x0, rng):
+    """Coefficients c_j = m_j / x0^alpha_j where m_j is nonzero, so that
+    c_j x0^alpha_j = m_j lies in the kernel and x0 is a torus zero of the
+    circuit's face system; a random coefficient where m_j is 0."""
+    return {p: Fraction(mj) / math.prod(x ** e for x, e in zip(x0, p)) if mj else _large(rng)
+            for p, mj in zip(points, m)}
+
+
+def _affine_rank(points):
+    return len(_row_lattice_basis([tuple(a - b for a, b in zip(p, points[0]))
+                                   for p in points[1:]]))
+
+
+def _large(rng):
+    """A coefficient drawn like the screen workload's: numerator in
+    +-[1, 10^6], denominator in [1, 3]."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 3))
+
+
+def _circuit_inputs(seed):
+    """Seeded inputs whose top face, on x + y = 3 (n = 2) or x + y + z = 3
+    (n = 3), holds three points of a line, four points of the plane, or four
+    points three of which are collinear (a circuit with an m_j = 0); the other
+    terms lie below the top.  Every third top that is a circuit gets
+    coefficients planted from a rational torus point, so its relation holds."""
+    rng = random.Random(seed)
+    out = []
+    for case in range(120):
+        n = 2 if case % 4 == 0 else 3
+        top = [p for p in product(range(-1, 4), repeat=n) if sum(p) == 3]
+        base = rng.choice(top)
+        if case % 4 < 2:
+            step = rng.choice([w for w in product((-1, 0, 1), repeat=n) if any(w) and not sum(w)])
+            points = [tuple(x + a * w for x, w in zip(base, step))
+                      for a in (0, *rng.sample(range(1, 4), 2))]
+        elif case % 4 == 2:
+            points = rng.sample(top, 4)
+        else:
+            points = rng.sample([p for p in top if p[0] == base[0]], 3)
+            points.append(rng.choice([p for p in top if p[0] != base[0]]))
+        below = [p for p in product(range(-2, 2), repeat=n) if sum(p) < 3 and any(p)]
+        terms = {p: _large(rng) for p in rng.sample(below, n + 2)}
+        if case % 3 == 0 and len(points) == _affine_rank(points) + 2:
+            x0 = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+                  for _ in range(n)]
+            terms.update(_planted(_kernel_vector(points), points, x0, rng))
+        else:
+            terms.update((p, _large(rng)) for p in points)
+        f = make_laurent(n, terms)
+        if newton_polytope(f).dim == n:
+            out.append(f)
+    return out
+
+
+def _face_terms(f, face):
+    return [alpha for alpha in f.terms if face.contains_point(alpha)]
+
+
+def test_circuit_closed_form_matches_the_saturated_oracle():
+    """Over QQ, every simplex and circuit face of the seeded inputs gets the
+    verdict of the saturated full-basis check, both verdicts occur on circuit
+    edges and circuit 2-faces, and circuits with an m_j = 0 are among them."""
+    QQ = RationalField()
+    seen = Counter()
+    for f in _circuit_inputs(3201):
+        for face in newton_polytope(f).proper_faces_excluding_origin():
+            points = _face_terms(f, face)
+            e = len(points) - face.dim - 1
+            if face.is_vertex or e > 1:
+                continue
+            got = nondegen._decide_face(f, face, QQ, 60000)
+            assert got == saturated_face_check(f, face, QQ), (str(f), str(face))
+            seen[face.dim, e, got] += 1
+            seen["m_j = 0"] += e == 1 and 0 in _kernel_vector(points)
+    for d in (1, 2):
+        assert seen[d, 0, "empty"] and seen[d, 1, "empty"] and seen[d, 1, "nonempty"], seen
+    assert seen["m_j = 0"], seen
+
+
+def test_groebner_runs_only_past_the_closed_forms(monkeypatch):
+    """On one screen pass, over QQ: no Groebner run on a simplex face, one on
+    a circuit exactly when its relation holds (the face is nonempty), and at
+    most one on a face with at least d + 3 terms."""
+    QQ = RationalField()
+    calls = _counting(monkeypatch, "groebner_basis")
+    runs = Counter()
+    for f in corpus_inputs(monkeypatch, "screen", 4242, 1):
+        for face in newton_polytope(f).proper_faces_excluding_origin():
+            if face.is_vertex:
+                continue
+            e = len(_face_terms(f, face)) - face.dim - 1
+            before = len(calls)
+            nondegen._decide_face(f, face, QQ, 60000)
+            ran = len(calls) - before
+            if e == 0:
+                assert ran == 0
+            elif e == 1:
+                assert ran == (saturated_face_check(f, face, QQ) == "nonempty"), str(face)
+            else:
+                assert ran <= 1
+            runs[min(e, 2), ran] += 1
+    assert runs[0, 0] and runs[1, 0] and runs[1, 1] and runs[2, 1], runs
+
+
+def test_circuit_relation_is_read_on_the_primitive_vector(monkeypatch):
+    """On the edge x^4 + 2*x^2*y^2 - y^4 the row reduction gives the relation
+    2*(1, -2, 1); on the primitive (1, -2, 1) the product is -1, so the edge is
+    empty with no Groebner run (its square, on the unreduced vector, is 1)."""
+    f = parse_laurent("x^4 + 2*x^2*y^2 - y^4 + x^-1*y^-1")
+    edge = next(fc for fc in newton_polytope(f).proper_faces_excluding_origin()
+                if set(fc.vertices) == {(4, 0), (0, 4)})
+    calls = _counting(monkeypatch, "groebner_basis")
+    assert nondegen._check_face_exact(f, edge) == "empty"
+    assert calls == []
+    assert saturated_face_check(f, edge, RationalField()) == "empty"
