@@ -40,11 +40,18 @@ Three filtrations are realized on H^1 and compared inside one ambient model:
 filtration once and checks the duality h^lam(f) = h_c^(1-lam)(-f).  The
 twist dimensions come from the classical ambient, where they are compared
 with the other families; the compactly supported side of -f is measured in
-its own models.  One truncation B covers the ambient and every level of the
-three families (and of -f, which has the same pole divisor), so each complex
-yields one model, cached by ``_build_model``; complexes that differ only in
-their label share it.  A model assembles d0 and d1 by columns once, integral
-entries as ``int``, checks d1 d0 = 0 exactly, and keeps neither matrix.
+its own models.  Each complex K sits at its own truncation
+B_K = required_truncation(K), and yields one model, cached by
+``_build_model``; complexes that differ only in their label share it.  Its
+image in an ambient's H^1 needs no common truncation: every level's divisors
+are at most its ambient's, and so is B_K, so each label range
+      a in [-d0.m0, B], b in [-B, d0.m_inf], c in [-B, B],
+      p in [-d1.m0, B + hi], q in [-B + lo, d1.m_inf], r in [-B + lo, B + hi]
+of the level's model nests in the ambient's.  Shared labels have the same
+formulas, so T_(B_K)(K) is a subcomplex of the ambient's model, and by the
+truncation lemma its H^1 is H^1(K).  A model assembles d0 and d1 by columns
+once, integral entries as ``int``, checks d1 d0 = 0 exactly, and keeps
+neither matrix.
 
 H^1 is computed in the free coordinates F of ker d1, with no elimination:
 d1(c, p, q) = q - p - nabla c, so row r_k holds -1 at p_k and +1 at q_k, and
@@ -61,8 +68,7 @@ H^1 = Q^F / (im d0 restricted to F).  The boundaries restricted to F are
 eliminated once, rarest column first, giving rank d0 and
 h1 = |F| - rank d0; the z_f whose f is no pivot of that echelon are an H^1
 basis.  Each boundary of an "a" section restricts to a unit vector, and
-fractions stay in a band of d0.m0 + d0.m_inf + 1 rows that does not depend
-on the truncation.
+the echelon keeps primitive integer rows, so no fraction is built.
 
 Image dimensions in the ambient H^1 are exact ranks, taken by restricting
 vectors to F and reducing them on a copy of the ambient's boundary echelon,
@@ -82,12 +88,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import floor
 from typing import Optional
 
 from .errors import IntegrityError
-from .laurent import LaurentPolynomial, log_derivative
+from .laurent import LaurentPolynomial
 from .linalg import Echelon, reduced_echelon
 from .polytope import newton_polytope
 from .spectrum import CheckResult, HodgeSpectrum, jump_candidates
@@ -107,8 +113,9 @@ class PointDivisor:
         return PointDivisor(self.m0 - other.m0, self.m_inf - other.m_inf)
 
     def scale_floor(self, t) -> "PointDivisor":
-        t = Fraction(t)
-        return PointDivisor(floor(t * self.m0), floor(t * self.m_inf))
+        """floor(t D) for a rational t (an int or a Fraction), in integers."""
+        n, d = t.numerator, t.denominator
+        return PointDivisor(n * self.m0 // d, n * self.m_inf // d)
 
     def times(self, k: int) -> "PointDivisor":
         return PointDivisor(k * self.m0, k * self.m_inf)
@@ -143,9 +150,14 @@ class TwoTermComplex:
 
 
 def _theta_terms(f: LaurentPolynomial) -> dict[int, Fraction]:
-    """x f'(x) as exponent -> coefficient, an int where it is integral."""
-    th = log_derivative(f, 1)
-    return {a[0]: c.numerator if c.denominator == 1 else c for a, c in th.terms.items()}
+    """x f'(x) as exponent -> coefficient, an int where it is integral: the
+    term c x^k of f gives k c x^k."""
+    out = {}
+    for (k,), c in f.terms.items():
+        if k:
+            v = k * c
+            out[k] = v.numerator if v.denominator == 1 else v
+    return out
 
 
 def required_truncation(K: TwoTermComplex) -> int:
@@ -289,6 +301,11 @@ class CechModel:
     def dims(self) -> tuple[int, int, int]:
         return (self.h0, self.h1, self.h2)
 
+    @cached_property
+    def label_sets(self) -> tuple[frozenset, frozenset]:
+        """The T^0 and the T^1 labels as sets, for nesting tests (built once)."""
+        return frozenset(self.labels0), frozenset(self.labels1)
+
     def cocycles(self) -> list[dict]:
         """Basis of ker d1, as label-keyed sparse vectors: one z_f = e_f -
         sum v s e_piv per free column f of d1, in label order, 1 at f and 0
@@ -355,10 +372,12 @@ def _image_generators(sub: CechModel, ambient: CechModel) -> list[dict]:
     """Cocycles of sub that span its image in H^1(ambient) under the
     componentwise inclusion (label spaces must nest).  When the T^0 labels
     nest too, im d0(sub) lies in im d0(ambient) and the H^1 basis suffices."""
-    missing = set(sub.labels1) - set(ambient.labels1)
-    if missing:
-        raise ValueError(f"subcomplex labels escape the ambient model: {sorted(missing)[:3]}")
-    if set(sub.labels0) <= set(ambient.labels0):
+    sub0, sub1 = sub.label_sets
+    amb0, amb1 = ambient.label_sets
+    if not sub1 <= amb1:
+        missing = sorted(sub1 - amb1)[:3]
+        raise ValueError(f"subcomplex labels escape the ambient model: {missing}")
+    if sub0 <= amb0:
         return sub.h1_basis()
     return sub.cocycles()
 
@@ -418,19 +437,13 @@ def compact_level(f: LaurentPolynomial, lam) -> TwoTermComplex:
     return TwoTermComplex(P.scale_floor(-lam) - T, d1, f, f"cptF^{lam}")
 
 
-def _shared_truncation(complexes) -> int:
-    """One truncation for every given complex of f (or of -f, which has the
-    same pole divisor and exponents)."""
-    return max(required_truncation(K) for K in complexes)
-
-
-def _filtration_dims(levels, ambient: TwoTermComplex, B: int):
+def _filtration_dims(levels, ambient: TwoTermComplex):
     """(dim of the image in H^1(ambient), dim H^1) of each level, every model
-    at truncation B; and the ambient's model."""
-    amb = cech_hypercohomology(ambient, B)
+    at its own truncation; and the ambient's model."""
+    amb = cech_hypercohomology(ambient)
     out = []
     for K in levels:
-        sub = cech_hypercohomology(K, B)
+        sub = cech_hypercohomology(K)
         out.append((h1_image_dim(sub, amb), sub.h1))
     return out, amb
 
@@ -495,27 +508,26 @@ def compare_filtrations(f: LaurentPolynomial, rank: HodgeSpectrum) -> CurveFiltr
     if f.nvars != 1:
         raise ValueError("curve comparison needs one variable")
     jumps = jump_candidates(f)
+    neg = -f
     ambient = deligne_ambient(f, _AMBIENT_M)
     twist = [divisor_twist_level(f, lam) for lam in jumps]
     deligne = [deligne_level(f, lam) for lam in jumps]
     compact = [compact_level(f, lam) for lam in jumps]
-    compact_neg = [compact_level(-f, lam) for lam in jumps]
-    # one truncation for every model of f, and of -f, whose pole divisor and
-    # exponents are those of f
-    B = _shared_truncation([ambient] + twist + deligne + compact + compact_neg)
-    deligne_measured, amb = _filtration_dims(deligne, ambient, B)
+    compact_neg = [compact_level(neg, lam) for lam in jumps]
+    # each model at its own truncation: its labels nest in its ambient's
+    deligne_measured, amb = _filtration_dims(deligne, ambient)
     deligne_dims = [d for d, _ in deligne_measured]
-    compact_measured, _ = _filtration_dims(compact, compact_level(f, 0), B)
+    compact_measured, _ = _filtration_dims(compact, compact_level(f, 0))
     twist_dims = []
     toric_dims = []
     subspace_ok = True
-    ambient_labels = set(amb.labels1)
+    _, ambient_labels = amb.label_sets
     for lam, Kp, Kd, dd in zip(jumps, twist, deligne, deligne_dims):
-        Zp = _image_generators(cech_hypercohomology(Kp, B), amb)
-        Zd = _image_generators(cech_hypercohomology(Kd, B), amb)
+        Zp = _image_generators(cech_hypercohomology(Kp), amb)
+        Zd = _image_generators(cech_hypercohomology(Kd), amb)
         Zt = _toric_generators(f, lam)
         for vec in Zt:
-            stray = set(vec) - ambient_labels
+            stray = vec.keys() - ambient_labels
             if stray:
                 raise IntegrityError(f"toric generator escapes the ambient model: {stray}")
         joint = amb.boundary_echelon()
@@ -530,7 +542,7 @@ def compare_filtrations(f: LaurentPolynomial, rank: HodgeSpectrum) -> CurveFiltr
     dims_agree = (twist_dims == deligne_dims == toric_dims == partial)
     # h^lam(f) from the twist dims just measured, h_c^(1-lam)(-f) from the
     # models of -f; the jumps are symmetric under lam -> 1 - lam
-    neg_measured, _ = _filtration_dims(compact_neg, compact_level(-f, 0), B)
+    neg_measured, _ = _filtration_dims(compact_neg, compact_level(neg, 0))
     gr = _graded(twist_dims)
     gr_c = dict(zip(jumps, _graded([d for d, _ in neg_measured])))
     pairs = tuple((lam, a, gr_c.get(1 - lam, 0)) for lam, a in zip(jumps, gr))

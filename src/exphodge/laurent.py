@@ -36,6 +36,8 @@ class LaurentPolynomial:
     var_names: tuple[str, ...] = field(default=())
     # Newton polytope of this input, set by polytope.newton_polytope
     _hull: object = field(default=None, init=False, repr=False, compare=False)
+    # the hash, computed on first use: the term map never changes
+    _hash: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nvars < 1:
@@ -51,9 +53,15 @@ class LaurentPolynomial:
                 raise ValueError("stored coefficient is zero")
 
     def __hash__(self):
-        return hash((self.nvars, self._key()))
+        h = self._hash
+        if h is None:
+            h = hash((self.nvars, self._key()))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self.nvars == other.nvars and dict(self.terms) == dict(other.terms)

@@ -1,11 +1,13 @@
 """Sparse rational matrices and rank computations: exact over Q, or over
 GF(PRIME) when a proof turns the modular rank into the rank over Q.
 
-``Echelon``, an incremental sparse row echelon form over Q whose integral
-entries stay ``int`` and whose unit pivots never divide, takes one vector at a
-time and reports whether it raised the rank.  ``ModularEchelon`` is the same
-echelon over GF(PRIME), PRIME = 2^31 - 1 fixed, on plain ``int`` residues, so
-no ``Fraction`` is built.
+``Echelon``, an incremental sparse row echelon form over Q kept over Z, takes
+one vector at a time and reports whether it raised the rank: primitive
+integer rows; nothing divides.  It clears a vector's denominators by their
+lcm, eliminates fraction-free (a*row - b*prow, Bareiss-style), and divides
+out a row's content once the product of its multipliers passes a machine
+word, so no ``Fraction`` is built.  ``ModularEchelon`` is the same echelon
+over GF(PRIME), PRIME = 2^31 - 1 fixed, on plain ``int`` residues.
 
 ``prefix_ranks`` is the one rank loop: it ranks the prefixes of a row list
 over either field, and every rank entry point here runs through it
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 Vector = Mapping[int, Fraction]
@@ -89,17 +92,23 @@ class SparseRationalMatrix:
 # ---------------------------------------------------------------------------
 
 class Echelon:
-    """Incremental sparse row echelon form over Q: integral entries stay
-    ``int``, unit pivots never divide.
+    """Incremental sparse row echelon form over Q, kept over Z: primitive
+    integer rows; nothing divides.
 
-    Each stored row is 1 at its pivot, the smallest column it occupies, and
-    holds no column below its pivot (a pivot entry -1 is negated, any other
-    but 1 divided out).  A new vector is reduced at its smallest column,
+    Each stored row is a primitive ``int`` vector whose pivot, the smallest
+    column it occupies, holds a positive entry, and which holds no column
+    below its pivot.  ``add`` clears a vector's denominators by their lcm,
+    which leaves its span alone, and reduces it at its smallest column,
     repeatedly, until it is zero (dependent) or its smallest column is free.
+    A step is a*row - b*prow, where a and b are the pivot entry of prow and
+    the leading entry of row divided by their gcd (Bareiss, Math. Comp. 22,
+    1968, keeps the entries integral the same way).  The content rule keeps
+    them small: once the product of the multipliers a taken by one vector
+    passes a machine word, its content is divided out.
     """
 
     def __init__(self):
-        self.pivots: dict[int, dict[int, Fraction]] = {}
+        self.pivots: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
@@ -115,27 +124,72 @@ class Echelon:
         """Reduce vec against the stored rows; keep it and return True when it
         is independent of them, return False otherwise."""
         pivots = self.pivots
-        row = {c: v for c, v in vec.items() if v}
+        row = _integral_row(vec)
+        scale = 1
         while row:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
-                lead = row[c]
-                if lead == -1:
-                    row = {cc: -vv for cc, vv in row.items()}
-                elif lead != 1:
-                    inv = 1 / Fraction(lead)
-                    row = {cc: vv * inv for cc, vv in row.items()}
-                pivots[c] = row
+                pivots[c] = _primitive(row, c)
                 return True
-            f = row[c]
-            for cc, vv in prow.items():
-                s = row.get(cc, 0) - f * vv
-                if s == 0:
-                    row.pop(cc, None)
-                else:
-                    row[cc] = s
+            scale *= _eliminate(row, prow, c)
+            if scale > _WORD and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {cc: vv // g for cc, vv in row.items()}
+                scale = 1
         return False
+
+
+# the content rule: a row's content is divided out once the product of the
+# multipliers it took passes this
+_WORD = 1 << 64
+
+
+def _integral_row(vec: Vector) -> dict[int, int]:
+    """The nonzero entries of vec times the lcm of their denominators, as
+    ``int``: a new dict with the same span."""
+    row = {c: v for c, v in vec.items() if v}
+    den, integral = 1, True
+    for v in row.values():
+        if type(v) is not int:
+            integral = False
+            d = v.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+    if not integral:
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    return row
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> int:
+    """One step, in place: row becomes a*row - b*prow, which clears column c,
+    with a > 0 and b the entries of prow and row at c divided by their gcd
+    (prow's entry at c is positive).  Returns a."""
+    p, r = prow[c], row[c]
+    if p == 1:
+        a, b = 1, r
+    else:
+        g = gcd(p, r)
+        a, b = p // g, r // g
+        if a != 1:
+            for cc in row:
+                row[cc] *= a
+    for cc, vv in prow.items():
+        s = row.get(cc, 0) - b * vv
+        if s:
+            row[cc] = s
+        else:
+            row.pop(cc, None)
+    return a
+
+
+def _primitive(row: dict[int, int], c: int) -> dict[int, int]:
+    """row divided by its content, signed so that its entry at c is positive."""
+    g = gcd(*row.values())
+    if row[c] < 0:
+        g = -g
+    return row if g == 1 else {cc: vv // g for cc, vv in row.items()}
 
 
 class ModularEchelon:
@@ -186,31 +240,28 @@ def _rarest_first_labels(rows: Sequence[Vector]) -> dict:
 def reduced_echelon(echelon: Echelon) -> Echelon:
     """An echelon of the same rows in reduced form: the same pivots, and each
     row holds no other row's pivot.  Back substitution in descending pivot
-    order; reads the given rows and never mutates them."""
-    reduced: dict[int, dict] = {}
+    order, by the steps of ``Echelon.add``, each row left primitive with a
+    positive pivot entry; reads the given rows and never mutates them."""
+    reduced: dict[int, dict[int, int]] = {}
     for c in sorted(echelon.pivots, reverse=True):
         row = dict(echelon.pivots[c])
         # every row stored so far has its pivot above c and holds no other
         # stored pivot, so one pass over this row's own columns clears them
         for c2 in [k for k in row if k != c and k in reduced]:
-            f = row[c2]
-            for cc, vv in reduced[c2].items():
-                s = row.get(cc, 0) - f * vv
-                if s == 0:
-                    row.pop(cc, None)
-                else:
-                    row[cc] = s
-        reduced[c] = row
+            _eliminate(row, reduced[c2], c2)
+        reduced[c] = _primitive(row, c)
     out = Echelon()
     out.pivots = reduced
     return out
 
 
-def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
+def nullspace_basis(M: SparseRationalMatrix) -> list[dict]:
     """Basis of the right nullspace {v : M v = 0}, one sparse dict per free
-    column in ascending order: 1 there, minus that column of each reduced row
-    (rows added shortest first, columns relabelled rarest first).  A matrix
-    with no rows has the full coordinate space as nullspace.
+    column in ascending order: 1 there and -v / p at the pivot of each
+    reduced row with pivot entry p and entry v in that column, an ``int``
+    where p divides v (rows added shortest first, columns relabelled rarest
+    first).  A matrix with no rows has the full coordinate space as
+    nullspace.
     """
     rows = M.rows()
     label = _rarest_first_labels(rows)
@@ -222,10 +273,11 @@ def nullspace_basis(M: SparseRationalMatrix) -> list[dict[int, Fraction]]:
     kernel = {fc: {fc: 1} for fc in range(M.ncols) if fc not in pivots}
     # one pass over the reduced rows: every entry off the pivot is a free column
     for c, row in reduced.items():
-        pc = columns[c]
+        pc, p = columns[c], row[c]
         for cc, v in row.items():
             if cc != c:
-                kernel[columns[cc]][pc] = -v
+                q, r = divmod(-v, p)
+                kernel[columns[cc]][pc] = Fraction(-v, p) if r else q
     return list(kernel.values())
 
 

@@ -190,13 +190,19 @@ def saturated_face_check(f, face, F):
     return "empty" if is_unit_ideal(groebner_basis(gens, F, max_pairs=10**9)) else "nonempty"
 
 
+def shared_truncation(complexes) -> int:
+    """One truncation for every given complex of f (or of -f, which has the
+    same pole divisor and exponents): the largest of their own."""
+    return max(curve.required_truncation(K) for K in complexes)
+
+
 def divisor_shift_invariance(f, D: curve.PointDivisor, E: curve.PointDivisor) -> bool:
     """Adding an effective divisor E supported on the poles of f leaves the
     hypercohomology dims of [O(D) -> Omega_log(D + P)] unchanged."""
     P = curve.pole_divisor(f)
     K1 = curve.TwoTermComplex(D, D + P, f)
     K2 = curve.TwoTermComplex(D + E, D + E + P, f)
-    B = curve._shared_truncation([K1, K2])
+    B = shared_truncation([K1, K2])
     return curve.cech_hypercohomology(K1, B).dims == curve.cech_hypercohomology(K2, B).dims
 
 

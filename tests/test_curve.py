@@ -11,7 +11,7 @@ from exphodge.spectrum import jump_candidates, spectrum_rank
 
 from conftest import CURVE_SUITE
 from oracles import (cech_boundaries, cech_d0, cech_d1, divisor_shift_invariance,
-                     matmul, untwisted_complex)
+                     matmul, shared_truncation, untwisted_complex)
 
 
 def test_pole_divisor():
@@ -177,22 +177,22 @@ def test_mixed_pole_orders_regression():
 
 
 # ---------------------------------------------------------------------------
-# The engine: one truncation per input, bases of H^1, images through them
+# The engine: bases of H^1, images through them, at any truncation
 # ---------------------------------------------------------------------------
 
 ENGINE_INPUTS = ["x^2 + x^-1", "x^3 + x^-2", "2*x - 3*x^-2"]
 
 
 def _families(f):
-    """(ambient, levels) of the three filtrations, at the one truncation that
-    compare_filtrations uses."""
+    """(ambient, levels) of the three filtrations, and one truncation for all
+    of them, the largest of their own."""
     jumps = jump_candidates(f)
     families = [
         (curve.divisor_twist_level(f, 0), [curve.divisor_twist_level(f, l) for l in jumps]),
         (curve.deligne_ambient(f, curve._AMBIENT_M), [curve.deligne_level(f, l) for l in jumps]),
         (curve.compact_level(f, 0), [curve.compact_level(f, l) for l in jumps]),
     ]
-    B = curve._shared_truncation([K for amb, levels in families for K in [amb] + levels])
+    B = shared_truncation([K for amb, levels in families for K in [amb] + levels])
     return families, B
 
 
@@ -220,7 +220,7 @@ def test_h1_image_dim_maps_every_cocycle_when_boundaries_do_not_nest():
     P = curve.pole_divisor(f)
     amb_K = curve.TwoTermComplex(curve.PointDivisor(-1, -1), P, f)
     sub_K = curve.TwoTermComplex(curve.ZERO_DIVISOR, P, f)
-    B = curve._shared_truncation([amb_K, sub_K])
+    B = shared_truncation([amb_K, sub_K])
     amb = curve.cech_hypercohomology(amb_K, B)
     sub = curve.cech_hypercohomology(sub_K, B)
     assert amb.quotient_rank(sub.h1_basis()) == 3
@@ -257,13 +257,13 @@ def test_analyze_builds_each_model_once(monkeypatch):
     analyze(parse_laurent("x^2 + x^-1"))
     assert built
     assert len(set(built)) == len(built)
-    # every model of f and -f sits at the one B, and the one classical
-    # ambient is the only one built
+    # every model of f and -f sits at its own truncation, and the one
+    # classical ambient is the only one built
     f = parse_laurent("x^2 + x^-1")
-    _, B = _families(f)
-    assert {b for _, _, _, b in built} == {B}
+    assert all(b == curve.required_truncation(curve.TwoTermComplex(d0, d1, g))
+               for d0, d1, g, b in built)
     ambient = curve.deligne_ambient(f, curve._AMBIENT_M)
-    assert (ambient.d0, ambient.d1, f, B) in built
+    assert (ambient.d0, ambient.d1, f, curve.required_truncation(ambient)) in built
     others = {(K.d0, K.d1) for K in (curve.deligne_ambient(f, m) for m in range(2, 9))}
     assert not others & {(d0, d1) for d0, d1, _, _ in built}
 
@@ -292,17 +292,20 @@ def test_analyze_builds_no_cocycle_on_the_classical_ambient(monkeypatch):
 
 @pytest.mark.parametrize("text", ENGINE_INPUTS)
 def test_compare_filtrations_does_not_move_with_truncation(text, monkeypatch):
+    # every model's own truncation raised by 10
     f = parse_laurent(text)
     rep = _report(f)
-    shared, raised = curve._shared_truncation, []
+    own, raised = curve.required_truncation, []
 
-    def raised_truncation(*args):
-        raised.append(args)
-        return shared(*args) + 10
+    def raised_truncation(K):
+        raised.append(K)
+        return own(K) + 10
 
-    monkeypatch.setattr(curve, "_shared_truncation", raised_truncation)
+    monkeypatch.setattr(curve, "required_truncation", raised_truncation)
+    curve._build_model.cache_clear()
     assert _report(f) == rep
     assert raised
+    curve._build_model.cache_clear()
 
 
 def _duality_oracle(f, B):
@@ -590,6 +593,53 @@ def _models_analyze_builds(monkeypatch):
     return built
 
 
+def test_every_model_analyze_builds_nests_in_its_ambient(monkeypatch):
+    """Each level sits at its own truncation, at most its ambient's, so all
+    its labels nest in the ambient's: the classical ambient for the twist
+    and the classical levels, the compactly supported level 0 of f and of
+    -f for the compactly supported levels; and analyze builds no other."""
+    from exphodge.spectrum import analyze
+
+    built = []
+    init = curve.CechModel.__init__
+
+    def recording_init(self, K, B):
+        init(self, K, B)
+        built.append(self)
+
+    monkeypatch.setattr(curve.CechModel, "__init__", recording_init)
+    nested = 0
+    for f in _lemma_inputs(monkeypatch):
+        built.clear()
+        curve._build_model.cache_clear()
+        analyze(f)
+        models = {m.complex: m for m in built}
+        assert all(m.B == curve.required_truncation(m.complex) for m in built)
+        jumps = jump_candidates(f)
+        families = [
+            (curve.deligne_ambient(f, curve._AMBIENT_M),
+             [curve.divisor_twist_level(f, l) for l in jumps]
+             + [curve.deligne_level(f, l) for l in jumps]),
+            (curve.compact_level(f, 0), [curve.compact_level(f, l) for l in jumps]),
+            (curve.compact_level(-f, 0), [curve.compact_level(-f, l) for l in jumps]),
+        ]
+        seen = set()
+        for ambient, levels in families:
+            amb = models[ambient]
+            seen.add(ambient)
+            for K in levels:
+                sub = models[K]
+                seen.add(K)
+                assert sub.B <= amb.B, (f, K.label)
+                for mine, theirs in ((sub.labels0, amb.labels0), (sub.labels1, amb.labels1),
+                                     (sub.labels2, amb.labels2)):
+                    assert set(mine) <= set(theirs), (f, K.label)
+                nested += 1
+        assert seen == set(models), f
+    curve._build_model.cache_clear()
+    assert nested > 100
+
+
 def test_truncation_lemma_on_every_model_analyze_builds(monkeypatch):
     """Each model analyze builds has the dims of the same complex truncated
     further out: T_B -> T_(B+1) is a quasi-isomorphism."""
@@ -606,7 +656,7 @@ def test_ambient_lemma_every_level_has_the_same_h1(monkeypatch):
     for f in _lemma_inputs(monkeypatch):
         ambients = [curve.deligne_ambient(f, M) for M in range(9)]
         level0 = curve.deligne_level(f, 0)
-        B = curve._shared_truncation(ambients + [level0])
+        B = shared_truncation(ambients + [level0])
         sub = curve.cech_hypercohomology(level0, B)
         for K in ambients:
             amb = curve.cech_hypercohomology(K, B)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -250,8 +251,12 @@ def test_image_dim_over_against_oracle_ranks():
     assert image_dim_over(boundaries[:5], boundaries) == 0
 
 
-# The exact-integer fast path: integral entries stay int, unit pivots never
-# divide, and Fraction entries mix in.
+# The echelon over Z: Fraction entries mix in, their denominators are
+# cleared, and every stored row is a primitive int vector with a positive
+# pivot entry.
+
+def _primitive_with_positive_pivot(row, c):
+    return row[c] > 0 and math.gcd(*row.values()) == 1
 
 def _mixed_matrix(rng, nrows, ncols):
     """Integer rows whose leading entries are mostly +-1, one column of
@@ -309,11 +314,12 @@ def test_int_rows_with_unit_pivots_stay_int():
             row[j] = row.get(j, 0) + v
         assert echelon.add(row)
     assert echelon.rank == 60
-    assert all(row[c] == 1 for c, row in echelon.pivots.items())
+    assert all(_primitive_with_positive_pivot(row, c) for c, row in echelon.pivots.items())
     assert all(type(v) is int for row in echelon.pivots.values() for v in row.values())
-    # a non-unit pivot is divided out, into Fractions
+    # a non-unit pivot is kept as it is: nothing divides
     assert echelon.add({95: 2, 96: 1})
-    assert echelon.pivots[95] == {95: 1, 96: Fraction(1, 2)}
+    assert echelon.pivots[95] == {95: 2, 96: 1}
+    assert all(type(v) is int for v in echelon.pivots[95].values())
 
 
 def test_reduced_echelon_against_gauss_oracle():
@@ -333,9 +339,56 @@ def test_reduced_echelon_against_gauss_oracle():
         assert set(reduced.pivots) == set(echelon.pivots)
         assert reduced.rank == _rank_fraction_gauss(m)
         for c, row in reduced.pivots.items():
-            assert row[c] == 1 and min(row) == c
+            assert _primitive_with_positive_pivot(row, c) and min(row) == c
             assert not any(row.get(c2) for c2 in reduced.pivots if c2 != c)
         for row in rows:
             assert not reduced.copy().add(row)
         for row in reduced.pivots.values():
             assert not echelon.copy().add(row)
+
+
+def test_stored_rows_are_primitive_int_vectors():
+    # after add and after reduced_echelon: no Fraction, content 1, pivot
+    # entry positive, on rows whose Fraction column needs its lcm cleared
+    rng = random.Random(61)
+    for _ in range(200):
+        m = _mixed_matrix(rng, rng.randint(1, 12), rng.randint(1, 12))
+        echelon = Echelon()
+        for row in m.rows():
+            echelon.add(row)
+        for ech in (echelon, reduced_echelon(echelon)):
+            for c, row in ech.pivots.items():
+                assert all(type(v) is int for v in row.values()), row
+                assert _primitive_with_positive_pivot(row, c) and min(row) == c
+
+
+def _dense_rational(rng, nrows, ncols, fill, max_den):
+    return SparseRationalMatrix(nrows, ncols, {
+        (i, j): Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.randint(1, max_den))
+        for i in range(nrows) for j in range(ncols) if rng.random() < fill})
+
+
+def test_dense_rational_matrices_against_gauss_oracle():
+    # 60% fill, denominators up to 97: the lcm clearing and the content rule
+    # carry large integers; a square draw, a wide one, and a square one whose
+    # last rows are rational combinations of two others
+    rng = random.Random(67)
+    square = _dense_rational(rng, 36, 36, 0.6, 97)
+    wide = _dense_rational(rng, 16, 32, 0.6, 97)
+    rows = dense(_dense_rational(rng, 24, 24, 0.6, 97))
+    for i in range(18, 24):
+        a, b = rng.sample(range(18), 2)
+        s, t = Fraction(rng.randint(-9, 9), rng.randint(1, 97)), Fraction(1, rng.randint(1, 97))
+        rows[i] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    deficient = from_dense(rows)
+    for m in (square, wide, deficient):
+        rank = _rank_fraction_gauss(m)
+        assert exact_rank(m) == rank
+        basis = nullspace_basis(m)
+        assert len(basis) == m.ncols - rank
+        for v in basis:
+            for row in m.rows():
+                assert sum(row.get(c, 0) * x for c, x in v.items()) == 0
+        if basis:
+            assert span_rank(basis) == len(basis)
+    assert exact_rank(square) == 36 and exact_rank(deficient) == 18
