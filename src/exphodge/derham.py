@@ -9,16 +9,24 @@ and the connection acts by
                                dlog x_i ^ dlog x_I,
 
 expanded in the wedge basis with dlog x_I sorted ascending and the sign of an
-insertion given by its position parity.  All entries are exact rationals.
-The points alpha and their weights come from the hull's weight table.  Each
-entry is written once: the insertion i is the one index of the row's set
-missing from the column's, and the row exponent alpha + beta names the one
-term beta (the d term when beta = 0), so no two terms meet in one entry.
+insertion given by its position parity.  The points alpha and their weights
+come from the hull's weight table.  Each entry is written once: the insertion
+i is the one index of the row's set missing from the column's, and the row
+exponent alpha + beta names the one term beta (the d term when beta = 0), so
+no two terms meet in one entry.  One loop (``_write``) writes a level-0
+differential from a table of coefficients c(beta): first from their residues
+mod PRIME, an ``int`` per entry (or, where PRIME divides the denominator of
+c(beta), the exact entry itself, a mark whose row every GF(PRIME) pass leaves
+out); then from the exact c(beta), the first time something reads the
+matrix's exact ``entries`` (an exact rank or profile, a block of the slice).
+An input whose every rank the GF(PRIME) proofs below settle builds no exact
+matrix.
 
 The complex of -f has the same bases and weights, and ``ComplexSlice.negated``
-builds it from f's by a sign flip: every entry whose row exponent differs from
-its column exponent (the df part) changes sign, and the d part stays.  No
-differential is assembled twice for f and -f.
+builds it from f's by a sign flip on the residues: every entry whose row
+exponent differs from its column exponent (the df part) changes sign, and the
+d part stays; its exact entries, when read, are written from -f's
+coefficients.  No differential is assembled twice for f and -f.
 
 Every other slice is a weight block of the level-0 slice.  Filtration level
 lam keeps the degree-p forms of weight <= p - lam (none below degree lam) and
@@ -49,15 +57,17 @@ lower bound from the GF(PRIME) ranks of those rows and an upper bound from
 the graded table (``graded_ranks``: the GF(PRIME) ranks of every graded
 piece, one pass per degree over the buckets, with no block built), and are
 read only where the two meet; else the pass runs again over Q.  Either pass
-leaves the rank of d_(n-1) on the slice, so it is reduced mod PRIME once.
+leaves the rank of d_(n-1) on the slice, and (a) takes r'(d_(n-1)) from the
+profile's GF(PRIME) pass, so d_(n-1) is reduced mod PRIME once per slice,
+whether the Betti numbers or the profile come first.
 ``ComplexSlice.graded_below_top`` reads the vanishing below top degree of a
 graded piece from its saturation in the table, else from the exact ranks of
 its block.  A graded entry raises weight, so it is a df entry, and -f's
 graded blocks are the negatives of f's on the same keys: ``negated`` hands
 f's buckets and graded table to the slice of -f.  Ranks, GF(PRIME) ranks,
 the graded table and buckets are kept on the slice that they describe, in a
-field that ``dataclasses.replace`` does not carry over; no residue of a
-matrix outlives the call that eliminates it.
+field that ``dataclasses.replace`` does not carry over; a matrix keeps its
+residues, one copy, and no echelon outlives the call that makes it.
 """
 
 from __future__ import annotations
@@ -65,14 +75,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import floor
 from operator import add
 
 from .errors import IntegrityError
 from .laurent import LaurentPolynomial, Monomial
-from .linalg import (SparseRationalMatrix, exact_rank, image_dim_over, nullspace_basis,
+from .linalg import (PRIME, SparseRationalMatrix, exact_rank, image_dim_over, nullspace_basis,
                      prefix_ranks, saturated_ranks)
 from .polytope import NewtonPolytope, newton_polytope
 
@@ -100,9 +110,10 @@ class ComplexSlice:
     bases: tuple[tuple[BasisForm, ...], ...]      # index p in 0..n
     mats: tuple[SparseRationalMatrix, ...]        # mats[p]: degree p -> p+1
     weights: tuple[tuple[int, ...], ...]          # weights[p][i]: D * weight of bases[p][i]
-    # ranks over Q and GF(PRIME), graded table and weight buckets of this
-    # slice, computed once; outside __init__, so dataclasses.replace starts
-    # the copy with none
+    graded: bool = False                          # a graded piece: the weight-raising part of d
+    # ranks over Q and GF(PRIME), profile passes, graded table and weight
+    # buckets of this slice, computed once; outside __init__, so
+    # dataclasses.replace starts the copy with none
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -124,11 +135,17 @@ class ComplexSlice:
     def _saturated(self) -> bool:
         """Whether the GF(PRIME) ranks of the differentials, each taken once
         per slice, saturate the slice (``saturated_ranks``); they are then
-        its ranks over Q, and the slice keeps them."""
+        its ranks over Q, and the slice keeps them.  A level-0 slice takes
+        r'(d_{n-1}) from the profile's pass, so that pass is its only one
+        over d_{n-1}, whichever of the two asks first."""
         modular = self._memo.setdefault("modular", {})
         for p, m in enumerate(self.mats):
-            if p not in modular:
-                modular[p] = prefix_ranks(sorted(m.rows(), key=len), [m.nrows], True)[0]
+            if p in modular:
+                continue
+            if p == self.nvars - 1 and self.level == 0 and not self.graded:
+                self._top_pass(True)
+            else:
+                modular[p] = prefix_ranks(sorted(m.residue_rows(), key=len), [m.nrows], True)[0]
         proven = saturated_ranks([modular[p] for p in range(len(self.mats))], self.dims())
         if proven is not None:
             self._memo.setdefault("ranks", {}).update(enumerate(proven))
@@ -145,19 +162,20 @@ class ComplexSlice:
         return dims
 
     def negated(self) -> "ComplexSlice":
-        """The same slice of -f: the entries of the df part, whose row
-        exponent differs from their column exponent, change sign.
+        """The same level-0 slice of -f: the residues of the df part, whose
+        row exponent differs from their column exponent, change sign; its
+        exact entries are written from -f's coefficients when first read.
 
         Every graded entry raises weight, so it is a df entry on the same
         key: -f's graded blocks are entrywise the negatives of f's, and the
         copy starts with f's buckets and graded table."""
-        mats = []
+        g, mats = -self.f, []
         for p, m in enumerate(self.mats):
             source, target = self.bases[p], self.bases[p + 1]
-            mats.append(SparseRationalMatrix(m.nrows, m.ncols, {
+            mats.append(_Differential(g, self.bases, p, {
                 (r, c): v if target[r][0] == source[c][0] else -v
-                for (r, c), v in m.entries.items()}))
-        flipped = ComplexSlice(-self.f, self.level, self.bases, tuple(mats), self.weights)
+                for (r, c), v in m.residues.items()}))
+        flipped = ComplexSlice(g, self.level, self.bases, tuple(mats), self.weights)
         flipped._memo.update(graded=graded_ranks(self), buckets=_buckets(self))
         return flipped
 
@@ -189,15 +207,29 @@ class ComplexSlice:
         mu >= lam of dim Gr^mu_n - r'(Gr^mu d_{n-1}) from the graded table.
         The image dimension lies between the two; they meet when the
         filtration is strict (Deligne, Theorie de Hodge II, 1.3.2).
-        Otherwise the pass runs again over Q.  Either pass adds every row of
-        B, so it leaves r'(B) or rank B on the slice."""
-        if self.level != 0:
-            raise ValueError(f"the profile reads a level-0 slice, not level {self.level}")
+        Otherwise the pass runs again over Q."""
+        if self.level != 0 or self.graded:
+            piece = "graded piece" if self.graded else "level"
+            raise ValueError(f"the profile reads a level-0 slice, not {piece} {self.level}")
+        profile = self._top_pass(True)
+        if self._sandwich_closes(newton_polytope(self.f).jumps, profile):
+            return list(profile)
+        return list(self._top_pass(False))
+
+    def _top_pass(self, modular: bool) -> tuple[int, ...]:
+        """The profile's pass over the rows of B = d_{n-1}, over GF(PRIME) on
+        their residues or over Q, at the hull's jumps, made once per slice
+        and field.  It adds every row of B, so it leaves r'(B) or rank B on
+        the slice."""
+        memo, key = self._memo, "profile" if modular else "exact profile"
+        if key in memo:
+            return memo[key]
         n = self.nvars
         poly = newton_polytope(self.f)
         jumps, top = poly.jumps, n * poly.weight_denominator
         buckets = _buckets(self)
-        rows = self.mats[n - 1].rows()
+        b = self.mats[n - 1]
+        rows = b.residue_rows() if modular else b.rows()
         ids = buckets.ids[n]
         # descending weight, and shortest first within one weight: a rank is
         # read only between two weights, and a row set's rank is its own
@@ -207,13 +239,12 @@ class ComplexSlice:
         leading = [-ids[r] for r in order]
         cuts = [bisect_right(leading, -bisect_right(buckets.weights, top - j)) for j in jumps]
         rows = [rows[r] for r in order]
-        for modular in (True, False):
-            prefix = prefix_ranks(rows, cuts + [len(rows)], modular)
-            rank_b = prefix.pop()
-            self._memo.setdefault("modular" if modular else "ranks", {})[n - 1] = rank_b
-            profile = [len(rows) - k + rank_k - rank_b for k, rank_k in zip(cuts, prefix)]
-            if not modular or self._sandwich_closes(jumps, profile):
-                return profile
+        prefix = prefix_ranks(rows, cuts + [len(rows)], modular)
+        rank_b = prefix.pop()
+        memo.setdefault("modular" if modular else "ranks", {})[n - 1] = rank_b
+        profile = memo[key] = tuple(len(rows) - k + rank_k - rank_b
+                                    for k, rank_k in zip(cuts, prefix))
+        return profile
 
     def _sandwich_closes(self, jumps, profile) -> bool:
         """Whether the GF(PRIME) profile at the jumps is proven: rank B by
@@ -229,14 +260,42 @@ class ComplexSlice:
         return True
 
 
-def _differential(f: LaurentPolynomial, bases, p: int) -> SparseRationalMatrix:
-    n = f.nvars
+def _differential(f: LaurentPolynomial, bases, p: int) -> "_Differential":
+    """d_p of the level-0 slice of f, written once as residues mod PRIME."""
+    return _Differential(f, bases, p, _write(bases, p, {
+        beta: c.numerator * pow(c.denominator, -1, PRIME) % PRIME if c.denominator % PRIME else c
+        for beta, c in f.terms.items()}))
+
+
+class _Differential(SparseRationalMatrix):
+    """A level-0 differential d_p of f, known by its residues: ``_write``
+    from the coefficients of f mod PRIME, each an ``int``, or the
+    coefficient itself where PRIME divides its denominator (its entries are
+    then the exact ones, and a pass over GF(PRIME) leaves out their rows).
+    The exact entries come from the same loop on f's own coefficients, the
+    first time they are read."""
+
+    def __init__(self, f: LaurentPolynomial, bases, p: int, residues: dict):
+        self.nrows, self.ncols = len(bases[p + 1]), len(bases[p])
+        self.f, self.bases, self.p = f, bases, p
+        self.residues = residues
+
+    @cached_property
+    def entries(self) -> dict:
+        return _write(self.bases, self.p, self.f.terms)
+
+
+def _write(bases, p: int, terms: dict) -> dict:
+    """The entries of d_p between the given bases, with c(beta) read from
+    terms: beta -> c(beta), exact or mod PRIME.  The d part is written as
+    ``int``s."""
+    n = len(bases) - 1
     source, target = bases[p], bases[p + 1]
     index = {form: i for i, form in enumerate(target)}
     # the df part: beta_i c(beta) for the terms with beta_i != 0, and its
     # negative, for the two insertion signs
-    df = [[(beta, beta[i] * c) for beta, c in f.terms.items() if beta[i]] for i in range(n)]
-    signed = {1: df, -1: [[(beta, -v) for beta, v in terms] for terms in df]}
+    df = [[(beta, beta[i] * c) for beta, c in terms.items() if beta[i]] for i in range(n)]
+    signed = {1: df, -1: [[(beta, -v) for beta, v in ts] for ts in df]}
     insertions = {I: [(i, sign, merged) for i in range(n)
                       for sign, merged in [_insertion_sign(i, I)] if sign]
                   for I in combinations(range(n), p)}
@@ -255,7 +314,7 @@ def _differential(f: LaurentPolynomial, bases, p: int) -> SparseRationalMatrix:
         # weight(alpha + beta) <= weight(alpha) + 1, so level 0 holds every image
         raise AssertionError(f"image form {missing.args[0]} missing from basis") from None
     assert written == len(entries), "two terms of d met in one entry"
-    return SparseRationalMatrix(len(target), len(source), entries)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -271,7 +330,7 @@ class _Buckets:
     raised: tuple[dict[int, list[tuple[int, int]]], ...]
     # raised[p][k]: the keys (r, c) of the entries of mats[p] whose column
     # has weight number k and whose row has the weight one above it (the
-    # matrix's own key objects, so a bucket holds only references)
+    # residues' own key objects, so a bucket holds only references)
 
 
 def _buckets(slice0: ComplexSlice) -> _Buckets:
@@ -297,7 +356,7 @@ def _buckets(slice0: ComplexSlice) -> _Buckets:
     for p, m in enumerate(slice0.mats):
         col_ids, row_ids = ids[p], ids[p + 1]
         bucket: dict[int, list] = {}
-        for key in m.entries:
+        for key in m.residues:
             r, c = key
             k, kr = col_ids[c], row_ids[r]
             if kr == above[k]:
@@ -311,9 +370,10 @@ def _buckets(slice0: ComplexSlice) -> _Buckets:
     return memo
 
 
-def _block(slice0: ComplexSlice, lam: Fraction, kept, keys) -> ComplexSlice:
+def _block(slice0: ComplexSlice, lam: Fraction, kept, keys, graded: bool) -> ComplexSlice:
     """The block of slice0 on the kept form indices, degree by degree, with
-    the entries of mats[p] at keys[p], pairs (r, c), in block coordinates."""
+    the exact entries of mats[p] at keys[p], pairs (r, c), in block
+    coordinates."""
     mats = []
     for p, m in enumerate(slice0.mats):
         cols = {c: j for j, c in enumerate(kept[p])}
@@ -322,7 +382,7 @@ def _block(slice0: ComplexSlice, lam: Fraction, kept, keys) -> ComplexSlice:
             (rows[r], cols[c]): m.entries[r, c] for r, c in keys[p]}))
     bases = tuple(tuple(slice0.bases[p][i] for i in ix) for p, ix in enumerate(kept))
     weights = tuple(tuple(slice0.weights[p][i] for i in ix) for p, ix in enumerate(kept))
-    return ComplexSlice(slice0.f, lam, bases, tuple(mats), weights)
+    return ComplexSlice(slice0.f, lam, bases, tuple(mats), weights, graded)
 
 
 def _filtration_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
@@ -336,7 +396,7 @@ def _filtration_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
     kept = [[i for i, k in enumerate(ids) if k < end] for ids, end in zip(buckets.ids, ends)]
     keys = [[(r, c) for r, c in m.entries if buckets.ids[p][c] < ends[p]]
             for p, m in enumerate(slice0.mats)]
-    return _block(slice0, lam, kept, keys)
+    return _block(slice0, lam, kept, keys, False)
 
 
 def _graded_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
@@ -348,7 +408,7 @@ def _graded_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
     ks = [buckets.number.get(p * D - lam * D) for p in range(len(slice0.bases))]
     kept = [forms.get(k, []) for forms, k in zip(buckets.forms, ks)]
     keys = [raised.get(k, ()) for raised, k in zip(buckets.raised, ks)]
-    return _block(slice0, lam, kept, keys)
+    return _block(slice0, lam, kept, keys, True)
 
 
 def graded_ranks(slice0: ComplexSlice) -> dict:
@@ -374,7 +434,7 @@ def graded_ranks(slice0: ComplexSlice) -> dict:
         for k in ks:
             block: dict[int, dict] = {}
             for key in buckets.raised[p].get(k[p], ()):
-                block.setdefault(key[0], {})[key[1]] = m.entries[key]
+                block.setdefault(key[0], {})[key[1]] = m.residues[key]
             rows += sorted(block.values(), key=len)
             cuts.append(len(rows))
         prefix = prefix_ranks(rows, cuts, True)
@@ -408,8 +468,9 @@ def build_filtration_level(f: LaurentPolynomial, lam) -> ComplexSlice:
         index_sets = list(combinations(range(n), p))
         bases.append(tuple((a, I) for a, k in weight.items() if k <= p * D for I in index_sets))
         weights.append(tuple(weight[a] for a, _ in bases[p]))
+    bases = tuple(bases)
     mats = tuple(_differential(f, bases, p) for p in range(n))
-    return ComplexSlice(f, lam, tuple(bases), mats, tuple(weights))
+    return ComplexSlice(f, lam, bases, mats, tuple(weights))
 
 
 def build_graded_level(f: LaurentPolynomial, lam) -> ComplexSlice:

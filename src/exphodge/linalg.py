@@ -12,12 +12,13 @@ over GF(PRIME), PRIME = 2^31 - 1 fixed, on plain ``int`` residues.
 ``prefix_ranks`` is the one rank loop: it ranks the prefixes of a row list
 over either field, and every rank entry point here runs through it
 (``exact_rank`` and ``span_rank`` are one prefix, ``image_dim_over`` two).
-Only a kernel (``nullspace_basis``) needs the echelon itself.  Over GF(PRIME) it reduces
-each row mod PRIME as it adds it and leaves out a row with an entry whose
-denominator PRIME divides.  A minor that vanishes over Q vanishes mod PRIME,
-so the rank of the rows it keeps is a lower bound on the rank over Q of the
-whole prefix (cf. Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001):
-a lower bound, never None and never more.  A lower bound becomes a rank only
+Only a kernel (``nullspace_basis``) needs the echelon itself.  Over
+GF(PRIME) the loop reads an ``int`` entry as its residue, by ``% PRIME``
+alone, reduces any other entry as it adds the row, and leaves out a row
+with an entry whose denominator PRIME divides.  A minor that vanishes over
+Q vanishes mod PRIME, so the rank of the rows it keeps is a lower bound on
+the rank over Q of the whole prefix (cf. Dumas, Saunders & Villard, J.
+Symbolic Comput. 32, 2001): a lower bound, never None and never more.  A lower bound becomes a rank only
 through a proof, and the one owner of the de Rham ranks
 (``derham.ComplexSlice``) is the only caller of ``saturated_ranks``, the
 proof that lives here: in a complex C^0 -> ... -> C^m, d o d = 0 gives
@@ -28,13 +29,14 @@ whose proof does not close runs the loop again over Q, which is the only
 engine that decides such an input.
 
 Both echelons pivot on the smallest column of a vector.  The rank loop and
-the kernel first relabel the columns of their whole input rarest first, by
-occurrence count and then by column (Markowitz's static rule), so the
-smallest label is the column the fewest rows share: a column held by one row
-becomes a pivot with no fill-in.  Under a fixed column order the pivot set
-of a row space does not depend on the order of its rows, so neither does a
-rank or a reduced form; callers add short rows first, which keeps the
-entries small.
+the kernel first relabel the columns of their whole input in one static
+rarest-first order, counted once per call: by how many rows hold a column,
+then by column, so the smallest label is a column the fewest rows share and
+a column held by one row becomes a pivot with no fill-in.  No rank depends
+on the labels, since relabelling permutes the columns; they only keep the
+echelon sparse.  Under a fixed column order the pivot set of a row space
+does not depend on the order of its rows, so neither does a rank or a
+reduced form; callers add short rows first, which keeps the entries small.
 
 ``reduced_echelon`` brings an echelon to reduced form by back substitution:
 the same pivots, and each row also holds no other row's pivot.  A kernel is
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -55,7 +58,13 @@ PRIME = 2 ** 31 - 1
 
 
 class SparseRationalMatrix:
-    """Immutable-by-convention sparse matrix over the rationals."""
+    """Immutable-by-convention sparse matrix over the rationals.
+
+    ``residues`` holds each entry, on the same keys, as a pass over GF(PRIME)
+    reads it (``prefix_ranks``): an ``int`` stands for its residue, and any
+    other entry is reduced by the pass itself.  Here they are the entries;
+    a matrix that knows its residues first (``derham``'s level-0
+    differentials) may build its entries only when they are read."""
 
     def __init__(self, nrows: int, ncols: int, entries: Mapping[tuple[int, int], object]):
         self.nrows = nrows
@@ -68,23 +77,31 @@ class SparseRationalMatrix:
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise IndexError(f"entry ({r},{c}) outside {nrows}x{ncols}")
                 clean[(r, c)] = v
-        self.entries = clean
+        self.entries = self.residues = clean
 
     @property
     def nnz(self) -> int:
         return len(self.entries)
 
     def rows(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
+        return _rows(self.nrows, self.entries)
+
+    def residue_rows(self) -> list[dict[int, object]]:
+        """The rows of ``residues``, as a pass over GF(PRIME) reads them."""
+        return _rows(self.nrows, self.residues)
 
     def columns(self) -> list[dict[int, Fraction]]:
         out: list[dict[int, Fraction]] = [dict() for _ in range(self.ncols)]
         for (r, c), v in self.entries.items():
             out[c][r] = v
         return out
+
+
+def _rows(nrows: int, entries: Mapping[tuple[int, int], object]) -> list[dict]:
+    out: list[dict] = [dict() for _ in range(nrows)]
+    for (r, c), v in entries.items():
+        out[r][c] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +249,9 @@ class ModularEchelon:
 
 def _rarest_first_labels(rows: Sequence[Vector]) -> dict:
     """Column -> label 0, 1, ... rarest first, by (occurrence count over all
-    rows, column), in label order."""
-    count = Counter(c for row in rows for c, v in row.items() if v)
-    return {c: k for k, c in enumerate(sorted(count, key=lambda c: (count[c], c)))}
+    rows, column), in label order: the keys of all rows counted in one pass."""
+    count = Counter(chain.from_iterable(rows))
+    return {c: k for k, c in enumerate(sorted(sorted(count), key=count.__getitem__))}
 
 
 def reduced_echelon(echelon: Echelon) -> Echelon:
@@ -314,10 +331,10 @@ def prefix_ranks(rows: Sequence[Vector], cuts: Iterable[int], modular: bool) -> 
     """The ranks of the prefixes rows[:k], k in cuts (ascending), with the
     rows added in the given order and their columns relabelled rarest first:
     over Q by ``Echelon``, or over GF(PRIME) by ``ModularEchelon`` when
-    modular.  A modular rank leaves out every row with an entry whose
-    denominator PRIME divides, so it is a lower bound on the rank over Q of
-    the prefix.  A row is reduced mod PRIME only as it is added, so no
-    residue outlives this call."""
+    modular.  A modular pass reads an ``int`` entry as its residue, by
+    ``% PRIME`` alone, and reduces any other entry as it adds the row; it
+    leaves out every row with an entry whose denominator PRIME divides, so
+    its rank is a lower bound on the rank over Q of the prefix."""
     label = _rarest_first_labels(rows)
     echelon = ModularEchelon() if modular else Echelon()
     inverse = {1: 1}  # denominator -> its inverse mod PRIME, 0 when PRIME divides it
@@ -329,13 +346,16 @@ def prefix_ranks(rows: Sequence[Vector], cuts: Iterable[int], modular: bool) -> 
                 continue
             reduced = {}
             for c, v in row.items():
-                d = v.denominator
-                inv = inverse.get(d)
-                if inv is None:
-                    inv = inverse[d] = pow(d, -1, PRIME) if d % PRIME else 0
-                if not inv:
-                    break
-                r = v.numerator * inv % PRIME
+                if type(v) is int:
+                    r = v % PRIME
+                else:
+                    d = v.denominator
+                    inv = inverse.get(d)
+                    if inv is None:
+                        inv = inverse[d] = pow(d, -1, PRIME) if d % PRIME else 0
+                    if not inv:
+                        break
+                    r = v.numerator * inv % PRIME
                 if r:
                     reduced[label[c]] = r
             else:

@@ -15,7 +15,7 @@ from exphodge.derham import (_filtration_block, _graded_block, _insertion_sign,
                              top_image_profile)
 from exphodge.errors import NotFullDimensionalError
 from exphodge.laurent import parse_laurent
-from exphodge.linalg import SparseRationalMatrix, exact_rank
+from exphodge.linalg import PRIME, SparseRationalMatrix, exact_rank
 from exphodge.polytope import NewtonPolytope, newton_polytope
 from exphodge.spectrum import jump_candidates
 
@@ -51,6 +51,11 @@ def test_graded_level_examples():
     g_half = build_graded_level(parse_laurent("x^2 + x^-1"), Fraction(1, 2))
     assert g_half.dims() == (0, 1)
     assert g_half.bases[1][0][0] == (1,)
+    # a graded piece at 0 is no level-0 slice: it has no profile, and its
+    # ranks come from its own passes
+    assert g0.graded and g0.cohomology() == [0, 1]
+    with pytest.raises(ValueError, match="not graded piece 0"):
+        g0.top_profile()
 
 
 def test_level_rejects_above_top_degree():
@@ -357,6 +362,9 @@ def _assert_negated_matches_fresh_build(f):
     assert flipped.bases == fresh.bases and flipped.weights == fresh.weights
     assert [(m.nrows, m.ncols) for m in flipped.mats] == [(m.nrows, m.ncols) for m in fresh.mats]
     assert [m.entries for m in flipped.mats] == [m.entries for m in fresh.mats]
+    # both are written by one loop from -f's coefficients; the residues of the
+    # flip are the ones that the GF(PRIME) passes read
+    assert [_reduced(m.residues) for m in flipped.mats] == [_reduced(m.residues) for m in fresh.mats]
     # the flip leaves f's slice alone, starts with no ranks of its own, and
     # carries f's buckets and graded table: the ones the flipped slice
     # computes for itself
@@ -375,6 +383,12 @@ def _assert_negated_matches_fresh_build(f):
             == [m.entries for m in theirs.mats]
 
 
+def _reduced(residues):
+    """Residues as elements of GF(PRIME), each mark (an entry with no
+    residue) kept as it is."""
+    return {key: v % PRIME if type(v) is int else v for key, v in residues.items()}
+
+
 def test_negated_slice_matches_fresh_build(suite_poly):
     _assert_negated_matches_fresh_build(suite_poly)
 
@@ -388,6 +402,112 @@ def test_negated_slice_matches_fresh_build(suite_poly):
 ], ids=["generic-1", "generic-2", "generic-3", "generic-n3", "n3-rational"])
 def test_negated_slice_matches_fresh_build_off_suite(make):
     _assert_negated_matches_fresh_build(make())
+
+
+# the inputs whose denominators or coefficients PRIME divides, as in CI
+PRIME_INPUTS = ["x + 1/2147483647*x^-1", "x + y + 1/2147483647*x^-1*y^-1",
+                "x + y + z + 1/2147483647*x^-1*y^-1*z^-1", "x + y + 2147483647*x^-1*y^-1"]
+
+
+def _assert_residues_reduce_the_exact_entries(f):
+    # on the same keys, every residue is its exact entry mod PRIME, and the
+    # mark (the exact entry itself, whose row the GF(PRIME) passes leave
+    # out) stands exactly where PRIME divides the denominator
+    slice0 = build_filtration_level.__wrapped__(f, 0)
+    for sl in (slice0, slice0.negated()):
+        for m in sl.mats:
+            assert m.residues.keys() == m.entries.keys()
+            for key, v in m.residues.items():
+                exact = Fraction(m.entries[key])
+                if exact.denominator % PRIME:
+                    assert type(v) is int, (sl.f, key)
+                    assert v % PRIME == exact.numerator * pow(exact.denominator, -1, PRIME) % PRIME
+                else:
+                    assert v == exact and type(v) is not int, (sl.f, key)
+
+
+def test_residues_reduce_the_exact_entries(suite_poly):
+    _assert_residues_reduce_the_exact_entries(suite_poly)
+
+
+@pytest.mark.parametrize("make", [lambda text=text: parse_laurent(text) for text in PRIME_INPUTS]
+                         + [lambda: generic_support(1, 10, 3, 2)],
+                         ids=[t.replace(" ", "") for t in PRIME_INPUTS] + ["generic-n3"])
+def test_residues_reduce_the_exact_entries_off_suite(make):
+    f = make()
+    _assert_residues_reduce_the_exact_entries(f)
+    marks = [v for m in build_filtration_level.__wrapped__(f, 0).mats
+             for v in m.residues.values() if type(v) is not int]
+    assert bool(marks) == any(c.denominator % PRIME == 0 for c in f.terms.values())
+
+
+def _exact_matrices_built(text, monkeypatch):
+    """Whether each level-0 differential of f, and of -f, holds its exact
+    entries after ``analyze`` on a fresh cache."""
+    from exphodge import derham
+    from exphodge.spectrum import analyze
+
+    flipped, negate = [], derham.ComplexSlice.negated
+    monkeypatch.setattr(derham.ComplexSlice, "negated",
+                        lambda self: flipped.append(negate(self)) or flipped[-1])
+    f = parse_laurent(text)
+    build_filtration_level.cache_clear()
+    analyze(f)
+    return [["entries" in vars(m) for m in sl.mats]
+            for sl in [build_filtration_level(f, 0)] + flipped]
+
+
+@pytest.mark.parametrize("text", ["x^2 + x^-1", "x^3 + y^4 + x^-2*y^-1",
+                                  "2/3*x^2 + y^2 - 5/7*z^2 + x^-1*y^-1*z^-1",
+                                  "x + y + 2147483647*x^-1*y^-1"])
+def test_certified_input_builds_no_exact_matrix(text, monkeypatch):
+    assert _exact_matrices_built(text, monkeypatch) == [[False] * parse_laurent(text).nvars] * 2
+
+
+def test_prime_denominator_builds_only_the_exact_matrices_it_reads(monkeypatch):
+    # f's d_0 and d_1 are ranked exactly for the Betti numbers and its B by
+    # the exact profile; -f's exact profile reads its B, and nothing else of
+    # -f is read over Q
+    text = "x + y + z + 1/2147483647*x^-1*y^-1*z^-1"
+    assert _exact_matrices_built(text, monkeypatch) == [[True, True, True], [False, False, True]]
+
+
+@pytest.mark.parametrize("betti_first", [True, False], ids=["betti-first", "profile-first"])
+def test_top_differential_is_reduced_once_in_either_order(betti_first, monkeypatch):
+    # the Betti numbers take r'(B) from the profile's GF(PRIME) pass, which
+    # the slice makes once, whichever asks first
+    from exphodge import derham
+    from exphodge.spectrum import spectrum_rank
+
+    f = parse_laurent("x^3 + y^3 + z^3 + x^-2*y^-2*z^-2")
+    build_filtration_level.cache_clear()
+    top = build_filtration_level(f, 0).mats[2]
+    b_rows = sorted(sorted(row.items()) for row in top.residue_rows())
+    passes, prefix_ranks = [], derham.prefix_ranks
+
+    def recording(rows, cuts, modular):
+        passes.append(modular and sorted(sorted(row.items()) for row in rows) == b_rows)
+        return prefix_ranks(rows, cuts, modular)
+    monkeypatch.setattr(derham, "prefix_ranks", recording)
+    steps = [betti_numbers, spectrum_rank]
+    for step in steps if betti_first else reversed(steps):
+        step(f)
+    assert passes.count(True) == 1 and len(passes) > 1
+    assert betti_numbers(f) == [0, 0, 0, 81]
+
+
+def test_profile_passes_are_made_once_per_slice(monkeypatch):
+    # a degenerate input falls back to the pass over Q; a second profile of
+    # the slice reads both passes from it and reduces nothing
+    from exphodge import derham
+
+    build_filtration_level.cache_clear()
+    slice0 = build_filtration_level(parse_laurent("x^4 - 4*x^2*y^2 + 4*y^4 + x^-1*y^-1"), 0)
+    first = slice0.top_profile()
+    assert {"profile", "exact profile"} <= set(slice0._memo)
+    passes = []
+    monkeypatch.setattr(derham, "prefix_ranks", lambda *args: passes.append(args))
+    assert slice0.top_profile() == first and passes == []
 
 
 def test_differential_writes_each_entry_once():

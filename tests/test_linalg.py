@@ -45,7 +45,7 @@ def _rank_fraction_gauss(m: SparseRationalMatrix) -> int:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
+        inv = Fraction(1) / rows[rank][c]
         for i in range(m.nrows):
             if i != rank and rows[i][c] != 0:
                 f = rows[i][c] * inv

@@ -496,7 +496,8 @@ def test_rank_one_short_over_gf_p_takes_the_exact_path(short, monkeypatch):
     f = parse_laurent("x^3 + y^4 + x^-2*y^-1")
     expected = _exact_report_json(f, monkeypatch)
     if short == "saturation chain":
-        d0 = sorted(derham.build_filtration_level.__wrapped__(f, 0).mats[0].rows(), key=len)
+        # d_0 as its GF(PRIME) pass reads it: its residue rows, shortest first
+        d0 = sorted(derham.build_filtration_level.__wrapped__(f, 0).mats[0].residue_rows(), key=len)
         ranks = derham.prefix_ranks
         monkeypatch.setattr(derham, "prefix_ranks", lambda rows, cuts, modular: [
             r - (modular and rows == d0) for r in ranks(rows, cuts, modular)])
