@@ -42,9 +42,9 @@ twist dimensions come from the classical ambient, where they are compared
 with the other families; the compactly supported side of -f is measured in
 its own models.  Each complex K sits at its own truncation
 B_K = required_truncation(K), and yields one model, cached by
-``_build_model``; complexes that differ only in their label share it.  Its
-image in an ambient's H^1 needs no common truncation: every level's divisors
-are at most its ambient's, and so is B_K, so each label range
+``_build_model``; equal complexes share it.  Its image in an ambient's H^1
+needs no common truncation: every level's divisors are at most its
+ambient's, and so is B_K, so each label range
       a in [-d0.m0, B], b in [-B, d0.m_inf], c in [-B, B],
       p in [-d1.m0, B + hi], q in [-B + lo, d1.m_inf], r in [-B + lo, B + hi]
 of the level's model nests in the ambient's.  Shared labels have the same
@@ -86,7 +86,7 @@ curves) is checked directly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import floor
@@ -117,9 +117,6 @@ class PointDivisor:
         n, d = t.numerator, t.denominator
         return PointDivisor(n * self.m0 // d, n * self.m_inf // d)
 
-    def times(self, k: int) -> "PointDivisor":
-        return PointDivisor(k * self.m0, k * self.m_inf)
-
 
 S_DIVISOR = PointDivisor(1, 1)
 ZERO_DIVISOR = PointDivisor(0, 0)
@@ -146,7 +143,6 @@ class TwoTermComplex:
     d0: Optional[PointDivisor]
     d1: PointDivisor
     f: LaurentPolynomial
-    label: str = field(default="", compare=False)
 
 
 def _theta_terms(f: LaurentPolynomial) -> dict[int, Fraction]:
@@ -362,10 +358,10 @@ def _build_model(K: TwoTermComplex, B: int) -> CechModel:
     return CechModel(K, B)
 
 
-def cech_hypercohomology(K: TwoTermComplex, B: Optional[int] = None) -> CechModel:
-    """The cover model at truncation B, by default required_truncation(K),
-    from which on every B gives the same hypercohomology."""
-    return _build_model(K, required_truncation(K) if B is None else B)
+def cech_hypercohomology(K: TwoTermComplex) -> CechModel:
+    """The cover model at truncation required_truncation(K), from which on
+    every truncation gives the same hypercohomology."""
+    return _build_model(K, required_truncation(K))
 
 
 def _image_generators(sub: CechModel, ambient: CechModel) -> list[dict]:
@@ -399,42 +395,37 @@ def divisor_twist_level(f: LaurentPolynomial, lam) -> TwoTermComplex:
     P = pole_divisor(f)
     d1 = P.scale_floor(1 - lam)
     if lam > 0:
-        return TwoTermComplex(None, d1, f, f"F^{lam}")
-    return TwoTermComplex(P.scale_floor(-lam), d1, f, f"F^{lam}")
+        return TwoTermComplex(None, d1, f)
+    return TwoTermComplex(P.scale_floor(-lam), d1, f)
 
 
 def deligne_level(f: LaurentPolynomial, lam) -> TwoTermComplex:
-    """Level lam (0 <= lam <= 1) of the classical curve filtration."""
-    lam = Fraction(lam)
-    P = pole_divisor(f)
+    """Level lam (0 <= lam <= 1) of the classical curve filtration: above 0
+    the degree-0 term vanishes and the level is the divisor-twist level."""
     if lam > 0:
-        # degree-0 term vanishes; degree-1 term coincides with the
-        # divisor-twist filtration at this level
-        return TwoTermComplex(None, P.scale_floor(1 - lam), f, f"cF^{lam}")
+        return divisor_twist_level(f, lam)
     if lam != 0:
         raise ValueError("levels below 0 are served by deligne_ambient")
-    return TwoTermComplex(S_DIVISOR, S_DIVISOR + P, f, "cF^0")
+    return TwoTermComplex(S_DIVISOR, S_DIVISOR + pole_divisor(f), f)
 
 
 def deligne_ambient(f: LaurentPolynomial, M: int) -> TwoTermComplex:
     """Level -M (integer M >= 0): O((M+1)S + MP) -> Omega_log((M+1)(S+P));
     every M has the same H^1, and M = 0 is cF^0 itself."""
     P = pole_divisor(f)
-    d0 = S_DIVISOR.times(M + 1) + P.times(M)
-    d1 = (S_DIVISOR + P).times(M + 1)
-    return TwoTermComplex(d0, d1, f, f"cF^-{M}")
+    d0 = S_DIVISOR.scale_floor(M + 1) + P.scale_floor(M)
+    d1 = (S_DIVISOR + P).scale_floor(M + 1)
+    return TwoTermComplex(d0, d1, f)
 
 
 def compact_level(f: LaurentPolynomial, lam) -> TwoTermComplex:
-    """Level lam of the compactly supported filtration: twist by -T,
-    T = S - red(P)."""
-    lam = Fraction(lam)
-    P = pole_divisor(f)
-    T = S_DIVISOR - reduced(P)
-    d1 = P.scale_floor(1 - lam) - T
-    if lam > 0:
-        return TwoTermComplex(None, d1, f, f"cptF^{lam}")
-    return TwoTermComplex(P.scale_floor(-lam) - T, d1, f, f"cptF^{lam}")
+    """Level lam of the compactly supported filtration: the divisor-twist
+    level twisted by -T, T = S - red(P)."""
+    K = divisor_twist_level(f, lam)
+    T = S_DIVISOR - reduced(pole_divisor(f))
+    if K.d0 is None:
+        return TwoTermComplex(None, K.d1 - T, f)
+    return TwoTermComplex(K.d0 - T, K.d1 - T, f)
 
 
 def _filtration_dims(levels, ambient: TwoTermComplex):

@@ -48,13 +48,11 @@ class FaceSystem:
     """Face polynomial system cleared to ordinary polynomials.
 
     Each generator is shifted by its own exponent minimum (a torus unit), so
-    all exponents are nonnegative; the shifts are recorded.
+    all exponents are nonnegative.
     """
 
-    face: Face
     laurent_generators: tuple[LaurentPolynomial, ...]
     generators: tuple[tuple[tuple[Monomial, Fraction], ...], ...]
-    shifts: tuple[Monomial, ...]
 
 
 @dataclass(frozen=True)
@@ -108,13 +106,10 @@ def build_face_system(f: LaurentPolynomial, face: Face) -> FaceSystem:
         if not g.is_zero:
             gens.append(g)
     shifted = []
-    shifts = []
     for g in gens:
-        mins = tuple(min(a[i] for a in g.terms) for i in range(f.nvars))
-        shift = tuple(-m for m in mins)
-        shifts.append(shift)
+        shift = tuple(-min(a[i] for a in g.terms) for i in range(f.nvars))
         shifted.append(tuple(sorted(g.shift(shift).terms.items())))
-    return FaceSystem(face, tuple(gens), tuple(shifted), tuple(shifts))
+    return FaceSystem(tuple(gens), tuple(shifted))
 
 
 def _vertex_check(face: Face) -> FaceCheck:

@@ -3,9 +3,8 @@
 The polytope of a Laurent polynomial is the convex hull of the origin and the
 support.  Facets are stored as primitive integer inequalities <u, a> >= -c
 with level c >= 0 (the origin always satisfies them).  The weight of a lattice
-point a is the least c >= 0 with a in c*Delta; its denominators divide facet
-levels, so every weight is an exact Fraction (or +infinity outside the
-recession directions), and every finite one lies in (1/D)Z, with D the lcm of
+point a of the n-dilate is the least c >= 0 with a in c*Delta; its
+denominators divide facet levels, so it lies in (1/D)Z, with D the lcm of
 the positive facet levels (``weight_denominator``).
 
 One exact hull is the only geometric computation: vertices, faces and the
@@ -37,8 +36,6 @@ from typing import Mapping, Optional, Sequence
 from . import _kernels
 from .errors import NotFullDimensionalError
 from .laurent import LaurentPolynomial, Monomial
-
-INFINITE_WEIGHT = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -380,26 +377,6 @@ class NewtonPolytope:
         return [f for f in self.all_proper_faces() if not f.contains_origin]
 
     # -- weights and lattice enumeration -------------------------------------
-
-    def _weight_ratio(self, alpha: Monomial) -> Optional[tuple[int, int]]:
-        """(s, level) with the largest s / level over the facets whose pairing
-        s = -<u, alpha> is positive, compared by cross-multiplication; (0, 1)
-        when there is none, None when such a facet has level 0."""
-        num, den = 0, 1
-        for f in self.facets:
-            s = -_dot(f.normal, alpha)
-            if s > 0:
-                if f.level == 0:
-                    return None
-                if s * den > num * f.level:
-                    num, den = s, f.level
-        return num, den
-
-    def weight(self, alpha: Monomial):
-        """min{c >= 0 : alpha in c*Delta} as a Fraction, or +inf."""
-        self.require_full_dim()
-        ratio = self._weight_ratio(tuple(alpha))
-        return INFINITE_WEIGHT if ratio is None else Fraction(*ratio)
 
     def lattice_points_in_dilate(self, c) -> list[Monomial]:
         """All alpha with weight <= c, ascending lex.

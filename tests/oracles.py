@@ -79,8 +79,7 @@ def cech_boundaries(model: curve.CechModel) -> list[dict]:
 def untwisted_complex() -> curve.TwoTermComplex:
     """[O -> Omega_log] with the plain differential (f = 0), whose
     hypercohomology has the classical dims (1, 1, 0)."""
-    return curve.TwoTermComplex(curve.ZERO_DIVISOR, curve.ZERO_DIVISOR,
-                                make_laurent(1, {}), "untwisted")
+    return curve.TwoTermComplex(curve.ZERO_DIVISOR, curve.ZERO_DIVISOR, make_laurent(1, {}))
 
 
 def _sub_scaled(p, q, coeff, shift, F):
@@ -203,7 +202,7 @@ def divisor_shift_invariance(f, D: curve.PointDivisor, E: curve.PointDivisor) ->
     K1 = curve.TwoTermComplex(D, D + P, f)
     K2 = curve.TwoTermComplex(D + E, D + E + P, f)
     B = shared_truncation([K1, K2])
-    return curve.cech_hypercohomology(K1, B).dims == curve.cech_hypercohomology(K2, B).dims
+    return curve._build_model(K1, B).dims == curve._build_model(K2, B).dims
 
 
 def brute_force_hull(points):

@@ -2,6 +2,7 @@ import io
 import json
 
 import pytest
+from conftest import CURVE_SUITE, DEGENERATE, SUITE
 
 from exphodge.cli import run
 
@@ -171,3 +172,45 @@ def test_nondegen_json_names_the_certificate(text, field, certified, certificate
     doc = json.loads(out)["nondegeneracy"]
     assert (doc.get("witness_field"), doc["certified"], doc["certificate"]) == \
         (field, certified, certificate)
+
+
+# ---------------------------------------------------------------------------
+# No float in any report
+# ---------------------------------------------------------------------------
+
+# CI's JSON inputs beyond the suite: rational and prime-denominator
+# coefficients, n = 3 and n = 4 analyze, and each subcommand's own paths
+CI_INPUTS = [
+    ("analyze", "2/3*x^2 + y^2 - 5/7*z^2 + x^-1*y^-1*z^-1"),
+    ("analyze", "x^2*y + x*y^2 + x^-1*y^-1 + z^3 + w^3 + z^-2*w^-2"),
+    ("analyze", "x + y + z + 1/2147483647*x^-1*y^-1*z^-1"),
+    ("analyze", "x + 1/2147483647*x^-1"),
+    ("analyze", "2/3*x^2 - 5/7*x^-1"),
+    ("analyze", "x^5 + x^-3"),
+    ("betti", "x + y + 1/2147483647*x^-1*y^-1"),
+    ("curve", "123457/3*x^3 - 98765/7*x^-2"),
+    ("nondegen", "36*x^2+12*x*y+y^2+6*z^2+8*x^-1*y^-1*z^-1+6*x*z^-1+8*y^-2*z"),
+    ("nondegen", "1/2*x - y - 1/3*z + 3/2*x*y*z^-1 + x^-1*y^-1*z^-1"),
+    ("volume", "x + y + z + w + x^-1*y^-1*z^-1*w^-1"),
+]
+
+
+def _float_paths(node, path="$"):
+    """Paths of the leaves of a parsed JSON document that are not an int, a
+    str, a bool or None."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in _float_paths(v, f"{path}.{k}")]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in _float_paths(v, f"{path}[{i}]")]
+    return [] if node is None or isinstance(node, (int, str)) else [f"{path} = {node!r}"]
+
+
+def test_no_reported_number_is_a_float():
+    suite = [text for text, _ in SUITE] + DEGENERATE
+    commands = [(c, t) for t in suite for c in ("analyze", "spectrum", "nondegen", "volume",
+                                                "betti", "curve")
+                if c != "curve" or t in CURVE_SUITE]
+    for command, text in commands + CI_INPUTS:
+        code, out, err = call([command, text, "--json"])
+        assert code == 0, (command, text, err)
+        assert not _float_paths(json.loads(out)), (command, text)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import floor
 
 import pytest
 
@@ -48,7 +49,7 @@ def test_total_differential_squares_to_zero(curve_poly):
 def test_truncation_stability(curve_poly):
     K = curve.divisor_twist_level(curve_poly, 0)
     base = curve.cech_hypercohomology(K)
-    bumped = curve.cech_hypercohomology(K, base.B + 5)
+    bumped = curve._build_model(K, base.B + 5)
     assert base.dims == bumped.dims
 
 
@@ -201,9 +202,9 @@ def test_h1_basis_and_images_match_quotient_ranks(text):
     f = parse_laurent(text)
     families, B = _families(f)
     for ambient, levels in families:
-        amb = curve.cech_hypercohomology(ambient, B)
+        amb = curve._build_model(ambient, B)
         for K in [ambient] + levels:
-            sub = curve.cech_hypercohomology(K, B)
+            sub = curve._build_model(K, B)
             basis = sub.h1_basis()
             assert len(basis) == sub.h1
             assert all(z in sub.cocycles() for z in basis)
@@ -221,8 +222,8 @@ def test_h1_image_dim_maps_every_cocycle_when_boundaries_do_not_nest():
     amb_K = curve.TwoTermComplex(curve.PointDivisor(-1, -1), P, f)
     sub_K = curve.TwoTermComplex(curve.ZERO_DIVISOR, P, f)
     B = shared_truncation([amb_K, sub_K])
-    amb = curve.cech_hypercohomology(amb_K, B)
-    sub = curve.cech_hypercohomology(sub_K, B)
+    amb = curve._build_model(amb_K, B)
+    sub = curve._build_model(sub_K, B)
     assert amb.quotient_rank(sub.h1_basis()) == 3
     assert curve.h1_image_dim(sub, amb) == \
         image_dim_over(sub.cocycles(), cech_boundaries(amb)) == 5
@@ -235,11 +236,26 @@ def test_h1_basis_size_is_checked():
         model.h1_basis()
 
 
-def test_levels_differing_only_in_label_share_one_model():
-    f = parse_laurent("x^2 + x^-1")
-    twist, classical = curve.divisor_twist_level(f, Q(1, 2)), curve.deligne_level(f, Q(1, 2))
-    assert twist.label != classical.label and twist == classical
-    assert curve.cech_hypercohomology(twist, 30) is curve.cech_hypercohomology(classical, 30)
+def test_classical_and_compact_levels_are_twist_levels():
+    # a level is its divisors and f: above 0 the classical level is the
+    # twist level, floor((1 - lam) P) in degree 1, and the compactly supported
+    # level is the twist level minus T = S - red(P)
+    for text in CURVE_SUITE:
+        f = parse_laurent(text)
+        P = curve.pole_divisor(f)
+        T = curve.S_DIVISOR - curve.reduced(P)
+        for lam in jump_candidates(f):
+            twist = curve.divisor_twist_level(f, lam)
+            assert twist.d1 == curve.PointDivisor(floor((1 - lam) * P.m0),
+                                                  floor((1 - lam) * P.m_inf))
+            if lam > 0:
+                classical = curve.deligne_level(f, lam)
+                assert twist.d0 is None and classical == twist
+                assert curve.cech_hypercohomology(classical) is curve.cech_hypercohomology(twist)
+            compact = curve.compact_level(f, lam)
+            assert compact.f == f and compact.d1 == twist.d1 - T
+            assert compact.d0 == (None if twist.d0 is None else twist.d0 - T)
+    curve._build_model.cache_clear()
 
 
 def test_analyze_builds_each_model_once(monkeypatch):
@@ -314,8 +330,8 @@ def _duality_oracle(f, B):
     jumps = jump_candidates(f)
 
     def dims(level, g):
-        amb = curve.cech_hypercohomology(level(g, 0), B)
-        return [curve.h1_image_dim(curve.cech_hypercohomology(level(g, lam), B), amb)
+        amb = curve._build_model(level(g, 0), B)
+        return [curve.h1_image_dim(curve._build_model(level(g, lam), B), amb)
                 for lam in jumps]
 
     def graded(d):
@@ -334,10 +350,10 @@ def test_report_matches_separately_measured_filtrations(text):
     _, B = _families(f)
     assert (rep.twist_dims, rep.duality_pairs) == _duality_oracle(f, B)
     # each classical level maps injectively: image dim = dim H^1 of the level
-    amb = curve.cech_hypercohomology(curve.deligne_ambient(f, curve._AMBIENT_M), B)
+    amb = curve._build_model(curve.deligne_ambient(f, curve._AMBIENT_M), B)
     flags = []
     for lam, d in zip(rep.jumps, rep.deligne_dims):
-        sub = curve.cech_hypercohomology(curve.deligne_level(f, lam), B)
+        sub = curve._build_model(curve.deligne_level(f, lam), B)
         assert curve.h1_image_dim(sub, amb) == d
         flags.append(d == sub.h1)
     assert all(flags) and rep.deligne_injective
@@ -382,7 +398,7 @@ def _all_models(f):
     """Every distinct model compare_filtrations builds for f at its one
     truncation."""
     families, B = _families(f)
-    models = [curve.cech_hypercohomology(K, B)
+    models = [curve._build_model(K, B)
               for ambient, levels in families for K in [ambient] + levels]
     return list({id(m): m for m in models}.values())
 
@@ -411,7 +427,7 @@ def test_cocycles_span_ker_d1(text):
 def test_h1_basis_has_h1_classes_on_every_level(text):
     f = parse_laurent(text)
     _, B = _families(f)
-    ambient = curve.cech_hypercohomology(curve.deligne_ambient(f, curve._AMBIENT_M), B)
+    ambient = curve._build_model(curve.deligne_ambient(f, curve._AMBIENT_M), B)
     for model in [ambient] + _all_models(f):
         assert len(model.h1_basis()) == model.h1
 
@@ -630,10 +646,10 @@ def test_every_model_analyze_builds_nests_in_its_ambient(monkeypatch):
             for K in levels:
                 sub = models[K]
                 seen.add(K)
-                assert sub.B <= amb.B, (f, K.label)
+                assert sub.B <= amb.B, (f, K)
                 for mine, theirs in ((sub.labels0, amb.labels0), (sub.labels1, amb.labels1),
                                      (sub.labels2, amb.labels2)):
-                    assert set(mine) <= set(theirs), (f, K.label)
+                    assert set(mine) <= set(theirs), (f, K)
                 nested += 1
         assert seen == set(models), f
     curve._build_model.cache_clear()
@@ -657,11 +673,11 @@ def test_ambient_lemma_every_level_has_the_same_h1(monkeypatch):
         ambients = [curve.deligne_ambient(f, M) for M in range(9)]
         level0 = curve.deligne_level(f, 0)
         B = shared_truncation(ambients + [level0])
-        sub = curve.cech_hypercohomology(level0, B)
+        sub = curve._build_model(level0, B)
         for K in ambients:
-            amb = curve.cech_hypercohomology(K, B)
-            assert amb.dims == sub.dims, (f, K.label)
-            assert curve.h1_image_dim(sub, amb) == sub.h1, (f, K.label)
+            amb = curve._build_model(K, B)
+            assert amb.dims == sub.dims, (f, K)
+            assert curve.h1_image_dim(sub, amb) == sub.h1, (f, K)
     curve._build_model.cache_clear()
 
 

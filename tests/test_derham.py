@@ -5,7 +5,7 @@ from itertools import combinations
 from math import ceil
 
 import pytest
-from oracles import dense, generic_support, matmul
+from oracles import dense, fraction_weight, generic_support, matmul
 from test_polytope import _weight_census
 from test_spectrum import _random_support_poly
 
@@ -217,7 +217,7 @@ def _oracle_bases(poly, lam, n, exact_weight):
             continue
         points = poly.lattice_points_in_dilate(cap)
         if exact_weight:
-            points = [a for a in points if poly.weight(a) == cap]
+            points = [a for a in points if fraction_weight(poly, a) == cap]
         index_sets = list(combinations(range(n), p))
         bases.append(tuple((a, I) for a in points for I in index_sets))
     return tuple(bases)
@@ -264,7 +264,7 @@ def _assert_blocks_match_oracle(f):
             assert block.bases == bases, (lam, graded)
             D = poly.weight_denominator
             assert tuple(tuple(Fraction(k, D) for k in ks) for ks in block.weights) \
-                == tuple(tuple(poly.weight(a) for a, _ in b) for b in bases)
+                == tuple(tuple(fraction_weight(poly, a) for a, _ in b) for b in bases)
             assert [(m.nrows, m.ncols) for m in block.mats] == [(m.nrows, m.ncols) for m in mats]
             assert [m.entries for m in block.mats] == [m.entries for m in mats], (lam, graded)
 
@@ -301,7 +301,7 @@ def test_off_jump_levels_match_fraction_oracle(text):
         block = build_filtration_level(f, lam)
         assert block.bases == _oracle_bases(poly, lam, n, exact_weight=False), lam
         assert [[Fraction(k, D) for k in ks] for ks in block.weights] \
-            == [[poly.weight(a) for a, _ in b] for b in block.bases]
+            == [[fraction_weight(poly, a) for a, _ in b] for b in block.bases]
         assert build_graded_level(f, lam).dims() == (0,) * (n + 1)
     assert top_image_profile(f, levels) == [filtration_image_dim(f, lam, n) for lam in levels]
 
@@ -508,6 +508,19 @@ def test_profile_passes_are_made_once_per_slice(monkeypatch):
     passes = []
     monkeypatch.setattr(derham, "prefix_ranks", lambda *args: passes.append(args))
     assert slice0.top_profile() == first and passes == []
+
+
+@pytest.mark.parametrize("text", ["x^2 + x^-1", "x + y + x^-1*y^-1",
+                                  "2/3*x^2 + y^2 - 5/7*z^2 + x^-1*y^-1*z^-1"])
+def test_analyze_reads_one_cached_slice(text):
+    # one analyze reads its level-0 slice 4 times and keeps no other entry;
+    # the bound leaves room for the level-by-level tests
+    from exphodge.spectrum import analyze
+
+    build_filtration_level.cache_clear()
+    analyze(parse_laurent(text))
+    info = build_filtration_level.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (3, 1, 1, 16)
 
 
 def test_differential_writes_each_entry_once():

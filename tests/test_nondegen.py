@@ -90,11 +90,13 @@ def test_face_system_shifts_record_units():
     poly = newton_polytope(f)
     edge = next(fc for fc in poly.proper_faces_excluding_origin() if fc.dim == 1)
     system = build_face_system(f, edge)
-    for shifted, shift, g in zip(system.generators, system.shifts,
-                                 system.laurent_generators):
-        assert all(all(e >= 0 for e in alpha) for alpha, _ in shifted)
-        back = {tuple(a - s for a, s in zip(alpha, shift)): c for alpha, c in shifted}
+    assert len(system.generators) == len(system.laurent_generators) > 1
+    for shifted, g in zip(system.generators, system.laurent_generators):
+        # the unit is x^-m, m the generator's exponent minimum per variable
+        m = [min(a[i] for a in g.terms) for i in range(f.nvars)]
+        back = {tuple(a + s for a, s in zip(alpha, m)): c for alpha, c in shifted}
         assert back == dict(g.terms)
+        assert [min(a[i] for a, _ in shifted) for i in range(f.nvars)] == [0] * f.nvars
 
 
 def test_prime_exhaustion():
