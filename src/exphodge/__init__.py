@@ -11,8 +11,7 @@ a dedicated projective-line engine handles the one-variable comparisons.
 from .errors import (BadPrimeError, BudgetExceededError, DegenerateInputError,
                      ExpHodgeError, IntegrityError, NotFullDimensionalError,
                      ParseError)
-from .laurent import (LaurentPolynomial, face_restriction, format_laurent,
-                      log_derivative, make_laurent, parse_laurent)
+from .laurent import LaurentPolynomial, format_laurent, make_laurent, parse_laurent
 from .polytope import Face, Facet, NewtonPolytope, newton_polytope
 from .linalg import SparseRationalMatrix
 from .nondegen import NondegeneracyReport, is_nondegenerate
@@ -33,7 +32,6 @@ __all__ = [
     "DegenerateInputError", "BadPrimeError", "BudgetExceededError",
     "IntegrityError",
     "LaurentPolynomial", "make_laurent", "parse_laurent", "format_laurent",
-    "log_derivative", "face_restriction",
     "NewtonPolytope", "Face", "Facet", "newton_polytope",
     "SparseRationalMatrix",
     "NondegeneracyReport", "is_nondegenerate",

@@ -46,7 +46,7 @@ def torus_common_zero(gens: Sequence[Sequence[tuple[int, Sequence[int]]]],
     """First point of (GF(p)*)^nvars where every generator vanishes, or None.
 
     Each generator is a list of (coefficient mod p, exponent) terms with
-    nonnegative exponents (shift Laurent generators first).  The scan runs
+    nonnegative exponents.  The scan runs
     lex ascending on coordinates 1..p-1 and leaves a point at the first
     generator that does not vanish there.
     """

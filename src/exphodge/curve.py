@@ -515,7 +515,8 @@ def compare_filtrations(f: LaurentPolynomial, rank: HodgeSpectrum) -> CurveFiltr
     _, ambient_labels = amb.label_sets
     for lam, Kp, Kd, dd in zip(jumps, twist, deligne, deligne_dims):
         Zp = _image_generators(cech_hypercohomology(Kp), amb)
-        Zd = _image_generators(cech_hypercohomology(Kd), amb)
+        # above 0 the classical level is the twist level: Zp covers it
+        Zd = [] if Kd == Kp else _image_generators(cech_hypercohomology(Kd), amb)
         Zt = _toric_generators(f, lam)
         for vec in Zt:
             stray = vec.keys() - ambient_labels

@@ -67,8 +67,9 @@ class RationalField:
         return 1 / a
 
     def elements(self, g: Mapping) -> Poly:
-        """g's nonzero coefficients times the lcm of their denominators."""
-        g = {tuple(e): Fraction(c) for e, c in g.items() if c}
+        """g's nonzero coefficients (ints or Fractions) times the lcm of
+        their denominators."""
+        g = {tuple(e): c for e, c in g.items() if c}
         den = math.lcm(*(c.denominator for c in g.values()))
         return {e: c.numerator * (den // c.denominator) for e, c in g.items()}
 

@@ -2,8 +2,7 @@
 
 A polynomial in n torus variables is a finite map from exponent vectors
 (integer n-tuples, negative entries allowed) to nonzero Fractions.  The zero
-polynomial is the empty map; the parser rejects it, but derived quantities
-(logarithmic derivatives) may legitimately be zero.
+polynomial is the empty map; the parser rejects it.
 """
 
 from __future__ import annotations
@@ -81,29 +80,6 @@ class LaurentPolynomial:
         neg = LaurentPolynomial(self.nvars, {a: -c for a, c in self.terms.items()}, self.var_names)
         object.__setattr__(neg, "_hull", self._hull)  # same support, same hull
         return neg
-
-    def shift(self, delta: Monomial) -> "LaurentPolynomial":
-        """Multiply by the monomial x^delta (exponent translation)."""
-        d = tuple(delta)
-        return LaurentPolynomial(
-            self.nvars,
-            {tuple(a + b for a, b in zip(alpha, d)): c for alpha, c in self.terms.items()},
-            self.var_names,
-        )
-
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """Exact evaluation; coordinates must be nonzero when negative
-        exponents occur."""
-        pt = [Fraction(v) for v in point]
-        if len(pt) != self.nvars:
-            raise ValueError("point arity mismatch")
-        total = Fraction(0)
-        for alpha, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, alpha):
-                v *= x ** e
-            total += v
-        return total
 
     def __str__(self):
         return format_laurent(self)
@@ -309,28 +285,3 @@ def format_laurent(f: LaurentPolynomial) -> str:
     for neg, body in pieces[1:]:
         out += (" - " if neg else " + ") + body
     return out
-
-
-# ---------------------------------------------------------------------------
-# Calculus and face restriction
-# ---------------------------------------------------------------------------
-
-def log_derivative(f: LaurentPolynomial, i: int) -> LaurentPolynomial:
-    """x_i * d/dx_i, termwise alpha_i * c(alpha).  May be zero."""
-    if not 1 <= i <= f.nvars:
-        raise ValueError(f"variable index {i} out of range")
-    out = {a: a[i - 1] * c for a, c in f.terms.items() if a[i - 1] != 0}
-    return LaurentPolynomial(f.nvars, out, f.var_names)
-
-
-def face_restriction(f: LaurentPolynomial, face) -> LaurentPolynomial:
-    """Keep exactly the terms whose exponent lies on the given face.
-
-    ``face`` is any object with a ``contains_point(alpha) -> bool`` method
-    (see :class:`exphodge.polytope.Face`).
-    """
-    kept = {a: c for a, c in f.terms.items() if face.contains_point(a)}
-    if not kept:
-        raise ValueError("face carries no terms")
-    return LaurentPolynomial(f.nvars, kept, f.var_names)
-

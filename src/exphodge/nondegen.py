@@ -2,25 +2,25 @@
 
 For every proper face not through the origin we ask whether the face
 polynomial and its logarithmic derivatives share a torus zero.  Vertex faces
-pass outright (a monomial never vanishes on the torus).  Every other face is
-decided by one exact check over the rationals.  A torus zero is a vector
-(c_j x^alpha_j) in the kernel of the face's exponent matrix [1; alpha], so
-the check reads the kernel's dimension e = k - d - 1 (k terms on a d-face)
-first.  A simplex face (e = 0) is empty by its count alone.  A circuit face
-(e = 1) is empty unless its one relation holds, a closed form in integers.
-Any other face, and a circuit whose relation holds, is row-reduced: the
-face polynomial and its log derivatives are the rows of a
-coefficient-scaled exponent matrix, and invertible row operations keep
-their ideal.  A reduced row with a single term is a monomial, which proves
-the face empty.  Otherwise the face gets a saturated Groebner basis of the
+pass outright (a monomial never vanishes on the torus).  On any other face,
+``_face_terms`` gives the k terms' exponents alpha_j and their coefficients
+c_j cleared into integers; the system is the rows of A diag(c), A with the
+rows 1, alpha_1, ..., alpha_n, and a torus zero is a vector (c_j x^alpha_j)
+in the kernel of A.  One exact check over the rationals reads the kernel's
+dimension e = k - d - 1 (on a d-face) first.  A simplex face (e = 0) is
+empty by its count alone.  A circuit face (e = 1) is empty unless its one
+relation holds, a closed form in integers.  Any other face, and a circuit
+whose relation holds, is row-reduced; invertible row operations keep the
+ideal.  A reduced row with a single term is a monomial, which proves the
+face empty.  Otherwise the face gets a saturated Groebner basis of the
 reduced rows, over Z on primitive polynomials, which stops at the first
 nonzero constant in the ideal; so every nonempty face is proven by a basis.
 A face whose basis needs more S-pairs than its budget is reported as
 "budget exceeded", an outcome of its own and never a guess.  A nonempty face
-gets a witness search over small prime fields.  Each degeneracy claim is
-proven by a rational witness verified by substitution, or else by the exact
-non-unit basis; a finite-field witness shows a zero modulo its prime alone
-and is reported beside that proof.
+gets a witness scan of the same rows over small prime fields.  Each
+degeneracy claim is proven by a rational witness verified by substitution,
+or else by the exact non-unit basis; a finite-field witness shows a zero
+modulo its prime alone and is reported beside that proof.
 """
 
 from __future__ import annotations
@@ -34,25 +34,13 @@ from typing import Optional, Sequence
 from . import _kernels
 from .errors import BadPrimeError, BudgetExceededError
 from .groebner import PrimeField, RationalField, groebner_basis, is_unit_ideal
-from .laurent import LaurentPolynomial, Monomial, face_restriction, log_derivative
+from .laurent import LaurentPolynomial, Monomial
 from .polytope import Face, _dot, newton_polytope
 
 _PAIR_BUDGET = 60000  # S-pairs one exact face check may take
 _SCAN_POINT_CAP = 3_000_000  # witness scans stay below this many torus points
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                 59, 61, 67, 71, 73, 79, 83, 89, 97, 101)  # fields of the witness scans
-
-
-@dataclass(frozen=True)
-class FaceSystem:
-    """Face polynomial system cleared to ordinary polynomials.
-
-    Each generator is shifted by its own exponent minimum (a torus unit), so
-    all exponents are nonnegative.
-    """
-
-    laurent_generators: tuple[LaurentPolynomial, ...]
-    generators: tuple[tuple[tuple[Monomial, Fraction], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -98,18 +86,28 @@ class NondegeneracyReport:
         return out
 
 
-def build_face_system(f: LaurentPolynomial, face: Face) -> FaceSystem:
-    f_delta = face_restriction(f, face)
-    gens = [f_delta]
-    for i in range(1, f.nvars + 1):
-        g = log_derivative(f_delta, i)
-        if not g.is_zero:
-            gens.append(g)
-    shifted = []
-    for g in gens:
-        shift = tuple(-min(a[i] for a in g.terms) for i in range(f.nvars))
-        shifted.append(tuple(sorted(g.shift(shift).terms.items())))
-    return FaceSystem(tuple(gens), tuple(shifted))
+def _face_terms(f: LaurentPolynomial, face: Face) -> tuple[list[Monomial], list[int], int]:
+    """The face's terms: their exponents, and their coefficients times L,
+    the lcm of their denominators, as ints; and L.  The support lies in P,
+    where each pairing with an active facet's normal is at least its bound,
+    so the face's terms are where their sums meet.  Scaling by L changes
+    no zero set and, since sum m_j = 0, no circuit relation."""
+    active = [face.polytope.facets[j] for j in face.active_facets]
+    normal = [sum(col) for col in zip(*(fc.normal for fc in active))]
+    bound = -sum(fc.level for fc in active)
+    terms = [(alpha, c) for alpha, c in f.terms.items() if _dot(normal, alpha) == bound]
+    lcm = math.lcm(*(c.denominator for _, c in terms))
+    return ([alpha for alpha, _ in terms],
+            [c.numerator * (lcm // c.denominator) for _, c in terms], lcm)
+
+
+def _shifted(row: Sequence, exps: Sequence[Monomial]) -> list[tuple[object, Monomial]]:
+    """The terms (v, alpha) of sum_j row_j x^alpha_j with row_j nonzero,
+    each exponent less their minimum: the row's polynomial times a torus
+    unit, with nonnegative exponents."""
+    kept = [(v, alpha) for v, alpha in zip(row, exps) if v]
+    mins = [min(col) for col in zip(*(alpha for _, alpha in kept))]
+    return [(v, tuple(map(sub, alpha, mins))) for v, alpha in kept]
 
 
 def _vertex_check(face: Face) -> FaceCheck:
@@ -138,11 +136,11 @@ def _row_reduce(rows: list[list], F) -> list[list]:
     return rows[:rank]
 
 
-def _circuit_relation_holds(R: list[list[int]], coeffs: Sequence[Fraction]) -> bool:
+def _circuit_relation_holds(R: list[list[int]], coeffs: Sequence[int]) -> bool:
     """For a circuit face over QQ: R is the integer row reduction of its
     A = [1; alpha], each row a pivot plus the one free column (the last), and
-    coeffs its coefficients.  The primitive kernel vector m of A (sum m_j = 0,
-    sum m_j alpha_j = 0) spans the integer relations among the columns, so
+    coeffs its integer coefficients.  The primitive kernel vector m of A
+    (sum m_j = 0, sum m_j alpha_j = 0) spans the integer relations among the columns, so
     c_j x^alpha_j = t m_j has a torus solution iff
     prod_j (m_j / c_j)^(m_j) = 1 (Gel'fand, Kapranov & Zelevinsky,
     Discriminants, Resultants and Multidimensional Determinants, 1994, ch. 9).
@@ -154,13 +152,12 @@ def _circuit_relation_holds(R: list[list[int]], coeffs: Sequence[Fraction]) -> b
     lhs = rhs = 1
     for mj, c in zip(m, coeffs):
         mj //= g
-        num, den = mj * c.denominator, c.numerator  # m_j / c_j = num / den
         if mj > 0:
-            lhs *= num ** mj
-            rhs *= den ** mj
+            lhs *= mj ** mj
+            rhs *= c ** mj
         else:
-            lhs *= den ** -mj
-            rhs *= num ** -mj
+            lhs *= c ** -mj
+            rhs *= mj ** -mj
     return lhs == rhs
 
 
@@ -169,16 +166,15 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
     the field?  "empty" when not, "nonempty" when it has, "budget exceeded"
     when its Groebner basis needs more than max_pairs S-pairs.
 
-    With c the face's coefficients in the field (those that vanish there
-    dropped) and A the matrix with the rows 1, alpha_1, ..., alpha_n of their
-    exponents, the face system f_face, theta_1 f_face, ..., theta_n f_face
-    is the rows of A diag(c): a torus zero x is a vector (c_j x^alpha_j) in
-    the kernel of A.  Over QQ the face is decided by the dimension
-    e = k - d - 1 of that kernel, k terms on a d-face:
+    With c the face's coefficients from ``_face_terms`` read in the field
+    (those that vanish there dropped; over GF(p), p must not divide their
+    common denominator) and A the matrix with the rows 1, alpha_1, ...,
+    alpha_n of their exponents, the face system f_face, theta_1 f_face, ...,
+    theta_n f_face is the rows of A diag(c).  Over QQ the face is decided by
+    the dimension e = k - d - 1 of the kernel of A, k terms on a d-face:
 
     - e = 0 (a simplex: the terms sit at affinely independent points) leaves
-      only the zero vector, so the face is empty; this is read off the count
-      before any coefficient is coerced.
+      only the zero vector, so the face is empty; this is read off the count.
     - e = 1 (a circuit) has a zero iff the circuit relation holds
       (``_circuit_relation_holds``); when it fails the face is empty, and when
       it holds the face goes on to the basis below, which proves it nonempty.
@@ -195,30 +191,24 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
     """
     F = field
     exact = F.characteristic == 0
-    # the support lies in P, where each pairing with an active facet's normal
-    # is at least its bound: the face's terms are where their sums meet
-    active = [face.polytope.facets[j] for j in face.active_facets]
-    normal = [sum(col) for col in zip(*(fc.normal for fc in active))]
-    bound = -sum(fc.level for fc in active)
-    terms = [(alpha, c) for alpha, c in f.terms.items() if _dot(normal, alpha) == bound]
-    if exact and len(terms) == face.dim + 1:
+    exps, coeffs, lcm = _face_terms(f, face)
+    if exact and len(exps) == face.dim + 1:
         return "empty"
-    terms = [(alpha, F.coerce(c)) for alpha, c in terms]
-    terms = [(alpha, c) for alpha, c in terms if c]
-    A = [[F.from_int(1)] * len(terms)] + [[F.from_int(alpha[i]) for alpha, _ in terms]
-                                          for i in range(f.nvars)]
+    if not exact and lcm % F.characteristic == 0:
+        raise BadPrimeError(f"bad prime {F.characteristic}: denominator {lcm} vanishes")
+    kept = [(alpha, c) for alpha, c in zip(exps, map(F.from_int, coeffs)) if c]
+    exps = [alpha for alpha, _ in kept]
+    coeffs = [c for _, c in kept]
+    A = [[F.from_int(1)] * len(exps)] + [[F.from_int(alpha[i]) for alpha in exps]
+                                         for i in range(f.nvars)]
     R = _row_reduce(A, F)
     if any(sum(1 for v in row if v) == 1 for row in R):
         return "empty"
-    if exact and len(terms) == face.dim + 2 and not _circuit_relation_holds(
-            R, [c for _, c in terms]):
+    if exact and len(exps) == face.dim + 2 and not _circuit_relation_holds(R, coeffs):
         return "empty"
-    gens = []
-    for row in R:
-        poly = {alpha: F.mul(v, c) for v, (alpha, c) in zip(row, terms) if v}
-        mins = [min(alpha[i] for alpha in poly) for i in range(f.nvars)]
-        gens.append({tuple(map(sub, alpha, mins)) + (0,): c for alpha, c in poly.items()})
-    gens.append({(1,) * (f.nvars + 1): F.coerce(1), (0,) * (f.nvars + 1): F.coerce(-1)})
+    gens = [{alpha + (0,): v for v, alpha in _shifted(list(map(F.mul, row, coeffs)), exps)}
+            for row in R]
+    gens.append({(1,) * (f.nvars + 1): F.from_int(1), (0,) * (f.nvars + 1): F.from_int(-1)})
     try:
         basis = groebner_basis(gens, F, max_pairs=max_pairs)
     except BudgetExceededError:
@@ -248,47 +238,31 @@ def _check_face_exact(f: LaurentPolynomial, face: Face, max_pairs: int = _PAIR_B
 # Witness search
 # ---------------------------------------------------------------------------
 
-def _eval_mod(g: LaurentPolynomial, point: Sequence[int], q: int) -> int:
-    F = PrimeField(q)
-    total = 0
-    for alpha, c in g.terms.items():
-        v = F.coerce(c)
-        for x, e in zip(point, alpha):
-            v = v * pow(x % q, e % (q - 1) if e < 0 else e, q) % q
-        total = (total + v) % q
-    return total
-
-
-def _scan_prime(system: FaceSystem, nvars: int, q: int) -> Optional[tuple[int, ...]]:
-    if (q - 1) ** nvars > _SCAN_POINT_CAP:
-        return None
-    F = PrimeField(q)
-    try:
-        gens = [[(F.coerce(c), alpha) for alpha, c in poly] for poly in system.generators]
-    except BadPrimeError:
-        return None
-    return _kernels.torus_common_zero(gens, nvars, q)
-
-
 def find_witness(f: LaurentPolynomial, face: Face):
     """Search a torus zero of the face system, preferring a rational one.
 
-    Scans small prime fields exhaustively, then attempts a centered-integer
-    lift of the modular hit.  Returns (point, field_name) or (None, None).
+    Scans small prime fields exhaustively on the rows of A diag(c), each
+    shifted by its exponent minimum, skipping a prime that divides the
+    denominators, then attempts a centered-integer lift of the modular hit.
+    Returns (point, field_name) or (None, None).
     """
-    system = build_face_system(f, face)
+    exps, coeffs, lcm = _face_terms(f, face)
+    rows = [_shifted([a * c for a, c in zip(row, coeffs)], exps)
+            for row in ([1] * len(exps), *zip(*exps))]
+    rows = [row for row in rows if row]
     nvars = f.nvars
     for q in SMALL_PRIMES:
-        hit = _scan_prime(system, nvars, q)
+        if (q - 1) ** nvars > _SCAN_POINT_CAP:
+            break
+        if lcm % q == 0:
+            continue
+        hit = _kernels.torus_common_zero([[(c % q, e) for c, e in row] for row in rows], nvars, q)
         if hit is None:
             continue
         centered = tuple(w if w <= q // 2 else w - q for w in hit)
-        if all(c != 0 for c in centered):
-            point = tuple(Fraction(c) for c in centered)
-            if all(g.evaluate(point) == 0 for g in system.laurent_generators):
-                return point, "QQ"
-        if all(_eval_mod(g, hit, q) == 0 for g in system.laurent_generators):
-            return tuple(Fraction(w) for w in hit), f"GF({q})"
+        if all(sum(c * math.prod(map(pow, centered, e)) for c, e in row) == 0 for row in rows):
+            return tuple(map(Fraction, centered)), "QQ"
+        return tuple(map(Fraction, hit)), f"GF({q})"
     return None, None
 
 

@@ -298,12 +298,6 @@ class Face:
     def is_vertex(self) -> bool:
         return self.dim == 0
 
-    def contains_point(self, alpha: Monomial) -> bool:
-        P = self.polytope
-        # the face's own equalities first: most points fail one of them
-        return all(_dot(P.facets[j].normal, alpha) == -P.facets[j].level
-                   for j in self.active_facets) and P.contains_point(alpha)
-
     def __str__(self):
         return "conv{" + ", ".join(str(v) for v in self.vertices) + "}"
 
@@ -343,10 +337,6 @@ class NewtonPolytope:
         """Raise NotFullDimensionalError unless the polytope spans R^n."""
         if self.dim != self.nvars:
             raise NotFullDimensionalError(self.dim, self.nvars)
-
-    def contains_point(self, alpha: Monomial) -> bool:
-        self.require_full_dim()
-        return all(_dot(f.normal, alpha) >= -f.level for f in self.facets)
 
     # -- faces ---------------------------------------------------------------
 

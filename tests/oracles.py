@@ -1,9 +1,10 @@
 """Reference forms the tests check exphodge against, kept out of the package
-because no pipeline code needs them: the sum of Laurent polynomials, dense
-form and product of sparse matrices, the Čech differentials of a model as
-matrices, the untwisted two-term complex, the Groebner normal form and a
-Groebner basis run to completion (both in the field's own arithmetic, where
-the package runs over Z), the face check on the saturated face
+because no pipeline code needs them: dense form and product of sparse
+matrices, the Čech differentials of a model as matrices, the untwisted
+two-term complex, the Groebner normal form and a Groebner basis run to
+completion (both in the field's own arithmetic, where the package runs over
+Z), the face system of f on a face read off each active facet's equality,
+with its evaluation over QQ and mod q, the face check on the saturated face
 system with no row reduction, the divisor-shift invariance of the Čech
 dimensions, the convex hull by brute force over d-subsets, the weight of a
 lattice point with one Fraction per facet, seeded unimodular maps and seeded
@@ -21,16 +22,7 @@ from exphodge.groebner import (_mono_div, _mono_divides, _mono_lcm, _mono_mul,
                                leading_monomial)
 from exphodge.laurent import make_laurent
 from exphodge.linalg import SparseRationalMatrix
-from exphodge.nondegen import build_face_system
 from exphodge.polytope import _dot, _hyperplane_normal, newton_polytope
-
-
-def laurent_sum(f, g):
-    """f + g, cancelling terms dropped."""
-    terms = dict(f.terms)
-    for a, c in g.terms.items():
-        terms[a] = terms.get(a, 0) + c
-    return make_laurent(f.nvars, terms, f.var_names)
 
 
 def dense(m: SparseRationalMatrix) -> list[list[Fraction]]:
@@ -172,20 +164,44 @@ def full_groebner_basis(generators, F):
     return [g for _, g in reduced]
 
 
-def saturated_generators(system, nvars):
-    """Shifted generators plus t*x1*...*xn - 1 in n+1 variables."""
-    gens = []
-    for poly in system.generators:
-        gens.append({alpha + (0,): c for alpha, c in poly})
-    gens.append({tuple([1] * nvars + [1]): Fraction(1), tuple([0] * (nvars + 1)): Fraction(-1)})
-    return gens
+def face_system(f, face):
+    """[f_face, theta_1 f_face, ..., theta_n f_face] as term maps, the zero
+    ones dropped: f_face keeps the terms of f on every active facet's
+    hyperplane <u, alpha> = -level."""
+    P = face.polytope
+    on = {alpha: c for alpha, c in f.terms.items()
+          if all(sum(u * a for u, a in zip(P.facets[j].normal, alpha)) == -P.facets[j].level
+                 for j in face.active_facets)}
+    thetas = [{alpha: alpha[i] * c for alpha, c in on.items() if alpha[i]}
+              for i in range(f.nvars)]
+    return [g for g in [on] + thetas if g]
+
+
+def evaluate(g, point):
+    """The term map g at a point of the torus, in Fractions."""
+    return sum(c * math.prod(Fraction(x) ** e for x, e in zip(point, alpha))
+               for alpha, c in g.items())
+
+
+def evaluate_mod(g, point, q):
+    """The term map g at a point of (GF(q)*)^n; q divides no denominator."""
+    return sum(c.numerator * pow(c.denominator, -1, q)
+               * math.prod(pow(x, e, q) for x, e in zip(point, alpha))
+               for alpha, c in g.items()) % q
 
 
 def saturated_face_check(f, face, F):
     """The face check on f_face, theta_1 f_face, ..., theta_n f_face as they
-    are, with no row reduction and no pair budget: "empty" when they and the
-    saturation generate the unit ideal over F, "nonempty" otherwise."""
-    gens = saturated_generators(build_face_system(f, face), f.nvars)
+    are, with no row reduction and no pair budget: "empty" when they, each
+    shifted by its exponent minimum, and t*x1*...*xn - 1 generate the unit
+    ideal over F, "nonempty" otherwise."""
+    gens = []
+    for g in face_system(f, face):
+        low = [min(col) for col in zip(*g)]
+        gens.append({tuple(a - m for a, m in zip(alpha, low)) + (0,): c
+                     for alpha, c in g.items()})
+    n = f.nvars
+    gens.append({(1,) * (n + 1): Fraction(1), (0,) * (n + 1): Fraction(-1)})
     return "empty" if is_unit_ideal(groebner_basis(gens, F, max_pairs=10**9)) else "nonempty"
 
 

@@ -2,12 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import laurent_sum
 
 from exphodge.errors import BadPrimeError, ParseError
 from exphodge.groebner import PrimeField
-from exphodge.laurent import (LaurentPolynomial, format_laurent, log_derivative,
-                              make_laurent, parse_laurent)
+from exphodge.laurent import LaurentPolynomial, format_laurent, make_laurent, parse_laurent
 
 
 def test_parse_basic():
@@ -92,59 +90,6 @@ def test_roundtrip_randomized():
         done += 1
 
 
-def test_log_derivative_examples():
-    f = parse_laurent("x + x^-1")
-    assert dict(log_derivative(f, 1).terms) == {(1,): 1, (-1,): -1}
-    g = parse_laurent("x^2 + 2*x*y + y^2", ("x", "y"))
-    assert dict(log_derivative(g, 1).terms) == {(2, 0): 2, (1, 1): 2}
-    h = parse_laurent("y", ("x", "y"))
-    assert log_derivative(h, 1).is_zero
-
-
-def test_log_derivative_linear():
-    rng = random.Random(7)
-    for _ in range(50):
-        f = _random_poly(rng)
-        g = _random_poly(rng)
-        if f.nvars != g.nvars:
-            continue
-        i = rng.randint(1, f.nvars)
-        lhs = log_derivative(laurent_sum(f, g), i)
-        rhs = laurent_sum(log_derivative(f, i), log_derivative(g, i))
-        assert dict(lhs.terms) == dict(rhs.terms)
-
-
-def test_face_restriction_examples():
-    from exphodge.polytope import newton_polytope
-
-    g = parse_laurent("x^2 + 2*x*y + y^2", ("x", "y"))
-    poly = newton_polytope(g)
-    edge = next(fc for fc in poly.proper_faces_excluding_origin() if fc.dim == 1)
-    from exphodge.laurent import face_restriction
-
-    assert dict(face_restriction(g, edge).terms) == dict(g.terms)
-
-    f = parse_laurent("x + y + x^-1*y^-1")
-    poly = newton_polytope(f)
-    vx = next(fc for fc in poly.proper_faces_excluding_origin()
-              if fc.is_vertex and fc.vertices[0] == (1, 0))
-    assert dict(face_restriction(f, vx).terms) == {(1, 0): 1}
-
-    h = parse_laurent("x^2 + x^-1")
-    poly = newton_polytope(h)
-    vx = next(fc for fc in poly.proper_faces_excluding_origin() if fc.vertices[0] == (2,))
-    assert dict(face_restriction(h, vx).terms) == {(2,): 1}
-
-
-def test_face_restriction_whole_polytope():
-    from exphodge.laurent import face_restriction
-    from exphodge.polytope import newton_polytope
-
-    f = parse_laurent("x^2 + 2*x*y + y^2", ("x", "y"))
-    # the polytope itself answers contains_point, like the face it is
-    assert face_restriction(f, newton_polytope(f)) == f
-
-
 def test_reduce_mod_p():
     # PrimeField.coerce is the one reduction of a coefficient into GF(p)
     def reduce(f, p):
@@ -155,11 +100,6 @@ def test_reduce_mod_p():
     assert reduce(parse_laurent("5*x + y"), 5) == {(1, 0): 0, (0, 1): 1}
     with pytest.raises(BadPrimeError):
         reduce(parse_laurent("1/3*x"), 3)
-
-
-def test_evaluate():
-    f = parse_laurent("x^2 + x^-1")
-    assert f.evaluate([Fraction(2)]) == Fraction(9, 2)
 
 
 def test_exponent_plus_sign():

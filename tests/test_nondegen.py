@@ -6,14 +6,13 @@ from itertools import product
 
 import pytest
 from conftest import DEGENERATE, SUITE, corpus_inputs
-from oracles import saturated_face_check
+from oracles import evaluate, evaluate_mod, face_system, saturated_face_check
 
 from exphodge import nondegen
 from exphodge.errors import BadPrimeError, NotFullDimensionalError
 from exphodge.groebner import PrimeField, RationalField
 from exphodge.laurent import make_laurent, parse_laurent
-from exphodge.nondegen import (_eval_mod, build_face_system, check_face,
-                               find_witness, is_nondegenerate)
+from exphodge.nondegen import check_face, find_witness, is_nondegenerate
 from exphodge.polytope import _row_lattice_basis, newton_polytope
 
 
@@ -37,8 +36,7 @@ def test_degenerate_square():
     assert report.witness_face.dim == 1
     assert set(report.witness_face.vertices) == {(2, 0), (0, 2)}
     # the invariant: the witness kills every generator and avoids zero coords
-    system = build_face_system(f, report.witness_face)
-    assert all(g.evaluate(report.witness) == 0 for g in system.laurent_generators)
+    assert all(evaluate(g, report.witness) == 0 for g in face_system(f, report.witness_face))
     assert all(w != 0 for w in report.witness)
 
 
@@ -85,20 +83,6 @@ def test_rejects_low_dimensional_input():
         is_nondegenerate(parse_laurent("x*y"))
 
 
-def test_face_system_shifts_record_units():
-    f = parse_laurent("x + y + x^-1*y^-1")
-    poly = newton_polytope(f)
-    edge = next(fc for fc in poly.proper_faces_excluding_origin() if fc.dim == 1)
-    system = build_face_system(f, edge)
-    assert len(system.generators) == len(system.laurent_generators) > 1
-    for shifted, g in zip(system.generators, system.laurent_generators):
-        # the unit is x^-m, m the generator's exponent minimum per variable
-        m = [min(a[i] for a in g.terms) for i in range(f.nvars)]
-        back = {tuple(a + s for a, s in zip(alpha, m)): c for alpha, c in shifted}
-        assert back == dict(g.terms)
-        assert [min(a[i] for a, _ in shifted) for i in range(f.nvars)] == [0] * f.nvars
-
-
 def test_prime_exhaustion():
     from exphodge.laurent import make_laurent
 
@@ -137,8 +121,7 @@ def test_degenerate_proper_case_squared_edge():
     rep = is_nondegenerate(f)
     assert rep.verdict == "degenerate"
     assert rep.witness == (Fraction(1), Fraction(1))
-    system = build_face_system(f, rep.witness_face)
-    assert all(g.evaluate(rep.witness) == 0 for g in system.laurent_generators)
+    assert all(evaluate(g, rep.witness) == 0 for g in face_system(f, rep.witness_face))
 
 
 # degenerate inputs whose witness scans find a zero over a finite field only:
@@ -156,13 +139,35 @@ def test_exact_basis_settles_finite_field_witness(text, field):
     assert rep.verdict == "degenerate"
     assert rep.witness_field == field
     q = int(field[3:-1])
-    system = build_face_system(f, rep.witness_face)
-    assert all(_eval_mod(g, [int(w) for w in rep.witness], q) == 0
-               for g in system.laurent_generators)
+    assert all(evaluate_mod(g, [int(w) for w in rep.witness], q) == 0
+               for g in face_system(f, rep.witness_face))
     # a zero mod q proves nothing over QQ; the exact basis settles the face
     assert rep.certified and rep.certificate == "exact basis"
     note = next(c.note for c in rep.faces if c.face == rep.witness_face)
     assert note == f"exact basis is not the unit ideal; witness over {field}"
+
+
+def test_witness_scan_skips_a_prime_dividing_the_denominators():
+    # 1/3*(x - 2y)^2 on the edge: cleared to x^2 - 4xy + 4y^2, whose GF(3)
+    # zero (1, 2) is no zero of the face system, where 3 divides a denominator
+    f = parse_laurent("1/3*x^2 - 4/3*x*y + 4/3*y^2 + x^-1*y^-1")
+    rep = is_nondegenerate(f)
+    assert (rep.verdict, rep.certificate) == ("degenerate", "exact basis")
+    assert (rep.witness, rep.witness_field) == ((1, 3), "GF(5)")
+    assert all(evaluate_mod(g, (1, 3), 5) == 0 for g in face_system(f, rep.witness_face))
+
+
+def test_exact_decision_hands_groebner_integers(monkeypatch):
+    """Over QQ every coefficient of every generator _decide_face hands to
+    groebner_basis, the saturation's included, is an int."""
+    QQ = RationalField()
+    calls = _counting(monkeypatch, "groebner_basis")
+    for f in corpus_inputs(monkeypatch, "screen", 4242, 2):
+        for face in newton_polytope(f).proper_faces_excluding_origin():
+            if not face.is_vertex:
+                nondegen._decide_face(f, face, QQ, 60000)
+    assert calls
+    assert {type(c) for gens, _ in calls for g in gens for c in g.values()} == {int}
 
 
 ONE_PASS_INPUTS = ["x + y + x^-1*y^-1", "x^2 - 2*x*y + y^2 + x^-1*y^-1"]
@@ -379,7 +384,7 @@ def _circuit_inputs(seed):
 
 
 def _face_terms(f, face):
-    return [alpha for alpha in f.terms if face.contains_point(alpha)]
+    return list(face_system(f, face)[0])
 
 
 def test_circuit_closed_form_matches_the_saturated_oracle():

@@ -518,8 +518,6 @@ def test_faces_and_containment_need_full_dimension():
         P.all_proper_faces()
     with pytest.raises(NotFullDimensionalError):
         P.proper_faces_excluding_origin()
-    with pytest.raises(NotFullDimensionalError):
-        P.contains_point((1, 1))
 
 
 # ---------------------------------------------------------------------------
