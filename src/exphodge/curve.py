@@ -235,7 +235,8 @@ class CechModel:
     def _assemble(self) -> tuple[list[dict], list[dict]]:
         """Columns of d0 and of d1, index-keyed, integral entries as int."""
         th = self._theta
-        assert 0 not in th, "x f' has a constant term"  # so nabla's parts never collide
+        if 0 in th:  # nabla's parts would collide
+            raise IntegrityError("x f' has a constant term")
         idx1 = {lab: i for i, lab in enumerate(self.labels1)}
         idx2 = {lab: i for i, lab in enumerate(self.labels2)}
 

@@ -28,20 +28,20 @@ exponent differs from its column exponent (the df part) changes sign, and the
 d part stays; its exact entries, when read, are written from -f's
 coefficients.  No differential is assembled twice for f and -f.
 
-Every other slice is a weight block of the level-0 slice.  Filtration level
-lam keeps the degree-p forms of weight <= p - lam (none below degree lam) and
-the blocks of the differentials between them; the graded piece at level lam
-keeps those of weight exactly p - lam, and its blocks are the weight-raising
-part of the connection.  The first term preserves weight and each beta term
-raises it by at most one.  One pass over the level-0 entries checks
-w(row) <= w(col) + 1 on every entry, which says that d maps every level into
-itself, and buckets the entries with w(row) = w(col) + 1 by column weight;
-every graded block is read from those buckets.  Weights are numbered once
-per hull, in integers: the hull's weight table holds D times each weight, D
-the lcm of its positive facet levels (``NewtonPolytope.weight_denominator``),
-so a slice compares numerators k, "weight <= p - lam" reads k <= floor((p -
-lam) D), and the graded table is keyed by the jump numerators j = lam D.  No
-weight of a basis form is a Fraction; only a slice's ``level`` is one.
+Every other slice is a weight block of the level-0 slice, cut by one
+builder (``_block``) on the hull's integers: the weight table holds D times
+each weight, D the lcm of the positive facet levels
+(``NewtonPolytope.weight_denominator``), so each form has a numerator k.
+Filtration level lam keeps the degree-p forms with k <= (p - lam) D (none
+below degree lam) and the blocks of the differentials between them; the
+graded piece at level lam keeps those with k == (p - lam) D, and its blocks
+are the weight-raising part of the connection.  The first term preserves
+weight and each beta term raises it by at most one.  One pass over the
+level-0 entries checks k(row) <= k(col) + D on every entry, which says that d
+maps every level into itself, and buckets the entries with k(row) = k(col) +
+D by the column's numerator; every graded block is read from those buckets,
+and the graded table is keyed by the jump numerators j = lam D.  No weight of
+a basis form is a Fraction; only a slice's ``level`` is one.
 
 ``ComplexSlice`` owns every rank of its differentials.  Every rank runs
 through the one rank loop ``linalg.prefix_ranks``, first over GF(PRIME),
@@ -72,12 +72,12 @@ residues, one copy, and no echelon outlives the call that makes it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import floor
 from operator import add
 
 from .errors import IntegrityError
@@ -187,7 +187,7 @@ class ComplexSlice:
         dims, ranks = graded_ranks(self)[j]
         if saturated_ranks(ranks, dims) is not None:
             return [0] * self.nvars
-        block = _graded_block(self, Fraction(j, newton_polytope(self.f).weight_denominator))
+        block = _block(self, Fraction(j, newton_polytope(self.f).weight_denominator), True)
         block._memo["modular"] = dict(enumerate(ranks))
         return block.cohomology()[:self.nvars]
 
@@ -227,17 +227,16 @@ class ComplexSlice:
         n = self.nvars
         poly = newton_polytope(self.f)
         jumps, top = poly.jumps, n * poly.weight_denominator
-        buckets = _buckets(self)
         b = self.mats[n - 1]
         rows = b.residue_rows() if modular else b.rows()
-        ids = buckets.ids[n]
+        ks = self.weights[n]
         # descending weight, and shortest first within one weight: a rank is
         # read only between two weights, and a row set's rank is its own
-        order = sorted(range(len(rows)), key=lambda r: (-ids[r], len(rows[r])))
-        # the rows of B outside S_lam, of weight number at least the count of
-        # numerators <= n D - j, lead the order: one cut counts them per jump j
-        leading = [-ids[r] for r in order]
-        cuts = [bisect_right(leading, -bisect_right(buckets.weights, top - j)) for j in jumps]
+        order = sorted(range(len(rows)), key=lambda r: (-ks[r], len(rows[r])))
+        # the rows of B outside S_lam, of numerator above n D - j, lead the
+        # order: one cut counts them per jump j
+        leading = [-ks[r] for r in order]
+        cuts = [bisect_left(leading, j - top) for j in jumps]
         rows = [rows[r] for r in order]
         prefix = prefix_ranks(rows, cuts + [len(rows)], modular)
         rank_b = prefix.pop()
@@ -312,103 +311,61 @@ def _write(bases, p: int, terms: dict) -> dict:
                     written += 1
     except KeyError as missing:
         # weight(alpha + beta) <= weight(alpha) + 1, so level 0 holds every image
-        raise AssertionError(f"image form {missing.args[0]} missing from basis") from None
-    assert written == len(entries), "two terms of d met in one entry"
+        raise IntegrityError(f"image form {missing.args[0]} missing from basis") from None
+    if written != len(entries):
+        raise IntegrityError("two terms of d met in one entry")
     return entries
 
 
-@dataclass(frozen=True)
-class _Buckets:
-    """The weights of a level-0 slice numbered once, and its entries bucketed
-    by those numbers."""
-
-    weights: tuple[int, ...]               # the distinct numerators, ascending
-    number: dict[int, int]                 # weights[k] -> k
-    ids: tuple[tuple[int, ...], ...]       # ids[p][i]: number of weights[p][i]
-    forms: tuple[dict[int, list[int]], ...]
-    # forms[p][k]: the degree-p forms of weight number k, ascending
-    raised: tuple[dict[int, list[tuple[int, int]]], ...]
-    # raised[p][k]: the keys (r, c) of the entries of mats[p] whose column
-    # has weight number k and whose row has the weight one above it (the
-    # residues' own key objects, so a bucket holds only references)
-
-
-def _buckets(slice0: ComplexSlice) -> _Buckets:
-    """The buckets of a level-0 slice, built once by one pass over its
-    entries.  The pass checks w(row) <= w(col) + 1 on every entry, that is,
-    that d maps every level into itself, and raises when an entry breaks it."""
+def _buckets(slice0: ComplexSlice) -> tuple[dict[int, list[tuple[int, int]]], ...]:
+    """The weight-raising buckets of a level-0 slice: raised[p][k] holds the
+    keys (r, c) of the entries of mats[p] whose column has numerator k and
+    whose row has numerator k + D (the residues' own key objects, so a
+    bucket holds only references).  Built once by one pass over the entries,
+    which checks k(row) <= k(col) + D on every one, that is, that d maps
+    every level into itself, and raises when an entry breaks it."""
     memo = slice0._memo.get("buckets")
     if memo is not None:
         return memo
     D = newton_polytope(slice0.f).weight_denominator
-    weights = sorted(set().union(*slice0.weights))
-    number = {w: k for k, w in enumerate(weights)}
-    above = [number.get(w + D) for w in weights]             # number of w + D
-    reach = [bisect_right(weights, w + D) - 1 for w in weights]  # last number <= w + D
-    ids = tuple(tuple(number[w] for w in ws) for ws in slice0.weights)
-    forms = []
-    for degree_ids in ids:
-        by_weight: dict[int, list[int]] = {}
-        for i, k in enumerate(degree_ids):
-            by_weight.setdefault(k, []).append(i)
-        forms.append(by_weight)
     raised = []
     for p, m in enumerate(slice0.mats):
-        col_ids, row_ids = ids[p], ids[p + 1]
+        col_ks, row_ks = slice0.weights[p], slice0.weights[p + 1]
         bucket: dict[int, list] = {}
         for key in m.residues:
             r, c = key
-            k, kr = col_ids[c], row_ids[r]
-            if kr == above[k]:
+            k, kr = col_ks[c], row_ks[r]
+            if kr == k + D:
                 bucket.setdefault(k, []).append(key)
-            elif kr > reach[k]:
-                raise AssertionError(
-                    f"d maps level {Fraction(p * D - weights[k], D)} to {slice0.bases[p + 1][r]}")
+            elif kr > k + D:
+                raise IntegrityError(
+                    f"d maps level {Fraction(p * D - k, D)} to {slice0.bases[p + 1][r]}")
         raised.append(bucket)
-    memo = slice0._memo["buckets"] = _Buckets(
-        tuple(weights), number, ids, tuple(forms), tuple(raised))
+    memo = slice0._memo["buckets"] = tuple(raised)
     return memo
 
 
-def _block(slice0: ComplexSlice, lam: Fraction, kept, keys, graded: bool) -> ComplexSlice:
-    """The block of slice0 on the kept form indices, degree by degree, with
-    the exact entries of mats[p] at keys[p], pairs (r, c), in block
-    coordinates."""
+def _block(slice0: ComplexSlice, lam: Fraction, graded: bool) -> ComplexSlice:
+    """The block of slice0 at level lam: the degree-p forms of numerator
+    k <= (p - lam) D, or k == (p - lam) D for the graded piece, and the exact
+    entries of the differentials between them, those of a graded piece read
+    from the bucket at (p - lam) D."""
+    raised = _buckets(slice0)  # its check puts the image of a kept column in level lam
+    D = newton_polytope(slice0.f).weight_denominator
+    caps = [(p - lam) * D for p in range(len(slice0.bases))]
+    kept = [[i for i, k in enumerate(ks) if (k == cap if graded else k <= cap)]
+            for ks, cap in zip(slice0.weights, caps)]
     mats = []
     for p, m in enumerate(slice0.mats):
         cols = {c: j for j, c in enumerate(kept[p])}
         rows = {r: j for j, r in enumerate(kept[p + 1])}
+        keys = (raised[p].get(caps[p], ()) if graded
+                else [key for key in m.entries if key[1] in cols])
         mats.append(SparseRationalMatrix(len(rows), len(cols), {
-            (rows[r], cols[c]): m.entries[r, c] for r, c in keys[p]}))
+            (rows[r], cols[c]): m.entries[r, c] for r, c in keys}))
     bases = tuple(tuple(slice0.bases[p][i] for i in ix) for p, ix in enumerate(kept))
     weights = tuple(tuple(slice0.weights[p][i] for i in ix) for p, ix in enumerate(kept))
     return ComplexSlice(slice0.f, lam, bases, tuple(mats), weights, graded)
-
-
-def _filtration_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
-    """The degree-p forms of slice0 of weight <= p - lam, that is of
-    numerator <= floor((p - lam) D), and the blocks of its differentials
-    between them."""
-    buckets = _buckets(slice0)  # its check puts the image of a kept column in level lam
-    D = newton_polytope(slice0.f).weight_denominator
-    # ends[p]: how many numerators are <= (p - lam) D, so number k is kept when k < ends[p]
-    ends = [bisect_right(buckets.weights, floor((p - lam) * D)) for p in range(len(slice0.bases))]
-    kept = [[i for i, k in enumerate(ids) if k < end] for ids, end in zip(buckets.ids, ends)]
-    keys = [[(r, c) for r, c in m.entries if buckets.ids[p][c] < ends[p]]
-            for p, m in enumerate(slice0.mats)]
-    return _block(slice0, lam, kept, keys, False)
-
-
-def _graded_block(slice0: ComplexSlice, lam: Fraction) -> ComplexSlice:
-    """The degree-p forms of slice0 of weight exactly p - lam and the blocks
-    of its differentials between them, read from the buckets."""
-    buckets = _buckets(slice0)
-    D = newton_polytope(slice0.f).weight_denominator
-    # lam D is an integer at a jump; off the jumps no numerator equals p D - lam D
-    ks = [buckets.number.get(p * D - lam * D) for p in range(len(slice0.bases))]
-    kept = [forms.get(k, []) for forms, k in zip(buckets.forms, ks)]
-    keys = [raised.get(k, ()) for raised, k in zip(buckets.raised, ks)]
-    return _block(slice0, lam, kept, keys, True)
 
 
 def graded_ranks(slice0: ComplexSlice) -> dict:
@@ -423,25 +380,26 @@ def graded_ranks(slice0: ComplexSlice) -> dict:
     memo = slice0._memo
     if "graded" in memo:
         return memo["graded"]
-    buckets = _buckets(slice0)
+    raised = _buckets(slice0)
     n = slice0.nvars
     poly = newton_polytope(slice0.f)
     D, jumps = poly.weight_denominator, poly.jumps
-    ks = [[buckets.number.get(p * D - j) for p in range(n + 1)] for j in jumps]
+    ks = [[p * D - j for p in range(n + 1)] for j in jumps]
     rises = []  # rises[p][i]: the rank of the block of degree p at jumps[i]
     for p, m in enumerate(slice0.mats):
         rows, cuts = [], []
         for k in ks:
             block: dict[int, dict] = {}
-            for key in buckets.raised[p].get(k[p], ()):
+            for key in raised[p].get(k[p], ()):
                 block.setdefault(key[0], {})[key[1]] = m.residues[key]
             rows += sorted(block.values(), key=len)
             cuts.append(len(rows))
         prefix = prefix_ranks(rows, cuts, True)
         rises.append([total - below for below, total in zip([0] + prefix, prefix)])
+    counts = [Counter(ws) for ws in slice0.weights]
     graded = memo["graded"] = {}
     for j, k, ranks in zip(jumps, ks, zip(*rises)):
-        graded[j] = (tuple(len(forms.get(kp, ())) for forms, kp in zip(buckets.forms, k)), ranks)
+        graded[j] = (tuple(count[kp] for count, kp in zip(counts, k)), ranks)
     return graded
 
 
@@ -463,7 +421,7 @@ def build_filtration_level(f: LaurentPolynomial, lam) -> ComplexSlice:
     level 0, a weight block of the level-0 slice above it."""
     poly, lam = _check_level(f, lam)
     if lam > 0:
-        return _filtration_block(build_filtration_level(f, Fraction(0)), lam)
+        return _block(build_filtration_level(f, Fraction(0)), lam, False)
     n, D = f.nvars, poly.weight_denominator
     weight = poly.dilate_weights
     bases, weights = [], []
@@ -480,7 +438,7 @@ def build_graded_level(f: LaurentPolynomial, lam) -> ComplexSlice:
     """The graded piece at level lam: the exact-weight block of the level-0
     slice, whose differentials are the weight-raising part of d."""
     _, lam = _check_level(f, lam)
-    return _graded_block(build_filtration_level(f, Fraction(0)), lam)
+    return _block(build_filtration_level(f, Fraction(0)), lam, True)
 
 
 def betti_numbers(f: LaurentPolynomial) -> list[int]:

@@ -43,5 +43,6 @@ class BudgetExceededError(ExpHodgeError):
 
 
 class IntegrityError(ExpHodgeError):
-    """An internal cross-check failed: a negative dimension, d1 d0 != 0 in
-    a cover model, or a section that leaves its cover model."""
+    """An internal cross-check failed: a negative dimension, d1 d0 != 0 or
+    x f' with a constant term in a cover model, a section leaving it, or a
+    de Rham differential leaving its basis or level or writing an entry twice."""

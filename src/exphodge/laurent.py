@@ -45,6 +45,8 @@ class LaurentPolynomial:
         object.__setattr__(self, "var_names", tuple(names))
         if len(self.var_names) != self.nvars:
             raise ValueError("variable name count does not match nvars")
+        if len(set(self.var_names)) != self.nvars:
+            raise ValueError(f"variable names {self.var_names} repeat a name")
         for alpha, c in self.terms.items():
             if len(alpha) != self.nvars:
                 raise ValueError(f"monomial {alpha} has wrong arity")

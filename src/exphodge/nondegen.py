@@ -35,7 +35,7 @@ from . import _kernels
 from .errors import BadPrimeError, BudgetExceededError
 from .groebner import PrimeField, RationalField, groebner_basis, is_unit_ideal
 from .laurent import LaurentPolynomial, Monomial
-from .polytope import Face, _dot, newton_polytope
+from .polytope import Face, newton_polytope
 
 _PAIR_BUDGET = 60000  # S-pairs one exact face check may take
 _SCAN_POINT_CAP = 3_000_000  # witness scans stay below this many torus points
@@ -87,15 +87,11 @@ class NondegeneracyReport:
 
 
 def _face_terms(f: LaurentPolynomial, face: Face) -> tuple[list[Monomial], list[int], int]:
-    """The face's terms: their exponents, and their coefficients times L,
-    the lcm of their denominators, as ints; and L.  The support lies in P,
-    where each pairing with an active facet's normal is at least its bound,
-    so the face's terms are where their sums meet.  Scaling by L changes
-    no zero set and, since sum m_j = 0, no circuit relation."""
-    active = [face.polytope.facets[j] for j in face.active_facets]
-    normal = [sum(col) for col in zip(*(fc.normal for fc in active))]
-    bound = -sum(fc.level for fc in active)
-    terms = [(alpha, c) for alpha, c in f.terms.items() if _dot(normal, alpha) == bound]
+    """The face's terms, those of f at ``face.points``: their exponents,
+    and their coefficients times L, the lcm of their denominators, as ints;
+    and L.  Scaling by L changes no zero set and, since sum m_j = 0, no
+    circuit relation."""
+    terms = [(alpha, c) for alpha, c in f.terms.items() if alpha in face.points]
     lcm = math.lcm(*(c.denominator for _, c in terms))
     return ([alpha for alpha, _ in terms],
             [c.numerator * (lcm // c.denominator) for _, c in terms], lcm)

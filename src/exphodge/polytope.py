@@ -284,11 +284,17 @@ class Facet:
 
 @dataclass(frozen=True)
 class Face:
+    """A proper face: its active facets and the hull's points on all of them."""
+
     polytope: "NewtonPolytope" = field(repr=False)
     vertex_indices: tuple[int, ...]
     dim: int
-    contains_origin: bool
     active_facets: tuple[int, ...]
+    points: frozenset[Monomial]
+
+    @property
+    def contains_origin(self) -> bool:
+        return (0,) * self.polytope.nvars in self.points
 
     @property
     def vertices(self) -> tuple[Monomial, ...]:
@@ -346,11 +352,13 @@ class NewtonPolytope:
 
     @cached_property
     def _faces(self) -> tuple[Face, ...]:
-        """The proper faces, built once per hull from the facet incidences."""
-        facet_sets = [
-            frozenset(i for i, v in enumerate(self.vertices) if _dot(f.normal, v) == -f.level)
-            for f in self.facets
-        ]
+        """The proper faces, built once per hull from the facet incidences:
+        the hull's points on each facet, tested once, and its vertices among
+        them."""
+        facet_points = [frozenset(a for a in self._points if _dot(f.normal, a) == -f.level)
+                        for f in self.facets]
+        facet_sets = [frozenset(i for i, v in enumerate(self.vertices) if v in on)
+                      for on in facet_points]
         out = []
         for vset in _face_vertex_sets(facet_sets):
             vtuple = tuple(sorted(vset))
@@ -359,8 +367,8 @@ class NewtonPolytope:
             fdim = len(vtuple) - 1 if len(vtuple) <= 3 else len(_row_lattice_basis(
                 [tuple(a - b for a, b in zip(self.vertices[i], base)) for i in vtuple]))
             active = tuple(j for j, fs in enumerate(facet_sets) if vset <= fs)
-            origin_on = all(self.facets[j].level == 0 for j in active)
-            out.append(Face(self, vtuple, fdim, origin_on, active))
+            points = frozenset.intersection(*(facet_points[j] for j in active))
+            out.append(Face(self, vtuple, fdim, active, points))
         return tuple(out)
 
     def proper_faces_excluding_origin(self) -> list[Face]:

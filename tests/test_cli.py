@@ -1,9 +1,12 @@
+import ast
 import io
 import json
+from pathlib import Path
 
 import pytest
 from conftest import CURVE_SUITE, DEGENERATE, SUITE
 
+import exphodge
 from exphodge.cli import run
 
 
@@ -153,6 +156,21 @@ def test_plot_writes_svg(tmp_path):
 def test_vars_flag():
     code, out, _ = call(["betti", "y", "--vars", "x,y"])
     assert code == 4  # y alone spans a subtorus in two variables
+
+
+@pytest.mark.parametrize("names", ["x,x", "x,y,x"])
+def test_repeated_variable_names_exit_2(names):
+    code, _, err = call(["analyze", "x + x^-1", "--vars", names])
+    assert code == 2 and "repeat a name" in err
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips an assert, so an integrity check written as one would
+    # vanish, and one that raised would exit 1 instead of 5
+    package = Path(exphodge.__file__).parent
+    found = [(path.name, node.lineno) for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 CERTIFICATES = [

@@ -1,19 +1,24 @@
 import io
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
+from pathlib import Path
 
 import pytest
 from oracles import dense, fraction_weight, generic_support, matmul
 from test_polytope import _weight_census
 from test_spectrum import _random_support_poly
 
-from exphodge.derham import (_filtration_block, _graded_block, _insertion_sign,
-                             betti_numbers, build_filtration_level,
+import exphodge
+from exphodge.derham import (_block, _insertion_sign, betti_numbers, build_filtration_level,
                              build_graded_level, filtration_image_dim, graded_ranks,
                              top_image_profile)
-from exphodge.errors import NotFullDimensionalError
+from exphodge.errors import IntegrityError, NotFullDimensionalError
 from exphodge.laurent import parse_laurent
 from exphodge.linalg import PRIME, SparseRationalMatrix, exact_rank
 from exphodge.polytope import NewtonPolytope, newton_polytope
@@ -255,7 +260,10 @@ def _oracle_differential(f, bases, p, graded):
 
 def _assert_blocks_match_oracle(f):
     poly, n = newton_polytope(f), f.nvars
-    for lam in jump_candidates(f):
+    jumps = jump_candidates(f)
+    assert jumps[-1] == n
+    # off the jumps too: at a midpoint (p - lam) D need not be an integer
+    for lam in jumps + [(a + b) / 2 for a, b in zip(jumps, jumps[1:])]:
         for block, graded in ((build_filtration_level(f, lam), False),
                               (build_graded_level(f, lam), True)):
             bases = _oracle_bases(poly, lam, n, exact_weight=graded)
@@ -344,13 +352,13 @@ def test_block_check_catches_d_leaving_the_level():
     # copy made by replace starts with no buckets of the good slice
     slice0 = build_filtration_level(parse_laurent("x + x^-1"), 0)
     assert slice0.bases[1][2] == ((1,), (0,)) and slice0.mats[0].entries[(2, 0)] == 1
-    assert _graded_block(slice0, Fraction(0)).bases[1] == (((-1,), (0,)), ((1,), (0,)))
+    assert _block(slice0, Fraction(0), True).bases[1] == (((-1,), (0,)), ((1,), (0,)))
     D = newton_polytope(slice0.f).weight_denominator
     assert [Fraction(k, D) for k in slice0.weights[1]] == [1, 0, 1]
     bad = replace(slice0, weights=(slice0.weights[0], (D, 0, 2 * D)))
-    for block in (_filtration_block, _graded_block):
-        with pytest.raises(AssertionError, match="maps level 0 to"):
-            block(bad, Fraction(0))
+    for graded in (False, True):
+        with pytest.raises(IntegrityError, match="maps level 0 to"):
+            _block(bad, Fraction(0), graded)
 
 
 def _assert_negated_matches_fresh_build(f):
@@ -377,7 +385,7 @@ def _assert_negated_matches_fresh_build(f):
     # every graded entry raises weight, so it is a df entry: -f's graded
     # blocks are entrywise the negatives of f's, and f's ranks bound both
     for lam in jump_candidates(f):
-        ours, theirs = _graded_block(slice0, lam), _graded_block(flipped, lam)
+        ours, theirs = _block(slice0, lam, True), _block(flipped, lam, True)
         assert ours.bases == theirs.bases
         assert [{k: -v for k, v in m.entries.items()} for m in ours.mats] \
             == [m.entries for m in theirs.mats]
@@ -595,7 +603,7 @@ def test_graded_blocks_read_one_bucketing_per_slice(suite_poly):
         == [b.bases for b in blocks]
     assert slice0._memo["buckets"] is buckets
     # every level-0 entry is a graded entry of exactly one level, or keeps weight
-    raised = sum(len(v) for bucket in buckets.raised for v in bucket.values())
+    raised = sum(len(v) for bucket in buckets for v in bucket.values())
     assert raised == sum(m.nnz for b in blocks for m in b.mats)
 
 
@@ -607,8 +615,29 @@ def test_differential_refuses_two_terms_in_one_entry(monkeypatch):
     f = parse_laurent("x + y + x^-1*y^-1")
     bases = build_filtration_level(f, 0).bases
     monkeypatch.setattr(derham, "_insertion_sign", lambda i, index_set: (1, (0,)))
-    with pytest.raises(AssertionError, match="two terms of d met in one entry"):
+    with pytest.raises(IntegrityError, match="two terms of d met in one entry"):
         derham._differential(f, bases, 0)
+
+
+def test_differential_refuses_two_terms_in_one_entry_under_optimization():
+    # the same corrupted write in a fresh interpreter under python -O, which
+    # strips assert statements: the check still raises
+    code = textwrap.dedent("""
+        from exphodge import derham
+        from exphodge.errors import IntegrityError
+        from exphodge.laurent import parse_laurent
+        f = parse_laurent("x + y + x^-1*y^-1")
+        bases = derham.build_filtration_level(f, 0).bases
+        derham._insertion_sign = lambda i, index_set: (1, (0,))
+        try:
+            print(len(derham._differential(f, bases, 0).residues))
+        except IntegrityError as exc:
+            print(type(exc).__name__, exc)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(exphodge.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "IntegrityError two terms of d met in one entry"
 
 
 def test_negative_cohomology_raises(monkeypatch):

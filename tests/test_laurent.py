@@ -43,6 +43,16 @@ def test_parse_unknown_variable():
         parse_laurent("x + t", ("x",))
 
 
+def test_repeated_variable_names_are_rejected():
+    # a repeated name would collapse in the parser's index and leave a
+    # phantom variable
+    for names in (("x", "x"), ("x", "y", "x")):
+        with pytest.raises(ValueError, match="repeat a name"):
+            parse_laurent("x + x^-1", names)
+    with pytest.raises(ValueError, match="repeat a name"):
+        make_laurent(2, {(1, 0): 1, (0, 1): 1}, ("y", "y"))
+
+
 def test_parse_infers_canonical_order():
     f = parse_laurent("y + x")
     assert f.var_names == ("x", "y")

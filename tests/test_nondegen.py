@@ -444,3 +444,27 @@ def test_circuit_relation_is_read_on_the_primitive_vector(monkeypatch):
     assert nondegen._check_face_exact(f, edge) == "empty"
     assert calls == []
     assert saturated_face_check(f, edge, RationalField()) == "empty"
+
+
+def test_faces_carry_the_points_on_them(monkeypatch):
+    """On every proper face of the suite, the degenerate inputs and two
+    screen passes: the face's points are the hull points on every active
+    facet's hyperplane, it holds the origin exactly when every active facet
+    has level 0, and ``_face_terms`` keeps the oracle's f_face.  Support
+    points that are not vertices, on edges and 2-faces, are among them."""
+    inputs = [parse_laurent(text) for text, _ in SUITE] + [parse_laurent(t) for t in DEGENERATE]
+    inputs += corpus_inputs(monkeypatch, "screen", 4242, 2)
+    beyond_vertices = Counter()
+    for f in inputs:
+        P = newton_polytope(f)
+        hull_points = set(f.support) | {(0,) * f.nvars}
+        for face in P.all_proper_faces():
+            facets = [P.facets[j] for j in face.active_facets]
+            on = {a for a in hull_points
+                  if all(sum(map(math.prod, zip(fc.normal, a))) == -fc.level for fc in facets)}
+            assert face.points == on, (str(f), str(face))
+            assert face.contains_origin == all(fc.level == 0 for fc in facets), str(face)
+            system = face_system(f, face)
+            assert nondegen._face_terms(f, face)[0] == list(system[0] if system else {}), str(face)
+            beyond_vertices[face.dim] += len(on & set(f.support)) > len(face.vertex_indices)
+    assert beyond_vertices[1] and beyond_vertices[2], beyond_vertices

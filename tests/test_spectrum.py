@@ -188,7 +188,7 @@ def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
     f = parse_laurent(text)
     n, jumps = f.nvars, jump_candidates(f)
     certified = text != PRIME_DENOMINATOR
-    calls = dict.fromkeys(["spectrum_euler", "_graded_block", "_differential"], 0)
+    calls = dict.fromkeys(["spectrum_euler", "_block", "_differential"], 0)
     for name in calls:
         module = spectrum if name == "spectrum_euler" else derham
         fn = getattr(module, name)
@@ -232,13 +232,13 @@ def test_analyze_computes_each_spectrum_once(text, rank_calls, monkeypatch):
     # degree over the graded blocks of every jump
     modular = {"modular prefix": 2 + 2 * (n - 1) + n}
     if certified:
-        assert calls == {"spectrum_euler": 1, "_graded_block": 0, "_differential": n}
+        assert calls == {"spectrum_euler": 1, "_block": 0, "_differential": n}
         assert passes == modular
         assert eliminated == []
     else:
         # the graded pieces at the two top jumps saturate on the rows that
         # the denominator misses; it keeps every lower one from saturating
-        assert calls == {"spectrum_euler": 1, "_graded_block": len(jumps) - 2, "_differential": n}
+        assert calls == {"spectrum_euler": 1, "_block": len(jumps) - 2, "_differential": n}
         # every exact_rank of the run ranks such a graded block or a lower
         # level-0 differential
         assert len(eliminated) == n * (len(jumps) - 2) + n - 1
