@@ -23,8 +23,14 @@ Each basis element's leading monomial is computed once and kept beside it.
 Pending S-pairs wait in a heap keyed (grevlex key of the lcm of the leading
 monomials, i, j): the normal strategy with ties broken by pair index, so a
 fixed input reduces the same pairs in the same order, and the budget counts
-every popped pair, coprime ones included, up to the first constant.  Grevlex
-keys are memoized per call.
+every popped pair, skipped ones included, up to the first constant.  A
+popped pair is skipped when its leading monomials are coprime, or by
+Buchberger's chain criterion: some third element's leading monomial divides
+their lcm and its pairs with both were popped before.  Every popped pair has
+an S-polynomial with a representation below its lcm, the chain's two by
+induction on the order of popping (Cox, Little & O'Shea, Ideals, Varieties,
+and Algorithms, ch. 2 sec. 10), so the run still ends on a Groebner basis.
+Grevlex keys are memoized per call.
 """
 
 from __future__ import annotations
@@ -254,14 +260,20 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
             pairs.append((key(lcm), i, j, lcm))
     heapq.heapify(pairs)
     processed = 0
+    popped: set[tuple[int, int]] = set()
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
         processed += 1
         if processed > max_pairs:
             raise BudgetExceededError(f"Buchberger pair budget {max_pairs} exceeded")
+        popped.add((i, j))
         lmi, lmj = lms[i], lms[j]
         if lcm == _mono_mul(lmi, lmj):
             continue  # coprime leading terms: S-poly reduces to zero
+        if any(k != i and k != j and _mono_divides(lms[k], lcm)
+               and (min(i, k), max(i, k)) in popped and (min(j, k), max(j, k)) in popped
+               for k in range(len(basis))):
+            continue  # chain criterion: S(i, j) is a combination of S(i, k) and S(j, k)
         gi, gj = basis[i], basis[j]
         u, v = F.cofactors(gi[lmi], gj[lmj])
         shift = _mono_div(lcm, lmi)

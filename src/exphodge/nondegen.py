@@ -8,13 +8,16 @@ c_j cleared into integers; the system is the rows of A diag(c), A with the
 rows 1, alpha_1, ..., alpha_n, and a torus zero is a vector (c_j x^alpha_j)
 in the kernel of A.  One exact check over the rationals reads the kernel's
 dimension e = k - d - 1 (on a d-face) first.  A simplex face (e = 0) is
-empty by its count alone.  A circuit face (e = 1) is empty unless its one
-relation holds, a closed form in integers.  Any other face, and a circuit
-whose relation holds, is row-reduced; invertible row operations keep the
-ideal.  A reduced row with a single term is a monomial, which proves the
-face empty.  Otherwise the face gets a saturated Groebner basis of the
-reduced rows, over Z on primitive polynomials, which stops at the first
-nonzero constant in the ideal; so every nonempty face is proven by a basis.
+empty by its count alone.  Every other face is row-reduced; invertible row
+operations keep the ideal, and a reduced row with a single term is a
+monomial, which proves the face empty.  A circuit face (e = 1) is empty
+unless its one relation holds, a closed form in integers.  A face with
+e = 2 is empty unless its Gale pencil, two binary forms in one projective
+variable, has a common zero where no kernel coordinate vanishes, read off a
+gcd of two integer polynomials.  Any other face, and a face whose closed
+form finds a zero, gets a saturated Groebner basis of the reduced rows,
+over Z on primitive polynomials, which stops at the first nonzero constant
+in the ideal; so every nonempty face is proven by a basis.
 A face whose basis needs more S-pairs than its budget is reported as
 "budget exceeded", an outcome of its own and never a guess.  A nonempty face
 gets a witness scan of the same rows over small prime fields.  Each
@@ -157,6 +160,127 @@ def _circuit_relation_holds(R: list[list[int]], coeffs: Sequence[int]) -> bool:
     return lhs == rhs
 
 
+def _relation_basis(exps: Sequence[Monomial]) -> list[list[int]]:
+    """A basis of the integer relations m (sum m_j = 0, sum m_j alpha_j = 0)
+    among the exponents: the rows of U whose image vanishes when unimodular
+    row operations bring (A^T | I) to echelon form U (A^T | I) = (H | U).
+    U is invertible over Z, so the basis spans every integer relation, a
+    saturated lattice."""
+    rows = [[1, *alpha] + [int(i == j) for i in range(len(exps))]
+            for j, alpha in enumerate(exps)]
+    width = 1 + len(exps[0])
+    rank = 0
+    for col in range(width):
+        while True:
+            live = [r for r in range(rank, len(rows)) if rows[r][col]]
+            if not live:
+                break
+            top = min(live, key=lambda r: abs(rows[r][col]))
+            rows[rank], rows[top] = rows[top], rows[rank]
+            if len(live) == 1:
+                rank += 1
+                break
+            a = rows[rank]
+            for r in range(rank + 1, len(rows)):
+                q = rows[r][col] // a[col]
+                if q:
+                    rows[r] = [x - q * y for x, y in zip(rows[r], a)]
+    return [row[width:] for row in rows[rank:]]
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two polynomials in s, coefficient lists lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _trimmed(a: list[int]) -> list[int]:
+    """a less its zero leading coefficients, divided by its content ([] for
+    the zero polynomial): a polynomial in s up to a nonzero constant."""
+    while a and not a[-1]:
+        a.pop()
+    g = math.gcd(*a)
+    return [x // g for x in a] if g > 1 else a
+
+
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd in Q[s] of two integer polynomials: the primitive remainder
+    sequence, every pseudo-remainder divided by its content."""
+    a, b = _trimmed(list(a)), _trimmed(list(b))
+    while b:
+        while len(a) >= len(b):
+            la, lb, shift = a[-1], b[-1], len(a) - len(b)
+            a = [x * lb for x in a]
+            for i, y in enumerate(b):
+                a[i + shift] -= la * y
+            a = _trimmed(a)
+        a, b = b, a
+    return a
+
+
+def _gale_pencil_empty(exps: Sequence[Monomial], coeffs: Sequence[int]) -> bool:
+    """For a face over QQ with e = 2 (k = d + 3 terms on a d-face): True
+    when the face has no torus zero, by the Gale dual of its system (Bihan
+    & Sottile, Ann. Inst. Fourier 58, 2008; Gel'fand, Kapranov & Zelevinsky,
+    1994, ch. 9); False when the pencil below has a zero, which the caller
+    proves or refutes by a basis.
+
+    The kernel of A = [1; alpha] is spanned by an integer basis m^1, m^2 of
+    the relations, so a kernel vector is y_j = l_j(s, t) = m^1_j s + m^2_j t.
+    A torus zero x gives y_j = c_j x^alpha_j; conversely such y with every
+    l_j nonzero comes from a torus point iff prod_j (y_j / c_j)^m_j = 1 for
+    every relation m, since the relations cut out the image of the torus
+    (the face misses the origin, so sum m_j alpha_j = 0 forces sum m_j = 0).
+    For m = m^1, m^2 this is the binary form
+    prod_{m_j>0} l_j^m_j prod_{m_j<0} c_j^-m_j - prod_{m_j<0} l_j^-m_j prod_{m_j>0} c_j^m_j
+    vanishing at (s : t).  So the face is empty iff the two forms share no
+    zero in P^1 off every l_j = 0: their gcd at t = 1, stripped of each
+    factor l_j(s, 1), is a constant, and (1 : 0) is not a common zero off
+    the l_j.  The relations of a finite-index sublattice would cut out a
+    larger set, so "empty" would stay sound; the saturated basis of
+    ``_relation_basis`` makes "not empty" exact as well."""
+    basis = _relation_basis(exps)
+    lines = [(m2, m1) for m1, m2 in zip(*basis)]  # l_j(s, 1), lowest degree first
+    forms = []
+    for m in basis:
+        sides, consts = [[1], [1]], [1, 1]  # the l_j with m_j > 0, with m_j < 0
+        for mj, c, line in zip(m, coeffs, lines):
+            side = int(mj < 0)
+            for _ in range(abs(mj)):
+                sides[side] = _poly_mul(sides[side], line)
+            consts[1 - side] *= c ** abs(mj)
+        forms.append([consts[0] * x - consts[1] * y for x, y in zip(*sides)])
+    if all(a for _, a in lines) and not any(form[-1] for form in forms):
+        return False  # (1 : 0) is a common zero: each form there is its top coefficient
+    g = _poly_gcd(*forms)
+    for b, a in set(lines):
+        if a:
+            h = math.gcd(a, b)
+            while len(g) > 1:
+                q = _divide_linear(g, b // h, a // h)
+                if q is None:
+                    break
+                g = q
+    return len(g) == 1
+
+
+def _divide_linear(g: list[int], b: int, a: int) -> Optional[list[int]]:
+    """g / (a s + b) for a primitive a s + b that divides g in Q[s], None
+    when it does not.  By Gauss's lemma the quotient of an integer g is an
+    integer polynomial, so a step that is not exact shows the remainder."""
+    carry = list(g)
+    q = [0] * (len(g) - 1)
+    for i in range(len(g) - 1, 0, -1):
+        if carry[i] % a:
+            return None
+        q[i - 1] = carry[i] // a
+        carry[i - 1] -= b * q[i - 1]
+    return q if carry[0] == 0 else None
+
+
 def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str:
     """Does the face system have a torus zero over the algebraic closure of
     the field?  "empty" when not, "nonempty" when it has, "budget exceeded"
@@ -174,16 +298,24 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
     - e = 1 (a circuit) has a zero iff the circuit relation holds
       (``_circuit_relation_holds``); when it fails the face is empty, and when
       it holds the face goes on to the basis below, which proves it nonempty.
-    - e >= 2, and every face over GF(p), where the rank of A can drop, go on
+    - e = 2 has a zero iff its Gale pencil does (``_gale_pencil_empty``): the
+      two relations of a basis of the integer relations, read on the kernel
+      vectors s m^1 + t m^2, give two binary forms.  When they share no zero
+      off the lines where a kernel coordinate vanishes the face is empty;
+      otherwise it goes on to the basis.  The relations of any finite-index
+      sublattice cut out a superset of the torus image, so "empty" would
+      stay sound on one; the saturated basis makes the basis run happen
+      exactly on the nonempty faces.
+    - e >= 3, and every face over GF(p), where the rank of A can drop, go on
       to the basis.
 
     A row reduction R = S A over the field (S invertible) keeps the ideal of
     the face system as that of the rows of R diag(c).  A row of R with one
     nonzero entry is a monomial, a unit on the torus, so the face is empty
-    with no Groebner run.  Otherwise each row is shifted by its exponent
-    minimum, t*x1*...*xn - 1 is appended in one more variable, and the face
-    is empty exactly when these generate the unit ideal (over QQ, a basis
-    over Z of primitive polynomials).
+    with no Groebner run; the closed forms come after this test.  Otherwise
+    each row is shifted by its exponent minimum, t*x1*...*xn - 1 is appended
+    in one more variable, and the face is empty exactly when these generate
+    the unit ideal (over QQ, a basis over Z of primitive polynomials).
     """
     F = field
     exact = F.characteristic == 0
@@ -201,6 +333,8 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
     if any(sum(1 for v in row if v) == 1 for row in R):
         return "empty"
     if exact and len(exps) == face.dim + 2 and not _circuit_relation_holds(R, coeffs):
+        return "empty"
+    if exact and len(exps) == face.dim + 3 and _gale_pencil_empty(exps, coeffs):
         return "empty"
     gens = [{alpha + (0,): v for v, alpha in _shifted(list(map(F.mul, row, coeffs)), exps)}
             for row in R]

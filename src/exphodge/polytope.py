@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import _kernels
 from .errors import NotFullDimensionalError
@@ -113,9 +113,7 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def _primitive(u: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in u:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*u)
     return tuple(x // g for x in u)
 
 
@@ -160,17 +158,16 @@ def _affinely_independent(points: Sequence[Monomial], indices: Sequence[int], k:
     return chosen
 
 
-def _facet_through(points: Sequence[Monomial], through: Sequence[int], done: Sequence[int]):
+def _facet_through(points: Sequence[Monomial], through: Sequence[int], inside: int,
+                   on: Iterable[int]):
     """((u, b), incidence set) of the hyperplane through the given d points,
-    oriented so that every point of `done` satisfies <u, x> >= b; the
-    incidence set is the points of `done` on it."""
+    oriented so that the point `inside`, off it, satisfies <u, x> > b; the
+    incidence set is the points of `on` that lie on it."""
     u = _hyperplane_normal([points[j] for j in through])
     b = _dot(u, points[through[0]])
-    vals = [(j, _dot(u, points[j])) for j in done]
-    if any(v < b for _, v in vals):
+    if _dot(u, points[inside]) < b:
         u, b = tuple(-x for x in u), -b
-        vals = [(j, -v) for j, v in vals]
-    return (u, b), frozenset(j for j, v in vals if v == b)
+    return (u, b), frozenset(j for j in on if _dot(u, points[j]) == b)
 
 
 def _full_dim_hull(points: list[Monomial]):
@@ -179,13 +176,18 @@ def _full_dim_hull(points: list[Monomial]):
 
     Beneath-beyond in exact integers (Edelsbrunner, Algorithms in
     Combinatorial Geometry, 1987, ch. 8; Seidel 1981): start from a
-    d-simplex of the points and add the others in index order.  A new point
-    sees the facets it lies strictly beneath; every ridge between a seen and
-    an unseen facet spans a new facet with it, and the seen facets go.  Two
-    facets meet in a ridge when no third facet holds all the points they
-    share.  Facets are keyed by (u, b), so a new facet coplanar with a kept
-    one merges with it.  A point is a vertex when it is the only point on
-    every facet through it.
+    d-simplex of the points and add the others, farthest from the origin
+    first, so that the points inside the hull of those before them, which
+    cost one pass over the facets, come last.  A new point sees the facets
+    it lies strictly beneath; every ridge between a seen and an unseen facet
+    spans a new facet with it, and the seen facets go.  Two facets meet in a
+    ridge when the points they share span d - 2 dimensions: for d <= 3 when
+    they share d - 1 points, above that by one rank.  The new facet through
+    the ridge of F (seen) and G (unseen) is oriented by a point of F off the
+    ridge, and its points are the new point and those of G on it: the old
+    hull meets its hyperplane in the ridge or in all of G.  Facets are keyed
+    by (u, b), so a new facet coplanar with G replaces it.  A point is a
+    vertex when it is the only point on every facet through it.
 
     Each facet keeps the set of kept points on it: the simplex and every
     point that sees a facet.  A point that sees none lies in the hull of the
@@ -194,33 +196,38 @@ def _full_dim_hull(points: list[Monomial]):
     point on the hyperplane of an unseen facet G lies outside G, beyond one
     of its ridges, and the facet across that ridge is seen: the new facet
     through that ridge is coplanar with G and replaces G's set with one that
-    holds the point.  So no set needs a point added by hand.
+    holds the point.  So no set needs a point added by hand.  The facets are
+    those of conv(points) whatever the insertion order, and the vertices are
+    read off them in index order, so the output does not depend on it.
     """
     d = len(points[0])
-    simplex = _affinely_independent(points, range(len(points)), d + 1)
-    done = list(simplex)
+    order = sorted(range(len(points)), key=lambda i: -_dot(points[i], points[i]))
+    simplex = _affinely_independent(points, order, d + 1)
     facets: dict[tuple[tuple[int, ...], int], frozenset[int]] = dict(
-        _facet_through(points, [k for k in simplex if k != j], done) for j in simplex)
+        _facet_through(points, [k for k in simplex if k != j], j, simplex) for j in simplex)
     in_simplex = set(simplex)
-    for i, p in enumerate(points):
+    for i in order:
         if i in in_simplex:
             continue
+        p = points[i]
         seen = [key for key in facets if _dot(key[0], p) < key[1]]
         if not seen:
             continue
-        done.append(i)
         seen_set = set(seen)
         new = []
         for F in seen:
+            inc_f = facets[F]
             for G, inc in facets.items():
                 if G in seen_set:
                     continue
-                ridge = facets[F] & inc
-                if len(ridge) < d - 1 or any(
-                        ridge <= other for H, other in facets.items() if H != F and H != G):
+                ridge = inc_f & inc
+                if len(ridge) < d - 1:
                     continue
-                new.append(_facet_through(
-                    points, [i] + _affinely_independent(points, sorted(ridge), d - 1), done))
+                through = _affinely_independent(points, sorted(ridge), d - 1)
+                if len(through) < d - 1:
+                    continue
+                new.append(_facet_through(points, [i] + through, next(iter(inc_f - ridge)),
+                                          [*inc, i]))
         for key in seen:
             del facets[key]
         facets.update(new)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -99,6 +100,33 @@ def test_least_sufficient_pair_budget_is_pinned(gens, F, least):
     assert groebner_basis(gens, F, max_pairs=least)
     with pytest.raises(BudgetExceededError):
         groebner_basis(gens, F, max_pairs=least - 1)
+
+
+@pytest.mark.parametrize("F", [RationalField(), PrimeField(101)], ids=["QQ", "GF(101)"])
+def test_chain_criterion_skips_s_polynomials(F, monkeypatch):
+    """BUDGET_GENS (not the unit ideal, so both runs go to completion):
+    the oracle's Buchberger reduces every pair with non-coprime leading
+    monomials, 37 reductions with the tail reductions; the chain criterion
+    leaves 23, and the reduced basis is the same."""
+    import oracles
+
+    from exphodge import groebner
+
+    counts = Counter()
+
+    def counting(module):
+        reduce = module._reduce
+
+        def counted(*args):
+            counts[module] += 1
+            return reduce(*args)
+        return counted
+
+    for module in (groebner, oracles):
+        monkeypatch.setattr(module, "_reduce", counting(module))
+    basis = groebner_basis(BUDGET_GENS, F)
+    assert basis == full_groebner_basis(BUDGET_GENS, F) and not is_unit_ideal(basis)
+    assert (counts[groebner], counts[oracles]) == (23, 37)
 
 
 def _lm(g):

@@ -301,10 +301,10 @@ def test_double_root_edge_reaches_buchberger(monkeypatch):
 # Closed forms over QQ: simplex faces and circuit faces
 # ---------------------------------------------------------------------------
 
-def _kernel_vector(points):
-    """The primitive integer m with sum m_j = 0 and sum m_j alpha_j = 0 for
-    points spanning a circuit (a one-dimensional kernel), by Fraction
-    elimination."""
+def _kernel_basis(points):
+    """One primitive integer m with sum m_j = 0 and sum m_j alpha_j = 0 per
+    free column of the points' A = [1; alpha] (the relations read off its
+    reduced row echelon form), by Fraction elimination."""
     k = len(points)
     rows = [[Fraction(1)] * k] + [[Fraction(p[i]) for p in points]
                                   for i in range(len(points[0]))]
@@ -318,15 +318,17 @@ def _kernel_vector(points):
         rows = [row if row is top or not row[c] else
                 [a - row[c] * b for a, b in zip(row, top)] for row in rows]
         pivots.append(c)
-    free, = (c for c in range(k) if c not in pivots)
-    m = [Fraction(0)] * k
-    m[free] = Fraction(1)
-    for row, c in zip(rows, pivots):
-        m[c] = -row[free]
-    den = math.lcm(*(x.denominator for x in m))
-    ints = [int(x * den) for x in m]
-    g = math.gcd(*ints)
-    return [x // g for x in ints]
+    basis = []
+    for free in (c for c in range(k) if c not in pivots):
+        m = [Fraction(0)] * k
+        m[free] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            m[c] = -row[free]
+        den = math.lcm(*(x.denominator for x in m))
+        ints = [int(x * den) for x in m]
+        g = math.gcd(*ints)
+        basis.append([x // g for x in ints])
+    return basis
 
 
 def _planted(m, points, x0, rng):
@@ -374,7 +376,7 @@ def _circuit_inputs(seed):
         if case % 3 == 0 and len(points) == _affine_rank(points) + 2:
             x0 = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
                   for _ in range(n)]
-            terms.update(_planted(_kernel_vector(points), points, x0, rng))
+            terms.update(_planted(_kernel_basis(points)[0], points, x0, rng))
         else:
             terms.update((p, _large(rng)) for p in points)
         f = make_laurent(n, terms)
@@ -402,16 +404,89 @@ def test_circuit_closed_form_matches_the_saturated_oracle():
             got = nondegen._decide_face(f, face, QQ, 60000)
             assert got == saturated_face_check(f, face, QQ), (str(f), str(face))
             seen[face.dim, e, got] += 1
-            seen["m_j = 0"] += e == 1 and 0 in _kernel_vector(points)
+            seen["m_j = 0"] += e == 1 and 0 in _kernel_basis(points)[0]
     for d in (1, 2):
         assert seen[d, 0, "empty"] and seen[d, 1, "empty"] and seen[d, 1, "nonempty"], seen
     assert seen["m_j = 0"], seen
 
 
+def _gale_inputs(seed):
+    """Seeded inputs whose top face, on x + y = 3 (n = 2) or x + y + z = 3
+    (n = 3), holds four points of a line or five points of the plane, so
+    d + 3 terms on a d-face when they span it; the other terms lie below
+    the top.  Every other top gets coefficients planted from a kernel vector
+    y = s*m^1 + t*m^2 with no zero entry at a rational torus point, so its
+    face is nonempty (when no point is left out of every relation)."""
+    rng = random.Random(seed)
+    out = []
+    for case in range(90):
+        n = 2 if case % 3 == 0 else 3
+        top = [p for p in product(range(-1, 4), repeat=n) if sum(p) == 3]
+        if n == 2 or case % 3 == 1:
+            base = rng.choice(top)
+            step = rng.choice([w for w in product((-1, 0, 1), repeat=n) if any(w) and not sum(w)])
+            points = [tuple(x + a * w for x, w in zip(base, step))
+                      for a in (0, *rng.sample(range(1, 6), 3))]
+        else:
+            points = rng.sample(top, 5)
+        below = [p for p in product(range(-2, 2), repeat=n) if sum(p) < 3 and any(p)]
+        terms = {p: _large(rng) for p in rng.sample(below, n + 2)}
+        basis = _kernel_basis(points)
+        if case % 2 and len(basis) == 2 and all(map(any, zip(*basis))):
+            y = [0]
+            while 0 in y:
+                s, t = (rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(2))
+                y = [s * a + t * b for a, b in zip(*basis)]
+            x0 = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+                  for _ in range(n)]
+            terms.update(_planted(y, points, x0, rng))
+        else:
+            terms.update((p, _large(rng)) for p in points)
+        f = make_laurent(n, terms)
+        if newton_polytope(f).dim == n:
+            out.append(f)
+    return out
+
+
+def _relation_index(points):
+    """The index, in the lattice of all integer relations, of the lattice
+    spanned by the primitive relations of ``_kernel_basis`` (the gcd of their
+    2 x 2 minors, since the relation lattice is saturated)."""
+    m1, m2 = _kernel_basis(points)
+    return math.gcd(*(m1[i] * m2[j] - m1[j] * m2[i]
+                      for i in range(len(m1)) for j in range(i + 1, len(m1))))
+
+
+def test_gale_closed_form_matches_the_saturated_oracle(monkeypatch):
+    """Over QQ, every face with d + 3 terms (e = 2) of the seeded inputs
+    gets the verdict of the saturated full-basis check and runs Buchberger
+    exactly when it is nonempty; both verdicts occur on edges and 2-faces,
+    and faces whose primitive relations from the row echelon form span a
+    proper sublattice of the relations are among them."""
+    QQ = RationalField()
+    calls = _counting(monkeypatch, "groebner_basis")
+    seen = Counter()
+    for f in _gale_inputs(3203):
+        for face in newton_polytope(f).proper_faces_excluding_origin():
+            points = _face_terms(f, face)
+            if face.is_vertex or len(points) != face.dim + 3:
+                continue
+            before = len(calls)
+            got = nondegen._decide_face(f, face, QQ, 60000)
+            assert got == saturated_face_check(f, face, QQ), (str(f), str(face))
+            assert len(calls) - before == (got == "nonempty"), (str(f), str(face))
+            seen[face.dim, got] += 1
+            seen["sublattice"] += _relation_index(points) > 1
+    for d in (1, 2):
+        assert seen[d, "empty"] and seen[d, "nonempty"], seen
+    assert seen["sublattice"], seen
+
+
 def test_groebner_runs_only_past_the_closed_forms(monkeypatch):
     """On one screen pass, over QQ: no Groebner run on a simplex face, one on
-    a circuit exactly when its relation holds (the face is nonempty), and at
-    most one on a face with at least d + 3 terms."""
+    a circuit or a face with d + 3 terms exactly when the face is nonempty
+    (its relation holds, or its Gale pencil has a zero, on a saturated basis
+    of the relations), and at most one on a face with more terms."""
     QQ = RationalField()
     calls = _counting(monkeypatch, "groebner_basis")
     runs = Counter()
@@ -425,12 +500,12 @@ def test_groebner_runs_only_past_the_closed_forms(monkeypatch):
             ran = len(calls) - before
             if e == 0:
                 assert ran == 0
-            elif e == 1:
+            elif e <= 2:
                 assert ran == (saturated_face_check(f, face, QQ) == "nonempty"), str(face)
             else:
                 assert ran <= 1
-            runs[min(e, 2), ran] += 1
-    assert runs[0, 0] and runs[1, 0] and runs[1, 1] and runs[2, 1], runs
+            runs[min(e, 3), ran] += 1
+    assert runs[0, 0] and runs[1, 0] and runs[1, 1] and runs[2, 0] and runs[3, 1], runs
 
 
 def test_circuit_relation_is_read_on_the_primitive_vector(monkeypatch):
