@@ -144,9 +144,10 @@ class _Parser:
     rational := integer ['/' integer]
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, known: Sequence[str] = ()):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.known = known  # the variable names allowed; empty allows any
 
     def peek(self):
         return self.tokens[self.pos]
@@ -204,6 +205,8 @@ class _Parser:
                 return coeff * Fraction(num, den)
             return coeff * num
         if kind == "name":
+            if self.known and val not in self.known:
+                raise ParseError(f"unknown variable {val!r}", at)
             e = 1
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "^":
@@ -234,14 +237,9 @@ def parse_laurent(text: str, var_names: Sequence[str] = ()) -> LaurentPolynomial
     With empty ``var_names`` the variables are inferred from the text and
     ordered canonically (x, y, z, w order when applicable).
     """
-    raw_terms = _Parser(text).parse()
-    if var_names:
-        known = tuple(var_names)
-        for _, exps in raw_terms:
-            for v in exps:
-                if v not in known:
-                    raise ParseError(f"unknown variable {v!r}", text.index(v))
-    else:
+    known = tuple(var_names)
+    raw_terms = _Parser(text, known).parse()
+    if not known:
         used = {v for _, exps in raw_terms for v in exps}
         # constant-only input: give it one ambient variable
         known = _infer_var_order(used) if used else ("x",)

@@ -8,22 +8,25 @@ c_j cleared into integers; the system is the rows of A diag(c), A with the
 rows 1, alpha_1, ..., alpha_n, and a torus zero is a vector (c_j x^alpha_j)
 in the kernel of A.  One exact check over the rationals reads the kernel's
 dimension e = k - d - 1 (on a d-face) first.  A simplex face (e = 0) is
-empty by its count alone.  Every other face is row-reduced; invertible row
-operations keep the ideal, and a reduced row with a single term is a
-monomial, which proves the face empty.  A circuit face (e = 1) is empty
-unless its one relation holds, a closed form in integers.  A face with
-e = 2 is empty unless its Gale pencil, two binary forms in one projective
-variable, has a common zero where no kernel coordinate vanishes, read off a
-gcd of two integer polynomials.  Any other face, and a face whose closed
-form finds a zero, gets a saturated Groebner basis of the reduced rows,
-over Z on primitive polynomials, which stops at the first nonzero constant
-in the ideal; so every nonempty face is proven by a basis.
-A face whose basis needs more S-pairs than its budget is reported as
-"budget exceeded", an outcome of its own and never a guess.  A nonempty face
-gets a witness scan of the same rows over small prime fields.  Each
-degeneracy claim is proven by a rational witness verified by substitution,
-or else by the exact non-unit basis; a finite-field witness shows a zero
-modulo its prime alone and is reported beside that proof.
+empty by its count alone.  A face with e = 1 (a circuit) or e = 2 is
+decided by one Gale test: a saturated basis of the integer relations among
+its exponents, read off the same lattice echelon that gives the hull its
+dimension, turns the system into one form per relation, a constant for
+e = 1 (the circuit relation, in integers) and a binary form in one
+projective variable for e = 2, read off a gcd of two integer polynomials;
+the face is empty unless the forms share a zero where no kernel coordinate
+vanishes.  Any other face, and a face whose forms share a zero, is
+row-reduced; invertible row operations keep the ideal, and a reduced row
+with a single term is a monomial, which proves the face empty.  The
+reduced rows then get a saturated Groebner basis, over Z on primitive
+polynomials, which stops at the first nonzero constant in the ideal; so
+every nonempty face is proven by a basis.  A face whose basis needs more
+S-pairs than its budget is reported as "budget exceeded", an outcome of its
+own and never a guess.  A nonempty face gets a witness scan of the same
+rows over small prime fields.  Each degeneracy claim is proven by a
+rational witness verified by substitution, or else by the exact non-unit
+basis; a finite-field witness shows a zero modulo its prime alone and is
+reported beside that proof.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from . import _kernels
 from .errors import BadPrimeError, BudgetExceededError
 from .groebner import PrimeField, RationalField, groebner_basis, is_unit_ideal
 from .laurent import LaurentPolynomial, Monomial
-from .polytope import Face, newton_polytope
+from .polytope import Face, _row_lattice_basis, newton_polytope
 
 _PAIR_BUDGET = 60000  # S-pairs one exact face check may take
 _SCAN_POINT_CAP = 3_000_000  # witness scans stay below this many torus points
@@ -135,57 +138,15 @@ def _row_reduce(rows: list[list], F) -> list[list]:
     return rows[:rank]
 
 
-def _circuit_relation_holds(R: list[list[int]], coeffs: Sequence[int]) -> bool:
-    """For a circuit face over QQ: R is the integer row reduction of its
-    A = [1; alpha], each row a pivot plus the one free column (the last), and
-    coeffs its integer coefficients.  The primitive kernel vector m of A
-    (sum m_j = 0, sum m_j alpha_j = 0) spans the integer relations among the columns, so
-    c_j x^alpha_j = t m_j has a torus solution iff
-    prod_j (m_j / c_j)^(m_j) = 1 (Gel'fand, Kapranov & Zelevinsky,
-    Discriminants, Resultants and Multidimensional Determinants, 1994, ch. 9).
-    The product is compared cross-multiplied, in integers."""
-    free = [-row[-1] for row in R]  # m_i * pivot_i = -row_i[-1] * m_free
-    scale = math.lcm(*(row[i] for i, row in enumerate(R)))
-    m = [q * (scale // row[i]) for i, (q, row) in enumerate(zip(free, R))] + [scale]
-    g = math.gcd(*m)
-    lhs = rhs = 1
-    for mj, c in zip(m, coeffs):
-        mj //= g
-        if mj > 0:
-            lhs *= mj ** mj
-            rhs *= c ** mj
-        else:
-            lhs *= c ** -mj
-            rhs *= mj ** -mj
-    return lhs == rhs
-
-
 def _relation_basis(exps: Sequence[Monomial]) -> list[list[int]]:
     """A basis of the integer relations m (sum m_j = 0, sum m_j alpha_j = 0)
-    among the exponents: the rows of U whose image vanishes when unimodular
-    row operations bring (A^T | I) to echelon form U (A^T | I) = (H | U).
-    U is invertible over Z, so the basis spans every integer relation, a
-    saturated lattice."""
-    rows = [[1, *alpha] + [int(i == j) for i in range(len(exps))]
-            for j, alpha in enumerate(exps)]
+    among the exponents: the rows of the echelon lattice basis of (A^T | I)
+    that vanish on A^T, read on I.  A lattice vector that vanishes on A^T
+    has a zero coefficient on every row pivoting in A^T, so these rows span
+    every integer relation, a saturated lattice."""
     width = 1 + len(exps[0])
-    rank = 0
-    for col in range(width):
-        while True:
-            live = [r for r in range(rank, len(rows)) if rows[r][col]]
-            if not live:
-                break
-            top = min(live, key=lambda r: abs(rows[r][col]))
-            rows[rank], rows[top] = rows[top], rows[rank]
-            if len(live) == 1:
-                rank += 1
-                break
-            a = rows[rank]
-            for r in range(rank + 1, len(rows)):
-                q = rows[r][col] // a[col]
-                if q:
-                    rows[r] = [x - q * y for x, y in zip(rows[r], a)]
-    return [row[width:] for row in rows[rank:]]
+    rows = [(1, *alpha, *(int(i == j) for i in range(len(exps)))) for j, alpha in enumerate(exps)]
+    return [b[width:] for b in _row_lattice_basis(rows) if not any(b[:width])]
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -221,29 +182,36 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _gale_pencil_empty(exps: Sequence[Monomial], coeffs: Sequence[int]) -> bool:
-    """For a face over QQ with e = 2 (k = d + 3 terms on a d-face): True
-    when the face has no torus zero, by the Gale dual of its system (Bihan
-    & Sottile, Ann. Inst. Fourier 58, 2008; Gel'fand, Kapranov & Zelevinsky,
-    1994, ch. 9); False when the pencil below has a zero, which the caller
-    proves or refutes by a basis.
+def _relations_empty(exps: Sequence[Monomial], coeffs: Sequence[int]) -> bool:
+    """For a face over QQ with e = 1 or 2 (k = d + 1 + e terms on a d-face):
+    True when it has no torus zero, by the Gale dual of its system
+    (Gel'fand, Kapranov & Zelevinsky, Discriminants, Resultants and
+    Multidimensional Determinants, 1994, ch. 9; Bihan & Sottile, Ann. Inst.
+    Fourier 58, 2008); False when the forms below share a zero, which the
+    caller proves or refutes by a basis.
 
-    The kernel of A = [1; alpha] is spanned by an integer basis m^1, m^2 of
-    the relations, so a kernel vector is y_j = l_j(s, t) = m^1_j s + m^2_j t.
-    A torus zero x gives y_j = c_j x^alpha_j; conversely such y with every
-    l_j nonzero comes from a torus point iff prod_j (y_j / c_j)^m_j = 1 for
-    every relation m, since the relations cut out the image of the torus
-    (the face misses the origin, so sum m_j alpha_j = 0 forces sum m_j = 0).
-    For m = m^1, m^2 this is the binary form
+    With m^1, ..., m^e a basis of the integer relations, the kernel vectors
+    of A = [1; alpha] are y_j = l_j: the constant m^1_j for e = 1, and
+    m^1_j s + m^2_j t for e = 2.  A torus zero x gives y_j = c_j x^alpha_j;
+    conversely such y with every l_j nonzero comes from a torus point iff
+    prod_j (y_j / c_j)^m_j = 1 for every relation m, since the relations cut
+    out the image of the torus (the face misses the origin, so
+    sum m_j alpha_j = 0 forces sum m_j = 0).  For each basis relation m
+    this is the form
     prod_{m_j>0} l_j^m_j prod_{m_j<0} c_j^-m_j - prod_{m_j<0} l_j^-m_j prod_{m_j>0} c_j^m_j
-    vanishing at (s : t).  So the face is empty iff the two forms share no
+    vanishing.  A coordinate with m_j = 0 in every relation is 0 on the
+    whole kernel, so the face is empty.  For e = 1 the form is a constant,
+    the circuit relation cross-multiplied, and the face is empty iff it is
+    nonzero.  For e = 2 the face is empty iff the two binary forms share no
     zero in P^1 off every l_j = 0: their gcd at t = 1, stripped of each
     factor l_j(s, 1), is a constant, and (1 : 0) is not a common zero off
     the l_j.  The relations of a finite-index sublattice would cut out a
     larger set, so "empty" would stay sound; the saturated basis of
     ``_relation_basis`` makes "not empty" exact as well."""
     basis = _relation_basis(exps)
-    lines = [(m2, m1) for m1, m2 in zip(*basis)]  # l_j(s, 1), lowest degree first
+    lines = [col[::-1] for col in zip(*basis)]  # l_j(s, 1), lowest degree first
+    if not all(map(any, lines)):
+        return True
     forms = []
     for m in basis:
         sides, consts = [[1], [1]], [1, 1]  # the l_j with m_j > 0, with m_j < 0
@@ -253,6 +221,8 @@ def _gale_pencil_empty(exps: Sequence[Monomial], coeffs: Sequence[int]) -> bool:
                 sides[side] = _poly_mul(sides[side], line)
             consts[1 - side] *= c ** abs(mj)
         forms.append([consts[0] * x - consts[1] * y for x, y in zip(*sides)])
+    if len(forms) == 1:
+        return forms[0] != [0]
     if all(a for _, a in lines) and not any(form[-1] for form in forms):
         return False  # (1 : 0) is a common zero: each form there is its top coefficient
     g = _poly_gcd(*forms)
@@ -295,34 +265,35 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
 
     - e = 0 (a simplex: the terms sit at affinely independent points) leaves
       only the zero vector, so the face is empty; this is read off the count.
-    - e = 1 (a circuit) has a zero iff the circuit relation holds
-      (``_circuit_relation_holds``); when it fails the face is empty, and when
-      it holds the face goes on to the basis below, which proves it nonempty.
-    - e = 2 has a zero iff its Gale pencil does (``_gale_pencil_empty``): the
-      two relations of a basis of the integer relations, read on the kernel
-      vectors s m^1 + t m^2, give two binary forms.  When they share no zero
-      off the lines where a kernel coordinate vanishes the face is empty;
-      otherwise it goes on to the basis.  The relations of any finite-index
-      sublattice cut out a superset of the torus image, so "empty" would
-      stay sound on one; the saturated basis makes the basis run happen
-      exactly on the nonempty faces.
+    - e = 1 (a circuit) and e = 2 are decided by one Gale test
+      (``_relations_empty``) on a saturated basis of the integer relations,
+      read off the hull's lattice echelon: each relation, read on the kernel
+      vectors, gives a form, a constant for e = 1 (the circuit relation) and
+      a binary form for e = 2.  When the forms share no zero off the lines
+      where a kernel coordinate vanishes the face is empty; otherwise it goes
+      on to the basis below, which proves it nonempty.  A saturated basis
+      makes the basis run happen exactly on the nonempty faces.
     - e >= 3, and every face over GF(p), where the rank of A can drop, go on
       to the basis.
 
-    A row reduction R = S A over the field (S invertible) keeps the ideal of
-    the face system as that of the rows of R diag(c).  A row of R with one
-    nonzero entry is a monomial, a unit on the torus, so the face is empty
-    with no Groebner run; the closed forms come after this test.  Otherwise
-    each row is shifted by its exponent minimum, t*x1*...*xn - 1 is appended
-    in one more variable, and the face is empty exactly when these generate
-    the unit ideal (over QQ, a basis over Z of primitive polynomials).
+    Only a face that gets past these tests is row-reduced.  A row reduction
+    R = S A over the field (S invertible) keeps the ideal of the face system
+    as that of the rows of R diag(c).  A row of R with one nonzero entry is
+    a monomial, a unit on the torus, so the face is empty with no Groebner
+    run (over QQ, a coordinate that is 0 on the whole kernel, which the Gale
+    test already reads).  Otherwise each row is shifted by its exponent
+    minimum, t*x1*...*xn - 1 is appended in one more variable, and the face
+    is empty exactly when these generate the unit ideal (over QQ, a basis
+    over Z of primitive polynomials).
     """
     F = field
     exact = F.characteristic == 0
     exps, coeffs, lcm = _face_terms(f, face)
-    if exact and len(exps) == face.dim + 1:
-        return "empty"
-    if not exact and lcm % F.characteristic == 0:
+    if exact:
+        e = len(exps) - face.dim - 1
+        if e == 0 or (e <= 2 and _relations_empty(exps, coeffs)):
+            return "empty"
+    elif lcm % F.characteristic == 0:
         raise BadPrimeError(f"bad prime {F.characteristic}: denominator {lcm} vanishes")
     kept = [(alpha, c) for alpha, c in zip(exps, map(F.from_int, coeffs)) if c]
     exps = [alpha for alpha, _ in kept]
@@ -331,10 +302,6 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
                                          for i in range(f.nvars)]
     R = _row_reduce(A, F)
     if any(sum(1 for v in row if v) == 1 for row in R):
-        return "empty"
-    if exact and len(exps) == face.dim + 2 and not _circuit_relation_holds(R, coeffs):
-        return "empty"
-    if exact and len(exps) == face.dim + 3 and _gale_pencil_empty(exps, coeffs):
         return "empty"
     gens = [{alpha + (0,): v for v, alpha in _shifted(list(map(F.mul, row, coeffs)), exps)}
             for row in R]

@@ -20,7 +20,9 @@ the jump candidates p - w, as the numerators (p - w) D, read off that table
 once.  Both hold integers, so no lattice point meets a Fraction.
 Faces, containment, weights and the volume need a full-dimensional polytope
 (``require_full_dim`` is the one guard); a lower-dimensional one keeps only
-its dimension and vertices.
+its dimension and vertices, its hull built in integers on the pivot
+coordinates of the lattice echelon (``_row_lattice_basis``) that gives the
+dimension; that echelon also gives each face its integer relations.
 """
 
 from __future__ import annotations
@@ -63,16 +65,15 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _row_lattice_basis(vectors: Sequence[Monomial]) -> list[list[int]]:
-    """Echelon basis of the integer lattice generated by the input rows."""
+    """Echelon basis of the integer lattice generated by the input rows: each
+    row is zero left of its pivot, a positive entry right of the last row's."""
     rows = [list(v) for v in vectors if any(v)]
-    n = len(vectors[0]) if vectors else 0
     basis: list[list[int]] = []
-    col = 0
-    while rows and col < n:
+    for col in range(len(vectors[0]) if vectors else 0):
         live = [r for r in rows if r[col] != 0]
         if not live:
-            col += 1
             continue
+        rows = [r for r in rows if r[col] == 0]
         while len(live) > 1:
             live.sort(key=lambda r: abs(r[col]))
             a = live[0]
@@ -89,23 +90,7 @@ def _row_lattice_basis(vectors: Sequence[Monomial]) -> list[list[int]]:
         if pivot_row[col] < 0:
             pivot_row = [-x for x in pivot_row]
         basis.append(pivot_row)
-        rows = [r for r in rows if r[col] == 0 and any(r)]
-        col += 1
     return basis
-
-
-def _solve_in_basis(basis: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
-    """Coordinates of v in the row span of an echelon basis, or None."""
-    residue = [Fraction(x) for x in v]
-    coords = []
-    for b in basis:
-        piv = next(i for i, x in enumerate(b) if x != 0)
-        q = residue[piv] / b[piv]
-        coords.append(q)
-        residue = [r - q * x for r, x in zip(residue, b)]
-    if any(residue):
-        return None
-    return tuple(coords)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -327,14 +312,14 @@ class NewtonPolytope:
         self.facets: tuple[Facet, ...] = ()
         if self.dim == 0:
             self.vertices: tuple[Monomial, ...] = ((0,) * nvars,)
-        elif self.dim < nvars:
-            coords = [tuple(int(c) for c in _solve_in_basis(basis, p)) for p in pts]
-            vidx, _ = _full_dim_hull(coords)
-            self.vertices = tuple(pts[i] for i in vidx)
         else:
-            vidx, hull_facets = _full_dim_hull(pts)
+            # the pivot columns of the echelon basis (all n on a full-dimensional
+            # polytope) map its span injectively: the same vertex indices
+            pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+            vidx, hull_facets = _full_dim_hull([tuple(p[i] for i in pivots) for p in pts])
             self.vertices = tuple(pts[i] for i in vidx)
-            self.facets = tuple(Facet(u, -b) for (u, b) in hull_facets)
+            if self.dim == nvars:
+                self.facets = tuple(Facet(u, -b) for (u, b) in hull_facets)
 
     def __eq__(self, other):
         if not isinstance(other, NewtonPolytope):

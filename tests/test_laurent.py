@@ -43,6 +43,18 @@ def test_parse_unknown_variable():
         parse_laurent("x + t", ("x",))
 
 
+@pytest.mark.parametrize("text,names,position", [
+    ("xx + x", ("xx",), 5),
+    ("y*x2 + x", ("y", "x2"), 7),
+    ("zz + z^2", ("zz",), 5),
+], ids=["xx", "x2", "zz"])
+def test_unknown_variable_points_at_its_own_token(text, names, position):
+    # the unknown name is a substring of a known one that comes first
+    with pytest.raises(ParseError, match="unknown variable") as exc:
+        parse_laurent(text, names)
+    assert exc.value.position == position
+
+
 def test_repeated_variable_names_are_rejected():
     # a repeated name would collapse in the parser's index and leave a
     # phantom variable

@@ -483,25 +483,28 @@ def test_gale_closed_form_matches_the_saturated_oracle(monkeypatch):
 
 
 def test_groebner_runs_only_past_the_closed_forms(monkeypatch):
-    """On one screen pass, over QQ: no Groebner run on a simplex face, one on
-    a circuit or a face with d + 3 terms exactly when the face is nonempty
-    (its relation holds, or its Gale pencil has a zero, on a saturated basis
-    of the relations), and at most one on a face with more terms."""
+    """On one screen pass, over QQ: no Groebner run and no row reduction on a
+    simplex face; on a circuit or a face with d + 3 terms, one Groebner run
+    exactly when the face is nonempty (its relation holds, or its Gale forms
+    share a zero, on a saturated basis of the relations), and a row reduction
+    exactly when Buchberger runs; at most one run on a face with more terms."""
     QQ = RationalField()
     calls = _counting(monkeypatch, "groebner_basis")
+    reductions = _counting(monkeypatch, "_row_reduce")
     runs = Counter()
     for f in corpus_inputs(monkeypatch, "screen", 4242, 1):
         for face in newton_polytope(f).proper_faces_excluding_origin():
             if face.is_vertex:
                 continue
             e = len(_face_terms(f, face)) - face.dim - 1
-            before = len(calls)
+            before, reduced_before = len(calls), len(reductions)
             nondegen._decide_face(f, face, QQ, 60000)
-            ran = len(calls) - before
+            ran, reduced = len(calls) - before, len(reductions) - reduced_before
             if e == 0:
-                assert ran == 0
+                assert ran == reduced == 0
             elif e <= 2:
                 assert ran == (saturated_face_check(f, face, QQ) == "nonempty"), str(face)
+                assert reduced == ran, str(face)
             else:
                 assert ran <= 1
             runs[min(e, 3), ran] += 1
@@ -509,9 +512,10 @@ def test_groebner_runs_only_past_the_closed_forms(monkeypatch):
 
 
 def test_circuit_relation_is_read_on_the_primitive_vector(monkeypatch):
-    """On the edge x^4 + 2*x^2*y^2 - y^4 the row reduction gives the relation
-    2*(1, -2, 1); on the primitive (1, -2, 1) the product is -1, so the edge is
-    empty with no Groebner run (its square, on the unreduced vector, is 1)."""
+    """On the edge x^4 + 2*x^2*y^2 - y^4 the lattice basis of the relations
+    gives the primitive (1, -2, 1), not a multiple such as 2*(1, -2, 1); on it
+    the product is -1, so the edge is empty with no Groebner run (its square,
+    on the doubled vector, is 1)."""
     f = parse_laurent("x^4 + 2*x^2*y^2 - y^4 + x^-1*y^-1")
     edge = next(fc for fc in newton_polytope(f).proper_faces_excluding_origin()
                 if set(fc.vertices) == {(4, 0), (0, 4)})

@@ -425,8 +425,9 @@ def _random_points(rng, n, k, r=2):
 
 def _triangulate(points):
     """The former recursive fan triangulation, kept as the volume oracle: it
-    builds a new hull in lattice coordinates for every facet and subface."""
-    from exphodge.polytope import _dot, _full_dim_hull, _row_lattice_basis, _solve_in_basis
+    builds a new hull in the pivot coordinates of the lattice echelon for
+    every facet and subface."""
+    from exphodge.polytope import _dot, _full_dim_hull, _row_lattice_basis
 
     points = sorted(set(points))
     base = points[0]
@@ -435,7 +436,8 @@ def _triangulate(points):
     d = len(basis)
     if d == 0:
         return []
-    red = [tuple(int(c) for c in _solve_in_basis(basis, v)) for v in diffs]
+    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+    red = [tuple(v[i] for i in pivots) for v in diffs]
     back = dict(zip(red, points))
     vidx, facets = _full_dim_hull(red)
     verts = [red[i] for i in vidx]
@@ -580,7 +582,9 @@ def _embed(rng, k, n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_newton_polytopes_match_brute_force_hull(monkeypatch, n):
     """Full-dimensional supports and supports of lower dimension, whose hull
-    is built in reduced coordinates, give the same polytope under either hull."""
+    is built in reduced coordinates, give the same polytope under either hull;
+    the vertices of a support embedded by m are the images under m of the
+    vertices of its preimage."""
     from exphodge import polytope
 
     rng = random.Random(1700 + n)
@@ -588,7 +592,11 @@ def test_newton_polytopes_match_brute_force_hull(monkeypatch, n):
     for k in range(1, n):
         m = _embed(rng, k, n)
         for _ in range(4):
-            supports.append([apply_matrix(m, p) for p in _random_points(rng, k, rng.randint(k, k + 6))])
+            preimages = _random_points(rng, k, rng.randint(k, k + 6))
+            supports.append([apply_matrix(m, p) for p in preimages])
+            P = polytope.NewtonPolytope(n, supports[-1])
+            pre = polytope.NewtonPolytope(k, preimages)
+            assert list(P.vertices) == sorted(apply_matrix(m, v) for v in pre.vertices)
     built = [polytope.NewtonPolytope(n, pts) for pts in supports]
     monkeypatch.setattr(polytope, "_full_dim_hull", brute_force_hull)
     dims = set()
