@@ -15,18 +15,25 @@ dimension, turns the system into one form per relation, a constant for
 e = 1 (the circuit relation, in integers) and a binary form in one
 projective variable for e = 2, read off a gcd of two integer polynomials;
 the face is empty unless the forms share a zero where no kernel coordinate
-vanishes.  Any other face, and a face whose forms share a zero, is
-row-reduced; invertible row operations keep the ideal, and a reduced row
-with a single term is a monomial, which proves the face empty.  The
-reduced rows then get a saturated Groebner basis, over Z on primitive
-polynomials, which stops at the first nonzero constant in the ideal; so
-every nonempty face is proven by a basis.  A face whose basis needs more
-S-pairs than its budget is reported as "budget exceeded", an outcome of its
-own and never a guess.  A nonempty face gets a witness scan of the same
-rows over small prime fields.  Each degeneracy claim is proven by a
-rational witness verified by substitution, or else by the exact non-unit
-basis; a finite-field witness shows a zero modulo its prime alone and is
-reported beside that proof.
+vanishes.  A 2-face with e >= 3 that spans at most 3 values in one
+coordinate of its own lattice is read as g(y1, y2) = a + y2 b + y2^2 c with
+a, b, c in y1 alone: each torus zero makes y2 a double root of g, so its y1
+is a common root of the discriminant b^2 - 4ac (Gel'fand, Kapranov &
+Zelevinsky 1994) and of E, 4c^2 theta_1 g at that double root (of a and b
+when c = 0), and the face is empty when their gcd has no nonzero root.
+This test is sound but not exact: a shared root need not lift to a zero.
+Any other face, and a face whose forms share a zero or whose gcd keeps a
+nonzero root, is row-reduced; invertible row operations keep the ideal,
+and a reduced row with a single term is a monomial, which proves the face
+empty.  The reduced rows then get a saturated Groebner basis, over Z on
+primitive polynomials, which stops at the first nonzero constant in the
+ideal; so every nonempty face is proven by a basis.  A face whose basis
+needs more S-pairs than its budget is reported as "budget exceeded", an
+outcome of its own and never a guess.  A nonempty face gets a witness scan
+of the same rows over small prime fields.  Each degeneracy claim is proven
+by a rational witness verified by substitution, or else by the exact
+non-unit basis; a finite-field witness shows a zero modulo its prime alone
+and is reported beside that proof.
 """
 
 from __future__ import annotations
@@ -251,6 +258,84 @@ def _divide_linear(g: list[int], b: int, a: int) -> Optional[list[int]]:
     return q if carry[0] == 0 else None
 
 
+def _plane_coordinates(exps: Sequence[Monomial]) -> list[tuple[int, int]]:
+    """The exponents of a 2-face as (p_j, q_j), alpha_j - alpha_0 =
+    p_j b1 + q_j b2 in the echelon basis b1, b2 of the lattice spanned by
+    the alpha_j - alpha_0, read on b1's pivot and then on b2's (b2 is 0 on
+    b1's pivot)."""
+    diffs = [tuple(map(sub, alpha, exps[0])) for alpha in exps]
+    b1, b2 = _row_lattice_basis(diffs)
+    i = next(i for i, x in enumerate(b1) if x)
+    j = next(j for j, x in enumerate(b2) if x)
+    coords = []
+    for diff in diffs:
+        p = diff[i] // b1[i]
+        coords.append((p, (diff[j] - p * b1[j]) // b2[j]))
+    return coords
+
+
+def _poly_sum(*polys: list[int]) -> list[int]:
+    out = [0] * max(map(len, polys))
+    for poly in polys:
+        for i, x in enumerate(poly):
+            out[i] += x
+    return out
+
+
+def _theta(a: list[int]) -> list[int]:
+    """y d/dy of a polynomial in y."""
+    return [i * x for i, x in enumerate(a)]
+
+
+def _narrow_face_gcd(exps: Sequence[Monomial], coeffs: Sequence[int]) -> Optional[list[int]]:
+    """For a 2-face over QQ: a polynomial in one coordinate y1 (lowest degree
+    first, each power of y1 divided out) that vanishes at the y1 of every
+    torus zero of the face system, or None when the face spans 4 or more
+    values in both of its coordinates.  The face is empty when it is a
+    nonzero constant.
+
+    In the coordinates of ``_plane_coordinates``, y = (x^b1, x^b2) maps the
+    torus onto (C*)^2 (b1, b2 are independent), and f_face is
+    x^alpha_0 g(y) with g = sum_j c_j y1^p_j y2^q_j, so the face system is
+    g = theta_1 g = theta_2 g = 0 on (C*)^2.  Name y2 the coordinate that
+    spans fewer values, at most 3, and shift both to start at 0:
+    g = a(y1) + y2 b(y1) + y2^2 c(y1).  At a torus zero with c(y1) != 0,
+    theta_2 g = y2 (b + 2c y2) makes y2 = -b / 2c a double root of g in y2,
+    so the discriminant Delta = b^2 - 4ac vanishes (Gel'fand, Kapranov &
+    Zelevinsky, Discriminants, Resultants and Multidimensional
+    Determinants, 1994, ch. 12), and so does 4c^2 theta_1 g at that y2,
+    E = 4c^2 theta(a) - 2bc theta(b) + b^2 theta(c) with theta = y1 d/dy1.
+    At a zero with c(y1) = 0, theta_2 g gives b = 0 and then g gives a = 0,
+    so Delta and E vanish there too.  When c is 0 (y2 spans 2 values) a
+    zero is a common root of a and b.  Either way the gcd vanishes at the
+    y1 of each torus zero, so a gcd with no nonzero root leaves none.
+    Delta = 0 forces E = 0 (g is then c times a square in y2), and the gcd 0
+    decides nothing."""
+    coords = _plane_coordinates(exps)
+    ps, qs = zip(*coords)
+    if max(ps) - min(ps) < max(qs) - min(qs):
+        coords, ps, qs = [(q, p) for p, q in coords], qs, ps
+    if max(qs) - min(qs) > 2:
+        return None
+    p0, q0 = min(ps), min(qs)
+    rows = [[0] * (max(ps) - p0 + 1) for _ in range(3)]
+    for (p, q), cj in zip(coords, coeffs):
+        rows[q - q0][p - p0] = cj
+    a, b, c = rows
+    if not any(c):
+        g = _poly_gcd(a, b)
+    else:
+        bb = _poly_mul(b, b)
+        delta = _poly_sum(bb, _poly_mul(a, [-4 * x for x in c]))
+        e = _poly_sum(_poly_mul(_poly_mul(c, c), [4 * x for x in _theta(a)]),
+                      _poly_mul(_poly_mul(b, c), [-2 * x for x in _theta(b)]),
+                      _poly_mul(bb, _theta(c)))
+        g = _poly_gcd(delta, e)
+    while g and not g[0]:
+        g = g[1:]
+    return g
+
+
 def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str:
     """Does the face system have a torus zero over the algebraic closure of
     the field?  "empty" when not, "nonempty" when it has, "budget exceeded"
@@ -273,15 +358,26 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
       where a kernel coordinate vanishes the face is empty; otherwise it goes
       on to the basis below, which proves it nonempty.  A saturated basis
       makes the basis run happen exactly on the nonempty faces.
-    - e >= 3, and every face over GF(p), where the rank of A can drop, go on
-      to the basis.
+    - e >= 3 on a 2-face: one univariate gcd (``_narrow_face_gcd``) when
+      the face spans at most 3 values in one coordinate of the lattice its
+      exponents span.  With g the face polynomial in those coordinates,
+      g = a(y1) + y2 b(y1) + y2^2 c(y1), every torus zero has its y1 a
+      common root of Delta = b^2 - 4ac and E = 4c^2 theta(a) -
+      2bc theta(b) + b^2 theta(c) (of a and b when c = 0), so a gcd with no
+      nonzero root proves the face empty.  The converse fails (at a common
+      root where b vanishes no torus point y2 is a double root of g), so a
+      face whose gcd keeps a nonzero root, or is 0, goes on to the basis,
+      which alone proves it nonempty; so does a face that spans 4 or more
+      values in both coordinates.
+    - e >= 3 on faces of dimension 3 or more, and every face over GF(p),
+      where the rank of A can drop, go on to the basis.
 
     Only a face that gets past these tests is row-reduced.  A row reduction
     R = S A over the field (S invertible) keeps the ideal of the face system
     as that of the rows of R diag(c).  A row of R with one nonzero entry is
     a monomial, a unit on the torus, so the face is empty with no Groebner
     run (over QQ, a coordinate that is 0 on the whole kernel, which the Gale
-    test already reads).  Otherwise each row is shifted by its exponent
+    test already reads for e <= 2).  Otherwise each row is shifted by its exponent
     minimum, t*x1*...*xn - 1 is appended in one more variable, and the face
     is empty exactly when these generate the unit ideal (over QQ, a basis
     over Z of primitive polynomials).
@@ -293,6 +389,10 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
         e = len(exps) - face.dim - 1
         if e == 0 or (e <= 2 and _relations_empty(exps, coeffs)):
             return "empty"
+        if e >= 3 and face.dim == 2:
+            g = _narrow_face_gcd(exps, coeffs)
+            if g is not None and len(g) == 1:
+                return "empty"
     elif lcm % F.characteristic == 0:
         raise BadPrimeError(f"bad prime {F.characteristic}: denominator {lcm} vanishes")
     kept = [(alpha, c) for alpha, c in zip(exps, map(F.from_int, coeffs)) if c]

@@ -21,6 +21,13 @@ CURVE_SUITE = ["x", "x + x^-1", "x^2 + x^-1"]
 DEGENERATE = ["x^2 + 2*x*y + y^2", "x^2 - 2*x*y + y^2 + x^-1*y^-1",
               "x^4 - 4*x^2*y^2 + 4*y^4 + x^-1*y^-1", "4*x^2 + 4*x*y + y^2 + x^-1*y^-1"]
 
+# two inputs whose top face z = 1 holds six terms (e = 3): the triangle
+# 3 * conv{0, e1, e2}, of width 3 in every lattice direction, whose face is
+# empty; and 2 * conv{0, e1, e2}, of width 2, whose face polynomial
+# (x + 2y - 1)(2x + y + 1) is singular at the torus point (-1, 1)
+WIDE_FACE = "z + 2*x^3*z + 3*y^3*z - 5*x*y*z + 7*x^2*z - 11*y^2*z + x^-1*y^-1*z^-1"
+PLANTED_NARROW_FACE = "2*x^2*z + 5*x*y*z + 2*y^2*z - x*z + y*z - z + x^-1*y^-1*z^-2"
+
 CORPUS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import DEGENERATE, SUITE, corpus_inputs
+from conftest import DEGENERATE, SUITE, WIDE_FACE, corpus_inputs
 from oracles import full_groebner_basis, normal_form
 
 from exphodge import nondegen
@@ -200,7 +200,8 @@ def test_generator_constant_only_mod_p():
 def test_exit_agrees_with_the_full_run_on_face_systems(F, monkeypatch):
     """Stopping at the first constant gives the reduced basis the full run
     ends with, on every system a face check passes to groebner_basis:
-    running examples, degenerate inputs and the screen supports."""
+    running examples, degenerate inputs, the screen supports, and an e = 3
+    top face of width 3, empty, that the closed forms pass on."""
     systems = []
 
     def recording(gens, field, max_pairs):
@@ -208,8 +209,8 @@ def test_exit_agrees_with_the_full_run_on_face_systems(F, monkeypatch):
         return groebner_basis(gens, field, max_pairs=max_pairs)
 
     monkeypatch.setattr(nondegen, "groebner_basis", recording)
-    polys = [parse_laurent(t) for t, _ in SUITE] + [parse_laurent(t) for t in DEGENERATE]
-    for f in polys + corpus_inputs(monkeypatch, "screen", 15, 1):
+    texts = [t for t, _ in SUITE] + DEGENERATE + [WIDE_FACE]
+    for f in [parse_laurent(t) for t in texts] + corpus_inputs(monkeypatch, "screen", 15, 1):
         for face in newton_polytope(f).proper_faces_excluding_origin():
             if not face.is_vertex:
                 nondegen._decide_face(f, face, F, 60000)

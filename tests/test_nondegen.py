@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import DEGENERATE, SUITE, corpus_inputs
+from conftest import DEGENERATE, PLANTED_NARROW_FACE, SUITE, WIDE_FACE, corpus_inputs
 from oracles import evaluate, evaluate_mod, face_system, saturated_face_check
 
 from exphodge import nondegen
@@ -483,32 +483,122 @@ def test_gale_closed_form_matches_the_saturated_oracle(monkeypatch):
 
 
 def test_groebner_runs_only_past_the_closed_forms(monkeypatch):
-    """On one screen pass, over QQ: no Groebner run and no row reduction on a
-    simplex face; on a circuit or a face with d + 3 terms, one Groebner run
-    exactly when the face is nonempty (its relation holds, or its Gale forms
-    share a zero, on a saturated basis of the relations), and a row reduction
-    exactly when Buchberger runs; at most one run on a face with more terms."""
+    """On one screen pass and two inputs with an e = 3 top face, over QQ: no
+    Groebner run and no row reduction on a simplex face; on a circuit or a
+    face with d + 3 terms, one Groebner run exactly when the face is
+    nonempty (its relation holds, or its Gale forms share a zero, on a
+    saturated basis of the relations); on a 2-face with more terms that
+    spans at most 3 values in a coordinate, one run exactly when its gcd
+    keeps a nonzero root; and a row reduction exactly when Buchberger runs.
+    The screen pass decides every face by a closed form; the wide top face
+    and the planted narrow one each take one run."""
     QQ = RationalField()
     calls = _counting(monkeypatch, "groebner_basis")
     reductions = _counting(monkeypatch, "_row_reduce")
     runs = Counter()
-    for f in corpus_inputs(monkeypatch, "screen", 4242, 1):
+    inputs = [parse_laurent(t) for t in (WIDE_FACE, PLANTED_NARROW_FACE)]
+    for f in corpus_inputs(monkeypatch, "screen", 4242, 1) + inputs:
         for face in newton_polytope(f).proper_faces_excluding_origin():
             if face.is_vertex:
                 continue
-            e = len(_face_terms(f, face)) - face.dim - 1
+            exps, coeffs, _ = nondegen._face_terms(f, face)
+            e = len(exps) - face.dim - 1
             before, reduced_before = len(calls), len(reductions)
             nondegen._decide_face(f, face, QQ, 60000)
             ran, reduced = len(calls) - before, len(reductions) - reduced_before
+            assert reduced == ran <= 1, str(face)
+            kind = min(e, 3)
             if e == 0:
-                assert ran == reduced == 0
+                assert ran == 0
             elif e <= 2:
                 assert ran == (saturated_face_check(f, face, QQ) == "nonempty"), str(face)
-                assert reduced == ran, str(face)
-            else:
-                assert ran <= 1
-            runs[min(e, 3), ran] += 1
-    assert runs[0, 0] and runs[1, 0] and runs[1, 1] and runs[2, 0] and runs[3, 1], runs
+            elif face.dim == 2:
+                g = nondegen._narrow_face_gcd(exps, coeffs)
+                kind = "wide" if g is None else "narrow"
+                assert g is None or ran == (len(g) > 1), str(face)
+            runs[kind, ran] += 1
+    assert all(runs[kind] for kind in [(0, 0), (1, 0), (1, 1), (2, 0), ("narrow", 0),
+                                       ("narrow", 1), ("wide", 1)]), runs
+
+
+def _narrow_inputs(seed):
+    """Seeded inputs (n = 3 or 4) whose top face, on z = 1, holds 6 or 7
+    terms (e = 3, 4) at the points (i, j + s*i, 1, ...) for (i, j) in
+    [0, w] x [0, 4], w = 1 or 2, i = 0 and i = w both taken; the other terms
+    lie below z = 1.  Every other top gets coefficients planted at a
+    rational torus point: a kernel vector with no zero entry, random on the
+    free points of ``_kernel_basis`` and solved on three, as in
+    ``_gale_inputs``.  Returns (f, top points, planted)."""
+    rng = random.Random(seed)
+    out = []
+    for case in range(48):
+        n, w, planted = 3 + case % 2, 1 + case // 2 % 2, case // 4 % 2 == 1
+        grid = list(product(range(w + 1), range(5)))
+        plane = []
+        while {i for i, _ in plane} != set(range(w + 1)):
+            plane = rng.sample(grid, 6 + case // 8 % 2)
+        shear, tail = rng.randint(-1, 1), [rng.randint(-1, 1) for _ in range(2)]
+        points = [(i - 1, j - 2 + shear * i, 1, *(tail[0] * i + tail[1] * j,) * (n - 3))
+                  for i, j in plane]
+        below = [p for p in product(range(-2, 2), repeat=n) if p[2] < 1 and any(p)]
+        terms = {p: _large(rng) for p in rng.sample(below, n + 2)}
+        if planted:
+            basis = _kernel_basis(points)
+            y = [0]
+            while 0 in y:
+                r = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in basis]
+                y = [sum(a * m for a, m in zip(r, col)) for col in zip(*basis)]
+            x0 = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+                  for _ in range(n)]
+            terms.update(_planted(y, points, x0, rng))
+        else:
+            terms.update((p, _large(rng)) for p in points)
+        f = make_laurent(n, terms)
+        if newton_polytope(f).dim == n:
+            out.append((f, set(points), planted))
+    return out
+
+
+def test_narrow_closed_form_is_sound_against_the_saturated_oracle(monkeypatch):
+    """On the seeded top faces of width 1 and 2 (n = 3, 4; e = 3, 4), the
+    closed form reads "empty" only where the saturated full-basis check
+    does, and never on a planted face; it decides random faces of both
+    widths and both n, and passes every planted face on to Buchberger.  A
+    face of width 3 in both coordinates is passed on unread."""
+    QQ = RationalField()
+    calls = _counting(monkeypatch, "groebner_basis")
+    seen = Counter()
+    for f, points, planted in _narrow_inputs(4401):
+        face = next(fc for fc in newton_polytope(f).proper_faces_excluding_origin()
+                    if fc.points == frozenset(points))
+        exps, coeffs, _ = nondegen._face_terms(f, face)
+        assert face.dim == 2 and len(exps) - face.dim - 1 >= 3
+        width = min(_plane_widths(exps))
+        g = nondegen._narrow_face_gcd(exps, coeffs)
+        empty = len(g) == 1
+        assert not (planted and empty), str(f)
+        if empty:
+            assert saturated_face_check(f, face, QQ) == "empty", str(f)
+        if planted:
+            before = len(calls)
+            assert nondegen._check_face_exact(f, face) == "nonempty", str(f)
+            assert len(calls) - before == 1
+        seen[f.nvars, width, planted, empty] += 1
+    for n, width in product((3, 4), (1, 2)):
+        assert seen[n, width, False, True] and seen[n, width, True, False], seen
+    f = parse_laurent(WIDE_FACE)
+    top = next(fc for fc in newton_polytope(f).proper_faces_excluding_origin()
+               if fc.dim == 2 and all(a[2] == 1 for a in fc.vertices))
+    exps, coeffs, _ = nondegen._face_terms(f, top)
+    assert min(_plane_widths(exps)) == 3 and nondegen._narrow_face_gcd(exps, coeffs) is None
+    before = len(calls)
+    assert nondegen._check_face_exact(f, top) == "empty" and len(calls) - before == 1
+
+
+def _plane_widths(exps):
+    """The number of values each coordinate of ``_plane_coordinates`` spans,
+    less one."""
+    return [max(col) - min(col) for col in zip(*nondegen._plane_coordinates(exps))]
 
 
 def test_circuit_relation_is_read_on_the_primitive_vector(monkeypatch):
