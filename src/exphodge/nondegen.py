@@ -350,6 +350,8 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
 
     - e = 0 (a simplex: the terms sit at affinely independent points) leaves
       only the zero vector, so the face is empty; this is read off the count.
+      On a face that misses the origin the hull's points are exactly its
+      terms, so a simplex face is read off ``face.points`` before any term.
     - e = 1 (a circuit) and e = 2 are decided by one Gale test
       (``_relations_empty``) on a saturated basis of the integer relations,
       read off the hull's lattice echelon: each relation, read on the kernel
@@ -384,6 +386,8 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
     """
     F = field
     exact = F.characteristic == 0
+    if exact and len(face.points) == face.dim + 1 and not face.contains_origin:
+        return "empty"
     exps, coeffs, lcm = _face_terms(f, face)
     if exact:
         e = len(exps) - face.dim - 1

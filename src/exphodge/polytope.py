@@ -10,14 +10,19 @@ the positive facet levels (``weight_denominator``).
 One exact hull is the only geometric computation: vertices, faces and the
 normalized volume are all read from its facet incidence sets.  It is built by
 beneath-beyond in integers, so its cost follows the facets, not the d-subsets
-of the support.  The hull keeps three tables, each built on first use: its
+of the support.  The hull keeps four tables, each built on first use: its
 face list, which the nondegeneracy check and the volume share; its weight
-table, D times the weight of every lattice point of the n-dilate, which is
-the only place a weight is computed for the census and the de Rham bases
-(the leading part of each facet pairing is taken once per prefix of the
-lex enumeration, so a point costs one max of sums); and
-the jump candidates p - w, as the numerators (p - w) D, read off that table
-once.  Both hold integers, so no lattice point meets a Fraction.
+table, D times the weight of every lattice point of the n-dilate, which the
+de Rham bases and the curve's toric generators read; its weight census, the
+number of points of each weight, which the Euler route reads; and the jump
+candidates p - w, as the numerators (p - w) D, read off the census once.
+Weights are computed in one lex scan of the dilate (``_scan_dilate``),
+which carries each facet pairing down the prefix of leading coordinates and
+reads the weights of a line as one max over arithmetic progressions.  The
+census is counted off the table once the table is built, and otherwise by a
+scan that keeps no point, so certifying an input and reading its Euler
+spectrum build no table.  All hold integers, so no lattice point meets a
+Fraction.
 Faces, containment, weights and the volume need a full-dimensional polytope
 (``require_full_dim`` is the one guard); a lower-dimensional one keeps only
 its dimension and vertices, its hull built in integers on the pivot
@@ -28,10 +33,12 @@ dimension; that echelon also gives each face its integer relations.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul
+from itertools import chain, repeat
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -391,41 +398,87 @@ class NewtonPolytope:
         lies in (1/D)Z."""
         return math.lcm(*(f.level for f in self.facets if f.level > 0))
 
+    def _scan_dilate(self, keep_points: bool) -> dict:
+        """One lex scan of the n-dilate, in the order and on the box of
+        ``lattice_points_in_dilate(n)``: the weight table (point -> D times
+        its weight) when keep_points, else the census of its values, a
+        Counter, with no point built.
+
+        A weight s / level is the numerator s * (D // level), the pairing
+        with the normal scaled by -(D // level), largest over the facets.  A
+        level-0 facet (s <= 0 on the dilate) contributes the constant 0, and
+        with none the origin is interior, so the largest pairing is never
+        negative.  Each facet's pairing with the leading coordinates is
+        carried down the prefix, one multiply-add a facet a coordinate.  On
+        the line of one prefix the facets with a nonzero last normal entry
+        bound the last coordinate to an interval, a facet with last entry 0
+        may empty it, and each facet's numerators along it form one
+        arithmetic progression, so the weights of the line are one map of
+        max over those progressions."""
+        self.require_full_dim()
+        n, D, facets = self.nvars, self.weight_denominator, self.facets
+        lo = [n * min(v[i] for v in self.vertices) for i in range(n)]
+        hi = [n * max(v[i] for v in self.vertices) for i in range(n)]
+        lines = [((), [0] * len(facets))]
+        for k in range(n - 1):
+            col = [f.normal[k] for f in facets]
+            lines = [(prefix + (v,), [p + u * v for p, u in zip(pairs, col)])
+                     for prefix, pairs in lines for v in range(lo[k], hi[k] + 1)]
+        # each facet: its last normal entry u, its bound <u, a> >= b on the
+        # dilate, its factor c = -(D // level) and the slope c u of its
+        # numerators along the last coordinate
+        rows = []
+        for f in facets:
+            u, c = f.normal[-1], -(D // f.level) if f.level else 0
+            rows.append((u, -n * f.level, c, c * u))
+        parts = []
+        for prefix, pairs in lines:
+            first, last = lo[-1], hi[-1]
+            for p, (u, b, _, _) in zip(pairs, rows):
+                if u > 0:
+                    first = max(first, -((p - b) // u))
+                elif u < 0:
+                    last = min(last, (b - p) // u)
+                elif p < b:
+                    break
+            else:
+                if first > last:
+                    continue
+                count = last - first + 1
+                seqs = []
+                for p, (_, _, c, t) in zip(pairs, rows):
+                    w = c * p + t * first
+                    seqs.append(range(w, w + t * count, t) if t else repeat(w, count))
+                weights = map(max, *seqs)
+                parts.append(zip([prefix + (x,) for x in range(first, last + 1)], weights)
+                             if keep_points else weights)
+        items = chain.from_iterable(parts)
+        return dict(items) if keep_points else Counter(items)
+
     @cached_property
     def dilate_weights(self) -> Mapping[Monomial, int]:
         """D times the weight of every lattice point of the n-dilate, keys
-        ascending lex: the one weight table of the hull, built on first use.
-        A weight s / level is the numerator s * (D // level), the pairing with
-        the normal scaled by -(D // level), largest over the facets.  A level-0
-        facet (s <= 0 on the dilate) scales to 0, and with none the origin is
-        interior, so the largest pairing is never negative.  The points come
-        in lex order, grouped by the prefix of their leading coordinates: the
-        leading part of each pairing is taken once per prefix and the last
-        part once per last coordinate, so a point costs one max of sums."""
-        D = self.weight_denominator
-        scaled = [tuple(-x * (D // f.level if f.level else 0) for x in f.normal)
-                  for f in self.facets]
-        heads = [v[:-1] for v in scaled]
-        tails = [v[-1] for v in scaled]
-        table, prefix, lasts = {}, None, {}
-        for a in self.lattice_points_in_dilate(self.nvars):
-            if a[:-1] != prefix:
-                prefix = a[:-1]
-                base = [sum(map(mul, h, prefix)) for h in heads]
-            x = a[-1]
-            last = lasts.get(x)
-            if last is None:
-                last = lasts[x] = [t * x for t in tails]
-            table[a] = max(map(add, base, last))
-        return MappingProxyType(table)
+        ascending lex: the one weight table of the hull, built on first use
+        by one scan (``_scan_dilate``).  The de Rham bases and the curve's
+        toric generators read it; the census reads it once it is built."""
+        return MappingProxyType(self._scan_dilate(keep_points=True))
+
+    @cached_property
+    def weight_census(self) -> Mapping[int, int]:
+        """How many points of the n-dilate have each weight numerator (0 for
+        one that none has): the table's values counted when the table is
+        built, otherwise one scan of the dilate that keeps no point."""
+        if "dilate_weights" in self.__dict__:
+            return MappingProxyType(Counter(self.dilate_weights.values()))
+        return MappingProxyType(self._scan_dilate(keep_points=False))
 
     @cached_property
     def jumps(self) -> tuple[int, ...]:
         """Every numerator j = p*D - k in [0, n*D] over the numerators k of
-        the table, ascending: the levels j / D are the only places the
+        the census, ascending: the levels j / D are the only places the
         filtration can jump."""
         D, n = self.weight_denominator, self.nvars
-        return tuple(sorted({p * D - k for k in set(self.dilate_weights.values())
+        return tuple(sorted({p * D - k for k in self.weight_census
                              for p in range(n + 1) if 0 <= p * D - k <= n * D}))
 
     def contains_origin_interior(self) -> bool:

@@ -7,13 +7,14 @@ Euler characteristic
     h^lam = (-1)^n * sum_p (-1)^p * C(n, p) * N(p - lam),
 
 with N(c) the number of lattice points of exact weight c.  The census N is
-read from the hull's one weight table (``NewtonPolytope.dilate_weights``),
-which the de Rham bases read too, so no weight is computed twice for one
-support, and the jump candidates p - w from the hull's one list of them
-(``NewtonPolytope.jumps``).  Both hold integers over the hull's one
-denominator D: the table D w and the jumps j = (p - w) D, so the census
-counts integers; a jump becomes the Fraction j / D only in a spectrum entry
-or a report.  Route two (rank): h^lam is the drop of the
+the hull's (``NewtonPolytope.weight_census``): counted off its weight table
+when the de Rham bases have built it, otherwise by one scan of the dilate
+that keeps no point, so no weight is computed twice for one support and the
+Euler route alone builds no table.  The jump candidates p - w come from the
+hull's one list of them (``NewtonPolytope.jumps``).  Both hold integers over
+the hull's one denominator D: the census keys D w and the jumps
+j = (p - w) D, so the census counts integers; a jump becomes the Fraction
+j / D only in a spectrum entry or a report.  Route two (rank): h^lam is the drop of the
 filtration image dimension
 
     dim im(H^n(level lam) -> H^n(level 0))
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -105,7 +105,7 @@ def spectrum_euler(f: LaurentPolynomial) -> HodgeSpectrum:
     """Top-degree spectrum from the weight census alone."""
     n = f.nvars
     poly = newton_polytope(f)
-    D, census = poly.weight_denominator, Counter(poly.dilate_weights.values())
+    D, census = poly.weight_denominator, poly.weight_census
     sign = (-1) ** n
     entries = []
     for j in poly.jumps:

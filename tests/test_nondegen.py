@@ -288,6 +288,30 @@ def test_simplex_faces_need_no_groebner_run(monkeypatch):
     assert calls == []
 
 
+def test_simplex_faces_are_decided_by_their_point_count(monkeypatch):
+    """Over QQ a face that misses the origin holds exactly its terms, so a
+    face with d + 1 points on a d-face (e = 0) is read empty before
+    ``_face_terms`` runs, and every other face reads its terms.  On the
+    running examples, the degenerate inputs and one screen pass, every
+    verdict is the saturated oracle's."""
+    QQ = RationalField()
+    terms = _counting(monkeypatch, "_face_terms")
+    polys = [parse_laurent(t) for t in [t for t, _ in SUITE] + DEGENERATE]
+    seen = Counter()
+    for f in polys + corpus_inputs(monkeypatch, "screen", 4242, 1):
+        for face in newton_polytope(f).proper_faces_excluding_origin():
+            if face.is_vertex:
+                continue
+            simplex = len(face.points) == face.dim + 1
+            before = len(terms)
+            got = nondegen._check_face_exact(f, face)
+            assert (len(terms) == before) == simplex, (str(f), str(face))
+            assert got == saturated_face_check(f, face, QQ), (str(f), str(face))
+            assert got == "empty" or not simplex
+            seen[simplex] += 1
+    assert seen[True] and seen[False]
+
+
 def test_double_root_edge_reaches_buchberger(monkeypatch):
     f = parse_laurent("x^2 - 2*x*y + y^2 + x^-1*y^-1")
     edge = next(fc for fc in newton_polytope(f).proper_faces_excluding_origin()

@@ -187,6 +187,51 @@ def test_weight_table_holds_integers_over_the_hull_denominator(n):
     assert newton_polytope(parse_laurent("x + y")).weight_denominator == 1
 
 
+# CI's n = 4 input (weight denominator D = 6, 1,420 points in its 4-dilate),
+# and two inputs whose origin lies on a facet of level 0
+CENSUS_INPUTS = ["x^2*y + x*y^2 + x^-1*y^-1 + z^3 + w^3 + z^-2*w^-2",
+                 "x + x^-1*y + y^2", "x + y + z + x^-1*y^-1"]
+
+
+def _census_supports(n):
+    """Seeded full-dimensional supports in n variables, every third folded
+    onto x1 >= 0 so that the origin lies on a facet of level 0, and the
+    inputs above in n variables."""
+    rng = random.Random(4700 + n)
+    supports = []
+    while len(supports) < 8:
+        pts = _random_points(rng, n, rng.randint(n + 1, n + 3), r=2 if n < 4 else 1)
+        if len(supports) % 3 == 0:
+            pts = [(abs(p[0]),) + p[1:] for p in pts]
+        if newton_polytope(make_laurent(n, {p: 1 for p in pts})).dim == n:
+            supports.append(pts)
+    polys = [parse_laurent(t) for t in CENSUS_INPUTS]
+    return supports + [f.support for f in polys if f.nvars == n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_census_scan_matches_the_enumerated_dilate(n):
+    """On a fresh hull the census, counted with no table, and the jumps are
+    those of lattice_points_in_dilate(n) weighted by the Fraction oracle; on
+    another fresh hull the table is that weighted list item by item, in its
+    order, and the census read after it is the same."""
+    level0 = 0
+    for support in _census_supports(n):
+        P = newton_polytope(make_laurent(n, {p: 1 for p in support}))
+        D = P.weight_denominator
+        oracle = [(a, int(fraction_weight(P, a) * D)) for a in P.lattice_points_in_dilate(n)]
+        census = Counter(k for _, k in oracle)
+        jumps = tuple(sorted({p * D - k for k in census for p in range(n + 1)
+                              if 0 <= p * D - k <= n * D}))
+        assert P.weight_census == census and P.jumps == jumps
+        assert "dilate_weights" not in vars(P)
+        Q = newton_polytope(make_laurent(n, {p: 1 for p in support}))
+        assert list(Q.dilate_weights.items()) == oracle
+        assert Q.weight_census == census and Q.jumps == jumps
+        level0 += any(f.level == 0 for f in P.facets)
+    assert level0
+
+
 def test_contains_origin_interior():
     assert newton_polytope(parse_laurent("x + x^-1")).contains_origin_interior()
     assert not newton_polytope(parse_laurent("x")).contains_origin_interior()

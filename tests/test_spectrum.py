@@ -277,19 +277,52 @@ def test_analyze_rejects_unknown_mode(mode):
 @pytest.mark.parametrize("text", ["3*x^3 + 5*y^4 - 7*x^-2*y^-1", "3*x^2 - 5*x^-1"])
 def test_analyze_enumerates_the_dilate_once(text, monkeypatch):
     """The census, the jumps, the de Rham bases and the toric generators of
-    f and -f all read the one weight table of the hull."""
+    f and -f all read one scan of the n-dilate: the de Rham bases build the
+    weight table first, keeping the points, and the census counts its values."""
     from exphodge.derham import build_filtration_level
     from exphodge.polytope import NewtonPolytope
 
-    calls = []
+    scans, enumerations = [], []
+    scan = NewtonPolytope._scan_dilate
     enumerate_dilate = NewtonPolytope.lattice_points_in_dilate
+    monkeypatch.setattr(NewtonPolytope, "_scan_dilate",
+                        lambda poly, keep_points: scans.append(keep_points)
+                        or scan(poly, keep_points))
     monkeypatch.setattr(NewtonPolytope, "lattice_points_in_dilate",
-                        lambda poly, c: calls.append(c) or enumerate_dilate(poly, c))
+                        lambda poly, c: enumerations.append(c) or enumerate_dilate(poly, c))
     build_filtration_level.cache_clear()
     f = parse_laurent(text)
     rep = analyze(f)
     assert rep.checks and all(check.ok for check in rep.checks.values())
-    assert calls == [f.nvars]
+    assert scans == [True] and enumerations == []
+
+
+def test_a_screen_step_builds_no_weight_table(monkeypatch):
+    """The face checks, the volume and the Euler spectrum of fresh screen
+    inputs count the census in one scan that keeps no point: the weight
+    table is never built and the dilate never enumerated."""
+    from conftest import corpus_inputs
+
+    from exphodge import _kernels
+    from exphodge.polytope import NewtonPolytope
+
+    scans, boxes = [], []
+    scan = NewtonPolytope._scan_dilate
+    enumerate_box = _kernels.enumerate_box_filtered
+    monkeypatch.setattr(NewtonPolytope, "_scan_dilate",
+                        lambda poly, keep_points: scans.append(keep_points)
+                        or scan(poly, keep_points))
+    monkeypatch.setattr(_kernels, "enumerate_box_filtered",
+                        lambda *args: boxes.append(args) or enumerate_box(*args))
+    spectra = 0
+    for f in corpus_inputs(monkeypatch, "screen", 4243, 1):
+        poly = newton_polytope(f)
+        if not is_nondegenerate(f).is_degenerate:
+            spectrum_euler(f)
+            spectra += 1
+        poly.normalized_volume()
+        assert "dilate_weights" not in vars(poly)
+    assert spectra and scans == [False] * spectra and boxes == []
 
 
 # f and g in disjoint variables: the spectrum of f + g is the convolution of
