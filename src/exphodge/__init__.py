@@ -8,9 +8,8 @@ independent linear-algebra route (exact ranks of filtered subcomplexes), and
 a dedicated projective-line engine handles the one-variable comparisons.
 """
 
-from .errors import (BadPrimeError, BudgetExceededError, DegenerateInputError,
-                     ExpHodgeError, IntegrityError, NotFullDimensionalError,
-                     ParseError)
+from .errors import (BudgetExceededError, DegenerateInputError, ExpHodgeError,
+                     IntegrityError, NotFullDimensionalError, ParseError)
 from .laurent import LaurentPolynomial, format_laurent, make_laurent, parse_laurent
 from .polytope import Face, Facet, NewtonPolytope, newton_polytope
 from .linalg import SparseRationalMatrix
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "ExpHodgeError", "ParseError", "NotFullDimensionalError",
-    "DegenerateInputError", "BadPrimeError", "BudgetExceededError",
+    "DegenerateInputError", "BudgetExceededError",
     "IntegrityError",
     "LaurentPolynomial", "make_laurent", "parse_laurent", "format_laurent",
     "NewtonPolytope", "Face", "Facet", "newton_polytope",

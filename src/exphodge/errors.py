@@ -34,10 +34,6 @@ class DegenerateInputError(ExpHodgeError):
     """Input rejected because it is degenerate and the caller demanded otherwise."""
 
 
-class BadPrimeError(ExpHodgeError):
-    """A coefficient denominator vanishes modulo the chosen prime."""
-
-
 class BudgetExceededError(ExpHodgeError):
     """A bounded search (Buchberger pair queue) ran out of budget."""
 

@@ -1,23 +1,21 @@
-"""Buchberger's algorithm over the integers and prime fields.
+"""Buchberger's algorithm over the rationals, run over the integers.
 
 Polynomials are dicts mapping exponent tuples (nonnegative ints) to nonzero
 coefficients.  The engine exists to decide one question: whether a face
 system together with the torus saturation t*x1*...*xn - 1 generates the unit
-ideal.  It is deterministic, reentrant, and capped by a pair budget.
+ideal over QQ.  It is deterministic, reentrant, and capped by a pair budget.
 A nonzero constant among the generators or as an S-pair remainder settles
 that question (weak Nullstellensatz), so the run stops there and returns [1],
 the reduced basis of the unit ideal.
 
-Over the rationals the run is over Z, on primitive polynomials: each
-generator is cleared of its denominators and divided by its content, which
-keeps its ideal over QQ.  An S-polynomial or a reduction step is
-a*p - b*x^s*g, with a and b the leading coefficients of g and p over their
-gcd, and each remainder is divided by its content; no Fraction enters the
-loop, and only the returned reduced basis is made monic in Fractions.  Mod
-p every polynomial is monic.  One loop serves both fields: the field shim
-supplies the cofactors a, b and the normalization (content over Z, monic
-mod p).  Scaling changes no leading monomial, so both fields meet the same
-pairs in the same order.
+The run is over Z, on primitive polynomials: each generator is cleared of
+its denominators and divided by its content, which keeps its ideal over QQ.
+An S-polynomial or a reduction step is a*p - b*x^s*g, with a and b the
+leading coefficients of g and p over their gcd, and each remainder is
+divided by its content; no Fraction enters the loop, and only the returned
+reduced basis is made monic in Fractions.  Scaling changes no leading
+monomial, so the run meets the same pairs in the same order as Buchberger
+on monic polynomials over QQ.
 
 Each basis element's leading monomial is computed once and kept beside it.
 Pending S-pairs wait in a heap keyed (grevlex key of the lcm of the leading
@@ -41,106 +39,37 @@ from fractions import Fraction
 from operator import add, le, sub
 from typing import Mapping, Sequence
 
-from .errors import BadPrimeError, BudgetExceededError
+from .errors import BudgetExceededError
 
 Exponent = tuple[int, ...]
 Poly = dict[Exponent, object]
 
 
-class RationalField:
-    """Arithmetic shim for Fraction coefficients; Buchberger runs over Z."""
-
-    name = "QQ"
-    zero = Fraction(0)
-    characteristic = 0
-
-    def coerce(self, v) -> Fraction:
-        return Fraction(v)
-
-    def from_int(self, v: int) -> int:
-        return v  # an int is an exact rational, and add, sub and mul keep it one
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return 1 / a
-
-    def elements(self, g: Mapping) -> Poly:
-        """g's nonzero coefficients (ints or Fractions) times the lcm of
-        their denominators."""
-        g = {tuple(e): c for e, c in g.items() if c}
-        den = math.lcm(*(c.denominator for c in g.values()))
-        return {e: c.numerator * (den // c.denominator) for e, c in g.items()}
-
-    def normalize(self, p: Poly, lm: Exponent) -> Poly:
-        """p divided by its content: a primitive integer polynomial."""
-        g = math.gcd(*p.values())
-        return p if g == 1 else {e: c // g for e, c in p.items()}
-
-    def cofactors(self, a, b):
-        """(b', a') with b' * a == a' * b: the two leading coefficients over
-        their gcd, crosswise."""
-        g = math.gcd(a, b)
-        return b // g, a // g
-
-    def monic(self, p: Poly, lm: Exponent) -> Poly:
-        lc = p[lm]
-        return {e: Fraction(c, lc) for e, c in p.items()}
+def _primitive(p: Poly) -> Poly:
+    """p divided by the content of its integer coefficients."""
+    g = math.gcd(*p.values())
+    return p if g == 1 else {e: c // g for e, c in p.items()}
 
 
-class PrimeField:
-    """Arithmetic mod a prime, elements stored as ints in [0, p)."""
+def _integral(g: Mapping) -> Poly:
+    """g's nonzero coefficients (ints or Fractions) times the lcm of their
+    denominators, divided by their content: a primitive integer polynomial
+    that generates the same ideal over QQ."""
+    g = {tuple(e): c for e, c in g.items() if c}
+    den = math.lcm(*(c.denominator for c in g.values()))
+    return _primitive({e: c.numerator * (den // c.denominator) for e, c in g.items()})
 
-    zero = 0
 
-    def __init__(self, p: int):
-        self.p = p
-        self.characteristic = p
-        self.name = f"GF({p})"
+def _cofactors(a: int, b: int) -> tuple[int, int]:
+    """(b', a') with b' * a == a' * b: the two leading coefficients over
+    their gcd, crosswise."""
+    g = math.gcd(a, b)
+    return b // g, a // g
 
-    def coerce(self, v) -> int:
-        v = Fraction(v)
-        if v.denominator % self.p == 0:
-            raise BadPrimeError(f"bad prime {self.p}: denominator {v.denominator} vanishes")
-        return (v.numerator * pow(v.denominator, -1, self.p)) % self.p
 
-    def from_int(self, v: int) -> int:
-        return v % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
-
-    def elements(self, g: Mapping) -> Poly:
-        """g's coefficients reduced mod p, those that vanish dropped."""
-        g = {tuple(e): self.coerce(c) for e, c in g.items()}
-        return {e: c for e, c in g.items() if c}
-
-    def normalize(self, p: Poly, lm: Exponent) -> Poly:
-        """p made monic."""
-        inv = self.inv(p[lm])
-        return {e: c * inv % self.p for e, c in p.items()}
-
-    def cofactors(self, a, b):
-        """(1, a / b): every basis element is monic, so b is 1."""
-        return 1, (a if b == 1 else a * self.inv(b) % self.p)
-
-    monic = normalize
+def _monic(p: Poly, lm: Exponent) -> Poly:
+    lc = p[lm]
+    return {e: Fraction(c, lc) for e, c in p.items()}
 
 
 def grevlex_key(e: Exponent):
@@ -169,24 +98,19 @@ def _mono_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(max, a, b))
 
 
-def _scaled(p: Poly, u, mod: int) -> Poly:
-    """u * p, entries mod `mod` unless it is 0."""
+def _scaled(p: Poly, u: int) -> Poly:
+    """u * p."""
     if u == 1:
         return p
-    if mod:
-        return {e: c * u % mod for e, c in p.items()}
     return {e: c * u for e, c in p.items()}
 
 
-def _sub_scaled(p: Poly, q: Poly, v, shift: Exponent, mod: int) -> Poly:
-    """p -= v * x^shift * q, in place, entries mod `mod` unless it is 0;
-    returns p."""
+def _sub_scaled(p: Poly, q: Poly, v: int, shift: Exponent) -> Poly:
+    """p -= v * x^shift * q, in place; returns p."""
     get = p.get
     for e, c in q.items():
         key = tuple(map(add, e, shift))
         s = get(key, 0) - v * c
-        if mod:
-            s %= mod
         if s:
             p[key] = s
         else:
@@ -194,12 +118,11 @@ def _sub_scaled(p: Poly, q: Poly, v, shift: Exponent, mod: int) -> Poly:
     return p
 
 
-def _reduce(p: Poly, basis: Sequence[Poly], lms: Sequence[Exponent], key, F) -> Poly:
+def _reduce(p: Poly, basis: Sequence[Poly], lms: Sequence[Exponent], key) -> Poly:
     """A remainder of multivariate division of p by the basis, whose leading
-    monomials are given in lms (leading terms only): a nonzero multiple of
-    the remainder over the field, since each step scales the work by a
+    monomials are given in lms (leading terms only): a nonzero integer
+    multiple of the remainder over QQ, since each step scales the work by a
     cofactor."""
-    mod = F.characteristic
     rem: Poly = {}
     work = dict(p)
     divisors = list(zip(lms, basis))
@@ -208,9 +131,9 @@ def _reduce(p: Poly, basis: Sequence[Poly], lms: Sequence[Exponent], key, F) -> 
         lc = work[lm]
         for glm, g in divisors:
             if _mono_divides(glm, lm):
-                u, v = F.cofactors(lc, g[glm])
-                work, rem = _scaled(work, u, mod), _scaled(rem, u, mod)
-                _sub_scaled(work, g, v, _mono_div(lm, glm), mod)
+                u, v = _cofactors(lc, g[glm])
+                work, rem = _scaled(work, u), _scaled(rem, u)
+                _sub_scaled(work, g, v, _mono_div(lm, glm))
                 break
         else:
             rem[lm] = lc
@@ -218,9 +141,9 @@ def _reduce(p: Poly, basis: Sequence[Poly], lms: Sequence[Exponent], key, F) -> 
     return rem
 
 
-def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
+def groebner_basis(generators: Sequence[Mapping[Exponent, object]],
                    max_pairs: int = 20000) -> list[Poly]:
-    """Reduced Groebner basis, monic (with Fraction coefficients over QQ),
+    """Reduced Groebner basis over QQ, monic with Fraction coefficients,
     deterministic for fixed inputs.
 
     A nonzero constant generator, or an S-pair remainder that is a nonzero
@@ -230,8 +153,6 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
     ideal can be decided under a budget its run to completion would exceed.
     Callers surface the error as a distinct outcome, not a verdict.
     """
-    F = field
-    mod = F.characteristic
     keys: dict[Exponent, tuple] = {}
 
     def key(e: Exponent):
@@ -242,13 +163,12 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
 
     normal: list[tuple[Exponent, Poly]] = []
     for g in generators:
-        g = F.elements(g)
+        g = _integral(g)
         if g:
-            lm = leading_monomial(g, key)
-            normal.append((lm, F.normalize(g, lm)))
+            normal.append((leading_monomial(g, key), g))
     normal.sort(key=lambda t: key(t[0]))
     if normal and not any(normal[0][0]):  # a nonzero constant generator
-        return [{normal[0][0]: F.coerce(1)}]
+        return [{normal[0][0]: Fraction(1)}]
     lms = [lm for lm, _ in normal]
     basis = [g for _, g in normal]
 
@@ -275,21 +195,21 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
                for k in range(len(basis))):
             continue  # chain criterion: S(i, j) is a combination of S(i, k) and S(j, k)
         gi, gj = basis[i], basis[j]
-        u, v = F.cofactors(gi[lmi], gj[lmj])
+        u, v = _cofactors(gi[lmi], gj[lmj])
         shift = _mono_div(lcm, lmi)
-        s = _sub_scaled(_scaled({_mono_mul(e, shift): c for e, c in gi.items()}, u, mod),
-                        gj, v, _mono_div(lcm, lmj), mod)
-        s = _reduce(s, basis, lms, key, F)
+        s = _sub_scaled(_scaled({_mono_mul(e, shift): c for e, c in gi.items()}, u),
+                        gj, v, _mono_div(lcm, lmj))
+        s = _reduce(s, basis, lms, key)
         if not s:
             continue
         lm = leading_monomial(s, key)
         if not any(lm):  # a nonzero constant remainder
-            return [{lm: F.coerce(1)}]
+            return [{lm: Fraction(1)}]
         new = len(basis)
         for k in range(new):
             lcm = _mono_lcm(lms[k], lm)
             heapq.heappush(pairs, (key(lcm), k, new, lcm))
-        basis.append(F.normalize(s, lm))
+        basis.append(_primitive(s))
         lms.append(lm)
 
     # minimalize: drop generators whose leading monomial is divisible by another's
@@ -301,9 +221,9 @@ def groebner_basis(generators: Sequence[Mapping[Exponent, object]], field,
     for i in keep:
         others = [k for k in keep if k != i]
         r = _reduce(basis[i], [basis[k] for k in others], [lms[k] for k in others],
-                    key, F) if others else basis[i]
+                    key) if others else basis[i]
         if r:
-            reduced.append((lms[i], F.monic(r, lms[i])))
+            reduced.append((lms[i], _monic(r, lms[i])))
     reduced.sort(key=lambda t: key(t[0]))
     return [g for _, g in reduced]
 

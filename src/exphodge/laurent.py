@@ -89,10 +89,17 @@ class LaurentPolynomial:
 
 def make_laurent(nvars: int, terms: Mapping[Monomial, object],
                  var_names: Sequence[str] = ()) -> LaurentPolynomial:
-    """Canonicalize a term map: Fraction-ify coefficients, drop zeros."""
+    """Canonicalize a term map: Fraction-ify coefficients, drop zeros.
+
+    A float coefficient raises TypeError: its binary value is not the
+    decimal it was written as, so an exact coefficient is given as an int,
+    a Fraction or a string such as "1/10"."""
     clean: dict[Monomial, Fraction] = {}
     for alpha, c in terms.items():
         if type(c) is not Fraction:  # a Fraction is immutable and kept as is
+            if isinstance(c, float):
+                raise TypeError(f"float coefficient {c!r} of the monomial {tuple(alpha)}: "
+                                "give an int, a Fraction or a string")
             c = Fraction(c)
         if c:
             clean[tuple(alpha)] = c

@@ -33,7 +33,8 @@ outcome of its own and never a guess.  A nonempty face gets a witness scan
 of the same rows over small prime fields.  Each degeneracy claim is proven
 by a rational witness verified by substitution, or else by the exact
 non-unit basis; a finite-field witness shows a zero modulo its prime alone
-and is reported beside that proof.
+and is reported beside that proof.  ``check_face`` is the check of one face,
+and ``is_nondegenerate`` runs it once on every proper face off the origin.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from . import _kernels
-from .errors import BadPrimeError, BudgetExceededError
-from .groebner import PrimeField, RationalField, groebner_basis, is_unit_ideal
+from .errors import BudgetExceededError
+from .groebner import groebner_basis, is_unit_ideal
 from .laurent import LaurentPolynomial, Monomial
 from .polytope import Face, _row_lattice_basis, newton_polytope
 
@@ -119,16 +120,12 @@ def _shifted(row: Sequence, exps: Sequence[Monomial]) -> list[tuple[object, Mono
     return [(v, tuple(map(sub, alpha, mins))) for v, alpha in kept]
 
 
-def _vertex_check(face: Face) -> FaceCheck:
-    return FaceCheck(face, "empty", "vertex face: monomial has no torus zero")
-
-
-def _row_reduce(rows: list[list], F) -> list[list]:
-    """The nonzero rows of a row echelon form of rows over the field F in
+def _row_reduce(rows: list[list[int]]) -> list[list[int]]:
+    """The nonzero rows of a row echelon form over QQ of the integer rows in
     which each pivot is the only nonzero entry of its column, so each row is
     a nonzero multiple of a row of the reduced row echelon form.  Rows are
-    combined by F.mul and F.sub alone, with no division, so integer entries
-    stay integers over QQ."""
+    combined by products and differences alone, with no division, so every
+    entry stays an integer."""
     rank = 0
     for col in range(len(rows[0])):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
@@ -140,7 +137,7 @@ def _row_reduce(rows: list[list], F) -> list[list]:
         for i, row in enumerate(rows):
             m = row[col]
             if i != rank and m:
-                rows[i] = [F.sub(F.mul(p, a), F.mul(m, b)) for a, b in zip(row, top)]
+                rows[i] = [p * a - m * b for a, b in zip(row, top)]
         rank += 1
     return rows[:rank]
 
@@ -336,17 +333,16 @@ def _narrow_face_gcd(exps: Sequence[Monomial], coeffs: Sequence[int]) -> Optiona
     return g
 
 
-def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str:
+def _decide_face(f: LaurentPolynomial, face: Face, max_pairs: int) -> str:
     """Does the face system have a torus zero over the algebraic closure of
-    the field?  "empty" when not, "nonempty" when it has, "budget exceeded"
-    when its Groebner basis needs more than max_pairs S-pairs.
+    QQ?  "empty" when not, "nonempty" when it has, "budget exceeded" when its
+    Groebner basis needs more than max_pairs S-pairs.
 
-    With c the face's coefficients from ``_face_terms`` read in the field
-    (those that vanish there dropped; over GF(p), p must not divide their
-    common denominator) and A the matrix with the rows 1, alpha_1, ...,
-    alpha_n of their exponents, the face system f_face, theta_1 f_face, ...,
-    theta_n f_face is the rows of A diag(c).  Over QQ the face is decided by
-    the dimension e = k - d - 1 of the kernel of A, k terms on a d-face:
+    With c the face's coefficients from ``_face_terms``, cleared into
+    integers, and A the matrix with the rows 1, alpha_1, ..., alpha_n of
+    their exponents, the face system f_face, theta_1 f_face, ...,
+    theta_n f_face is the rows of A diag(c).  The face is decided by the
+    dimension e = k - d - 1 of the kernel of A, k terms on a d-face:
 
     - e = 0 (a simplex: the terms sit at affinely independent points) leaves
       only the zero vector, so the face is empty; this is read off the count.
@@ -371,68 +367,63 @@ def _decide_face(f: LaurentPolynomial, face: Face, field, max_pairs: int) -> str
       face whose gcd keeps a nonzero root, or is 0, goes on to the basis,
       which alone proves it nonempty; so does a face that spans 4 or more
       values in both coordinates.
-    - e >= 3 on faces of dimension 3 or more, and every face over GF(p),
-      where the rank of A can drop, go on to the basis.
+    - e >= 3 on faces of dimension 3 or more go on to the basis.
 
     Only a face that gets past these tests is row-reduced.  A row reduction
-    R = S A over the field (S invertible) keeps the ideal of the face system
-    as that of the rows of R diag(c).  A row of R with one nonzero entry is
-    a monomial, a unit on the torus, so the face is empty with no Groebner
-    run (over QQ, a coordinate that is 0 on the whole kernel, which the Gale
-    test already reads for e <= 2).  Otherwise each row is shifted by its exponent
+    R = S A over QQ (S invertible) keeps the ideal of the face system as
+    that of the rows of R diag(c).  A row of R with one nonzero entry is a
+    monomial, a unit on the torus, so the face is empty with no Groebner run
+    (a coordinate that is 0 on the whole kernel, which the Gale test already
+    reads for e <= 2).  Otherwise each row is shifted by its exponent
     minimum, t*x1*...*xn - 1 is appended in one more variable, and the face
-    is empty exactly when these generate the unit ideal (over QQ, a basis
-    over Z of primitive polynomials).
+    is empty exactly when these generate the unit ideal, decided by a basis
+    over Z of primitive polynomials.
     """
-    F = field
-    exact = F.characteristic == 0
-    if exact and len(face.points) == face.dim + 1 and not face.contains_origin:
+    if len(face.points) == face.dim + 1 and not face.contains_origin:
         return "empty"
-    exps, coeffs, lcm = _face_terms(f, face)
-    if exact:
-        e = len(exps) - face.dim - 1
-        if e == 0 or (e <= 2 and _relations_empty(exps, coeffs)):
+    exps, coeffs, _ = _face_terms(f, face)
+    e = len(exps) - face.dim - 1
+    if e == 0 or (e <= 2 and _relations_empty(exps, coeffs)):
+        return "empty"
+    if e >= 3 and face.dim == 2:
+        g = _narrow_face_gcd(exps, coeffs)
+        if g is not None and len(g) == 1:
             return "empty"
-        if e >= 3 and face.dim == 2:
-            g = _narrow_face_gcd(exps, coeffs)
-            if g is not None and len(g) == 1:
-                return "empty"
-    elif lcm % F.characteristic == 0:
-        raise BadPrimeError(f"bad prime {F.characteristic}: denominator {lcm} vanishes")
-    kept = [(alpha, c) for alpha, c in zip(exps, map(F.from_int, coeffs)) if c]
-    exps = [alpha for alpha, _ in kept]
-    coeffs = [c for _, c in kept]
-    A = [[F.from_int(1)] * len(exps)] + [[F.from_int(alpha[i]) for alpha in exps]
-                                         for i in range(f.nvars)]
-    R = _row_reduce(A, F)
+    R = _row_reduce([[1] * len(exps)] + [[alpha[i] for alpha in exps] for i in range(f.nvars)])
     if any(sum(1 for v in row if v) == 1 for row in R):
         return "empty"
-    gens = [{alpha + (0,): v for v, alpha in _shifted(list(map(F.mul, row, coeffs)), exps)}
+    gens = [{alpha + (0,): v for v, alpha in _shifted(list(map(mul, row, coeffs)), exps)}
             for row in R]
-    gens.append({(1,) * (f.nvars + 1): F.from_int(1), (0,) * (f.nvars + 1): F.from_int(-1)})
+    gens.append({(1,) * (f.nvars + 1): 1, (0,) * (f.nvars + 1): -1})
     try:
-        basis = groebner_basis(gens, F, max_pairs=max_pairs)
+        basis = groebner_basis(gens, max_pairs=max_pairs)
     except BudgetExceededError:
         return "budget exceeded"
     return "empty" if is_unit_ideal(basis) else "nonempty"
 
 
-def check_face(f: LaurentPolynomial, face: Face, p: int,
-               max_pairs: int = 20000) -> FaceCheck:
-    """Does the face system have a torus zero over the algebraic closure of GF(p)?
-
-    Vertex faces short-circuit: their system contains a single monomial.
-    No pipeline code calls this; it is kept only because the benchmark's
-    tracer (perfbench/tracer.py) wraps it by name.
-    """
-    if face.is_vertex:
-        return _vertex_check(face)
-    return FaceCheck(face, _decide_face(f, face, PrimeField(p), max_pairs))
-
-
 def _check_face_exact(f: LaurentPolynomial, face: Face, max_pairs: int = _PAIR_BUDGET) -> str:
     """Does the face system have a torus zero over the algebraic closure of QQ?"""
-    return _decide_face(f, face, RationalField(), max_pairs)
+    return _decide_face(f, face, max_pairs)
+
+
+_NOTES = {"empty": "exact", "nonempty": "exact basis is not the unit ideal",
+          "budget exceeded": f"exact check exceeded its budget of {_PAIR_BUDGET} S-pairs"}
+
+
+def check_face(f: LaurentPolynomial, face: Face) -> FaceCheck:
+    """The exact check of one proper face: does the face system have a
+    torus zero over the algebraic closure of QQ?
+
+    A vertex face short-circuits, since its system contains a single
+    monomial; any other face is decided by ``_check_face_exact``.  The note
+    names what decided the face: the exact check, the exact non-unit basis,
+    or the pair budget it exceeded.
+    """
+    if face.is_vertex:
+        return FaceCheck(face, "empty", "vertex face: monomial has no torus zero")
+    verdict = _check_face_exact(f, face)
+    return FaceCheck(face, verdict, _NOTES[verdict])
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +465,8 @@ def find_witness(f: LaurentPolynomial, face: Face):
 def is_nondegenerate(f: LaurentPolynomial, *, certify: bool = True) -> NondegeneracyReport:
     """Decide nondegeneracy of f with respect to its Newton polytope.
 
-    Each non-vertex face is decided once, by the exact rational check.  A
+    Each proper face off the origin goes through ``check_face`` once, so
+    each non-vertex face is decided once, by the exact rational check.  A
     nonempty face gets a witness search, and "degenerate" is proven by a
     rational witness or by the exact non-unit basis.  "nondegenerate" is
     proven by the exact bases of every face.  A face whose exact check
@@ -491,28 +483,19 @@ def is_nondegenerate(f: LaurentPolynomial, *, certify: bool = True) -> Nondegene
     checks: list[FaceCheck] = []
     certificate = None
     for face in poly.proper_faces_excluding_origin():
-        if face.is_vertex:
-            checks.append(_vertex_check(face))
-            continue
-        exact = _check_face_exact(f, face)
-        if exact == "empty":
-            checks.append(FaceCheck(face, "empty", "exact"))
-            continue
-        if exact == "budget exceeded":
-            checks.append(FaceCheck(
-                face, exact, f"exact check exceeded its budget of {_PAIR_BUDGET} S-pairs"))
-            continue
-        point, fieldname = find_witness(f, face)
-        if fieldname == "QQ":
-            certificate, note = "rational witness", "witness over QQ"
-        else:
-            certificate = certificate or "exact basis"
-            note = "exact basis is not the unit ideal"
-            if point is not None:
-                note += f"; witness over {fieldname}"
-        if point is not None and (witness is None or (witness_field != "QQ" and fieldname == "QQ")):
-            witness, witness_field, witness_face = point, fieldname, face
-        checks.append(FaceCheck(face, "nonempty", note))
+        check = check_face(f, face)
+        if check.verdict == "nonempty":
+            point, fieldname = find_witness(f, face)
+            if fieldname == "QQ":
+                certificate, note = "rational witness", "witness over QQ"
+            else:
+                certificate = certificate or "exact basis"
+                note = check.note if point is None else f"{check.note}; witness over {fieldname}"
+            if point is not None and (witness is None
+                                      or (witness_field != "QQ" and fieldname == "QQ")):
+                witness, witness_field, witness_face = point, fieldname, face
+            check = FaceCheck(face, "nonempty", note)
+        checks.append(check)
 
     if certificate is not None:
         verdict = "degenerate"

@@ -1,8 +1,8 @@
 """Reference forms the tests check exphodge against, kept out of the package
 because no pipeline code needs them: dense form and product of sparse
 matrices, the Čech differentials of a model as matrices, the untwisted
-two-term complex, the Groebner normal form and a Groebner basis run to
-completion (both in the field's own arithmetic, where the package runs over
+two-term complex, the Groebner normal form and a Groebner basis over QQ
+run to completion (both in Fraction arithmetic, where the package runs over
 Z), the face system of f on a face read off each active facet's equality,
 with its evaluation over QQ and mod q, the face check on the saturated face
 system with no row reduction, the divisor-shift invariance of the Čech
@@ -10,6 +10,7 @@ dimensions, the convex hull by brute force over d-subsets, the weight of a
 lattice point with one Fraction per facet, seeded unimodular maps and seeded
 generic supports."""
 
+import functools
 import heapq
 import math
 import random
@@ -18,8 +19,7 @@ from itertools import combinations, product
 
 from exphodge import curve
 from exphodge.groebner import (_mono_div, _mono_divides, _mono_lcm, _mono_mul,
-                               grevlex_key, groebner_basis, is_unit_ideal,
-                               leading_monomial)
+                               grevlex_key, is_unit_ideal, leading_monomial)
 from exphodge.laurent import make_laurent
 from exphodge.linalg import SparseRationalMatrix
 from exphodge.polytope import _dot, _hyperplane_normal, newton_polytope
@@ -74,11 +74,11 @@ def untwisted_complex() -> curve.TwoTermComplex:
     return curve.TwoTermComplex(curve.ZERO_DIVISOR, curve.ZERO_DIVISOR, make_laurent(1, {}))
 
 
-def _sub_scaled(p, q, coeff, shift, F):
-    """p -= coeff * x^shift * q in the field F, in place; returns p."""
+def _sub_scaled(p, q, coeff, shift):
+    """p -= coeff * x^shift * q in Fractions, in place; returns p."""
     for e, c in q.items():
         key = _mono_mul(e, shift)
-        s = F.sub(p.get(key, F.zero), F.mul(coeff, c))
+        s = p.get(key, 0) - coeff * c
         if s:
             p[key] = s
         else:
@@ -86,9 +86,9 @@ def _sub_scaled(p, q, coeff, shift, F):
     return p
 
 
-def _reduce(p, basis, lms, key, F):
+def _reduce(p, basis, lms, key):
     """Remainder of multivariate division of p by the basis, whose leading
-    monomials are given in lms (leading terms only), in the field F."""
+    monomials are given in lms (leading terms only), in Fractions."""
     rem = {}
     work = dict(p)
     while work:
@@ -96,7 +96,7 @@ def _reduce(p, basis, lms, key, F):
         lc = work[lm]
         for glm, g in zip(lms, basis):
             if _mono_divides(glm, lm):
-                _sub_scaled(work, g, F.mul(lc, F.inv(g[glm])), _mono_div(lm, glm), F)
+                _sub_scaled(work, g, Fraction(lc, g[glm]), _mono_div(lm, glm))
                 break
         else:
             rem[lm] = lc
@@ -104,30 +104,31 @@ def _reduce(p, basis, lms, key, F):
     return rem
 
 
-def _make_monic(p, lm, F):
-    inv = F.inv(p[lm])
-    return {e: F.mul(c, inv) for e, c in p.items()}
+def _make_monic(p, lm):
+    lc = p[lm]
+    return {e: Fraction(c, lc) for e, c in p.items()}
 
 
-def normal_form(p, basis, key, F):
+def normal_form(p, basis, key):
     """Remainder of multivariate division by the basis (leading terms only)."""
-    return _reduce(p, basis, [leading_monomial(g, key) for g in basis], key, F)
+    return _reduce(p, basis, [leading_monomial(g, key) for g in basis], key)
 
 
-def full_groebner_basis(generators, F):
-    """Reduced Groebner basis by Buchberger run to completion in the field's
-    own arithmetic on monic polynomials (Fractions over QQ), then minimalized
-    and tail-reduced: `groebner.groebner_basis` without its exit at the first
-    nonzero constant, its pair budget or its integer arithmetic, with the same
-    pair order."""
-    key = grevlex_key
+def full_groebner_basis(generators, stop_at_constant=False):
+    """Reduced Groebner basis over QQ by Buchberger run to completion on
+    monic polynomials in Fractions, then minimalized and tail-reduced:
+    `groebner.groebner_basis` without its exit at the first nonzero
+    constant, its pair budget, its chain criterion or its arithmetic over Z,
+    with the same pair order.  With stop_at_constant the run returns [1] at
+    the first nonzero constant remainder, which settles only whether the
+    ideal is the unit ideal (`saturated_face_check`'s question)."""
+    key = functools.lru_cache(maxsize=None)(grevlex_key)  # one memo per call
     monic = []
     for g in generators:
-        g = {tuple(e): F.coerce(c) for e, c in g.items()}
-        g = {e: c for e, c in g.items() if c}
+        g = {tuple(e): Fraction(c) for e, c in g.items() if c}
         if g:
             lm = leading_monomial(g, key)
-            monic.append((lm, _make_monic(g, lm, F)))
+            monic.append((lm, _make_monic(g, lm)))
     monic.sort(key=lambda t: key(t[0]))
     lms = [lm for lm, _ in monic]
     basis = [g for _, g in monic]
@@ -140,15 +141,17 @@ def full_groebner_basis(generators, F):
             continue
         shift = _mono_div(lcm, lms[i])
         s = _sub_scaled({_mono_mul(e, shift): c for e, c in basis[i].items()},
-                        basis[j], F.coerce(1), _mono_div(lcm, lms[j]), F)
-        s = _reduce(s, basis, lms, key, F)
+                        basis[j], 1, _mono_div(lcm, lms[j]))
+        s = _reduce(s, basis, lms, key)
         if not s:
             continue
         lm = leading_monomial(s, key)
+        if stop_at_constant and not any(lm):
+            return [{lm: Fraction(1)}]
         for k in range(len(basis)):
             lcm = _mono_lcm(lms[k], lm)
             heapq.heappush(pairs, (key(lcm), k, len(basis), lcm))
-        basis.append(_make_monic(s, lm, F))
+        basis.append(_make_monic(s, lm))
         lms.append(lm)
     keep = [i for i in range(len(basis))
             if not any(j != i and _mono_divides(lms[j], lms[i])
@@ -157,9 +160,9 @@ def full_groebner_basis(generators, F):
     for i in keep:
         others = [k for k in keep if k != i]
         r = _reduce(basis[i], [basis[k] for k in others], [lms[k] for k in others],
-                    key, F) if others else basis[i]
+                    key) if others else basis[i]
         if r:
-            reduced.append((lms[i], _make_monic(r, lms[i], F)))
+            reduced.append((lms[i], _make_monic(r, lms[i])))
     reduced.sort(key=lambda t: key(t[0]))
     return [g for _, g in reduced]
 
@@ -190,11 +193,12 @@ def evaluate_mod(g, point, q):
                for alpha, c in g.items()) % q
 
 
-def saturated_face_check(f, face, F):
+def saturated_face_check(f, face):
     """The face check on f_face, theta_1 f_face, ..., theta_n f_face as they
-    are, with no row reduction and no pair budget: "empty" when they, each
-    shifted by its exponent minimum, and t*x1*...*xn - 1 generate the unit
-    ideal over F, "nonempty" otherwise."""
+    are, with no row reduction, no closed form and no pair budget: "empty"
+    when they, each shifted by its exponent minimum, and t*x1*...*xn - 1
+    generate the unit ideal over QQ, by `full_groebner_basis` up to its
+    first constant, "nonempty" otherwise."""
     gens = []
     for g in face_system(f, face):
         low = [min(col) for col in zip(*g)]
@@ -202,7 +206,8 @@ def saturated_face_check(f, face, F):
                      for alpha, c in g.items()})
     n = f.nvars
     gens.append({(1,) * (n + 1): Fraction(1), (0,) * (n + 1): Fraction(-1)})
-    return "empty" if is_unit_ideal(groebner_basis(gens, F, max_pairs=10**9)) else "nonempty"
+    unit = is_unit_ideal(full_groebner_basis(gens, stop_at_constant=True))
+    return "empty" if unit else "nonempty"
 
 
 def shared_truncation(complexes) -> int:

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from exphodge.errors import BadPrimeError, ParseError
-from exphodge.groebner import PrimeField
+from exphodge.errors import ParseError
 from exphodge.laurent import LaurentPolynomial, format_laurent, make_laurent, parse_laurent
 
 
@@ -112,16 +111,14 @@ def test_roundtrip_randomized():
         done += 1
 
 
-def test_reduce_mod_p():
-    # PrimeField.coerce is the one reduction of a coefficient into GF(p)
-    def reduce(f, p):
-        return {a: PrimeField(p).coerce(c) for a, c in f.terms.items()}
-
-    assert reduce(parse_laurent("3/2*x"), 5) == {(1,): 4}
-    assert reduce(parse_laurent("x - y"), 7) == {(1, 0): 1, (0, 1): 6}
-    assert reduce(parse_laurent("5*x + y"), 5) == {(1, 0): 0, (0, 1): 1}
-    with pytest.raises(BadPrimeError):
-        reduce(parse_laurent("1/3*x"), 3)
+def test_float_coefficient_is_rejected():
+    # 0.1 is stored as 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match=r"0\.1 of the monomial \(1,\)"):
+        make_laurent(1, {(1,): 0.1, (-1,): 1})
+    with pytest.raises(TypeError, match=r"\(0, -1\)"):
+        make_laurent(2, {(1, 0): 1, (0, -1): 2.0})
+    f = make_laurent(1, {(1,): "1/10", (-1,): 1, (2,): Fraction(3, 7)})
+    assert dict(f.terms) == {(1,): Fraction(1, 10), (-1,): 1, (2,): Fraction(3, 7)}
 
 
 def test_exponent_plus_sign():
